@@ -15,7 +15,6 @@ from .analysis import (
     compute_benchmark,
     compute_metrics,
     dual_regret_gap,
-    evaluate_perturbed_bounds,
     evaluate_theorem1_bounds,
     evaluate_theorem3_bounds,
     fit_growth_exponent,
@@ -59,7 +58,7 @@ __all__ = [
     "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
     "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit", "TraceMetrics",
     "compute_benchmark", "compute_metrics", "dual_regret_gap",
-    "evaluate_theorem1_bounds", "evaluate_theorem3_bounds", "evaluate_perturbed_bounds",
+    "evaluate_theorem1_bounds", "evaluate_theorem3_bounds",
     "fit_growth_exponent", "perturbed_report", "llp_bound_report", "llp2_bound_report",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",
     "execute_run", "write_trace", "sweep", "compare", "bench",

@@ -32,12 +32,12 @@ __all__ = [
     "TraceMetrics",
     "compute_metrics",
     "BoundReport",
+    "regret_certificate",
     "llp_bound_report",
     "llp2_bound_report",
     "perturbed_report",
     "evaluate_theorem1_bounds",
     "evaluate_theorem3_bounds",
-    "evaluate_perturbed_bounds",
     "ExponentFit",
     "fit_growth_exponent",
     "dual_regret_gap",
@@ -166,7 +166,6 @@ class _ConstraintAccumulator:
         W, u = self.row_matrix()
         worst = float(np.max(W @ x + u)) if len(u) else -math.inf
         if self.kind == "X_T_max":
-            total = np.zeros(len(u)) if len(u) else None
             agg = None
             for oracle in self.general:
                 v = np.asarray(oracle.constraint_value(x), dtype=float)
@@ -467,44 +466,68 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
 
-def llp_bound_report(h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
-                     regret: float, sigma: float, bounds) -> BoundReport:
+def _perturbed_constants(sigma: float, a: float, beta: float, bounds) -> tuple[float, float]:
+    A1 = 2.0 * sigma * bounds.D ** 2 + 2.0 * bounds.L_f / sigma
+    A2 = 4.0 * a * bounds.G ** 2 / (1.0 - beta)
+    return A1, A2
+
+
+def regret_certificate(variant: str, h_sum: float, sigma: float, bounds, *,
+                       sum_a_prev_xi_sq: float = 0.0, mu: float = 0.0,
+                       xi_sq_sum: float = 0.0, horizon: int = 0, a: float = 0.0,
+                       beta: float = 0.0) -> float:
+    """The regret certificate B_t of a lazy variant after `horizon` rounds.
+
+    The per-row `bound_B_t` of a trace and the summary's `bound_B_T` both
+    come from here.  `llp_perturbed` reads xi_sq_sum, horizon, a and beta;
+    the other variants read sum_a_prev_xi_sq and mu, which is nonzero only
+    for `llp2`.
+    """
+    if variant == "llp_perturbed":
+        A1, A2 = _perturbed_constants(sigma, a, beta, bounds)
+        tail = min(2.0 * a * math.sqrt(xi_sq_sum), A2 * float(horizon) ** (1.0 - beta))
+        return A1 * math.sqrt(h_sum) + tail
     base = 2.0 * (sigma * bounds.D ** 2 + bounds.L_f / sigma)
-    B = base * math.sqrt(h_sum) + sum_a_prev_xi_sq
+    return base * math.sqrt(h_sum + mu) + sum_a_prev_xi_sq
+
+
+def _llp_report(variant: str, h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
+                regret: float, sigma: float, bounds, mu: float) -> BoundReport:
+    B = regret_certificate(variant, h_sum, sigma, bounds, sum_a_prev_xi_sq=sum_a_prev_xi_sq,
+                           mu=mu)
     gap = B - regret
-    clamped = gap < 0.0
     vz = math.sqrt(2.0 * max(gap, 0.0) / a_prev_last)
-    v = vz + (2.0 * bounds.L_g / sigma) * math.sqrt(h_sum)
-    return BoundReport(B_T=B, V_bound=v, V_z_bound=vz, clamped=clamped,
+    v = vz + (2.0 * bounds.L_g / sigma) * math.sqrt(h_sum + mu)
+    return BoundReport(B_T=B, V_bound=v, V_z_bound=vz, clamped=gap < 0.0,
                        inputs={"sigma": sigma, "D": bounds.D, "L_f": bounds.L_f,
                                "L_g": bounds.L_g, "h_sum": h_sum,
                                "sum_a_prev_xi_sq": sum_a_prev_xi_sq,
                                "a_prev_last": a_prev_last, "regret": regret})
 
 
+def llp_bound_report(h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
+                     regret: float, sigma: float, bounds) -> BoundReport:
+    return _llp_report("llp", h_sum, sum_a_prev_xi_sq, a_prev_last, regret, sigma, bounds, 0.0)
+
+
 def llp2_bound_report(h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
                       regret: float, sigma: float, bounds, mu_next: float) -> BoundReport:
-    base = 2.0 * (sigma * bounds.D ** 2 + bounds.L_f / sigma)
-    root = math.sqrt(h_sum + mu_next)
-    B = base * root + sum_a_prev_xi_sq
-    gap = B - regret
-    clamped = gap < 0.0
-    vz = math.sqrt(2.0 * max(gap, 0.0) / a_prev_last)
-    v = vz + (2.0 * bounds.L_g / sigma) * root
-    rep = llp_bound_report(h_sum, sum_a_prev_xi_sq, a_prev_last, regret, sigma, bounds)
-    return BoundReport(B_T=B, V_bound=v, V_z_bound=vz, clamped=clamped,
-                       inputs={**rep.inputs, "mu_next": mu_next, "B_T_base": rep.B_T})
+    rep = _llp_report("llp2", h_sum, sum_a_prev_xi_sq, a_prev_last, regret, sigma, bounds,
+                      mu_next)
+    base = regret_certificate("llp", h_sum, sigma, bounds, sum_a_prev_xi_sq=sum_a_prev_xi_sq)
+    rep.inputs.update(mu_next=mu_next, B_T_base=base)
+    return rep
 
 
 def perturbed_report(h_sum: float, xi_sq_sum: float, horizon: int, regret: float,
                      sigma: float, a: float, beta: float, bounds) -> BoundReport:
-    A1 = 2.0 * sigma * bounds.D ** 2 + 2.0 * bounds.L_f / sigma
-    A2 = 4.0 * a * bounds.G ** 2 / (1.0 - beta)
+    A1, A2 = _perturbed_constants(sigma, a, beta, bounds)
     A3 = 2.0 / a
     A4 = 2.0 * bounds.L_g / sigma
     K = math.sqrt(bounds.G ** 2 + xi_sq_sum)
     t = float(horizon)
-    B = A1 * math.sqrt(h_sum) + min(2.0 * a * math.sqrt(xi_sq_sum), A2 * t ** (1.0 - beta))
+    B = regret_certificate("llp_perturbed", h_sum, sigma, bounds, xi_sq_sum=xi_sq_sum,
+                           horizon=horizon, a=a, beta=beta)
     gap = B - regret
     clamped = gap < 0.0
     vz = math.sqrt(A3 * max(K, t ** beta) * max(gap, 0.0))
@@ -537,12 +560,6 @@ def evaluate_theorem3_bounds(records, config, regret: float, mu_next: float) -> 
     return llp2_bound_report(float(np.sum(h)), float(np.sum(a_prev * xi * xi)),
                              float(a_prev[-1]), regret, config.sigma, config.bounds,
                              mu_next)
-
-
-def evaluate_perturbed_bounds(records, config, regret: float) -> BoundReport:
-    h, xi, _ = _trace_arrays(records)
-    return perturbed_report(float(np.sum(h)), float(np.sum(xi * xi)), len(records),
-                            regret, config.sigma, config.a, config.beta, config.bounds)
 
 
 # -- growth rates ----------------------------------------------------------------

@@ -19,25 +19,28 @@ linearly in t and is intended for desk-scale horizons.
 
 A prediction may arrive as functions of the not-yet-known action instead
 of concrete vectors (the honest reading of "the forecast evaluated at
-the learner's own next point").  The primal step then resolves the
-multiplier and the forecast jointly by fixed-point iteration, falling
-back to an exact tie-break rule and then bisection in the scalar case.
-Whatever values come out are frozen and reported, so the recorded
-mismatch sequence is always the one actually used by the updates.
+the learner's own next point").  A deferred value forecast makes the
+multiplier lam = [a (cum + v~(x))]_+ depend on the action x being chosen.
+That pair is one convex problem: x minimizes F(x) + ||[a (cum + g~(x))]_+||^2
+/ (2a), whose penalty gradient is J~^T lam.  The primal step solves at
+lam = 0, keeps that point if the multiplier stays 0 there, and otherwise
+makes one solve with the penalty term, exact over the breakpoints in the
+scalar affine case.  The multiplier is read off the chosen action, so the
+recorded mismatch sequence is always the one actually used by the updates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from .analysis import regret_certificate
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
 from .sets import ConfigurationError, positive_part
-from .solver import FtrlObjective, SolverSettings, dual_closed_form, minimize
+from .solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
 
 __all__ = [
     "VARIANTS",
@@ -50,9 +53,6 @@ __all__ = [
 
 VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed", "greedy_baseline")
 
-_FIXED_POINT_ITERS = 24
-_BISECTION_ITERS = 80
-
 
 @dataclass
 class LearnerConfig:
@@ -63,7 +63,6 @@ class LearnerConfig:
     bounds: ProblemBounds
     x0: np.ndarray | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
-    estimate_constraint_bound: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -134,6 +133,11 @@ class LlpLearner:
         if not domain.contains(x0):
             raise ConfigurationError("x0 lies outside the feasible set")
         self.x0 = x0
+        # a one-dimensional set is the interval between its linear minimizers
+        self._interval = None
+        if self.n == 1:
+            self._interval = (float(domain.argmin_linear(np.ones(1))[0]),
+                              float(domain.argmin_linear(-np.ones(1))[0]))
 
         b = config.bounds
         self.t = 0
@@ -163,7 +167,6 @@ class LlpLearner:
         self.cum_gz = np.zeros(self.d)
         self.cum_gx = np.zeros(self.d)
         self.cum_cost = 0.0
-        self.G_hat = 0.0
         self.last_x = x0.copy()
         self.max_xz = 0.0
         self.drift_gap = -math.inf
@@ -200,8 +203,6 @@ class LlpLearner:
         gvals, jac_x = truth.constraint(x)
         gvals = np.asarray(gvals, dtype=float)
         jac_x = np.asarray(jac_x, dtype=float)
-        if self.cfg.estimate_constraint_bound:
-            self.G_hat = max(self.G_hat, float(np.linalg.norm(gvals)))
 
         eps = c_t - ct_used
         h = self._mismatch_norm(eps, jac_x, bundle, jt, lam, x)
@@ -223,14 +224,13 @@ class LlpLearner:
         self.cum_cost += f_val
 
         nb = next_bundle(x, z) if callable(next_bundle) else next_bundle
-        xi, a_t = self._dual(gz, vt, nb, flags)
+        xi, a_t = self._dual(gz, vt, nb)
 
         if self.variant == "llp2":
             sigma_t = self._advance_regularizer_llp2(h)
 
         self.last_x = x
-        # tie_resolved is the expected outcome under exact forecasts, not a warning
-        if any(fl != "tie_resolved" for fl in flags):
+        if flags:
             self.warning_count += 1
 
         return RoundRecord(
@@ -252,7 +252,8 @@ class LlpLearner:
             return self.prox_b / self.prox_S
         return np.zeros(self.n)
 
-    def _solve_at(self, lam: np.ndarray, jt, bundle: PredictionBundle):
+    def _objective(self, lam: np.ndarray, jt, bundle: PredictionBundle) -> FtrlObjective:
+        """The primal aggregate with the round's multiplier fixed at lam."""
         linear = self.ccum.copy()
         terms: list = []
         if bundle.deferred_cost:
@@ -270,14 +271,13 @@ class LlpLearner:
             linear = linear + self.lag_lin
             terms.extend(self.lag_terms)
             if np.any(lam != 0.0):
-                if v == "llp_linearized":
+                if v == "llp_linearized" and jt is not None:
                     linear = linear + jt.T @ lam
                 elif bundle.constraint_affine is not None:
                     linear = linear + bundle.constraint_affine[0].T @ lam
                 else:
                     terms.append((lam, bundle.constraint, None))
-        obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
-        return minimize(obj, self._settings(self.last_x))
+        return FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
 
     def _primal(self, bundle: PredictionBundle, flags: list[str]):
         """Resolve the round's multiplier/forecast pair and solve for x_t.
@@ -285,169 +285,126 @@ class LlpLearner:
         Returns (x, lam, cost_gradient_used, predicted_value_used,
         predicted_jacobian_used, residual).
         """
-        t = self.t
         jt = bundle.predicted_jacobian
-        need_jt = self.variant == "llp_linearized"
-        jt_deferred = need_jt and jt is None
-        if jt_deferred and bundle.predicted_jacobian_fn is None:
-            jt = bundle.jacobian_at(self.last_x)
-            jt_deferred = False
-        val_deferred = bundle.deferred_value
-        if val_deferred and bundle.predicted_value_fn is None:
-            raise ConfigurationError("prediction bundle carries no constraint value forecast")
-        lam_pending = self.pending is not None
-
-        if not lam_pending and not jt_deferred:
-            lam = np.zeros(self.d) if t == 1 else self.lam.copy()
-            res = self._solve_at(lam, jt, bundle)
-            if not res.converged:
-                flags.append("primal_solver")
-            x = res.x
-            vt = bundle.predicted_value
-            if vt is None:
-                # only ever reached at t = 1, where the multiplier is pinned at 0
-                vt = np.asarray(bundle.predicted_value_fn(x), dtype=float)
-            ct = self._frozen_cost_gradient(bundle, x)
-            return x, lam, ct, vt, jt, res.residual
-
-        a_dual, cum_dual = self.pending if lam_pending else (None, None)
+        jfn = None
+        if self.variant == "llp_linearized" and jt is None:
+            jfn = bundle.predicted_jacobian_fn
+            if jfn is None:
+                jt = bundle.jacobian_at(self.last_x)
         vfn = bundle.predicted_value_fn
-        jfn = bundle.predicted_jacobian_fn
-        x_ref = self.last_x
+        if bundle.deferred_value and vfn is None:
+            raise ConfigurationError("prediction bundle carries no constraint value forecast")
 
-        if lam_pending:
-            v_ref = np.asarray(vfn(x_ref), dtype=float) if val_deferred else bundle.predicted_value
-            lam = positive_part(a_dual * (cum_dual + v_ref))
+        if self.pending is not None and bundle.deferred_value:
+            x, lam, vt, res = self._fixed_point(bundle, jt, jfn, vfn)
         else:
-            lam = np.zeros(self.d) if t == 1 else self.lam.copy()
-        jt_cur = jt if jt is not None else (np.asarray(jfn(x_ref), dtype=float) if jt_deferred else None)
-
-        best = None
-        for _ in range(_FIXED_POINT_ITERS):
-            res = self._solve_at(lam, jt_cur, bundle)
-            x = res.x
-            vt = np.asarray(vfn(x), dtype=float) if val_deferred else bundle.predicted_value
-            lam_new = positive_part(a_dual * (cum_dual + vt)) if lam_pending else lam
-            jt_new = np.asarray(jfn(x), dtype=float) if jt_deferred else jt_cur
-            gap = float(np.linalg.norm(lam_new - lam))
-            if jt_deferred:
-                gap += float(np.linalg.norm(jt_new - jt_cur))
-            if best is None or gap < best[0]:
-                best = (gap, x, lam_new, vt, jt_new, res)
-            if gap <= 1e-11 * (1.0 + float(np.linalg.norm(lam))):
-                if not res.converged:
-                    flags.append("primal_solver")
-                ct = self._frozen_cost_gradient(bundle, x)
-                return x, lam_new, ct, vt, jt_new, res.residual
-            lam, jt_cur = lam_new, jt_new
-
-        # the plain iteration cycles when the aggregate objective goes flat;
-        # the scalar case admits an exact resolution
-        if lam_pending and self.d == 1:
-            tie = self._tie_resolve(bundle, a_dual, cum_dual, jt_cur)
-            if tie is not None:
-                x, lam, vt = tie
-                flags.append("tie_resolved")
-                ct = self._frozen_cost_gradient(bundle, x)
-                return x, lam, ct, vt, jt_cur, 0.0
-
-            x, lam, vt, res, gap = self._bisect(bundle, a_dual, cum_dual, jt_cur, vfn,
-                                                val_deferred)
-            if gap <= 1e-8 * (1.0 + float(np.linalg.norm(lam))):
-                if not res.converged:
-                    flags.append("primal_solver")
-                ct = self._frozen_cost_gradient(bundle, x)
-                return x, lam, ct, vt, jt_cur, res.residual
-
-        # honest fallback: freeze the most consistent iterate; the dual
-        # identity is restored exactly and the mismatch lands in xi_t
-        _, x, lam, vt, jt_cur, res = best
-        if lam_pending:
-            lam = positive_part(a_dual * (cum_dual + vt))
-            res = self._solve_at(lam, jt_cur, bundle)
-            x = res.x
-        flags.append("prediction_unresolved")
+            if self.pending is not None:
+                a_dual, cum = self.pending
+                lam = positive_part(a_dual * (cum + bundle.predicted_value))
+            else:
+                lam = np.zeros(self.d) if self.t == 1 else self.lam.copy()
+            # a deferred Jacobian needs no iteration: with lam known, the
+            # forecast oracle itself enters the objective
+            res = minimize(self._objective(lam, jt, bundle), self._settings(self.last_x))
+            x, vt = res.x, bundle.predicted_value
+            if vt is None:
+                vt = np.asarray(vfn(x), dtype=float)
         if not res.converged:
             flags.append("primal_solver")
-        ct = self._frozen_cost_gradient(bundle, x)
-        return x, lam, ct, vt, jt_cur, res.residual
+        if jfn is not None:
+            jt = np.asarray(jfn(x), dtype=float)
+        ct = bundle.cost_gradient
+        if ct is None:
+            ct = np.asarray(bundle.cost_gradient_fn(x), dtype=float)
+        return x, lam, ct, vt, jt, res.residual
 
-    def _frozen_cost_gradient(self, bundle: PredictionBundle, x: np.ndarray) -> np.ndarray:
-        if bundle.cost_gradient is not None:
-            return bundle.cost_gradient
-        return np.asarray(bundle.cost_gradient_fn(x), dtype=float)
+    def _fixed_point(self, bundle: PredictionBundle, jt, jfn, vfn):
+        """(x, lam, predicted_value_used, SolveResult) with lam = [a (cum + v~(x))]_+."""
+        a_dual, cum = self.pending
 
-    def _tie_resolve(self, bundle: PredictionBundle, a_dual: float, cum_dual: np.ndarray, jt):
-        """Exact scalar fixed point when the primal objective goes flat.
+        def multiplier(x):
+            vt = np.asarray(vfn(x), dtype=float)
+            return positive_part(a_dual * (cum + vt)), vt
 
-        With everything affine and no quadratic weight, the primal argmin is
-        set-valued exactly when the aggregate slope vanishes; that pins the
-        multiplier, and dual consistency then pins the action.
-        """
-        if self.n != 1 or self.d != 1 or self.prox_S > 0.0:
-            return None
-        if self.lag_terms or bundle.deferred_cost or bundle.cost_gradient is None:
-            return None
-        if bundle.constraint_affine is None:
-            return None
+        obj = self._objective(np.zeros(self.d), jt, bundle)
+        res = minimize(obj, self._settings(self.last_x))
+        lam, vt = multiplier(res.x)
+        if not np.any(lam > 0.0):
+            return res.x, lam, vt, res
+        jp = self._primal_jacobian(bundle, jt, jfn)
+        x = self._scalar_zero(obj, bundle, jp, a_dual, cum)
+        if x is not None:
+            res = SolveResult(x=x, residual=0.0, converged=True)
+        else:
+            # one term with gradient J_p(x)^T lam(x); when J_p is the Jacobian
+            # of v~ that is the convex penalty ||lam(x)||^2 / (2a) it reports
+            constant = isinstance(jp, np.ndarray)
+
+            def penalty(x):
+                lam = multiplier(x)[0]
+                J = jp if constant else np.asarray(jp(x), dtype=float)
+                return np.array([0.5 * float(lam @ lam) / a_dual]), (J.T @ lam)[None, :]
+
+            smoothness = None
+            if constant and bundle.constraint_affine is not None:
+                smoothness = (a_dual * float(np.linalg.norm(bundle.constraint_affine[0]))
+                              * float(np.linalg.norm(jp)))
+            obj.constraint_terms.append((np.ones(1), penalty, smoothness))
+            res = minimize(obj, self._settings(self.last_x))
+        lam, vt = multiplier(res.x)
+        return res.x, lam, vt, res
+
+    def _primal_jacobian(self, bundle: PredictionBundle, jt, jfn):
+        """J_p, the Jacobian the primal puts the multiplier on: an array or x -> array."""
         v = self.variant
         if v == "llp_perturbed":
-            if self.base_affine is None:
-                return None
-            wp = float(self.base_affine[0][0, 0])
-            slope0 = float((self.ccum + bundle.cost_gradient
-                            + self.base_affine[0].T @ self.lam_sum)[0])
-        elif v == "llp_linearized":
-            if jt is None:
-                return None
-            wp = float(jt[0, 0])
-            slope0 = float((self.ccum + bundle.cost_gradient + self.lag_lin)[0])
-        else:
-            wp = float(bundle.constraint_affine[0][0, 0])
-            slope0 = float((self.ccum + bundle.cost_gradient + self.lag_lin)[0])
-        wd = float(bundle.constraint_affine[0][0, 0])
-        ud = float(bundle.constraint_affine[1][0])
-        if wp == 0.0 or wd == 0.0:
-            return None
-        lam_tie = -slope0 / wp
-        if not lam_tie > 0.0:
-            return None
-        x_star = (lam_tie / a_dual - float(cum_dual[0]) - ud) / wd
-        x = np.array([x_star])
-        if float(np.linalg.norm(self.domain.project(x) - x)) > 1e-12:
-            return None
-        vt = np.array([wd * x_star + ud])
-        lam = positive_part(a_dual * (cum_dual + vt))
-        if abs(float(lam[0]) - lam_tie) > 1e-7 * (1.0 + lam_tie):
-            return None
-        return x, lam, vt
+            if self.base_affine is not None:
+                return self.base_affine[0]
+            return lambda x: self.base_constraint(x)[1]
+        if v == "llp_linearized":
+            return jt if jfn is None else jfn
+        if bundle.constraint_affine is not None:
+            return bundle.constraint_affine[0]
+        return lambda x: bundle.constraint(x)[1]
 
-    def _bisect(self, bundle, a_dual, cum_dual, jt_cur, vfn, val_deferred):
-        """Scalar fixed point of lam -> [a (cum + v(x(lam)))]_+ by bisection."""
-        def evaluate(lam_s: float):
-            res = self._solve_at(np.array([lam_s]), jt_cur, bundle)
-            vt = (np.asarray(vfn(res.x), dtype=float) if val_deferred
-                  else bundle.predicted_value)
-            psi = float(positive_part(a_dual * (cum_dual + vt))[0])
-            return psi, res, vt
+    def _scalar_zero(self, obj: FtrlObjective, bundle: PredictionBundle, jp,
+                     a_dual: float, cum: np.ndarray):
+        """Exact primal point for n = 1 with an affine forecast, or None.
 
-        lo = 0.0
-        psi_lo, res_lo, vt_lo = evaluate(lo)
-        if psi_lo <= 0.0:
-            lam = np.zeros(1)
-            return res_lo.x, lam, vt_lo, res_lo, 0.0
-        hi = a_dual * (abs(float(cum_dual[0])) + self.cfg.bounds.G) + 1.0
-        for _ in range(_BISECTION_ITERS):
-            mid = 0.5 * (lo + hi)
-            psi_mid, res_mid, vt_mid = evaluate(mid)
-            if mid - psi_mid <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        psi, res, vt = evaluate(lo)
-        lam = positive_part(a_dual * (cum_dual + vt))
-        gap = abs(float(lam[0]) - lo)
-        return res.x, lam, vt, res, gap
+        The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
+        linear, and nondecreasing when every p_i f_i >= 0; its zero is found
+        over the sorted breakpoints and clipped to the set.
+        """
+        if (self.n != 1 or obj.constraint_terms or not isinstance(jp, np.ndarray)
+                or bundle.constraint_affine is None):
+            return None
+        rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
+                        (cum + bundle.constraint_affine[1]).tolist()))
+        if any(p * f < 0.0 for p, f, _ in rows):
+            return None
+        S = obj.quad_weight
+        offset = float(obj.linear[0]) - S * float(obj.quad_center[0])
+
+        def deriv(x: float) -> float:
+            acc = 0.0
+            for p, f, r in rows:
+                if r + f * x > 0.0:
+                    acc += p * (r + f * x)
+            return S * x + offset + a_dual * acc
+
+        lo, hi = self._interval
+        knots = sorted([lo, hi] + [-r / f for _, f, r in rows if f != 0.0 and lo < -r / f < hi])
+        vals = [deriv(k) for k in knots]
+        j = next((i for i, val in enumerate(vals) if val >= 0.0), len(knots) - 1)
+        x = knots[j]
+        if j > 0 and vals[j] > 0.0:
+            # the derivative is affine between knots j-1 and j
+            left = knots[j - 1]
+            mid = 0.5 * (left + x)
+            active = [(p, f, r) for p, f, r in rows if r + f * mid > 0.0]
+            slope = S + a_dual * sum(p * f for p, f, _ in active)
+            x = min(max(-(offset + a_dual * sum(p * r for p, _, r in active)) / slope, left), x)
+        return np.array([x])
 
     # -- observation and regularizers ------------------------------------------
 
@@ -545,17 +502,13 @@ class LlpLearner:
 
     # -- dual --------------------------------------------------------------------
 
-    def _dual(self, gz, vt, next_bundle, flags: list[str]):
+    def _dual(self, gz, vt, next_bundle):
         b = self.cfg.bounds
         xi = float(np.linalg.norm(gz - vt))
         a_tm1 = self.a_prev
         self.sum_a_prev_xi_sq += a_tm1 * xi * xi
         self.xi_sq_cum += xi * xi
-        G = b.G
-        if self.cfg.estimate_constraint_bound:
-            G = max(self.G_hat, 1e-12)
-            flags.append("estimated_bound")
-        denom = max(math.sqrt(4.0 * G * G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
+        denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
         a_t = min(self.cfg.a / denom, a_tm1)
         self.phi_cum = 1.0 / a_t
         self.a_prev_last = a_tm1
@@ -572,21 +525,8 @@ class LlpLearner:
 
     # -- reporting ----------------------------------------------------------------
 
-    def running_bound(self) -> float:
-        b = self.cfg.bounds
-        sig = self.cfg.sigma
-        if self.variant == "llp_perturbed":
-            a1 = 2.0 * sig * b.D ** 2 + 2.0 * b.L_f / sig
-            a2 = 4.0 * self.cfg.a * b.G ** 2 / (1.0 - self.cfg.beta)
-            tail = min(2.0 * self.cfg.a * math.sqrt(self.xi_sq_cum),
-                       a2 * float(self.t) ** (1.0 - self.cfg.beta))
-            return a1 * math.sqrt(self.h_cum) + tail
-        base = 2.0 * (sig * b.D ** 2 + b.L_f / sig)
-        if self.variant == "llp2":
-            return base * math.sqrt(self.h_cum + self.mu) + self.sum_a_prev_xi_sq
-        return base * math.sqrt(self.h_cum) + self.sum_a_prev_xi_sq
-
     def stats(self) -> dict:
+        c = self.cfg
         return {
             "t": self.t,
             "cum_cost": self.cum_cost,
@@ -600,7 +540,10 @@ class LlpLearner:
             "a_prev": self.a_prev_last,
             "phi_cum": self.phi_cum,
             "mu": self.mu,
-            "bound_running": self.running_bound(),
+            "bound_running": regret_certificate(
+                self.variant, self.h_cum, c.sigma, c.bounds,
+                sum_a_prev_xi_sq=self.sum_a_prev_xi_sq, mu=self.mu,
+                xi_sq_sum=self.xi_sq_cum, horizon=self.t, a=c.a, beta=c.beta),
             "max_xz": self.max_xz,
             "drift_gap": self.drift_gap,
             "warning_count": self.warning_count,
@@ -658,9 +601,6 @@ class GreedyLearner:
             g_values=gvals.copy(), epsilon_norm=0.0, h_t=0.0, xi_t=0.0,
             sigma_t=0.0, a_t=eta, solver_residuals=(0.0, 0.0), flags=(),
         )
-
-    def running_bound(self) -> float:
-        return 0.0
 
     def stats(self) -> dict:
         vnorm = float(np.linalg.norm(positive_part(self.cum_gx)))

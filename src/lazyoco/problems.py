@@ -412,14 +412,29 @@ class RandomQuadratic:
         unknown = set(self.params) - {"center_scale", "matrix_scale", "offset_scale"}
         if unknown:
             raise ConfigurationError(f"unknown random_quadratic params: {sorted(unknown)}")
+        for name in ("center_scale", "offset_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"random_quadratic {name} must be finite and nonnegative")
+        if not 0.0 < self.matrix_scale < math.inf:
+            raise ConfigurationError("random_quadratic matrix_scale must be finite and positive")
         n = self.dimension
         self.domain = Box(-np.ones(n), np.ones(n))
         D = self.domain.norm_bound
         lf = D + self.center_scale * math.sqrt(n)
+        G = math.sqrt(self.n_constraints) * (self.matrix_scale * D + self.offset_scale)
+        # the dual step size divides by sqrt(4 G^2 + ...); F = L_f^2 / 2 is a bound too
+        if not math.isfinite(4.0 * G * G):
+            raise ConfigurationError(
+                "random_quadratic matrix_scale and offset_scale are too large: "
+                f"the constraint bound G = {G:.3g} overflows 4 G^2")
+        if not math.isfinite(0.5 * lf * lf):
+            raise ConfigurationError(
+                "random_quadratic center_scale is too large: the cost bound overflows")
         self.bounds = ProblemBounds(
             L_f=lf,
             L_g=self.matrix_scale,
-            G=math.sqrt(self.n_constraints) * (self.matrix_scale * D + self.offset_scale),
+            G=G,
             D=D,
             F=0.5 * lf * lf,
             E_m=2.0 * lf,

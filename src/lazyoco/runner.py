@@ -76,14 +76,22 @@ def _check_keys(doc: dict, allowed: set, name: str) -> None:
         raise ConfigurationError(f"unknown {name} keys: {', '.join(unknown)}")
 
 
+def _finite(v) -> bool:
+    """Whether v is a JSON number with a finite float value (json.load admits NaN)."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(doc: dict, key: str, name: str, default=None, required=False):
     if key not in doc:
         if required:
             raise ConfigurationError(f"{name}.{key} is required")
         return default
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigurationError(f"{name}.{key} must be a number")
+    if not _finite(v):
+        raise ConfigurationError(f"{name}.{key} must be a finite number")
     return float(v)
 
 
@@ -191,9 +199,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     x0 = None
     if "x0" in ln and ln["x0"] is not None:
         raw_x0 = ln["x0"]
-        if not isinstance(raw_x0, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_x0):
-            raise ConfigurationError("learner.x0 must be a list of numbers or null")
+        if not isinstance(raw_x0, list) or not all(_finite(v) for v in raw_x0):
+            raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
         x0 = np.asarray(raw_x0, dtype=float)
 
     solver = SolverSettings()

@@ -70,6 +70,28 @@ def refine_min_2d_vec(values_fn, low, high, coarse_count=1001, fine_step=1e-4):
     return x
 
 
+def refine_min_box_vec(values_fn, low, high, coarse_count=41, fine_step=1e-4):
+    """Grid argmin over a box of any dimension, then shrinking local windows.
+
+    values_fn takes an (m, n) array of points.  Sound for convex
+    objectives whose level sets are not badly stretched (the primal
+    subproblems have an isotropic quadratic part, or none).
+    """
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    lo, hi, count = low, high, coarse_count
+    while True:
+        axes = [np.linspace(a, b, count) for a, b in zip(lo, hi)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, low.size)
+        x = pts[int(np.argmin(np.asarray(values_fn(pts), dtype=float)))]
+        step = float(np.max((hi - lo) / (count - 1)))
+        if step <= fine_step:
+            return x.copy()
+        lo = np.maximum(x - 2.0 * step, low)
+        hi = np.minimum(x + 2.0 * step, high)
+        count = 17
+
+
 def simplex_projection_qp(y, scale=1.0):
     """Exact projection onto {x >= 0, sum x = scale} by KKT support enumeration.
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lazyoco import learners
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
 from lazyoco.predictors import PredictionBundle, make_predictor, zero_bundle
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
-from lazyoco.sets import Box, ConfigurationError
+from lazyoco.sets import Box, ConfigurationError, positive_part
 from lazyoco.solver import SolverSettings
 
-from helpers import grid_min_1d, saddle_point_grid
+from helpers import grid_min_1d, refine_min_box_vec, saddle_point_grid
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -253,6 +254,104 @@ def test_llp2_mu_arithmetic():
         assert rec.h_t == 0.0 and rec.xi_t == 0.0
     assert learner.mu == pytest.approx(10.1, abs=1e-12)
     assert learner.prox_S == pytest.approx(math.sqrt(10.1), rel=1e-12)
+
+
+LAZY_VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed")
+
+
+def primal_case(rng, variant, n, d, S, zero_jacobian):
+    """A learner mid-run with a pending multiplier and an exact affine bundle.
+
+    Returns (learner, bundle, J, fixed) where the variant's primal puts the
+    multiplier on J and adds fixed to it (the perturbed variant's folded
+    multiplier sum).
+    """
+    perturbed = variant == "llp_perturbed"
+    base_W = rng.uniform(-1.0, 1.0, size=(d, n))
+    learner = LlpLearner(cfg(variant), Box(-np.ones(n), np.ones(n)), n, d,
+                         base_affine=(base_W, np.zeros(d)) if perturbed else None)
+    learner.t = 5
+    learner.ccum = rng.normal(size=n)
+    learner.prox_S = S
+    learner.prox_b = S * rng.uniform(-1.5, 1.5, size=n)
+    learner.last_x = rng.uniform(-1.0, 1.0, size=n)
+    learner.pending = (float(rng.uniform(0.2, 2.0)), rng.uniform(-1.0, 1.5, size=d))
+    if perturbed:
+        learner.lam_sum = rng.uniform(0.0, 2.0, size=d)
+        # forecast rows are nonnegative multiples of the base rows
+        W = rng.uniform(0.0, 1.5, size=(d, 1)) * base_W
+    else:
+        learner.lag_lin = rng.normal(size=n)
+        W = rng.uniform(-1.0, 1.0, size=(d, n))
+    if zero_jacobian:
+        W = np.zeros((d, n))
+    bundle = affine_bundle(rng.normal(size=n), W, rng.uniform(-0.5, 0.5, size=d))
+    if perturbed:
+        return learner, bundle, base_W, learner.lam_sum
+    return learner, bundle, W, np.zeros(d)
+
+
+@pytest.mark.parametrize("variant", LAZY_VARIANTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_primal_fixed_point_against_grid(variant, n, d):
+    """lam = [a (cum + v~(x))]_+ exactly, and x solves the subproblem at that lam."""
+    rng = np.random.default_rng(100 * n + 10 * d + LAZY_VARIANTS.index(variant))
+    active = 0
+    for case in range(6):
+        S = 0.0 if case % 2 == 0 else float(rng.uniform(0.5, 3.0))
+        learner, bundle, J, fixed = primal_case(rng, variant, n, d, S, case >= 4)
+        a_dual, cum = learner.pending
+        flags = []
+        x, lam, _, vt, _, _ = learner._primal(bundle, flags)
+        assert flags == []
+        assert np.array_equal(vt, bundle.predicted_value_fn(x))
+        assert np.array_equal(lam, positive_part(a_dual * (cum + vt)))
+        active += bool(np.any(lam > 0.0))
+
+        linear = learner.ccum + bundle.cost_gradient + J.T @ (fixed + lam)
+        if variant != "llp_perturbed":
+            linear = linear + learner.lag_lin
+        center = learner.prox_b / S if S > 0.0 else np.zeros(n)
+
+        def subproblem(pts):
+            return pts @ linear + 0.5 * S * np.sum((pts - center) ** 2, axis=1)
+
+        x_grid = refine_min_box_vec(subproblem, -np.ones(n), np.ones(n))
+        assert subproblem(x[None, :])[0] <= subproblem(x_grid[None, :])[0] + 1e-6
+        if S > 0.0:
+            assert np.max(np.abs(x - x_grid)) <= 1e-3
+    assert active > 0
+
+
+def test_exact_forecasts_scalar_fixed_point(monkeypatch):
+    """n = 1 without a prox term under exact forecasts.
+
+    Every round ties: the primal objective is linear and its slope vanishes
+    at the fixed point, so iterating lam -> x(lam) jumps between the ends of
+    the interval.  The exact scalar step needs no solve beyond lam = 0.
+    """
+    calls = []
+    real_minimize = learners.minimize
+    monkeypatch.setattr(learners, "minimize",
+                        lambda obj, settings: calls.append(1) or real_minimize(obj, settings))
+    sc = make_scenario("alternating_linear", horizon=200)
+    p = make_predictor("perfect", bounds=sc.bounds, domain=sc.domain, dimension=1,
+                       constraints=1)
+    learner = LlpLearner(cfg(beta=0.0, bounds=sc.bounds), sc.domain, 1, 1)
+    learner.set_prediction(p.bundle_for(sc.round(1)))
+    interior = 0
+    for t in range(1, 201):
+        pending = learner.pending
+        truth = sc.round(t)
+        rec = learner.play_round(truth, p.bundle_for(sc.round(t + 1)) if t < 200 else None)
+        assert rec.flags == () and learner.prox_S == 0.0
+        if pending is not None:
+            want = positive_part(pending[0] * (pending[1] + truth.constraint_value(rec.x)))
+            assert np.array_equal(rec.lam, want)
+            interior += bool(-1.0 < rec.x[0] < 1.0 and rec.lam[0] > 0.0)
+    assert interior > 50
+    assert len(calls) <= 2 * 200
 
 
 def test_llp_perturbed_requires_base_constraint():

@@ -309,6 +309,29 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, "doomed.json", doomed)]) == 3
 
 
+@pytest.mark.parametrize("key, mutate", [
+    ("predictor.level", lambda d: d["predictor"].update(level=math.nan)),
+    ("learner.sigma", lambda d: d["learner"].update(sigma=math.inf)),
+    ("learner.x0", lambda d: d["learner"].update(x0=[-math.inf])),
+])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, mutate):
+    # json.load accepts NaN and Infinity, so the parser has to refuse them
+    doc = base_doc(predictor={"kind": "noisy", "level": 0.3},
+                   output={"path": str(tmp_path / "t.csv")})
+    mutate(doc)
+    assert cli.main(["run", write_config(tmp_path, "nonfinite.json", doc)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, value", [("matrix_scale", 1e300), ("center_scale", -1.0)])
+def test_cli_rejects_random_quadratic_params_out_of_range(tmp_path, capsys, param, value):
+    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 10, "dimension": 2,
+                             "constraints": 2, "params": {param: value}},
+                   output={"path": str(tmp_path / "t.csv")})
+    assert cli.main(["run", write_config(tmp_path, "rq.json", doc)]) == 2
+    assert param in capsys.readouterr().err
+
+
 def test_cli_bench_and_compare(tmp_path, capsys):
     doc = base_doc()
     doc["scenario"]["horizon"] = 10
