@@ -2,11 +2,14 @@
 
 The benchmark routines replay a finished scenario and minimize the total
 cost over one of two comparator sets: the per-round-feasible set (every
-g_t(x) <= 0) or the aggregate-feasible set (sum_t g_t(x) <= 0).  Affine
-rounds are accumulated into closed forms; the scalar affine case is
-solved exactly, low dimensions fall back to a feasibility-filtered grid,
-and higher dimensions run a penalized subgradient method cross-checked
-against seeded feasible samples.
+g_t(x) <= 0) or the aggregate-feasible set (sum_t g_t(x) <= 0).  Rounds
+must have affine constraints and affine or shifted-quadratic costs; they
+are accumulated into closed forms, and the minimizer is exact.  In one
+dimension it is a clipped stationary point or an interval end.  In more
+dimensions the total cost is qw/2 ||x - p||^2 plus a constant, so the
+comparator is the projection of p onto the box cut by the accumulated
+rows, solved by a dual active-set method whose multipliers certify the
+result: `BenchmarkResult.gap` is the duality gap in cost units.
 
 Bound evaluators plug run statistics into the regret/violation
 certificates verbatim.  Two of them use different constants in the same
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import ConfigurationError, Simplex, positive_part
+from .sets import Box, ConfigurationError
 
 __all__ = [
     "BENCHMARK_KINDS",
@@ -46,6 +49,9 @@ __all__ = [
 BENCHMARK_KINDS = ("X_T", "X_T_max")
 
 _FEAS_TOL = 1e-9
+# a degenerate cycle of the active-set method would otherwise never end;
+# each step adds or drops one of at most n linearly independent rows
+_MAX_ACTIVE_SET_STEPS = 10_000
 
 
 @dataclass
@@ -62,12 +68,12 @@ class BenchmarkResult:
     x_star: np.ndarray | None
     optimal_total_cost: float
     feasible: bool
-    resolution: float
+    gap: float
     prefix: tuple = ()
 
 
 class _CostAccumulator:
-    """Running closed forms for sum_t f_t, with a handle list as last resort."""
+    """Running closed form lin.x + const + qw/2 ||x||^2 - ql.x of sum_t f_t."""
 
     def __init__(self, n: int):
         self.n = n
@@ -75,47 +81,26 @@ class _CostAccumulator:
         self.const = 0.0
         self.qw = 0.0
         self.ql = np.zeros(n)
-        self.general: list = []
 
     def add(self, oracle) -> None:
         if oracle.cost_affine is not None:
             c, b = oracle.cost_affine
             self.lin = self.lin + np.asarray(c, dtype=float)
             self.const += float(b)
-        elif oracle.cost_quadratic is not None:
+        else:
             w, u, b = oracle.cost_quadratic
             w = float(w)
             u = np.asarray(u, dtype=float)
             self.qw += w
             self.ql = self.ql + w * u
             self.const += 0.5 * w * float(u @ u) + float(b)
-        else:
-            self.general.append(oracle)
 
     def value(self, x: np.ndarray) -> float:
-        v = float(self.lin @ x) + self.const + 0.5 * self.qw * float(x @ x) - float(self.ql @ x)
-        for oracle in self.general:
-            v += oracle.cost_value(x)
-        return v
-
-    def value_grid(self, pts: np.ndarray) -> np.ndarray:
-        v = pts @ self.lin + self.const + 0.5 * self.qw * np.sum(pts * pts, axis=1) - pts @ self.ql
-        for oracle in self.general:
-            v = v + np.array([oracle.cost_value(p) for p in pts])
-        return v
-
-    def snapshot(self) -> "_CostAccumulator":
-        c = _CostAccumulator(self.n)
-        c.lin = self.lin.copy()
-        c.const = self.const
-        c.qw = self.qw
-        c.ql = self.ql.copy()
-        c.general = list(self.general)
-        return c
+        return float(self.lin @ x) + self.const + 0.5 * self.qw * float(x @ x) - float(self.ql @ x)
 
 
 class _ConstraintAccumulator:
-    """Feasibility state for either benchmark set."""
+    """Affine rows W x + u <= 0 of either benchmark set."""
 
     def __init__(self, n: int, kind: str):
         self.n = n
@@ -123,18 +108,11 @@ class _ConstraintAccumulator:
         self.rows: list[np.ndarray] = []       # per-round affine rows [w | u], X_T only
         self.Wsum = None                        # aggregate fold, X_T_max
         self.usum = None
-        self.general: list = []
-        self.affine_only = True
         self._cache = None                      # (row count, deduplicated stack)
 
     def add(self, oracle) -> None:
-        aff = oracle.constraint_affine
-        if aff is None:
-            self.affine_only = False
-            self.general.append(oracle)
-            return
-        W = np.asarray(aff[0], dtype=float)
-        u = np.asarray(aff[1], dtype=float)
+        W = np.asarray(oracle.constraint_affine[0], dtype=float)
+        u = np.asarray(oracle.constraint_affine[1], dtype=float)
         if self.kind == "X_T_max":
             if self.Wsum is None:
                 self.Wsum = W.copy()
@@ -157,59 +135,6 @@ class _ConstraintAccumulator:
             self._cache = (len(self.rows), np.unique(np.vstack(self.rows), axis=0))
         stacked = self._cache[1]
         return stacked[:, :-1], stacked[:, -1]
-
-    def row_count(self) -> int:
-        W, _ = self.row_matrix()
-        return len(W) + len(self.general)
-
-    def violation(self, x: np.ndarray) -> float:
-        W, u = self.row_matrix()
-        worst = float(np.max(W @ x + u)) if len(u) else -math.inf
-        if self.kind == "X_T_max":
-            agg = None
-            for oracle in self.general:
-                v = np.asarray(oracle.constraint_value(x), dtype=float)
-                agg = v if agg is None else agg + v
-            if agg is not None:
-                base = (W @ x + u) if len(u) else 0.0
-                worst = float(np.max(base + agg))
-        else:
-            for oracle in self.general:
-                worst = max(worst, float(np.max(oracle.constraint_value(x))))
-        return worst
-
-    def violation_grid(self, pts: np.ndarray) -> np.ndarray:
-        W, u = self.row_matrix()
-        if self.kind == "X_T_max":
-            agg = None
-            for oracle in self.general:
-                vals = np.array([np.asarray(oracle.constraint_value(p), dtype=float) for p in pts])
-                agg = vals if agg is None else agg + vals
-            if agg is not None:
-                base = pts @ W.T + u if len(u) else 0.0
-                return np.max(base + agg, axis=1)
-            if not len(u):
-                return np.full(len(pts), -math.inf)
-            return np.max(pts @ W.T + u, axis=1)
-        worst = np.full(len(pts), -math.inf)
-        if len(u):
-            # chunk the row product so dense traces stay within memory
-            step = max(1, int(2_000_000 // max(len(u), 1)))
-            for k in range(0, len(pts), step):
-                worst[k:k + step] = np.max(pts[k:k + step] @ W.T + u, axis=1)
-        for oracle in self.general:
-            vals = np.array([float(np.max(oracle.constraint_value(p))) for p in pts])
-            worst = np.maximum(worst, vals)
-        return worst
-
-    def snapshot(self) -> "_ConstraintAccumulator":
-        c = _ConstraintAccumulator(self.n, self.kind)
-        c.rows = list(self.rows)
-        c.Wsum = None if self.Wsum is None else self.Wsum.copy()
-        c.usum = None if self.usum is None else self.usum.copy()
-        c.general = list(self.general)
-        c.affine_only = self.affine_only
-        return c
 
 
 def _interval_1d(cons: _ConstraintAccumulator, lo: float, hi: float) -> tuple[float, float]:
@@ -239,124 +164,73 @@ def _solve_exact_1d(cost: _CostAccumulator, cons: _ConstraintAccumulator,
     return xv, cost.value(xv), True
 
 
-def _grid_points(domain, n: int, resolution: float, box=None,
-                 cap: int | None = None) -> tuple[np.ndarray, float]:
-    low, high = domain.bounding_box() if box is None else box
-    axes = []
-    step = resolution
-    for i in range(n):
-        span = float(high[i] - low[i])
-        count = int(math.floor(span / resolution)) + 1
-        limit = cap if cap is not None else (20001 if n == 1 else 801)
-        if count > limit:
-            count = limit
-        count = max(count, 2)
-        axes.append(np.linspace(float(low[i]), float(high[i]), count))
-        step = max(step, span / (count - 1))
-    if n == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts, step
+def _project_polytope(p: np.ndarray, G: np.ndarray,
+                      h: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """min 1/2 ||x - p||^2 s.t. G x <= h by the Goldfarb-Idnani dual method.
 
-
-def _solve_grid(cost, cons, domain, n, resolution, box=None,
-                cap: int | None = None) -> tuple[np.ndarray | None, float, bool, float]:
-    pts, step = _grid_points(domain, n, resolution, box=box, cap=cap)
-    feas = cons.violation_grid(pts) <= _FEAS_TOL
-    if n > 1:
-        feas &= domain.contains_grid(pts, tol=1e-9)
-    if not np.any(feas):
-        return None, math.nan, False, step
-    pts = pts[feas]
-    vals = cost.value_grid(pts)
-    idx = int(np.argmin(vals))
-    return pts[idx].copy(), float(vals[idx]), True, step
-
-
-def _solve_2d(cost, cons, domain, resolution) -> tuple[np.ndarray | None, float, bool, float]:
-    """Coarse grid sized to the constraint count, then local refinement.
-
-    The full-resolution mesh against thousands of trace rows is quadratic
-    work; shrinking windows reach the same resolution at a fixed budget.
-    Total cost and both comparator sets are convex, so the refined window
-    around the coarse argmin keeps improving the incumbent.
+    Starts at x = p with no active rows and adds the most violated row
+    until every row holds within _FEAS_TOL.  Throughout, x = p - G^T u
+    with u >= 0 zero off the active rows, which stay linearly independent
+    and tight.  Returns (x, u), or (None, u) when a violated row has no
+    step direction: the rows are then inconsistent.
     """
-    rows = max(cons.row_count(), 1)
-    cap = 801
-    while cap > 51 and cap * cap * rows > 30_000_000:
-        cap = (cap - 1) // 2 + 1
-    x, v, ok, step = _solve_grid(cost, cons, domain, 2, resolution, cap=cap)
-    if not ok:
-        # a thin feasible sliver can slip between coarse grid lines
-        xs, vs, oks = _solve_subgradient(cost, cons, domain, 2)
-        return xs, vs, oks, step
-    low, high = domain.bounding_box()
-    for _ in range(8):
-        if step <= resolution:
-            break
-        prev = step
-        box = (np.maximum(x - 2.0 * step, low), np.minimum(x + 2.0 * step, high))
-        xr, vr, okr, step = _solve_grid(cost, cons, domain, 2, resolution,
-                                        box=box, cap=41)
-        if okr and vr < v:
-            x, v = xr, vr
-        if step >= prev:  # window stopped shrinking; resolution reached in spirit
-            break
-    return x, v, True, step
+    x = p.copy()
+    u = np.zeros(len(h))
+    active: list[int] = []
+    steps = 0
+    while True:
+        viol = G @ x - h
+        j = int(np.argmax(viol))
+        if viol[j] <= _FEAS_TOL:
+            return x, u
+        g = G[j]
+        while True:  # raise u_j until row j is tight, dropping rows whose u hits 0
+            steps += 1
+            if steps > _MAX_ACTIVE_SET_STEPS:
+                raise RuntimeError("comparator projection did not converge in "
+                                   f"{_MAX_ACTIVE_SET_STEPS} active-set steps")
+            N = G[active]
+            r = np.linalg.lstsq(N.T, g, rcond=None)[0] if active else np.zeros(0)
+            z = g - N.T @ r  # part of g_j orthogonal to the active rows
+            zz = float(z @ z)
+            t_full = float(g @ x - h[j]) / zz if zz > 1e-20 * float(g @ g) else math.inf
+            pos = np.flatnonzero(r > 0.0)
+            ratios = u[np.asarray(active)[pos]] / r[pos] if len(pos) else np.zeros(0)
+            k = int(np.argmin(ratios)) if len(pos) else -1
+            t = min(t_full, float(ratios[k]) if k >= 0 else math.inf)
+            if t == math.inf:
+                return None, u
+            if t_full < math.inf:
+                x = x - t * z
+            u[active] -= t * r
+            u[j] += t
+            if t == t_full:
+                active.append(j)
+                break
+            dropped = active.pop(int(pos[k]))
+            u[dropped] = 0.0
 
 
-def _solve_subgradient(cost, cons, domain, n, seed=0x5EED) -> tuple[np.ndarray | None, float, bool]:
-    rng = np.random.default_rng(seed)
-    low, high = domain.bounding_box()
-    scale = float(np.max(high - low)) + 1.0
+def _solve_projection(cost: _CostAccumulator, cons: _ConstraintAccumulator,
+                      domain) -> tuple[np.ndarray | None, float, bool, float]:
+    if cost.qw <= 0.0:
+        raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
+                                 "total cost; the replayed costs have no quadratic part")
     W, u = cons.row_matrix()
-
-    def cost_grad(x):
-        g = cost.lin + cost.qw * x - cost.ql
-        for oracle in cost.general:
-            g = g + oracle.cost(x)[1]
-        return g
-
-    def viol_and_grad(x):
-        worst, grad = -math.inf, np.zeros(n)
-        if len(u):
-            vals = W @ x + u
-            j = int(np.argmax(vals))
-            worst, grad = float(vals[j]), W[j].copy()
-        for oracle in cons.general:
-            vals, jac = oracle.constraint(x)
-            j = int(np.argmax(vals))
-            if float(vals[j]) > worst:
-                worst, grad = float(vals[j]), np.asarray(jac, dtype=float)[j].copy()
-        return worst, grad
-
-    rho = 100.0 * (float(np.linalg.norm(cost.lin - cost.ql)) + cost.qw * scale + 1.0)
-    x = domain.project(np.zeros(n))
-    best_x, best_val = None, math.inf
-    for k in range(1, 4001):
-        worst, vgrad = viol_and_grad(x)
-        if worst <= _FEAS_TOL:
-            val = cost.value(x)
-            if val < best_val:
-                best_x, best_val = x.copy(), val
-        g = cost_grad(x) + (rho * vgrad if worst > 0.0 else 0.0)
-        ng = float(np.linalg.norm(g))
-        x = domain.project(x - (scale / ((1.0 + ng) * math.sqrt(k))) * g)
-    for _ in range(500):
-        cand = domain.sample(rng)
-        if cons.violation(cand) <= _FEAS_TOL:
-            val = cost.value(cand)
-            if val < best_val:
-                best_x, best_val = cand.copy(), val
-    if best_x is None:
-        return None, math.nan, False
-    return best_x, best_val, True
+    n = cost.n
+    G = np.vstack([W, np.eye(n), -np.eye(n)])
+    h = np.concatenate([-u, domain.upper, -domain.lower])
+    p = (cost.ql - cost.lin) / cost.qw
+    x, mult = _project_polytope(p, G, h)
+    if x is None:
+        return None, math.nan, False, math.nan
+    Gu = G.T @ mult
+    primal = 0.5 * float((x - p) @ (x - p))
+    dual = float(mult @ (G @ p - h)) - 0.5 * float(Gu @ Gu)
+    return x, cost.value(x), True, cost.qw * (primal - dual)
 
 
 def compute_benchmark(replay, domain, kind: str, horizon: int,
-                      grid_resolution: float | None = None,
                       checkpoints: tuple[int, ...] = ()) -> BenchmarkResult:
     """Minimize the replayed total cost over the requested comparator set."""
     if kind not in BENCHMARK_KINDS:
@@ -364,48 +238,43 @@ def compute_benchmark(replay, domain, kind: str, horizon: int,
     if horizon < 1:
         raise ConfigurationError("benchmark horizon must be >= 1")
     n = domain.dimension
+    if n >= 2 and not isinstance(domain, Box):
+        raise ConfigurationError(
+            f"the comparator for n >= 2 needs a box domain, got {type(domain).__name__}")
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > horizon):
         raise ConfigurationError("checkpoints must lie in [1, horizon]")
-
-    low, high = domain.bounding_box()
-    scale = max(float(np.max(high - low)) / 2.0, 1e-12)
-    resolution = grid_resolution if grid_resolution is not None else 1e-4 * 2.0 * scale
-    if not resolution > 0.0:
-        raise ConfigurationError("grid resolution must be positive")
 
     cost = _CostAccumulator(n)
     cons = _ConstraintAccumulator(n, kind)
     prefix: list[PrefixOptimum] = []
     marks = set(checkpoints)
 
-    on_grid = not (isinstance(domain, Simplex) and n > 1)
-
-    def solve(cost_acc, cons_acc):
-        if n == 1 and cons_acc.affine_only and not cost_acc.general:
-            x, v, ok = _solve_exact_1d(cost_acc, cons_acc, domain)
-            return x, v, ok, 0.0
-        if n == 1 and on_grid:
-            return _solve_grid(cost_acc, cons_acc, domain, n, resolution)
-        if n == 2 and on_grid:
-            return _solve_2d(cost_acc, cons_acc, domain, resolution)
-        x, v, ok = _solve_subgradient(cost_acc, cons_acc, domain, n)
-        return x, v, ok, 1e-3 * scale
+    def solve():
+        if n >= 2:
+            return _solve_projection(cost, cons, domain)
+        x, v, ok = _solve_exact_1d(cost, cons, domain)
+        return x, v, ok, 0.0 if ok else math.nan
 
     for t in range(1, horizon + 1):
         oracle = replay.round(t)
+        if oracle.cost_affine is None and oracle.cost_quadratic is None:
+            raise ConfigurationError(f"round {t}: the comparator needs an affine or "
+                                     "shifted-quadratic cost")
+        if oracle.constraint_affine is None:
+            raise ConfigurationError(f"round {t}: the comparator needs an affine constraint")
         cost.add(oracle)
         cons.add(oracle)
         if t in marks and t != horizon:
-            x, v, ok, _ = solve(cost.snapshot(), cons.snapshot())
+            x, v, ok, _ = solve()
             prefix.append(PrefixOptimum(t=t, x_star=x, total_cost=v, feasible=ok))
 
-    x_star, total, feasible, res_used = solve(cost, cons)
+    x_star, total, feasible, gap = solve()
     if checkpoints and checkpoints[-1] == horizon:
         prefix.append(PrefixOptimum(t=horizon, x_star=x_star, total_cost=total,
                                     feasible=feasible))
     return BenchmarkResult(kind=kind, x_star=x_star, optimal_total_cost=total,
-                           feasible=feasible, resolution=res_used, prefix=tuple(prefix))
+                           feasible=feasible, gap=gap, prefix=tuple(prefix))
 
 
 def benchmark_round_costs(replay, x_star: np.ndarray, horizon: int) -> np.ndarray:

@@ -108,6 +108,30 @@ class RoundOracle:
         return self.constraint(x)[0]
 
 
+def finite_number(v) -> bool:
+    """Whether v is a JSON number with a finite float value (json.load admits NaN)."""
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _scenario_params(kind: str, params: dict | None, defaults: dict) -> dict:
+    """`defaults` overridden by `params`, whose keys and values are checked here.
+
+    An unknown key, or a value that is not a finite number (bools
+    included), is refused with a message naming the param.
+    """
+    given = dict(params or {})
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigurationError(f"unknown {kind} params: {unknown}")
+    for key, v in given.items():
+        if not finite_number(v):
+            raise ConfigurationError(f"{kind} param {key} must be a finite number, got {v!r}")
+    return {key: float(given.get(key, v)) for key, v in defaults.items()}
+
+
 def affine_cost_oracle(c, b=0.0):
     c = np.asarray(c, dtype=float)
 
@@ -158,7 +182,7 @@ class AlternatingLinear:
         self.dimension = 1
         self.n_constraints = 1
         self.seed = int(seed)
-        self.params = dict(params or {})
+        self.params = _scenario_params(self.kind, params, {})
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=4.0, L_g=0.79, G=1.05, D=1.0, F=4.0,
                                     E_m=8.0, Delta_m=1.58)
@@ -197,7 +221,7 @@ class StochasticConstraint:
         self.dimension = 1
         self.n_constraints = 1
         self.seed = int(seed)
-        self.params = dict(params or {})
+        self.params = _scenario_params(self.kind, params, {})
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=2.0, L_g=1.0, G=1.0, D=1.0, F=2.0,
                                     E_m=4.0, Delta_m=2.0)
@@ -250,7 +274,7 @@ class ImpossibilityAdversary:
         self.dimension = 1
         self.n_constraints = 1
         self.seed = int(seed)
-        self.params = dict(params or {})
+        self.params = _scenario_params(self.kind, params, {})
         self.domain = Box(np.array([0.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=2.0, L_g=2.0, G=1.0, D=1.0, F=2.0,
                                     E_m=4.0, Delta_m=4.0)
@@ -351,14 +375,12 @@ class PerturbedLinear:
         self.dimension = 1
         self.n_constraints = 1
         self.seed = int(seed)
-        self.params = dict(params or {})
-        self.amplitude = float(self.params.get("amplitude", 0.1))
-        self.cost_slope = float(self.params.get("cost_slope", -2.0))
+        self.params = _scenario_params(self.kind, params,
+                                       {"amplitude": 0.1, "cost_slope": -2.0})
+        self.amplitude = self.params["amplitude"]
+        self.cost_slope = self.params["cost_slope"]
         if self.amplitude < 0.0:
-            raise ConfigurationError("amplitude must be nonnegative")
-        unknown = set(self.params) - {"amplitude", "cost_slope"}
-        if unknown:
-            raise ConfigurationError(f"unknown perturbed_linear params: {sorted(unknown)}")
+            raise ConfigurationError("perturbed_linear amplitude must be nonnegative")
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         lf = max(abs(self.cost_slope), 1e-12)
         self.bounds = ProblemBounds(L_f=lf, L_g=1.0, G=1.0 + self.amplitude, D=1.0,
@@ -405,19 +427,16 @@ class RandomQuadratic:
         if self.dimension < 1 or self.n_constraints < 1:
             raise ConfigurationError("dimension and constraints must be >= 1")
         self.seed = int(seed)
-        self.params = dict(params or {})
-        self.center_scale = float(self.params.get("center_scale", 0.8))
-        self.matrix_scale = float(self.params.get("matrix_scale", 1.0))
-        self.offset_scale = float(self.params.get("offset_scale", 0.5))
-        unknown = set(self.params) - {"center_scale", "matrix_scale", "offset_scale"}
-        if unknown:
-            raise ConfigurationError(f"unknown random_quadratic params: {sorted(unknown)}")
+        self.params = _scenario_params(
+            self.kind, params, {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5})
+        self.center_scale = self.params["center_scale"]
+        self.matrix_scale = self.params["matrix_scale"]
+        self.offset_scale = self.params["offset_scale"]
         for name in ("center_scale", "offset_scale"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"random_quadratic {name} must be finite and nonnegative")
-        if not 0.0 < self.matrix_scale < math.inf:
-            raise ConfigurationError("random_quadratic matrix_scale must be finite and positive")
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"random_quadratic {name} must be nonnegative")
+        if not self.matrix_scale > 0.0:
+            raise ConfigurationError("random_quadratic matrix_scale must be positive")
         n = self.dimension
         self.domain = Box(-np.ones(n), np.ones(n))
         D = self.domain.norm_bound

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .learners import LearnerConfig, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
-from .problems import SCENARIO_KINDS, make_scenario
+from .problems import SCENARIO_KINDS, finite_number, make_scenario
 from .sets import ConfigurationError
 from .solver import SolverSettings
 
@@ -47,7 +47,8 @@ TRACE_COLUMNS = (
 )
 
 # full per-round records are kept only up to this horizon; beyond it the
-# streamed rows carry everything the reports need
+# trace rows, which stay in memory until the run ends, carry everything the
+# reports need
 _KEEP_RECORDS_MAX_T = 20000
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
@@ -56,7 +57,7 @@ _LEARNER_KEYS = {"variant", "sigma", "a", "beta", "bounds", "x0", "solver"}
 _BOUNDS_KEYS = {"L_f", "L_g", "G", "D", "F", "E_m", "Delta_m"}
 _SOLVER_KEYS = {"tolerance", "max_iterations"}
 _PREDICTOR_KEYS = {"kind", "level", "seed"}
-_BENCHMARK_KEYS = {"kind", "grid_resolution"}
+_BENCHMARK_KEYS = {"kind"}
 _OUTPUT_KEYS = {"path", "format", "record_every"}
 _SWEEP_KEYS = {"base", "horizons", "betas", "repetitions"}
 
@@ -76,21 +77,13 @@ def _check_keys(doc: dict, allowed: set, name: str) -> None:
         raise ConfigurationError(f"unknown {name} keys: {', '.join(unknown)}")
 
 
-def _finite(v) -> bool:
-    """Whether v is a JSON number with a finite float value (json.load admits NaN)."""
-    try:
-        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _number(doc: dict, key: str, name: str, default=None, required=False):
     if key not in doc:
         if required:
             raise ConfigurationError(f"{name}.{key} is required")
         return default
     v = doc[key]
-    if not _finite(v):
+    if not finite_number(v):
         raise ConfigurationError(f"{name}.{key} must be a finite number")
     return float(v)
 
@@ -137,7 +130,6 @@ class RunConfig:
     predictor_level: float
     predictor_seed: int
     benchmark_kind: str
-    grid_resolution: float | None
     output: OutputSpec
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -199,7 +191,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     x0 = None
     if "x0" in ln and ln["x0"] is not None:
         raw_x0 = ln["x0"]
-        if not isinstance(raw_x0, list) or not all(_finite(v) for v in raw_x0):
+        if not isinstance(raw_x0, list) or not all(finite_number(v) for v in raw_x0):
             raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
         x0 = np.asarray(raw_x0, dtype=float)
 
@@ -230,9 +222,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     benchmark_kind = _string(bm, "kind", "benchmark", default="X_T")
     if benchmark_kind not in analysis.BENCHMARK_KINDS:
         raise ConfigurationError(f"unknown benchmark kind {benchmark_kind!r}")
-    grid_resolution = _number(bm, "grid_resolution", "benchmark", default=None)
-    if grid_resolution is not None and not grid_resolution > 0.0:
-        raise ConfigurationError("benchmark.grid_resolution must be positive")
 
     out = doc.get("output", {})
     out = _mapping({} if out is None else out, "output")
@@ -250,8 +239,7 @@ def parse_run_config(doc: dict) -> RunConfig:
                      constraints=constraints, seed=seed, params=dict(params),
                      learner=learner, predictor_kind=predictor_kind,
                      predictor_level=predictor_level, predictor_seed=predictor_seed,
-                     benchmark_kind=benchmark_kind, grid_resolution=grid_resolution,
-                     output=output, raw=doc)
+                     benchmark_kind=benchmark_kind, output=output, raw=doc)
 
 
 @dataclass
@@ -307,6 +295,8 @@ class RunResult:
     stats: dict
     records: list | None = None
     block_ends: tuple[int, ...] = ()
+    # the comparator's cost in each round; None when the comparator set is empty
+    benchmark_costs: np.ndarray | None = None
 
 
 def _sanitize(v):
@@ -376,14 +366,14 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
 
     stats = learner.stats()
     checkpoints = tuple(getattr(scenario, "block_ends", ()) or ())
-    benchmark = analysis.compute_benchmark(
-        scenario.replay(), domain, config.benchmark_kind, T,
-        grid_resolution=config.grid_resolution, checkpoints=checkpoints)
+    replay = scenario.replay()
+    benchmark = analysis.compute_benchmark(replay, domain, config.benchmark_kind, T,
+                                           checkpoints=checkpoints)
 
-    cum_bench = None
+    bcosts = cum_bench = None
     regret = math.nan
     if benchmark.feasible:
-        bcosts = analysis.benchmark_round_costs(scenario.replay(), benchmark.x_star, T)
+        bcosts = analysis.benchmark_round_costs(replay, benchmark.x_star, T)
         cum_bench = np.cumsum(bcosts)
         regret = stats["cum_cost"] - float(cum_bench[-1])
 
@@ -423,7 +413,7 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
         "benchmark_feasible": benchmark.feasible,
         "x_star": None if benchmark.x_star is None else benchmark.x_star,
         "optimal_total_cost": benchmark.optimal_total_cost,
-        "benchmark_resolution": benchmark.resolution,
+        "benchmark_gap": benchmark.gap,
         "cum_cost": stats["cum_cost"],
         "regret": regret,
         "violation_norm": stats["violation_norm"],
@@ -448,7 +438,8 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
     }
     summary = _sanitize(summary)
     return RunResult(config=config, rows=rows, summary=summary, benchmark=benchmark,
-                     stats=stats, records=records, block_ends=checkpoints)
+                     stats=stats, records=records, block_ends=checkpoints,
+                     benchmark_costs=bcosts)
 
 
 # -- persistence -----------------------------------------------------------------
@@ -694,14 +685,7 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
         result = execute_run(cfg, keep_records=True)
         f_vals = [r.f_value for r in result.records]
         g_vals = [r.g_values for r in result.records]
-        bench_costs = None
-        if result.benchmark.feasible:
-            scenario = make_scenario(cfg.scenario_kind, horizon=T, dimension=cfg.dimension,
-                                     constraints=cfg.constraints, seed=cfg.seed,
-                                     params=cfg.params)
-            bench_costs = analysis.benchmark_round_costs(scenario.replay(),
-                                                         result.benchmark.x_star, T)
-        metrics = analysis.compute_metrics(f_vals, g_vals, bench_costs)
+        metrics = analysis.compute_metrics(f_vals, g_vals, result.benchmark_costs)
         ts = np.arange(1, T + 1)
         columns[f"avg_regret_{label}"] = metrics.regret / ts
         columns[f"violation_{label}"] = metrics.violation
@@ -741,12 +725,11 @@ def bench(config: RunConfig) -> dict:
                              dimension=config.dimension, constraints=config.constraints,
                              seed=config.seed, params=config.params)
     result = analysis.compute_benchmark(scenario.replay(), scenario.domain,
-                                        config.benchmark_kind, config.horizon,
-                                        grid_resolution=config.grid_resolution)
+                                        config.benchmark_kind, config.horizon)
     return _sanitize({
         "benchmark_kind": result.kind,
         "x_star": None if result.x_star is None else result.x_star,
         "optimal_total_cost": result.optimal_total_cost,
         "feasible": result.feasible,
-        "resolution": result.resolution,
+        "gap": result.gap,
     })

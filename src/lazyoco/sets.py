@@ -80,9 +80,6 @@ class Box:
         x = _vector(x, self.dimension, "point")
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def contains_grid(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return np.all((pts >= self.lower - tol) & (pts <= self.upper + tol), axis=1)
-
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         """Exact minimizer of <w, x>; zero coordinates fall back to `fallback`."""
         w = _vector(w, self.dimension, "weights")
@@ -136,10 +133,6 @@ class Ball:
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = _vector(x, self.dimension, "point")
         return float(np.linalg.norm(x - self.center)) <= self.radius * (1.0 + 4.0 * _EPS) + tol
-
-    def contains_grid(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        d = np.linalg.norm(pts - self.center, axis=1)
-        return d <= self.radius * (1.0 + 4.0 * _EPS) + tol
 
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         w = _vector(w, self.dimension, "weights")
@@ -199,9 +192,6 @@ class Simplex:
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = _vector(x, self.dim, "point")
         return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - self.scale) <= tol)
-
-    def contains_grid(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        return np.all(pts >= -tol, axis=1) & (np.abs(np.sum(pts, axis=1) - self.scale) <= tol)
 
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         w = _vector(w, self.dim, "weights")

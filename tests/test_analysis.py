@@ -17,8 +17,14 @@ from lazyoco.analysis import (
 )
 from lazyoco.learners import LearnerConfig, LlpLearner
 from lazyoco.predictors import make_predictor
-from lazyoco.problems import ProblemBounds, affine_round, make_scenario
-from lazyoco.sets import Box, ConfigurationError
+from lazyoco.problems import (
+    ProblemBounds,
+    RoundOracle,
+    affine_constraint_oracle,
+    affine_round,
+    make_scenario,
+)
+from lazyoco.sets import Ball, Box, ConfigurationError
 
 
 def grid_feasible_argmin(sc, horizon, resolution=1e-6):
@@ -95,18 +101,36 @@ def test_benchmark_stochastic_binds_at_zero():
     assert abs(res.optimal_total_cost) <= 1e-6
 
 
-class _AlwaysViolated:
+def quadratic_round(W, u) -> RoundOracle:
+    """||x||^2 / 2 subject to W x + u <= 0."""
+    def cost(x):
+        return 0.5 * float(x @ x), x
+
+    return RoundOracle(cost=cost, constraint=affine_constraint_oracle(W, u),
+                       cost_quadratic=(1.0, np.zeros(len(W[0])), 0.0),
+                       constraint_affine=(np.asarray(W, dtype=float),
+                                          np.asarray(u, dtype=float)))
+
+
+class _Repeat:
+    def __init__(self, oracle):
+        self.oracle = oracle
+
     def round(self, t):
-        return affine_round([1.0], 0.0, [[0.0]], [1.0])
+        return self.oracle
 
 
 def test_benchmark_reports_infeasible():
-    dom = Box(np.array([-1.0]), np.array([1.0]))
-    for kind in ("X_T", "X_T_max"):
-        res = compute_benchmark(_AlwaysViolated(), dom, kind, 5)
-        assert not res.feasible
-        assert res.x_star is None
-        assert math.isnan(res.optimal_total_cost)
+    # every round asks 0 . x + 1 <= 0, which no point satisfies
+    for n, oracle in ((1, affine_round([1.0], 0.0, [[0.0]], [1.0])),
+                      (2, quadratic_round([[0.0, 0.0]], [1.0]))):
+        dom = Box(-np.ones(n), np.ones(n))
+        for kind in ("X_T", "X_T_max"):
+            res = compute_benchmark(_Repeat(oracle), dom, kind, 5)
+            assert not res.feasible
+            assert res.x_star is None
+            assert math.isnan(res.optimal_total_cost)
+            assert math.isnan(res.gap)
 
 
 def test_benchmark_validation():
@@ -119,8 +143,87 @@ def test_benchmark_validation():
         compute_benchmark(sc.replay(), sc.domain, "X_T", 4, checkpoints=(0,))
     with pytest.raises(ConfigurationError):
         compute_benchmark(sc.replay(), sc.domain, "X_T", 4, checkpoints=(9,))
-    with pytest.raises(ConfigurationError):
-        compute_benchmark(sc.replay(), sc.domain, "X_T", 4, grid_resolution=0.0)
+
+    # inputs the exact comparator has no closed form for are refused by cause
+    quad = _Repeat(quadratic_round([[1.0, 0.0]], [0.0]))
+    with pytest.raises(ConfigurationError, match="box domain"):
+        compute_benchmark(quad, Ball(np.zeros(2), 1.0), "X_T", 3)
+    plane = _Repeat(affine_round([1.0, 0.0], 0.0, [[1.0, 0.0]], [0.0]))
+    with pytest.raises(ConfigurationError, match="strictly convex"):
+        compute_benchmark(plane, Box(-np.ones(2), np.ones(2)), "X_T", 3)
+    curved = RoundOracle(cost=lambda x: (float(x @ x), 2.0 * x),
+                         constraint=lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :]),
+                         cost_quadratic=(2.0, np.zeros(1), 0.0))
+    with pytest.raises(ConfigurationError, match="round 1: .*affine constraint"):
+        compute_benchmark(_Repeat(curved), Box(-np.ones(1), np.ones(1)), "X_T", 3)
+    quartic = RoundOracle(cost=lambda x: (float(x @ x) ** 2, 4.0 * float(x @ x) * x),
+                          constraint=affine_constraint_oracle([[1.0]], [0.0]),
+                          constraint_affine=(np.array([[1.0]]), np.array([0.0])))
+    with pytest.raises(ConfigurationError, match="round 1: .*quadratic cost"):
+        compute_benchmark(_Repeat(quartic), Box(-np.ones(1), np.ones(1)), "X_T", 3)
+
+
+def replayed_totals(sc, horizon, x):
+    """Total cost and the worst per-round and aggregate constraint values at x."""
+    rep = sc.replay()
+    total, worst, agg = 0.0, -math.inf, 0.0
+    for t in range(1, horizon + 1):
+        oracle = rep.round(t)
+        total += oracle.cost_value(x)
+        g = oracle.constraint_value(x)
+        worst = max(worst, float(np.max(g)))
+        agg = agg + g
+    return total, worst, float(np.max(agg))
+
+
+@pytest.mark.parametrize("kind", ["X_T", "X_T_max"])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_projection_comparator_certified(n, d, kind):
+    horizon = 200
+    sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
+                       seed=10 * n + d)
+    res = compute_benchmark(sc.replay(), sc.domain, kind, horizon)
+    assert res.feasible
+    assert sc.domain.contains(res.x_star)
+    total, worst, agg = replayed_totals(sc, horizon, res.x_star)
+    assert (worst if kind == "X_T" else agg) <= 1e-9
+    assert res.optimal_total_cost == pytest.approx(total, rel=1e-12)
+    assert abs(res.gap) <= 1e-9 * max(1.0, abs(res.optimal_total_cost))
+    # random_quadratic keeps the origin feasible in every round
+    assert res.optimal_total_cost <= replayed_totals(sc, horizon, np.zeros(n))[0]
+
+
+@pytest.mark.parametrize("n, d, kind, params", [
+    (3, 3, "X_T", {}),
+    (5, 3, "X_T_max", {"offset_scale": 0.0}),    # the summed rows bind at the origin
+    (10, 5, "X_T", {"center_scale": 2.0}),       # the centers leave the box
+])
+def test_projection_comparator_against_slsqp(n, d, kind, params):
+    optimize = pytest.importorskip("scipy.optimize")
+    horizon = 60
+    sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
+                       seed=n + d, params=params)
+    rep = sc.replay()
+    oracles = [rep.round(t) for t in range(1, horizon + 1)]
+    W = np.vstack([o.constraint_affine[0] for o in oracles])
+    u = np.concatenate([o.constraint_affine[1] for o in oracles])
+    if kind == "X_T_max":
+        W = sum(o.constraint_affine[0] for o in oracles)
+        u = sum(o.constraint_affine[1] for o in oracles)
+
+    def mean_cost(x):  # on the unscaled total SLSQP's line search stops short
+        return (sum(o.cost(x)[0] for o in oracles) / horizon,
+                sum(o.cost(x)[1] for o in oracles) / horizon)
+
+    ref = optimize.minimize(mean_cost, np.zeros(n), jac=True, method="SLSQP",
+                            bounds=[(-1.0, 1.0)] * n,
+                            constraints=[{"type": "ineq", "fun": lambda x: -(W @ x + u),
+                                          "jac": lambda x: -W}],
+                            options={"ftol": 1e-14, "maxiter": 1000})
+    assert ref.success
+    res = compute_benchmark(sc.replay(), sc.domain, kind, horizon)
+    assert res.optimal_total_cost == pytest.approx(ref.fun * horizon, rel=1e-8)
 
 
 def test_benchmark_round_costs_values():

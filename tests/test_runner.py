@@ -323,12 +323,23 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, mutate):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param, value", [("matrix_scale", 1e300), ("center_scale", -1.0)])
-def test_cli_rejects_random_quadratic_params_out_of_range(tmp_path, capsys, param, value):
-    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 10, "dimension": 2,
-                             "constraints": 2, "params": {param: value}},
+@pytest.mark.parametrize("kind, param, value", [
+    ("random_quadratic", "matrix_scale", 1e300),
+    ("random_quadratic", "center_scale", -1.0),
+    ("random_quadratic", "matrix_scale", "abc"),
+    ("random_quadratic", "offset_scale", True),
+    ("perturbed_linear", "amplitude", math.nan),
+    ("perturbed_linear", "amplitude", "abc"),
+    ("alternating_linear", "foo", 1),
+    ("stochastic_constraint", "foo", 1),
+    ("impossibility_adversary", "foo", 1),
+])
+def test_cli_rejects_bad_scenario_params(tmp_path, capsys, kind, param, value):
+    n = 2 if kind == "random_quadratic" else 1
+    doc = base_doc(scenario={"kind": kind, "horizon": 10, "dimension": n,
+                             "constraints": n, "params": {param: value}},
                    output={"path": str(tmp_path / "t.csv")})
-    assert cli.main(["run", write_config(tmp_path, "rq.json", doc)]) == 2
+    assert cli.main(["run", write_config(tmp_path, "params.json", doc)]) == 2
     assert param in capsys.readouterr().err
 
 

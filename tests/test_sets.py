@@ -62,17 +62,6 @@ def test_projection_idempotence_and_optimality(domain):
         assert np.linalg.norm(p - y) <= np.linalg.norm(x - y) + 1e-12
 
 
-def test_contains_grid_agrees_with_contains():
-    rng = np.random.default_rng(3)
-    for domain, n in ((Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 2),
-                      (Ball(np.zeros(2), 1.0), 2),
-                      (Simplex(2), 2)):
-        pts = rng.uniform(-1.5, 1.5, size=(500, n))
-        mask = domain.contains_grid(pts)
-        for p, ok in zip(pts, mask):
-            assert bool(ok) == domain.contains(p)
-
-
 def test_argmin_linear_box():
     box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert np.array_equal(box.argmin_linear([2.0, -3.0]), [-1.0, 1.0])
