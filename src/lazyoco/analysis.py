@@ -105,10 +105,10 @@ class _ConstraintAccumulator:
     def __init__(self, n: int, kind: str):
         self.n = n
         self.kind = kind
-        self.rows: list[np.ndarray] = []       # per-round affine rows [w | u], X_T only
+        # the distinct affine rows [w | u] seen so far, keyed by their bytes (X_T only)
+        self.rows: dict[bytes, None] = {}
         self.Wsum = None                        # aggregate fold, X_T_max
         self.usum = None
-        self._cache = None                      # (row count, deduplicated stack)
 
     def add(self, oracle) -> None:
         W = np.asarray(oracle.constraint_affine[0], dtype=float)
@@ -121,7 +121,8 @@ class _ConstraintAccumulator:
                 self.Wsum = self.Wsum + W
                 self.usum = self.usum + u
         else:
-            self.rows.append(np.hstack([W, u[:, None]]))
+            for row in np.hstack([W, u[:, None]]):
+                self.rows[row.tobytes()] = None
 
     def row_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (W, u) stack of every affine inequality that must hold."""
@@ -131,9 +132,8 @@ class _ConstraintAccumulator:
             return self.Wsum, self.usum
         if not self.rows:
             return np.zeros((0, self.n)), np.zeros(0)
-        if self._cache is None or self._cache[0] != len(self.rows):
-            self._cache = (len(self.rows), np.unique(np.vstack(self.rows), axis=0))
-        stacked = self._cache[1]
+        stacked = np.frombuffer(b"".join(self.rows), dtype=float).reshape(-1, self.n + 1)
+        stacked = np.unique(stacked, axis=0)
         return stacked[:, :-1], stacked[:, -1]
 
 
@@ -151,8 +151,9 @@ def _interval_1d(cons: _ConstraintAccumulator, lo: float, hi: float) -> tuple[fl
 
 def _solve_exact_1d(cost: _CostAccumulator, cons: _ConstraintAccumulator,
                     domain) -> tuple[np.ndarray | None, float, bool]:
-    low, high = domain.bounding_box()
-    lo, hi = _interval_1d(cons, float(low[0]), float(high[0]))
+    # a one-dimensional set is the interval between its linear minimizers
+    lo, hi = _interval_1d(cons, float(domain.argmin_linear(np.ones(1))[0]),
+                          float(domain.argmin_linear(-np.ones(1))[0]))
     if lo > hi:
         return None, math.nan, False
     slope = float(cost.lin[0] - cost.ql[0])

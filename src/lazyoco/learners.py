@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "VARIANTS",
     "LearnerConfig",
     "RoundRecord",
+    "LearnerTotals",
     "LlpLearner",
     "GreedyLearner",
     "make_learner",
@@ -92,6 +94,25 @@ class RoundRecord:
     a_t: float
     solver_residuals: tuple[float, float]
     flags: tuple[str, ...]
+
+
+class LearnerTotals(NamedTuple):
+    """Running sums after the latest round; the greedy baseline fills the first five."""
+
+    cum_cost: float
+    violation_norm: float
+    violation_z_norm: float
+    a_t: float
+    a_prev: float
+    warning_count: int = 0
+    h_cum: float = 0.0
+    sigma_cum: float = 0.0
+    xi_sq_cum: float = 0.0
+    sum_prev_a_xi_sq: float = 0.0
+    mu: float = 0.0
+    bound_running: float = 0.0
+    max_xz: float = 0.0
+    drift_gap: float = -math.inf
 
 
 def _cost_term_oracle(bundle: PredictionBundle):
@@ -157,7 +178,6 @@ class LlpLearner:
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
         self.a_prev = a0
         self.a_prev_last = a0
-        self.phi_cum = 1.0 / a0
         self.h_cum = 0.0
         self.xi_sq_cum = 0.0
         self.sum_a_prev_xi_sq = 0.0
@@ -510,7 +530,6 @@ class LlpLearner:
         self.xi_sq_cum += xi * xi
         denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
         a_t = min(self.cfg.a / denom, a_tm1)
-        self.phi_cum = 1.0 / a_t
         self.a_prev_last = a_tm1
         self.a_prev = a_t
 
@@ -525,30 +544,27 @@ class LlpLearner:
 
     # -- reporting ----------------------------------------------------------------
 
-    def stats(self) -> dict:
+    def stats(self) -> LearnerTotals:
         c = self.cfg
-        return {
-            "t": self.t,
-            "cum_cost": self.cum_cost,
-            "violation_norm": float(np.linalg.norm(positive_part(self.cum_gx))),
-            "violation_z_norm": float(np.linalg.norm(positive_part(self.cum_gz))),
-            "h_cum": self.h_cum,
-            "sigma_cum": self.prox_S,
-            "xi_sq_cum": self.xi_sq_cum,
-            "sum_prev_a_xi_sq": self.sum_a_prev_xi_sq,
-            "a_t": self.a_prev,
-            "a_prev": self.a_prev_last,
-            "phi_cum": self.phi_cum,
-            "mu": self.mu,
-            "bound_running": regret_certificate(
+        return LearnerTotals(
+            cum_cost=self.cum_cost,
+            violation_norm=float(np.linalg.norm(positive_part(self.cum_gx))),
+            violation_z_norm=float(np.linalg.norm(positive_part(self.cum_gz))),
+            a_t=self.a_prev,
+            a_prev=self.a_prev_last,
+            warning_count=self.warning_count,
+            h_cum=self.h_cum,
+            sigma_cum=self.prox_S,
+            xi_sq_cum=self.xi_sq_cum,
+            sum_prev_a_xi_sq=self.sum_a_prev_xi_sq,
+            mu=self.mu,
+            bound_running=regret_certificate(
                 self.variant, self.h_cum, c.sigma, c.bounds,
                 sum_a_prev_xi_sq=self.sum_a_prev_xi_sq, mu=self.mu,
                 xi_sq_sum=self.xi_sq_cum, horizon=self.t, a=c.a, beta=c.beta),
-            "max_xz": self.max_xz,
-            "drift_gap": self.drift_gap,
-            "warning_count": self.warning_count,
-            "lambda_norm": float(np.linalg.norm(self.lam)),
-        }
+            max_xz=self.max_xz,
+            drift_gap=self.drift_gap,
+        )
 
 
 class GreedyLearner:
@@ -574,7 +590,6 @@ class GreedyLearner:
         self.t = 0
         self.cum_cost = 0.0
         self.cum_gx = np.zeros(self.d)
-        self.warning_count = 0
 
     def set_prediction(self, bundle=None) -> None:
         pass
@@ -602,27 +617,15 @@ class GreedyLearner:
             sigma_t=0.0, a_t=eta, solver_residuals=(0.0, 0.0), flags=(),
         )
 
-    def stats(self) -> dict:
+    def stats(self) -> LearnerTotals:
         vnorm = float(np.linalg.norm(positive_part(self.cum_gx)))
-        return {
-            "t": self.t,
-            "cum_cost": self.cum_cost,
-            "violation_norm": vnorm,
-            "violation_z_norm": vnorm,
-            "h_cum": 0.0,
-            "sigma_cum": 0.0,
-            "xi_sq_cum": 0.0,
-            "sum_prev_a_xi_sq": 0.0,
-            "a_t": self.cfg.a / math.sqrt(max(self.t, 1)),
-            "a_prev": self.cfg.a / math.sqrt(max(self.t - 1, 1)),
-            "phi_cum": 0.0,
-            "mu": 0.0,
-            "bound_running": 0.0,
-            "max_xz": 0.0,
-            "drift_gap": -math.inf,
-            "warning_count": self.warning_count,
-            "lambda_norm": float(np.linalg.norm(self.lam)),
-        }
+        return LearnerTotals(
+            cum_cost=self.cum_cost,
+            violation_norm=vnorm,
+            violation_z_norm=vnorm,
+            a_t=self.cfg.a / math.sqrt(max(self.t, 1)),
+            a_prev=self.cfg.a / math.sqrt(max(self.t - 1, 1)),
+        )
 
 
 def make_learner(config: LearnerConfig, domain, dimension: int, constraints: int,

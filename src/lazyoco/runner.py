@@ -14,12 +14,13 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, VARIANTS, make_learner
+from .learners import LearnerConfig, LearnerTotals, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
 from .problems import SCENARIO_KINDS, finite_number, make_scenario
 from .sets import ConfigurationError
@@ -33,6 +34,7 @@ __all__ = [
     "load_json",
     "execute_run",
     "RunResult",
+    "TraceRow",
     "write_trace",
     "write_plot",
     "run_command",
@@ -41,15 +43,26 @@ __all__ = [
     "bench",
 ]
 
-TRACE_COLUMNS = (
-    "t", "f_value", "cum_cost", "regret", "violation_norm", "lambda_norm",
-    "a_t", "sigma_cum", "h_cum", "xi_t", "bound_B_t", "solver_residual", "flags",
-)
 
-# full per-round records are kept only up to this horizon; beyond it the
-# trace rows, which stay in memory until the run ends, carry everything the
-# reports need
-_KEEP_RECORDS_MAX_T = 20000
+class TraceRow(NamedTuple):
+    """One trace line: the round's own values and the learner's totals after it."""
+
+    t: int
+    f_value: float
+    cum_cost: float
+    regret: float
+    violation_norm: float
+    lambda_norm: float
+    a_t: float
+    sigma_cum: float
+    h_cum: float
+    xi_t: float
+    bound_B_t: float
+    solver_residual: float
+    flags: str
+
+
+TRACE_COLUMNS = TraceRow._fields
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
@@ -289,14 +302,10 @@ def _as_int(v, name: str) -> int:
 @dataclass
 class RunResult:
     config: RunConfig
-    rows: list
+    rows: list[TraceRow]
     summary: dict
     benchmark: analysis.BenchmarkResult | None
-    stats: dict
-    records: list | None = None
-    block_ends: tuple[int, ...] = ()
-    # the comparator's cost in each round; None when the comparator set is empty
-    benchmark_costs: np.ndarray | None = None
+    totals: LearnerTotals
 
 
 def _sanitize(v):
@@ -315,7 +324,7 @@ def _sanitize(v):
     return v
 
 
-def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResult:
+def execute_run(config: RunConfig) -> RunResult:
     scenario = make_scenario(config.scenario_kind, horizon=config.horizon,
                              dimension=config.dimension, constraints=config.constraints,
                              seed=config.seed, params=config.params)
@@ -330,9 +339,7 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
                            base_constraint=getattr(scenario, "base_constraint", None),
                            base_affine=getattr(scenario, "base_affine", None))
 
-    keep = keep_records if keep_records is not None else T <= _KEEP_RECORDS_MAX_T
-    records = [] if keep else None
-    partial_rows = []  # regret spliced in after the benchmark is known
+    rows: list[TraceRow] = []  # regret is filled in once the comparator is known
     flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
 
@@ -350,54 +357,45 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
             return predictor.bundle_for(nxt)
 
         rec = learner.play_round(truth, feedback)
-        if keep:
-            records.append(rec)
         for fl in rec.flags:
             flag_counts[fl] = flag_counts.get(fl, 0) + 1
-        if t % record_every == 0 or t == T:
-            s = learner.stats()
-            partial_rows.append((
-                t, rec.f_value, s["cum_cost"], s["violation_norm"],
-                float(np.linalg.norm(rec.lam)), rec.a_t, s["sigma_cum"], s["h_cum"],
-                rec.xi_t, s["bound_running"], max(rec.solver_residuals),
+        if t % record_every == 0 or t == T:  # the last round's totals feed the summary
+            totals = learner.stats()
+            rows.append(TraceRow(
+                t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
+                float(np.linalg.norm(rec.lam)), rec.a_t, totals.sigma_cum, totals.h_cum,
+                rec.xi_t, totals.bound_running, max(rec.solver_residuals),
                 ";".join(rec.flags),
             ))
         truth = holder.get("truth")
 
-    stats = learner.stats()
     checkpoints = tuple(getattr(scenario, "block_ends", ()) or ())
     replay = scenario.replay()
     benchmark = analysis.compute_benchmark(replay, domain, config.benchmark_kind, T,
                                            checkpoints=checkpoints)
 
-    bcosts = cum_bench = None
     regret = math.nan
     if benchmark.feasible:
-        bcosts = analysis.benchmark_round_costs(replay, benchmark.x_star, T)
-        cum_bench = np.cumsum(bcosts)
-        regret = stats["cum_cost"] - float(cum_bench[-1])
-
-    rows = []
-    for row in partial_rows:
-        t = row[0]
-        r_t = row[2] - float(cum_bench[t - 1]) if cum_bench is not None else math.nan
-        rows.append((row[0], row[1], row[2], r_t) + row[3:])
+        cum_bench = np.cumsum(analysis.benchmark_round_costs(replay, benchmark.x_star, T))
+        regret = totals.cum_cost - float(cum_bench[-1])
+        for i, row in enumerate(rows):
+            rows[i] = row._replace(regret=row.cum_cost - float(cum_bench[row.t - 1]))
 
     report = None
     variant = config.learner.variant
     if benchmark.feasible and variant != "greedy_baseline":
         if variant == "llp2":
             report = analysis.llp2_bound_report(
-                stats["h_cum"], stats["sum_prev_a_xi_sq"], stats["a_prev"], regret,
-                config.learner.sigma, config.learner.bounds, stats["mu"])
+                totals.h_cum, totals.sum_prev_a_xi_sq, totals.a_prev, regret,
+                config.learner.sigma, config.learner.bounds, totals.mu)
         elif variant == "llp_perturbed":
             report = analysis.perturbed_report(
-                stats["h_cum"], stats["xi_sq_cum"], T, regret,
+                totals.h_cum, totals.xi_sq_cum, T, regret,
                 config.learner.sigma, config.learner.a, config.learner.beta,
                 config.learner.bounds)
         else:
             report = analysis.llp_bound_report(
-                stats["h_cum"], stats["sum_prev_a_xi_sq"], stats["a_prev"], regret,
+                totals.h_cum, totals.sum_prev_a_xi_sq, totals.a_prev, regret,
                 config.learner.sigma, config.learner.bounds)
 
     summary = {
@@ -414,23 +412,23 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
         "x_star": None if benchmark.x_star is None else benchmark.x_star,
         "optimal_total_cost": benchmark.optimal_total_cost,
         "benchmark_gap": benchmark.gap,
-        "cum_cost": stats["cum_cost"],
+        "cum_cost": totals.cum_cost,
         "regret": regret,
-        "violation_norm": stats["violation_norm"],
-        "violation_z_norm": stats["violation_z_norm"],
+        "violation_norm": totals.violation_norm,
+        "violation_z_norm": totals.violation_z_norm,
         "bound_B_T": None if report is None else report.B_T,
         "bound_V": None if report is None else report.V_bound,
         "bound_V_z": None if report is None else report.V_z_bound,
         "bound_clamped": None if report is None else report.clamped,
-        "h_cum": stats["h_cum"],
-        "xi_sq_cum": stats["xi_sq_cum"],
-        "sigma_cum": stats["sigma_cum"],
-        "a_T": stats["a_t"],
-        "a_prev": stats["a_prev"],
-        "mu": stats["mu"],
-        "max_xz": stats["max_xz"],
-        "drift_gap": stats["drift_gap"],
-        "warning_count": stats["warning_count"],
+        "h_cum": totals.h_cum,
+        "xi_sq_cum": totals.xi_sq_cum,
+        "sigma_cum": totals.sigma_cum,
+        "a_T": totals.a_t,
+        "a_prev": totals.a_prev,
+        "mu": totals.mu,
+        "max_xz": totals.max_xz,
+        "drift_gap": totals.drift_gap,
+        "warning_count": totals.warning_count,
         "flag_counts": flag_counts,
         "block_ends": list(checkpoints),
         "record_every": record_every,
@@ -438,8 +436,7 @@ def execute_run(config: RunConfig, keep_records: bool | None = None) -> RunResul
     }
     summary = _sanitize(summary)
     return RunResult(config=config, rows=rows, summary=summary, benchmark=benchmark,
-                     stats=stats, records=records, block_ends=checkpoints,
-                     benchmark_costs=bcosts)
+                     totals=totals)
 
 
 # -- persistence -----------------------------------------------------------------
@@ -479,9 +476,9 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
 
 def write_plot(result: RunResult, path: str) -> str:
     """Standalone SVG line chart: average regret and total violation vs t."""
-    ts = [row[0] for row in result.rows]
-    reg = [row[3] / row[0] if math.isfinite(row[3]) else None for row in result.rows]
-    vio = [row[4] for row in result.rows]
+    ts = [row.t for row in result.rows]
+    reg = [row.regret / row.t if math.isfinite(row.regret) else None for row in result.rows]
+    vio = [row.violation_norm for row in result.rows]
     width, height, pad = 800, 420, 56
     series = [("avg regret", reg, "#c0392b"), ("violation", vio, "#2c6fbb")]
     vals = [v for _, ys, _ in series for v in ys if v is not None]
@@ -510,8 +507,8 @@ def write_plot(result: RunResult, path: str) -> str:
         'stroke="#333" stroke-width="1"/>',
         f'<text x="{width / 2:.1f}" y="{height - 14}" font-size="13" '
         'text-anchor="middle" font-family="sans-serif">t</text>',
-        f'<text x="{pad}" y="{pad - 20}" font-size="13" font-family="sans-serif">'
-        f'{_fmt(vmax)}</text>'.replace(f'y="{pad - 20}"', f'y="{pad - 8}"'),
+        f'<text x="{pad}" y="{pad - 8}" font-size="13" font-family="sans-serif">'
+        f'{_fmt(vmax)}</text>',
         f'<text x="{pad}" y="{height - pad + 16}" font-size="11" '
         f'font-family="sans-serif">{_fmt(tmin)}</text>',
         f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
@@ -572,7 +569,7 @@ def _run_cell(args):
     key, doc = args
     try:
         config = parse_run_config(doc)
-        result = execute_run(config, keep_records=False)
+        result = execute_run(config)
         if config.output.path is not None:
             write_trace(result)
         return key, result.summary
@@ -679,20 +676,17 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
         labels.append(label)
 
     T = first.horizon
-    columns: dict[str, np.ndarray] = {}
+    runs: list[list[TraceRow]] = []
     terminal: dict[str, dict] = {}
     for cfg, label in zip(configs, labels):
-        result = execute_run(cfg, keep_records=True)
-        f_vals = [r.f_value for r in result.records]
-        g_vals = [r.g_values for r in result.records]
-        metrics = analysis.compute_metrics(f_vals, g_vals, result.benchmark_costs)
-        ts = np.arange(1, T + 1)
-        columns[f"avg_regret_{label}"] = metrics.regret / ts
-        columns[f"violation_{label}"] = metrics.violation
+        # every round is compared, whatever the config's own record_every
+        rows = execute_run(replace(cfg, output=replace(cfg.output, record_every=1))).rows
+        runs.append(rows)
+        last = rows[-1]
         terminal[label] = {
-            "avg_regret": _sanitize(float(metrics.regret[-1] / T)),
-            "violation": float(metrics.violation[-1]),
-            "avg_violation": float(metrics.violation[-1] / T),
+            "avg_regret": _sanitize(last.regret / T),
+            "violation": last.violation_norm,
+            "avg_violation": last.violation_norm / T,
         }
 
     header = ["t"]
@@ -701,11 +695,11 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
         header.append(f"violation_{label}")
     lines = [",".join(header)]
     for i in range(T):
-        row = [str(i + 1)]
-        for label in labels:
-            row.append(_fmt(float(columns[f"avg_regret_{label}"][i])))
-            row.append(_fmt(float(columns[f"violation_{label}"][i])))
-        lines.append(",".join(row))
+        cells = [str(i + 1)]
+        for rows in runs:
+            cells.append(_fmt(rows[i].regret / rows[i].t))
+            cells.append(_fmt(rows[i].violation_norm))
+        lines.append(",".join(cells))
     out = output_path
     if out is None and first.output.path:
         out = first.output.path + ".compare.csv"

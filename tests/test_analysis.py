@@ -24,7 +24,9 @@ from lazyoco.problems import (
     affine_round,
     make_scenario,
 )
-from lazyoco.sets import Ball, Box, ConfigurationError
+from lazyoco.sets import Ball, Box, ConfigurationError, Simplex
+
+from helpers import drive_learner
 
 
 def grid_feasible_argmin(sc, horizon, resolution=1e-6):
@@ -55,6 +57,13 @@ def test_benchmark_alternating_per_round_exact():
     # the binding row is honored up to the benchmark feasibility tolerance
     assert res.optimal_total_cost == pytest.approx(-25.0 * (-26.0 / 79.0), abs=1e-7)
     assert res.kind == "X_T"
+
+    # a one-point domain: its bounding box [0, 1] is wider than the set {1}
+    point = Simplex(1, scale=1.0)
+    res = compute_benchmark(_Repeat(affine_round([1.0], 0.0, [[0.0]], [-1.0])), point,
+                            "X_T", 3)
+    assert res.feasible and point.contains(res.x_star)
+    assert res.optimal_total_cost == pytest.approx(3.0, abs=1e-12)
 
 
 def test_benchmark_aggregate_relaxes_per_round():
@@ -250,14 +259,7 @@ def _llp_run(scenario_kind, horizon, predictor="noisy", seed=7, **sc_kw):
     p = make_predictor(predictor, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=0.4, seed=seed + 1)
-    learner.set_prediction(p.bundle_for(sc.round(1)))
-    records = []
-    for t in range(1, horizon + 1):
-        nb = p.bundle_for(sc.round(t + 1)) if t < horizon else None
-        rec = learner.play_round(sc.round(t), nb)
-        p.note_action(rec.x)
-        records.append(rec)
-    return sc, config, learner, records
+    return sc, config, learner, drive_learner(learner, sc, p, horizon)
 
 
 def test_metrics_match_learner_stream():
@@ -266,8 +268,8 @@ def test_metrics_match_learner_stream():
     m = compute_metrics([r.f_value for r in records],
                         np.array([r.g_values for r in records]))
     s = learner.stats()
-    assert m.cum_cost[-1] == pytest.approx(s["cum_cost"], rel=1e-12)
-    assert m.violation[-1] == pytest.approx(s["violation_norm"], rel=1e-12, abs=1e-12)
+    assert m.cum_cost[-1] == pytest.approx(s.cum_cost, rel=1e-12)
+    assert m.violation[-1] == pytest.approx(s.violation_norm, rel=1e-12, abs=1e-12)
 
 
 def test_llp_bound_report_hand_arithmetic():

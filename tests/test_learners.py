@@ -10,7 +10,7 @@ from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scen
 from lazyoco.sets import Box, ConfigurationError, positive_part
 from lazyoco.solver import SolverSettings
 
-from helpers import grid_min_1d, refine_min_box_vec, saddle_point_grid
+from helpers import drive_learner, grid_min_1d, refine_min_box_vec, saddle_point_grid
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -90,7 +90,7 @@ def test_dual_step_size_first_round_example():
     # a=1, G=1, beta=1/2, xi_1=0 -> a_1 = 1/max{2, 1} = 0.5
     learner = LlpLearner(cfg(), BOX1, 1, 1)
     learner.play_round(affine_round([0.0], 0.0, [[0.0]], [0.0]))
-    assert learner.stats()["a_t"] == 0.5
+    assert learner.stats().a_t == 0.5
 
 
 def test_dual_step_size_worst_case_example():
@@ -100,7 +100,7 @@ def test_dual_step_size_worst_case_example():
     for _ in range(100):
         rec = learner.play_round(oracle)
         assert rec.xi_t == 2.0
-    assert learner.stats()["a_t"] == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
+    assert learner.stats().a_t == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
 
 
 def test_xi_is_norm_of_value_gap():
@@ -110,32 +110,11 @@ def test_xi_is_norm_of_value_gap():
     assert rec.xi_t == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
-def test_phi_is_inverse_step_size():
-    sc = make_scenario("alternating_linear", horizon=60)
-    p = make_predictor("noisy", bounds=sc.bounds, domain=sc.domain, dimension=1,
-                       constraints=1, level=0.4, seed=3)
-    learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 1, 1)
-    learner.set_prediction(p.bundle_for(sc.round(1)))
-    for t in range(1, 61):
-        nb = p.bundle_for(sc.round(t + 1)) if t < 60 else None
-        rec = learner.play_round(sc.round(t), nb)
-        p.note_action(rec.x)
-        s = learner.stats()
-        assert s["phi_cum"] == pytest.approx(1.0 / s["a_t"], rel=1e-12)
-
-
 def run_rounds(learner, sc, predictor_kind, horizon, level=0.3, seed=5):
     p = make_predictor(predictor_kind, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=level, seed=seed)
-    learner.set_prediction(p.bundle_for(sc.round(1)))
-    records = []
-    for t in range(1, horizon + 1):
-        nb = p.bundle_for(sc.round(t + 1)) if t < horizon else None
-        rec = learner.play_round(sc.round(t), nb)
-        p.note_action(rec.x)
-        records.append(rec)
-    return records
+    return drive_learner(learner, sc, p, horizon)
 
 
 def test_multipliers_nonnegative_and_step_nonincreasing():

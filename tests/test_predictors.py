@@ -11,6 +11,8 @@ from lazyoco.predictors import (
 from lazyoco.problems import make_scenario
 from lazyoco.sets import Box, ConfigurationError
 
+from helpers import drive_learner
+
 
 def alternating():
     return make_scenario("alternating_linear", horizon=200)
@@ -67,14 +69,7 @@ def test_unknown_predictor_kind_rejected():
 def run_learner(sc, predictor, horizon, variant="llp", beta=0.5):
     cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=beta, bounds=sc.bounds)
     learner = LlpLearner(cfg, sc.domain, sc.dimension, sc.n_constraints)
-    learner.set_prediction(predictor.bundle_for(sc.round(1)))
-    records = []
-    for t in range(1, horizon + 1):
-        nxt = predictor.bundle_for(sc.round(t + 1)) if t < horizon else None
-        rec = learner.play_round(sc.round(t), nxt)
-        predictor.note_action(rec.x)
-        records.append(rec)
-    return learner, records
+    return learner, drive_learner(learner, sc, predictor, horizon)
 
 
 def test_perfect_errors_vanish_through_learner():

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from lazyoco import cli, runner
-from lazyoco.analysis import compute_metrics
+from lazyoco.analysis import benchmark_round_costs, compute_metrics
+from lazyoco.learners import make_learner
+from lazyoco.predictors import make_predictor
+from lazyoco.problems import make_scenario
 from lazyoco.sets import ConfigurationError
+
+from helpers import drive_learner
 
 
 def base_doc(**over):
@@ -129,31 +134,38 @@ def test_record_every_subsampling():
     doc = base_doc(output={"record_every": 3})
     doc["scenario"]["horizon"] = 10
     result = runner.execute_run(runner.parse_run_config(doc))
-    assert [row[0] for row in result.rows] == [3, 6, 9, 10]
+    assert [row.t for row in result.rows] == [3, 6, 9, 10]
     assert result.summary["rows_written"] == 4
 
 
 def test_summary_consistent_with_rows_and_records():
     doc = base_doc()
     doc["scenario"]["horizon"] = 200
-    result = runner.execute_run(runner.parse_run_config(doc), keep_records=True)
+    cfg = runner.parse_run_config(doc)
+    result = runner.execute_run(cfg)
     s = result.summary
     last = result.rows[-1]
-    assert last[0] == 200
-    assert last[2] == pytest.approx(s["cum_cost"], rel=1e-15)
-    assert last[3] == pytest.approx(s["regret"], rel=1e-15)
-    m = compute_metrics([r.f_value for r in result.records],
-                        np.array([r.g_values for r in result.records]))
-    assert m.violation[-1] == pytest.approx(last[4], rel=1e-12, abs=1e-12)
+    assert last.t == 200
+    assert last.cum_cost == pytest.approx(s["cum_cost"], rel=1e-15)
+    assert last.regret == pytest.approx(s["regret"], rel=1e-15)
+
+    # the same run replayed outside the runner, one record per round
+    sc = make_scenario(cfg.scenario_kind, horizon=200, seed=cfg.seed)
+    learner = make_learner(cfg.learner, sc.domain, sc.dimension, sc.n_constraints)
+    predictor = make_predictor(cfg.predictor_kind, bounds=cfg.learner.bounds,
+                               domain=sc.domain, dimension=sc.dimension,
+                               constraints=sc.n_constraints)
+    records = drive_learner(learner, sc, predictor, 200)
+    bcosts = benchmark_round_costs(sc.replay(), result.benchmark.x_star, 200)
+    m = compute_metrics([r.f_value for r in records],
+                        np.array([r.g_values for r in records]), bcosts)
+    assert [row.t for row in result.rows] == list(range(1, 201))
+    for row in result.rows:
+        i = row.t - 1
+        assert m.cum_cost[i] == pytest.approx(row.cum_cost, rel=1e-12)
+        assert m.regret[i] == pytest.approx(row.regret, rel=1e-12, abs=1e-12)
+        assert m.violation[i] == pytest.approx(row.violation_norm, rel=1e-12, abs=1e-12)
     assert m.cum_cost[-1] == pytest.approx(s["cum_cost"], rel=1e-12)
-
-
-def test_keep_records_switch():
-    doc = base_doc()
-    doc["scenario"]["horizon"] = 10
-    cfg = runner.parse_run_config(doc)
-    assert runner.execute_run(cfg).records is not None          # small horizon default
-    assert runner.execute_run(cfg, keep_records=False).records is None
 
 
 def test_perfect_prediction_summary():
@@ -241,17 +253,22 @@ def test_worker_count_env(monkeypatch):
     assert runner.worker_count() >= 1
 
 
-def test_compare_alignment_and_labels(tmp_path):
-    out = str(tmp_path / "cmp.csv")
+def _compare_csv(tmp_path, record_every):
+    out = str(tmp_path / f"cmp{record_every}.csv")
     docs = []
     for variant, pk in (("llp", "none"), ("greedy_baseline", "none"), ("llp", "none")):
-        doc = base_doc(predictor={"kind": pk})
+        doc = base_doc(predictor={"kind": pk}, output={"record_every": record_every})
         doc["scenario"]["horizon"] = 50
         doc["learner"]["variant"] = variant
         docs.append(runner.parse_run_config(doc))
-    report = runner.compare(docs, output_path=out)
+    return runner.compare(docs, output_path=out), open(out, "rb").read()
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_compare_alignment_and_labels(tmp_path, record_every):
+    report, payload = _compare_csv(tmp_path, record_every)
     assert report["labels"] == ["llp+none", "greedy_baseline+none", "llp+none_2"]
-    lines = open(out, encoding="utf-8").read().splitlines()
+    lines = payload.decode("utf-8").splitlines()
     assert lines[0].split(",") == ["t"] + [
         f"{col}_{label}" for label in report["labels"]
         for col in ("avg_regret", "violation")]
@@ -259,6 +276,9 @@ def test_compare_alignment_and_labels(tmp_path):
     for label in report["labels"]:
         assert set(report["terminal"][label]) == {"avg_regret", "violation",
                                                   "avg_violation"}
+    # every round is compared, whatever the configs' record_every
+    if record_every != 1:
+        assert payload == _compare_csv(tmp_path, 1)[1]
 
 
 def test_compare_refusals():
