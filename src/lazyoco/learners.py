@@ -1,15 +1,19 @@
 """Lazy optimistic primal-dual learners and a greedy projection baseline.
 
 One learner instance drives one run, a strict state machine over rounds.
-Each round follows the interaction order
+Round t's forecast (c~_t, g~_t) arrives with round t itself, before the
+learner picks x_t, and each `play_round(truth, bundle)` follows the
+interaction order
 
-    primal -> observe losses -> regularizer -> prescient -> next
-    prediction -> dual
+    primal -> observe losses -> regularizer -> prescient -> dual
 
 with two variant quirks: the non-proximal variant (`llp2`) finalizes its
 regularizer only after the dual update because the weight depends on the
 fresh step size, and its prescient solve therefore sees the off-by-one
-accumulated weight.
+accumulated weight.  The dual step only fixes the step size: afterwards
+`pending` holds (a_t, sum_s g_s(z_s)), and the next primal step reads its
+multiplier lam = [a_t (sum g(z) + v~)]_+ from `pending` and that round's
+forecast value v~.
 
 Everything affine is folded into constant-size vectors, so runs over
 linear scenarios cost O(1) per round regardless of horizon.  Nonlinear
@@ -17,7 +21,7 @@ constraint rounds with an active multiplier are kept as (multiplier,
 oracle) pairs and replayed inside the inner solver; that path grows
 linearly in t and is intended for desk-scale horizons.
 
-A prediction may arrive as functions of the not-yet-known action instead
+A forecast may arrive as functions of the not-yet-known action instead
 of concrete vectors (the honest reading of "the forecast evaluated at
 the learner's own next point").  A deferred value forecast makes the
 multiplier lam = [a (cum + v~(x))]_+ depend on the action x being chosen.
@@ -115,6 +119,17 @@ class LearnerTotals(NamedTuple):
     drift_gap: float = -math.inf
 
 
+def _start_point(config: LearnerConfig, domain, n: int) -> np.ndarray:
+    """The configured x0, or the projection of the origin; checked against the set."""
+    x0 = domain.project(np.zeros(n)) if config.x0 is None else config.x0
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ConfigurationError(f"x0 must have shape ({n},)")
+    if not domain.contains(x0):
+        raise ConfigurationError("x0 lies outside the feasible set")
+    return x0
+
+
 def _cost_term_oracle(bundle: PredictionBundle):
     # shape the deferred cost like a single-row constraint so the inner
     # solver treats it uniformly
@@ -147,13 +162,7 @@ class LlpLearner:
             self.base_affine = (np.asarray(base_affine[0], dtype=float),
                                 np.asarray(base_affine[1], dtype=float))
 
-        x0 = domain.project(np.zeros(self.n)) if config.x0 is None else config.x0
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.n,):
-            raise ConfigurationError(f"x0 must have shape ({self.n},)")
-        if not domain.contains(x0):
-            raise ConfigurationError("x0 lies outside the feasible set")
-        self.x0 = x0
+        x0 = _start_point(config, domain, self.n)
         # a one-dimensional set is the interval between its linear minimizers
         self._interval = None
         if self.n == 1:
@@ -162,9 +171,8 @@ class LlpLearner:
 
         b = config.bounds
         self.t = 0
-        self.lam = np.zeros(self.d)
+        # (a_t, sum of g(z)) after the latest dual step; None before round 1
         self.pending: tuple[float, np.ndarray] | None = None
-        self.bundle = zero_bundle(self.n, self.d)
 
         # folded aggregate state
         self.ccum = np.zeros(self.n)
@@ -187,35 +195,26 @@ class LlpLearner:
         self.cum_gz = np.zeros(self.d)
         self.cum_gx = np.zeros(self.d)
         self.cum_cost = 0.0
-        self.last_x = x0.copy()
+        self.last_x = x0
         self.max_xz = 0.0
         self.drift_gap = -math.inf
         self.warning_count = 0
 
-    # -- prediction plumbing -------------------------------------------------
-
-    def set_prediction(self, bundle: PredictionBundle | None) -> None:
-        """Install the forecast for the upcoming round (defaults to zero)."""
-        self.bundle = bundle if bundle is not None else zero_bundle(self.n, self.d)
-        self.pending = None if self.t == 0 else self.pending
-
     # -- round loop ----------------------------------------------------------
 
-    def play_round(self, truth: RoundOracle, next_bundle=None) -> RoundRecord:
-        """Execute one full round against the revealed oracle.
+    def play_round(self, truth: RoundOracle, bundle: PredictionBundle | None = None) -> RoundRecord:
+        """Play one round against the revealed oracle, given that round's forecast.
 
-        next_bundle supplies the forecast for round t+1: a PredictionBundle,
-        None (zero forecast), or a callable (x_t, z_t) -> bundle invoked
-        between the prescient and dual steps, which lets the driver feed the
-        action back to an adaptive scenario before requesting the next round.
+        bundle is the forecast for this round (None means the zero forecast);
+        the learner sees it before it picks x_t.
         """
         self.t += 1
         t = self.t
-        bundle = self.bundle
+        if bundle is None:
+            bundle = zero_bundle(self.n, self.d)
         flags: list[str] = []
 
         x, lam, ct_used, vt, jt, res_primal = self._primal(bundle, flags)
-        self.lam = lam
 
         f_val, c_t = truth.cost(x)
         f_val = float(f_val)
@@ -243,8 +242,7 @@ class LlpLearner:
         self.cum_gx = self.cum_gx + gvals
         self.cum_cost += f_val
 
-        nb = next_bundle(x, z) if callable(next_bundle) else next_bundle
-        xi, a_t = self._dual(gz, vt, nb)
+        xi, a_t = self._dual(gz, vt)
 
         if self.variant == "llp2":
             sigma_t = self._advance_regularizer_llp2(h)
@@ -254,8 +252,8 @@ class LlpLearner:
             self.warning_count += 1
 
         return RoundRecord(
-            t=t, x=x.copy(), z=z.copy(), lam=lam.copy(), f_value=f_val,
-            g_values=gvals.copy(), epsilon_norm=float(np.linalg.norm(eps)),
+            t=t, x=x, z=z, lam=lam, f_value=f_val,
+            g_values=gvals, epsilon_norm=float(np.linalg.norm(eps)),
             h_t=h, xi_t=xi, sigma_t=sigma_t, a_t=a_t,
             solver_residuals=(res_primal, res_presc), flags=tuple(flags),
         )
@@ -318,11 +316,10 @@ class LlpLearner:
         if self.pending is not None and bundle.deferred_value:
             x, lam, vt, res = self._fixed_point(bundle, jt, jfn, vfn)
         else:
-            if self.pending is not None:
-                a_dual, cum = self.pending
-                lam = positive_part(a_dual * (cum + bundle.predicted_value))
+            if self.pending is None:
+                lam = np.zeros(self.d)
             else:
-                lam = np.zeros(self.d) if self.t == 1 else self.lam.copy()
+                lam = dual_closed_form(*self.pending, bundle.predicted_value)
             # a deferred Jacobian needs no iteration: with lam known, the
             # forecast oracle itself enters the objective
             res = minimize(self._objective(lam, jt, bundle), self._settings(self.last_x))
@@ -344,7 +341,7 @@ class LlpLearner:
 
         def multiplier(x):
             vt = np.asarray(vfn(x), dtype=float)
-            return positive_part(a_dual * (cum + vt)), vt
+            return dual_closed_form(a_dual, cum, vt), vt
 
         obj = self._objective(np.zeros(self.d), jt, bundle)
         res = minimize(obj, self._settings(self.last_x))
@@ -493,9 +490,9 @@ class LlpLearner:
             # folded magnitudes is a tie, resolved at the played point.
             if float(np.linalg.norm(linear)) <= self.cfg.solver.tolerance * (1.0 + mag):
                 if v == "llp_linearized":
-                    return x.copy(), gvals.copy(), 0.0
+                    return x, gvals, 0.0
                 gz = np.asarray(truth.constraint_value(x), dtype=float)
-                return x.copy(), gz, 0.0
+                return x, gz, 0.0
         obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
         res = minimize(obj, self._settings(x))
         if not res.converged:
@@ -518,11 +515,11 @@ class LlpLearner:
             if truth.constraint_affine is not None:
                 self.lag_lin = self.lag_lin + truth.constraint_affine[0].T @ lam
             else:
-                self.lag_terms.append((lam.copy(), truth.constraint, None))
+                self.lag_terms.append((lam, truth.constraint, None))
 
     # -- dual --------------------------------------------------------------------
 
-    def _dual(self, gz, vt, next_bundle):
+    def _dual(self, gz, vt):
         b = self.cfg.bounds
         xi = float(np.linalg.norm(gz - vt))
         a_tm1 = self.a_prev
@@ -532,14 +529,7 @@ class LlpLearner:
         a_t = min(self.cfg.a / denom, a_tm1)
         self.a_prev_last = a_tm1
         self.a_prev = a_t
-
-        nb = next_bundle if next_bundle is not None else zero_bundle(self.n, self.d)
-        self.bundle = nb
-        if nb.predicted_value is not None:
-            self.lam = dual_closed_form(a_t, self.cum_gz, nb.predicted_value)
-            self.pending = None
-        else:
-            self.pending = (a_t, self.cum_gz.copy())
+        self.pending = (a_t, self.cum_gz)
         return xi, a_t
 
     # -- reporting ----------------------------------------------------------------
@@ -582,19 +572,14 @@ class GreedyLearner:
         self.domain = domain
         self.n = int(dimension)
         self.d = int(constraints)
-        x0 = domain.project(np.zeros(self.n)) if config.x0 is None else np.asarray(config.x0, dtype=float)
-        if not domain.contains(x0):
-            raise ConfigurationError("x0 lies outside the feasible set")
-        self.x = x0.copy()
+        self.x = _start_point(config, domain, self.n)
         self.lam = np.zeros(self.d)
         self.t = 0
         self.cum_cost = 0.0
         self.cum_gx = np.zeros(self.d)
 
-    def set_prediction(self, bundle=None) -> None:
-        pass
-
-    def play_round(self, truth: RoundOracle, next_bundle=None) -> RoundRecord:
+    def play_round(self, truth: RoundOracle, bundle=None) -> RoundRecord:
+        """One projected step; the forecast is ignored."""
         self.t += 1
         t = self.t
         x = self.x
@@ -609,11 +594,9 @@ class GreedyLearner:
         self.lam = positive_part(lam + eta * gvals)
         self.cum_cost += f_val
         self.cum_gx = self.cum_gx + gvals
-        if callable(next_bundle):
-            next_bundle(x, x)  # keep the driver's action-feedback protocol
         return RoundRecord(
-            t=t, x=x.copy(), z=x.copy(), lam=lam.copy(), f_value=f_val,
-            g_values=gvals.copy(), epsilon_norm=0.0, h_t=0.0, xi_t=0.0,
+            t=t, x=x, z=x, lam=lam, f_value=f_val,
+            g_values=gvals, epsilon_norm=0.0, h_t=0.0, xi_t=0.0,
             sigma_t=0.0, a_t=eta, solver_residuals=(0.0, 0.0), flags=(),
         )
 

@@ -1,12 +1,13 @@
-"""Prediction bundles delivered to the learner at the end of each round.
+"""Prediction bundles delivered to the learner with each round.
 
-A bundle for round t+1 carries a cost-gradient prediction, a predicted
-constraint oracle, the predicted constraint value at the forecaster's own
-guess of the next action, and (for the linearized learner) the predicted
-Jacobian at that guess.  Any of the three point predictions may be
-deferred: instead of a concrete array the bundle holds a callable that
-the learner evaluates at its own next action once that action exists,
-which makes the forecaster's guess coincide with the realized point.
+The bundle for round t is drawn from round t's truth before the learner
+picks x_t.  It carries a cost-gradient prediction, a predicted constraint
+oracle, the predicted constraint value at the forecaster's own guess of
+the action, and (for the linearized learner) the predicted Jacobian at
+that guess.  Any of the three point predictions may be deferred: instead
+of a concrete array the bundle holds a callable that the learner
+evaluates at its own action once that action exists, which makes the
+forecaster's guess coincide with the realized point.
 
 Forecast errors are always measured downstream against what the learner
 actually used, so every kind here produces valid inputs; the kinds only

@@ -172,7 +172,6 @@ class AlternatingLinear:
 
     kind = "alternating_linear"
     adaptive = False
-    supports_lookahead = True
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -211,7 +210,6 @@ class StochasticConstraint:
 
     kind = "stochastic_constraint"
     adaptive = False
-    supports_lookahead = True
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -264,7 +262,6 @@ class ImpossibilityAdversary:
 
     kind = "impossibility_adversary"
     adaptive = True
-    supports_lookahead = True
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -332,7 +329,6 @@ class _BranchReplay:
     """Re-emits an adversary's recorded branch sequence."""
 
     adaptive = False
-    supports_lookahead = True
 
     def __init__(self, source: ImpossibilityAdversary):
         self.kind = source.kind
@@ -365,7 +361,6 @@ class PerturbedLinear:
 
     kind = "perturbed_linear"
     adaptive = False
-    supports_lookahead = True
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -417,7 +412,6 @@ class RandomQuadratic:
 
     kind = "random_quadratic"
     adaptive = False
-    supports_lookahead = True
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):

@@ -15,12 +15,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, LearnerTotals, VARIANTS, make_learner
+from .learners import LearnerConfig, LearnerTotals, RoundRecord, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
 from .problems import SCENARIO_KINDS, finite_number, make_scenario
 from .sets import ConfigurationError
@@ -32,6 +32,7 @@ __all__ = [
     "parse_run_config",
     "parse_sweep_config",
     "load_json",
+    "play_rounds",
     "execute_run",
     "RunResult",
     "TraceRow",
@@ -248,11 +249,16 @@ def parse_run_config(doc: dict) -> RunConfig:
     output = OutputSpec(path=_string(out, "path", "output", default=None),
                         format=fmt, record_every=record_every)
 
-    return RunConfig(scenario_kind=kind, horizon=horizon, dimension=dimension,
-                     constraints=constraints, seed=seed, params=dict(params),
-                     learner=learner, predictor_kind=predictor_kind,
-                     predictor_level=predictor_level, predictor_seed=predictor_seed,
-                     benchmark_kind=benchmark_kind, output=output, raw=doc)
+    config = RunConfig(scenario_kind=kind, horizon=horizon, dimension=dimension,
+                       constraints=constraints, seed=seed, params=dict(params),
+                       learner=learner, predictor_kind=predictor_kind,
+                       predictor_level=predictor_level, predictor_seed=predictor_seed,
+                       benchmark_kind=benchmark_kind, output=output, raw=doc)
+    # a throwaway predictor and learner run their own checks (noise level, x0,
+    # base constraint), so execute_run refuses nothing the parser accepts
+    _predictor_for(config, probe)
+    _learner_for(config, probe)
+    return config
 
 
 @dataclass
@@ -324,54 +330,62 @@ def _sanitize(v):
     return v
 
 
+def _predictor_for(config: RunConfig, scenario):
+    return make_predictor(config.predictor_kind, bounds=config.learner.bounds,
+                          domain=scenario.domain, dimension=scenario.dimension,
+                          constraints=scenario.n_constraints, level=config.predictor_level,
+                          seed=config.predictor_seed)
+
+
+def _learner_for(config: RunConfig, scenario):
+    return make_learner(config.learner, scenario.domain, scenario.dimension,
+                        scenario.n_constraints,
+                        base_constraint=getattr(scenario, "base_constraint", None),
+                        base_affine=getattr(scenario, "base_affine", None))
+
+
+def play_rounds(scenario, predictor, learner, horizon: int) -> Iterator[RoundRecord]:
+    """Play rounds 1..horizon and yield each round's record.
+
+    Round t's truth and its forecast are drawn together, the learner plays
+    the round, and only then is the played point shown to the scenario and
+    the predictor, so an adaptive scenario and a predictor that tracks the
+    learner see x_t before round t+1 is drawn.
+    """
+    for t in range(1, horizon + 1):
+        truth = scenario.round(t)
+        rec = learner.play_round(truth, predictor.bundle_for(truth))
+        scenario.record_action(t, rec.x)
+        predictor.note_action(rec.x)
+        yield rec
+
+
 def execute_run(config: RunConfig) -> RunResult:
     scenario = make_scenario(config.scenario_kind, horizon=config.horizon,
                              dimension=config.dimension, constraints=config.constraints,
                              seed=config.seed, params=config.params)
-    domain = scenario.domain
-    n = scenario.dimension
-    d = scenario.n_constraints
     T = config.horizon
-    predictor = make_predictor(config.predictor_kind, bounds=config.learner.bounds,
-                               domain=domain, dimension=n, constraints=d,
-                               level=config.predictor_level, seed=config.predictor_seed)
-    learner = make_learner(config.learner, domain, n, d,
-                           base_constraint=getattr(scenario, "base_constraint", None),
-                           base_affine=getattr(scenario, "base_affine", None))
+    predictor = _predictor_for(config, scenario)
+    learner = _learner_for(config, scenario)
 
     rows: list[TraceRow] = []  # regret is filled in once the comparator is known
     flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
-
-    truth = scenario.round(1)
-    learner.set_prediction(predictor.bundle_for(truth))
-    holder = {}
-    for t in range(1, T + 1):
-        def feedback(x, z, t=t):
-            scenario.record_action(t, x)
-            predictor.note_action(x)
-            if t >= T:
-                return None
-            nxt = scenario.round(t + 1)
-            holder["truth"] = nxt
-            return predictor.bundle_for(nxt)
-
-        rec = learner.play_round(truth, feedback)
+    for rec in play_rounds(scenario, predictor, learner, T):
         for fl in rec.flags:
             flag_counts[fl] = flag_counts.get(fl, 0) + 1
-        if t % record_every == 0 or t == T:  # the last round's totals feed the summary
+        if rec.t % record_every == 0 or rec.t == T:  # the last round's totals feed the summary
             totals = learner.stats()
             rows.append(TraceRow(
-                t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
+                rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
                 float(np.linalg.norm(rec.lam)), rec.a_t, totals.sigma_cum, totals.h_cum,
                 rec.xi_t, totals.bound_running, max(rec.solver_residuals),
                 ";".join(rec.flags),
             ))
-        truth = holder.get("truth")
 
     checkpoints = tuple(getattr(scenario, "block_ends", ()) or ())
     replay = scenario.replay()
-    benchmark = analysis.compute_benchmark(replay, domain, config.benchmark_kind, T,
+    benchmark = analysis.compute_benchmark(replay, scenario.domain, config.benchmark_kind, T,
                                            checkpoints=checkpoints)
 
     regret = math.nan

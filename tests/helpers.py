@@ -118,22 +118,6 @@ def simplex_projection_qp(y, scale=1.0):
     return arg
 
 
-def drive_learner(learner, scenario, predictor, horizon):
-    """Play rounds 1..horizon of scenario with predictor's forecasts, return the records.
-
-    The forecast for round t+1 is drawn before round t is played, and the
-    played point is passed to the predictor after it.
-    """
-    learner.set_prediction(predictor.bundle_for(scenario.round(1)))
-    records = []
-    for t in range(1, horizon + 1):
-        nb = predictor.bundle_for(scenario.round(t + 1)) if t < horizon else None
-        rec = learner.play_round(scenario.round(t), nb)
-        predictor.note_action(rec.x)
-        records.append(rec)
-    return records
-
-
 def dual_grid_argmax(a_t, total, resolution=1e-3, pad=0.5):
     """Grid argmax of <lam, total> - ||lam||^2/(2 a_t) over lam >= 0.
 

@@ -24,9 +24,8 @@ from lazyoco.problems import (
     affine_round,
     make_scenario,
 )
+from lazyoco.runner import play_rounds
 from lazyoco.sets import Ball, Box, ConfigurationError, Simplex
-
-from helpers import drive_learner
 
 
 def grid_feasible_argmin(sc, horizon, resolution=1e-6):
@@ -259,7 +258,7 @@ def _llp_run(scenario_kind, horizon, predictor="noisy", seed=7, **sc_kw):
     p = make_predictor(predictor, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=0.4, seed=seed + 1)
-    return sc, config, learner, drive_learner(learner, sc, p, horizon)
+    return sc, config, learner, list(play_rounds(sc, p, learner, horizon))
 
 
 def test_metrics_match_learner_stream():

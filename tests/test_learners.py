@@ -7,10 +7,11 @@ from lazyoco import learners
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
 from lazyoco.predictors import PredictionBundle, make_predictor, zero_bundle
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
+from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError, positive_part
 from lazyoco.solver import SolverSettings
 
-from helpers import drive_learner, grid_min_1d, refine_min_box_vec, saddle_point_grid
+from helpers import grid_min_1d, refine_min_box_vec, saddle_point_grid
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -57,8 +58,7 @@ def test_round_one_perfect_forecast_plays_vertex():
     assert expected == 1.0
     sc = make_scenario("alternating_linear", horizon=4)
     learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 1, 1)
-    learner.set_prediction(affine_bundle([-1.0], [[0.64]], [-0.135]))
-    rec = learner.play_round(sc.round(1))
+    rec = learner.play_round(sc.round(1), affine_bundle([-1.0], [[0.64]], [-0.135]))
     assert rec.x[0] == expected
 
 
@@ -114,7 +114,7 @@ def run_rounds(learner, sc, predictor_kind, horizon, level=0.3, seed=5):
     p = make_predictor(predictor_kind, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=level, seed=seed)
-    return drive_learner(learner, sc, p, horizon)
+    return list(play_rounds(sc, p, learner, horizon))
 
 
 def test_multipliers_nonnegative_and_step_nonincreasing():
@@ -227,7 +227,6 @@ def test_llp2_mu_arithmetic():
     learner = LlpLearner(cfg("llp2", a=1.0, beta=0.5, bounds=b), BOX1, 1, 1)
     oracle = affine_round([-1.0], 0.0, [[0.0]], [-0.01])
     bundle = affine_bundle([-1.0], [[0.0]], [-0.01], value=[-0.01])
-    learner.set_prediction(bundle)
     for _ in range(100):
         rec = learner.play_round(oracle, bundle)
         assert rec.h_t == 0.0 and rec.xi_t == 0.0
@@ -318,12 +317,11 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
     p = make_predictor("perfect", bounds=sc.bounds, domain=sc.domain, dimension=1,
                        constraints=1)
     learner = LlpLearner(cfg(beta=0.0, bounds=sc.bounds), sc.domain, 1, 1)
-    learner.set_prediction(p.bundle_for(sc.round(1)))
     interior = 0
     for t in range(1, 201):
         pending = learner.pending
         truth = sc.round(t)
-        rec = learner.play_round(truth, p.bundle_for(sc.round(t + 1)) if t < 200 else None)
+        rec = learner.play_round(truth, p.bundle_for(truth))
         assert rec.flags == () and learner.prox_S == 0.0
         if pending is not None:
             want = positive_part(pending[0] * (pending[1] + truth.constraint_value(rec.x)))

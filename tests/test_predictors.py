@@ -9,9 +9,8 @@ from lazyoco.predictors import (
     zero_bundle,
 )
 from lazyoco.problems import make_scenario
+from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError
-
-from helpers import drive_learner
 
 
 def alternating():
@@ -69,7 +68,7 @@ def test_unknown_predictor_kind_rejected():
 def run_learner(sc, predictor, horizon, variant="llp", beta=0.5):
     cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=beta, bounds=sc.bounds)
     learner = LlpLearner(cfg, sc.domain, sc.dimension, sc.n_constraints)
-    return learner, drive_learner(learner, sc, predictor, horizon)
+    return learner, list(play_rounds(sc, predictor, learner, horizon))
 
 
 def test_perfect_errors_vanish_through_learner():

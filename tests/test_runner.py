@@ -13,8 +13,6 @@ from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
 from lazyoco.sets import ConfigurationError
 
-from helpers import drive_learner
-
 
 def base_doc(**over):
     doc = {
@@ -138,9 +136,15 @@ def test_record_every_subsampling():
     assert result.summary["rows_written"] == 4
 
 
-def test_summary_consistent_with_rows_and_records():
-    doc = base_doc()
-    doc["scenario"]["horizon"] = 200
+@pytest.mark.parametrize("scenario, predictor", [
+    ({"kind": "alternating_linear", "seed": 0}, {"kind": "none"}),
+    # the noisy predictor guesses the gradient at the last noted point, so a
+    # loop that draws forecasts in another order plays a different run here
+    ({"kind": "random_quadratic", "dimension": 2, "constraints": 2, "seed": 4},
+     {"kind": "noisy", "level": 0.5, "seed": 3}),
+], ids=["alternating_none", "quadratic_noisy"])
+def test_summary_consistent_with_rows_and_records(scenario, predictor):
+    doc = base_doc(scenario=dict(scenario, horizon=200), predictor=predictor)
     cfg = runner.parse_run_config(doc)
     result = runner.execute_run(cfg)
     s = result.summary
@@ -150,12 +154,17 @@ def test_summary_consistent_with_rows_and_records():
     assert last.regret == pytest.approx(s["regret"], rel=1e-15)
 
     # the same run replayed outside the runner, one record per round
-    sc = make_scenario(cfg.scenario_kind, horizon=200, seed=cfg.seed)
+    sc = make_scenario(cfg.scenario_kind, horizon=200, dimension=cfg.dimension,
+                       constraints=cfg.constraints, seed=cfg.seed)
     learner = make_learner(cfg.learner, sc.domain, sc.dimension, sc.n_constraints)
     predictor = make_predictor(cfg.predictor_kind, bounds=cfg.learner.bounds,
                                domain=sc.domain, dimension=sc.dimension,
-                               constraints=sc.n_constraints)
-    records = drive_learner(learner, sc, predictor, 200)
+                               constraints=sc.n_constraints, level=cfg.predictor_level,
+                               seed=cfg.predictor_seed)
+    records = list(runner.play_rounds(sc, predictor, learner, 200))
+    totals = learner.stats()
+    assert totals.cum_cost == s["cum_cost"]
+    assert totals.h_cum == s["h_cum"]
     bcosts = benchmark_round_costs(sc.replay(), result.benchmark.x_star, 200)
     m = compute_metrics([r.f_value for r in records],
                         np.array([r.g_values for r in records]), bcosts)
@@ -400,3 +409,25 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     assert emitted["cells"] == 8
     assert emitted["failed_cells"] == []
     assert set(emitted["exponents"]) == {"0", "0.5"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("section, value, message", [
+    ("learner", {"variant": "llp_perturbed"}, "base constraint"),
+    ("learner", {"x0": [0.0, 0.0]}, "x0 must have shape"),
+    ("learner", {"x0": [2.0]}, "x0 lies outside"),
+    ("learner", {"variant": "greedy_baseline", "x0": [0.0, 0.0]}, "x0 must have shape"),
+    ("predictor", {"kind": "noisy", "level": -0.5}, "noise level"),
+])
+def test_cli_rejects_configs_the_run_refuses(tmp_path, capsys, monkeypatch, command,
+                                             section, value, message):
+    # these used to pass the parser, so a sweep ran every cell into the same failure
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = base_doc(output={"path": str(tmp_path / "t.csv")})
+    doc["scenario"]["horizon"] = 10
+    doc[section].update(value)
+    if command == "sweep":
+        doc = {"base": doc, "horizons": [10, 20], "betas": [0.0, 0.5]}
+    assert cli.main([command, write_config(tmp_path, "cfg.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("t.csv*"))
