@@ -14,9 +14,6 @@ from .analysis import (
     TraceMetrics,
     compute_benchmark,
     compute_metrics,
-    dual_regret_gap,
-    evaluate_theorem1_bounds,
-    evaluate_theorem3_bounds,
     fit_growth_exponent,
     llp2_bound_report,
     llp_bound_report,
@@ -26,7 +23,6 @@ from .learners import VARIANTS, LearnerConfig, RoundRecord, make_learner
 from .predictors import (
     PREDICTOR_KINDS,
     PredictionBundle,
-    UnsupportedScenarioError,
     make_predictor,
     zero_bundle,
 )
@@ -53,12 +49,10 @@ __all__ = [
     "Ball", "Box", "Simplex", "make_set", "positive_part", "ConfigurationError",
     "ProblemBounds", "RoundOracle", "SCENARIO_KINDS", "make_scenario",
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
-    "UnsupportedScenarioError",
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",
     "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
     "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit", "TraceMetrics",
-    "compute_benchmark", "compute_metrics", "dual_regret_gap",
-    "evaluate_theorem1_bounds", "evaluate_theorem3_bounds",
+    "compute_benchmark", "compute_metrics",
     "fit_growth_exponent", "perturbed_report", "llp_bound_report", "llp2_bound_report",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",
     "execute_run", "write_trace", "sweep", "compare", "bench",

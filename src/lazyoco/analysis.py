@@ -39,11 +39,8 @@ __all__ = [
     "llp_bound_report",
     "llp2_bound_report",
     "perturbed_report",
-    "evaluate_theorem1_bounds",
-    "evaluate_theorem3_bounds",
     "ExponentFit",
     "fit_growth_exponent",
-    "dual_regret_gap",
 ]
 
 BENCHMARK_KINDS = ("X_T", "X_T_max")
@@ -121,8 +118,8 @@ class _ConstraintAccumulator:
                 self.Wsum = self.Wsum + W
                 self.usum = self.usum + u
         else:
-            for row in np.hstack([W, u[:, None]]):
-                self.rows[row.tobytes()] = None
+            for w_row, u_j in zip(W, u):
+                self.rows[w_row.tobytes() + u_j.tobytes()] = None
 
     def row_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (W, u) stack of every affine inequality that must hold."""
@@ -408,30 +405,6 @@ def perturbed_report(h_sum: float, xi_sq_sum: float, horizon: int, regret: float
                                "beta": beta, "a": a, "regret": regret})
 
 
-def _trace_arrays(records):
-    h = np.array([r.h_t for r in records])
-    xi = np.array([r.xi_t for r in records])
-    a = np.array([r.a_t for r in records])
-    return h, xi, a
-
-
-def evaluate_theorem1_bounds(records, config, regret: float) -> BoundReport:
-    h, xi, a = _trace_arrays(records)
-    a0 = config.a / max(2.0 * config.bounds.G, 0.0 ** config.beta)
-    a_prev = np.concatenate([[a0], a[:-1]])
-    return llp_bound_report(float(np.sum(h)), float(np.sum(a_prev * xi * xi)),
-                            float(a_prev[-1]), regret, config.sigma, config.bounds)
-
-
-def evaluate_theorem3_bounds(records, config, regret: float, mu_next: float) -> BoundReport:
-    h, xi, a = _trace_arrays(records)
-    a0 = config.a / max(2.0 * config.bounds.G, 0.0 ** config.beta)
-    a_prev = np.concatenate([[a0], a[:-1]])
-    return llp2_bound_report(float(np.sum(h)), float(np.sum(a_prev * xi * xi)),
-                             float(a_prev[-1]), regret, config.sigma, config.bounds,
-                             mu_next)
-
-
 # -- growth rates ----------------------------------------------------------------
 
 
@@ -476,26 +449,3 @@ def fit_growth_exponent(samples, tail_fraction: float = 1.0) -> ExponentFit:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ExponentFit(exponent=float(slope), intercept=float(intercept),
                        r_squared=r2, dropped=dropped)
-
-
-# -- dual-side sanity -------------------------------------------------------------
-
-
-def dual_regret_gap(gains, lams, mismatch_norms, a_prevs, comparator):
-    """Realized dual regret of the multiplier sequence vs its FTRL certificate.
-
-    gains[t] is the dual gain vector of round t (the constraint values at
-    the prescient point), lams[t] the multiplier that was played,
-    mismatch_norms[t] the norm of (gain - its optimistic estimate), and
-    a_prevs[t] the step size a_{t-1} in force when lams[t] was chosen.
-    Returns (realized_regret, certificate) against the given comparator.
-    """
-    lam_star = np.asarray(comparator, dtype=float)
-    realized = 0.0
-    cert = 0.0
-    for u, lam, m, ap in zip(gains, lams, mismatch_norms, a_prevs):
-        u = np.asarray(u, dtype=float)
-        realized += float(u @ (lam_star - np.asarray(lam, dtype=float)))
-        cert += ap * float(m) ** 2
-    cert += float(lam_star @ lam_star) / (2.0 * a_prevs[-1])
-    return realized, cert

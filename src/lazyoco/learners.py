@@ -44,7 +44,7 @@ import numpy as np
 from .analysis import regret_certificate
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
-from .sets import ConfigurationError, positive_part
+from .sets import ConfigurationError, norm, positive_part
 from .solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
 
 __all__ = [
@@ -171,6 +171,7 @@ class LlpLearner:
 
         b = config.bounds
         self.t = 0
+        self._zero_bundle = zero_bundle(self.n, self.d)
         # (a_t, sum of g(z)) after the latest dual step; None before round 1
         self.pending: tuple[float, np.ndarray] | None = None
 
@@ -211,7 +212,7 @@ class LlpLearner:
         self.t += 1
         t = self.t
         if bundle is None:
-            bundle = zero_bundle(self.n, self.d)
+            bundle = self._zero_bundle
         flags: list[str] = []
 
         x, lam, ct_used, vt, jt, res_primal = self._primal(bundle, flags)
@@ -232,7 +233,7 @@ class LlpLearner:
 
         z, gz, res_presc = self._prescient(truth, x, c_t, gvals, jac_x, lam, flags)
 
-        dxz = float(np.linalg.norm(x - z))
+        dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
         if self.prox_S > 0.0:
             self.drift_gap = max(self.drift_gap, dxz - h / self.prox_S)
@@ -253,17 +254,12 @@ class LlpLearner:
 
         return RoundRecord(
             t=t, x=x, z=z, lam=lam, f_value=f_val,
-            g_values=gvals, epsilon_norm=float(np.linalg.norm(eps)),
+            g_values=gvals, epsilon_norm=norm(eps),
             h_t=h, xi_t=xi, sigma_t=sigma_t, a_t=a_t,
             solver_residuals=(res_primal, res_presc), flags=tuple(flags),
         )
 
     # -- primal --------------------------------------------------------------
-
-    def _settings(self, fallback: np.ndarray) -> SolverSettings:
-        s = self.cfg.solver
-        return SolverSettings(tolerance=s.tolerance, max_iterations=s.max_iterations,
-                              fallback=fallback)
 
     def _center(self) -> np.ndarray:
         if self.prox_S > 0.0:
@@ -283,12 +279,12 @@ class LlpLearner:
             wsum = self.lam_sum + lam
             if self.base_affine is not None:
                 linear = linear + self.base_affine[0].T @ wsum
-            elif np.any(wsum != 0.0):
+            elif wsum.any():
                 terms.append((wsum, self.base_constraint, None))
         else:
             linear = linear + self.lag_lin
             terms.extend(self.lag_terms)
-            if np.any(lam != 0.0):
+            if lam.any():
                 if v == "llp_linearized" and jt is not None:
                     linear = linear + jt.T @ lam
                 elif bundle.constraint_affine is not None:
@@ -322,7 +318,8 @@ class LlpLearner:
                 lam = dual_closed_form(*self.pending, bundle.predicted_value)
             # a deferred Jacobian needs no iteration: with lam known, the
             # forecast oracle itself enters the objective
-            res = minimize(self._objective(lam, jt, bundle), self._settings(self.last_x))
+            res = minimize(self._objective(lam, jt, bundle), self.cfg.solver,
+                           fallback=self.last_x)
             x, vt = res.x, bundle.predicted_value
             if vt is None:
                 vt = np.asarray(vfn(x), dtype=float)
@@ -344,9 +341,9 @@ class LlpLearner:
             return dual_closed_form(a_dual, cum, vt), vt
 
         obj = self._objective(np.zeros(self.d), jt, bundle)
-        res = minimize(obj, self._settings(self.last_x))
+        res = minimize(obj, self.cfg.solver, fallback=self.last_x)
         lam, vt = multiplier(res.x)
-        if not np.any(lam > 0.0):
+        if not (lam > 0.0).any():
             return res.x, lam, vt, res
         jp = self._primal_jacobian(bundle, jt, jfn)
         x = self._scalar_zero(obj, bundle, jp, a_dual, cum)
@@ -367,7 +364,7 @@ class LlpLearner:
                 smoothness = (a_dual * float(np.linalg.norm(bundle.constraint_affine[0]))
                               * float(np.linalg.norm(jp)))
             obj.constraint_terms.append((np.ones(1), penalty, smoothness))
-            res = minimize(obj, self._settings(self.last_x))
+            res = minimize(obj, self.cfg.solver, fallback=self.last_x)
         lam, vt = multiplier(res.x)
         return res.x, lam, vt, res
 
@@ -427,10 +424,10 @@ class LlpLearner:
 
     def _mismatch_norm(self, eps, jac_x, bundle, jt, lam, x) -> float:
         if self.variant == "llp_perturbed":
-            return float(np.linalg.norm(eps))
+            return norm(eps)
         pred_jac = jt if self.variant == "llp_linearized" else bundle.jacobian_at(x)
         delta = jac_x - np.asarray(pred_jac, dtype=float)
-        return float(np.linalg.norm(eps + delta.T @ lam))
+        return norm(eps + delta.T @ lam)
 
     def _advance_regularizer(self, h: float, x: np.ndarray) -> float:
         self.h_cum += h
@@ -458,7 +455,7 @@ class LlpLearner:
 
     def _prescient(self, truth, x, c_t, gvals, jac_x, lam, flags: list[str]):
         linear = self.ccum + c_t
-        mag = float(np.linalg.norm(self.ccum)) + float(np.linalg.norm(c_t))
+        folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
         terms = list(self.lag_terms)
         v = self.variant
         if v == "llp_perturbed":
@@ -466,13 +463,13 @@ class LlpLearner:
             if self.base_affine is not None:
                 fold = self.base_affine[0].T @ wsum
                 linear = linear + fold
-                mag += float(np.linalg.norm(fold))
-            elif np.any(wsum != 0.0):
+                folded.append(fold)
+            elif wsum.any():
                 terms.append((wsum, self.base_constraint, None))
         else:
             linear = linear + self.lag_lin
-            mag += float(np.linalg.norm(self.lag_lin))
-            if np.any(lam != 0.0):
+            folded.append(self.lag_lin)
+            if lam.any():
                 fold = None
                 if v == "llp_linearized":
                     fold = jac_x.T @ lam
@@ -482,19 +479,22 @@ class LlpLearner:
                     terms.append((lam, truth.constraint, None))
                 if fold is not None:
                     linear = linear + fold
-                    mag += float(np.linalg.norm(fold))
+                    folded.append(fold)
         if self.prox_S == 0.0 and not terms:
             # With no regularizer the aggregate is a bare linear functional, and
             # when the round's forecasts were exact x already satisfies its
             # first-order conditions; a slope at rounding scale relative to the
             # folded magnitudes is a tie, resolved at the played point.
-            if float(np.linalg.norm(linear)) <= self.cfg.solver.tolerance * (1.0 + mag):
+            mag = 0.0
+            for part in folded:
+                mag += norm(part)
+            if norm(linear) <= self.cfg.solver.tolerance * (1.0 + mag):
                 if v == "llp_linearized":
                     return x, gvals, 0.0
                 gz = np.asarray(truth.constraint_value(x), dtype=float)
                 return x, gz, 0.0
         obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
-        res = minimize(obj, self._settings(x))
+        res = minimize(obj, self.cfg.solver, fallback=x)
         if not res.converged:
             flags.append("prescient_solver")
         z = res.x
@@ -511,7 +511,7 @@ class LlpLearner:
             self.lam_sum = self.lam_sum + lam
         elif v == "llp_linearized":
             self.lag_lin = self.lag_lin + jac_x.T @ lam
-        elif np.any(lam != 0.0):
+        elif lam.any():
             if truth.constraint_affine is not None:
                 self.lag_lin = self.lag_lin + truth.constraint_affine[0].T @ lam
             else:
@@ -521,7 +521,7 @@ class LlpLearner:
 
     def _dual(self, gz, vt):
         b = self.cfg.bounds
-        xi = float(np.linalg.norm(gz - vt))
+        xi = norm(gz - vt)
         a_tm1 = self.a_prev
         self.sum_a_prev_xi_sq += a_tm1 * xi * xi
         self.xi_sq_cum += xi * xi
@@ -538,8 +538,8 @@ class LlpLearner:
         c = self.cfg
         return LearnerTotals(
             cum_cost=self.cum_cost,
-            violation_norm=float(np.linalg.norm(positive_part(self.cum_gx))),
-            violation_z_norm=float(np.linalg.norm(positive_part(self.cum_gz))),
+            violation_norm=norm(positive_part(self.cum_gx)),
+            violation_z_norm=norm(positive_part(self.cum_gz)),
             a_t=self.a_prev,
             a_prev=self.a_prev_last,
             warning_count=self.warning_count,
@@ -601,7 +601,7 @@ class GreedyLearner:
         )
 
     def stats(self) -> LearnerTotals:
-        vnorm = float(np.linalg.norm(positive_part(self.cum_gx)))
+        vnorm = norm(positive_part(self.cum_gx))
         return LearnerTotals(
             cum_cost=self.cum_cost,
             violation_norm=vnorm,

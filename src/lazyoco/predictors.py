@@ -22,19 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .problems import ProblemBounds, RoundOracle
-from .sets import ConfigurationError
+from .sets import ConfigurationError, norm
 
 __all__ = [
     "PredictionBundle",
-    "UnsupportedScenarioError",
     "zero_bundle",
     "make_predictor",
     "PREDICTOR_KINDS",
 ]
-
-
-class UnsupportedScenarioError(ConfigurationError):
-    """The environment cannot supply what this predictor needs."""
 
 
 @dataclass
@@ -90,14 +85,14 @@ def zero_bundle(n: int, d: int) -> PredictionBundle:
 
 
 def _clip_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
+    nv = norm(v)
     if nv <= radius or nv == 0.0:
         return v
     return v * (radius / nv)
 
 
 def _unit(v: np.ndarray, fallback_axis: int = 0) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
+    nv = norm(v)
     if nv == 0.0:
         e = np.zeros_like(v)
         e[fallback_axis] = 1.0
@@ -110,14 +105,14 @@ class NonePredictor:
 
     def __init__(self, bounds: ProblemBounds, domain, dimension: int, constraints: int,
                  level: float = 0.0, seed: int | None = None):
-        self.n = dimension
-        self.d = constraints
+        # nothing writes into a bundle, so one serves every round
+        self._bundle = zero_bundle(dimension, constraints)
 
     def note_action(self, x: np.ndarray) -> None:
         pass
 
-    def bundle_for(self, truth: RoundOracle | None) -> PredictionBundle:
-        return zero_bundle(self.n, self.d)
+    def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
+        return self._bundle
 
 
 def _cost_forecast(truth: RoundOracle) -> dict:
@@ -154,9 +149,7 @@ class PerfectPredictor:
     def note_action(self, x: np.ndarray) -> None:
         pass
 
-    def bundle_for(self, truth: RoundOracle | None) -> PredictionBundle:
-        if truth is None:
-            raise UnsupportedScenarioError("perfect predictions need environment lookahead")
+    def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         parts = _cost_forecast(truth)
         jac = truth.constraint_affine[0].copy() if truth.constraint_affine is not None else None
         return PredictionBundle(
@@ -182,9 +175,7 @@ class PerfectGradientsPredictor:
     def note_action(self, x: np.ndarray) -> None:
         pass
 
-    def bundle_for(self, truth: RoundOracle | None) -> PredictionBundle:
-        if truth is None:
-            raise UnsupportedScenarioError("gradient predictions need environment lookahead")
+    def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         parts = _cost_forecast(truth)
         jac = truth.constraint_affine[0].copy() if truth.constraint_affine is not None else None
         return PredictionBundle(
@@ -226,9 +217,7 @@ class NoisyPredictor:
     def note_action(self, x: np.ndarray) -> None:
         self.last_x = np.asarray(x, dtype=float).copy()
 
-    def bundle_for(self, truth: RoundOracle | None) -> PredictionBundle:
-        if truth is None:
-            raise UnsupportedScenarioError("noisy predictions need environment lookahead")
+    def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         # all randomness is drawn here, never inside deferred callables
         e = self.rng.normal(size=self.n)
         e = _unit(e) * self.level * self.bounds.L_f * self.rng.uniform()
@@ -286,9 +275,7 @@ class AdversarialPredictor:
     def note_action(self, x: np.ndarray) -> None:
         pass
 
-    def bundle_for(self, truth: RoundOracle | None) -> PredictionBundle:
-        if truth is None:
-            raise UnsupportedScenarioError("adversarial predictions need environment lookahead")
+    def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         b = self.bounds
         c_true = truth.cost(self.center)[1]
         c_tilde = -b.L_f * _unit(c_true)

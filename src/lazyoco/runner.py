@@ -23,7 +23,7 @@ from . import analysis
 from .learners import LearnerConfig, LearnerTotals, RoundRecord, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
 from .problems import SCENARIO_KINDS, finite_number, make_scenario
-from .sets import ConfigurationError
+from .sets import ConfigurationError, norm
 from .solver import SolverSettings
 
 __all__ = [
@@ -378,7 +378,7 @@ def execute_run(config: RunConfig) -> RunResult:
             totals = learner.stats()
             rows.append(TraceRow(
                 rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
-                float(np.linalg.norm(rec.lam)), rec.a_t, totals.sigma_cum, totals.h_cum,
+                norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
                 rec.xi_t, totals.bound_running, max(rec.solver_residuals),
                 ";".join(rec.flags),
             ))
@@ -472,7 +472,7 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
     if fmt == "csv":
         lines = [",".join(TRACE_COLUMNS)]
         for row in result.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(_fmt, row)))
         payload = "\n".join(lines) + "\n"
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)

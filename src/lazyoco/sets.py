@@ -10,14 +10,15 @@ first-round update, where the aggregate objective has no curvature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConfigurationError",
     "positive_part",
+    "norm",
     "Box",
     "Ball",
     "Simplex",
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT = np.dtype(float)
 
 
 class ConfigurationError(ValueError):
@@ -36,13 +38,25 @@ def positive_part(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, bit-equal to np.linalg.norm.
+
+    np.linalg.norm computes sqrt(v.dot(v)) for a vector too; calling the
+    dot and a correctly rounded sqrt directly skips its dispatch and checks.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def _vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ConfigurationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1:
+        v = x  # already the array the conversion below would make
+    else:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if v.ndim != 1:
+            raise ConfigurationError(f"{name} must be one-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ConfigurationError(f"{name} has dimension {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ConfigurationError(f"{name} must be finite")
     return v
 
@@ -74,7 +88,7 @@ class Box:
 
     def project(self, y) -> np.ndarray:
         y = _vector(y, self.dimension, "point")
-        return np.clip(y, self.lower, self.upper)
+        return y.clip(self.lower, self.upper)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = _vector(x, self.dimension, "point")
@@ -90,9 +104,6 @@ class Box:
         else:
             out = np.where(w == 0.0, 0.5 * (self.lower + self.upper), out)
         return out.astype(float)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -113,7 +124,7 @@ class Ball:
             raise ConfigurationError("ball radius must be positive and finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
-        bound = float(self.norm_bound) if self.norm_bound else float(np.linalg.norm(c) + r)
+        bound = float(self.norm_bound) if self.norm_bound else norm(c) + r
         object.__setattr__(self, "norm_bound", bound)
         _check_origin_projection(self)
 
@@ -124,7 +135,7 @@ class Ball:
     def project(self, y) -> np.ndarray:
         y = _vector(y, self.dimension, "point")
         diff = y - self.center
-        dist = float(np.linalg.norm(diff))
+        dist = norm(diff)
         # slight slack keeps project(project(y)) == project(y) bit-exact
         if dist <= self.radius * (1.0 + 4.0 * _EPS):
             return y
@@ -132,21 +143,14 @@ class Ball:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = _vector(x, self.dimension, "point")
-        return float(np.linalg.norm(x - self.center)) <= self.radius * (1.0 + 4.0 * _EPS) + tol
+        return norm(x - self.center) <= self.radius * (1.0 + 4.0 * _EPS) + tol
 
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         w = _vector(w, self.dimension, "weights")
-        nw = float(np.linalg.norm(w))
+        nw = norm(w)
         if nw == 0.0:
             return self.project(fallback) if fallback is not None else self.center.copy()
         return self.center - w * (self.radius / nw)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        n = self.dimension
-        u = rng.normal(size=n)
-        u /= max(np.linalg.norm(u), _EPS)
-        r = self.radius * rng.uniform() ** (1.0 / n)
-        return self.center + r * u
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -206,21 +210,15 @@ class Simplex:
         out[k] = self.scale
         return out
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        e = rng.exponential(size=self.dim)
-        return self.scale * e / float(np.sum(e))
-
     def bounding_box(self):
         return np.zeros(self.dim), np.full(self.dim, self.scale)
 
 
 def _check_origin_projection(s) -> None:
-    p0 = s.project(np.zeros(s.dimension))
-    if float(np.linalg.norm(p0)) > s.norm_bound * (1.0 + 1e-12) + 1e-12:
+    p0 = norm(s.project(np.zeros(s.dimension)))
+    if p0 > s.norm_bound * (1.0 + 1e-12) + 1e-12:
         raise ConfigurationError(
-            "norm bound too small: ||project(0)|| = "
-            f"{float(np.linalg.norm(p0))} > {s.norm_bound}"
-        )
+            f"norm bound too small: ||project(0)|| = {p0} > {s.norm_bound}")
 
 
 def make_set(kind: str, **kwargs):

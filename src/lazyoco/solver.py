@@ -11,7 +11,10 @@ terms are handled iteratively: projected gradient with a fixed step
 1 / (S + sum_i ||w_i|| L_i) when every term declares a smoothness
 constant L_i, projected subgradient with step ~ 1/sqrt(k) and
 best-iterate tracking otherwise.  Convergence is judged by the norm of
-the gradient map x - project(x - grad(x) / max(S, 1)).
+the gradient map x - project(x - grad(x) / max(S, 1)).  The `fallback`
+argument of `minimize` breaks ties of the vertex rule (coordinates with
+zero slope) and is where the iterations start; without it they start at
+the prox center.
 
 The dual maximization is never iterative: with a quadratic dual
 regularizer the maximizer over the nonnegative orthant is the closed
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import ConfigurationError, positive_part
+from .sets import ConfigurationError, norm, positive_part
 
 __all__ = [
     "SolverSettings",
@@ -45,7 +48,6 @@ Term = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], 
 class SolverSettings:
     tolerance: float = 1e-9
     max_iterations: int = 10000
-    fallback: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
@@ -90,10 +92,11 @@ class SolveResult:
 def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> float:
     scale = max(obj.quad_weight, 1.0)
     step = obj.domain.project(x - grad / scale)
-    return float(np.linalg.norm(x - step))
+    return norm(x - step)
 
 
-def minimize(obj: FtrlObjective, settings: SolverSettings) -> SolveResult:
+def minimize(obj: FtrlObjective, settings: SolverSettings,
+             fallback: np.ndarray | None = None) -> SolveResult:
     """Minimize an aggregate objective over its feasible set."""
     S = float(obj.quad_weight)
     if S < 0.0:
@@ -103,21 +106,21 @@ def minimize(obj: FtrlObjective, settings: SolverSettings) -> SolveResult:
         if S > 0.0:
             x = obj.domain.project(obj.quad_center - obj.linear / S)
             return SolveResult(x=x, residual=0.0, converged=True)
-        x = obj.domain.argmin_linear(obj.linear, fallback=settings.fallback)
+        x = obj.domain.argmin_linear(obj.linear, fallback=fallback)
         return SolveResult(x=x, residual=0.0, converged=True)
 
     smooth = all(L is not None for _, _, L in obj.constraint_terms)
     if smooth:
-        curvature = S + sum(float(np.linalg.norm(w)) * L for w, _, L in obj.constraint_terms)
+        curvature = S + sum(norm(w) * L for w, _, L in obj.constraint_terms)
         if curvature <= 0.0:
             # every term is affine after all; evaluate once and fold
             folded = obj.linear.copy()
             for w, oracle, _ in obj.constraint_terms:
                 folded = folded + oracle(obj.quad_center)[1].T @ w
-            x = obj.domain.argmin_linear(folded, fallback=settings.fallback)
+            x = obj.domain.argmin_linear(folded, fallback=fallback)
             return SolveResult(x=x, residual=0.0, converged=True)
 
-    start = settings.fallback if settings.fallback is not None else obj.quad_center
+    start = fallback if fallback is not None else obj.quad_center
     x = obj.domain.project(np.asarray(start, dtype=float))
     best_x = x
     best_val = obj.value(x)
@@ -133,7 +136,7 @@ def minimize(obj: FtrlObjective, settings: SolverSettings) -> SolveResult:
         if smooth:
             x = obj.domain.project(x - grad / curvature)
         else:
-            ng = float(np.linalg.norm(grad))
+            ng = norm(grad)
             step = (1.0 + obj.domain.norm_bound) / ((1.0 + ng) * math.sqrt(k))
             x = obj.domain.project(x - step * grad)
             val = obj.value(x)

@@ -1,13 +1,17 @@
 """Brute-force reference computations for the test suite.
 
 Everything here re-derives results from first principles (dense grids,
-KKT enumeration, direct summation) so that expected values are frozen
-from an independent oracle rather than from the code under test.
+KKT enumeration, direct summation, the step-size recursion rebuilt from
+round records) so that expected values are frozen from an independent
+oracle rather than from the code under test.
 """
 
 import itertools
 
 import numpy as np
+
+from lazyoco.analysis import llp2_bound_report, llp_bound_report
+from lazyoco.sets import Ball, Box
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -165,3 +169,59 @@ def cumulative_violation(g_rows):
         g = g.T
     run = np.cumsum(g, axis=0)
     return np.linalg.norm(np.maximum(run, 0.0), axis=1)
+
+
+def sample(domain, rng):
+    """A random member of a Box, Ball or Simplex."""
+    if isinstance(domain, Box):
+        return rng.uniform(domain.lower, domain.upper)
+    if isinstance(domain, Ball):
+        n = domain.dimension
+        u = rng.normal(size=n)
+        u /= max(np.linalg.norm(u), np.finfo(np.float64).eps)
+        r = domain.radius * rng.uniform() ** (1.0 / n)
+        return domain.center + r * u
+    e = rng.exponential(size=domain.dim)
+    return domain.scale * e / float(np.sum(e))
+
+
+def _bound_inputs(records, config):
+    """(sum h_t, sum a_{t-1} xi_t^2, a_{T-1}) with a_{t-1} rebuilt from the records."""
+    h = np.array([r.h_t for r in records])
+    xi = np.array([r.xi_t for r in records])
+    a = np.array([r.a_t for r in records])
+    a0 = config.a / max(2.0 * config.bounds.G, 0.0 ** config.beta)
+    a_prev = np.concatenate([[a0], a[:-1]])
+    return float(np.sum(h)), float(np.sum(a_prev * xi * xi)), float(a_prev[-1])
+
+
+def evaluate_theorem1_bounds(records, config, regret):
+    """Theorem 1's report from the round records."""
+    return llp_bound_report(*_bound_inputs(records, config), regret, config.sigma,
+                            config.bounds)
+
+
+def evaluate_theorem3_bounds(records, config, regret, mu_next):
+    """Theorem 3's report (llp2) from the round records."""
+    return llp2_bound_report(*_bound_inputs(records, config), regret, config.sigma,
+                             config.bounds, mu_next)
+
+
+def dual_regret_gap(gains, lams, mismatch_norms, a_prevs, comparator):
+    """Realized dual regret of the multiplier sequence vs its FTRL certificate.
+
+    gains[t] is the dual gain vector of round t (the constraint values at
+    the prescient point), lams[t] the multiplier that was played,
+    mismatch_norms[t] the norm of (gain - its optimistic estimate), and
+    a_prevs[t] the step size a_{t-1} in force when lams[t] was chosen.
+    Returns (realized_regret, certificate) against the given comparator.
+    """
+    lam_star = np.asarray(comparator, dtype=float)
+    realized = 0.0
+    cert = 0.0
+    for u, lam, m, ap in zip(gains, lams, mismatch_norms, a_prevs):
+        u = np.asarray(u, dtype=float)
+        realized += float(u @ (lam_star - np.asarray(lam, dtype=float)))
+        cert += ap * float(m) ** 2
+    cert += float(lam_star @ lam_star) / (2.0 * a_prevs[-1])
+    return realized, cert

@@ -7,9 +7,6 @@ from lazyoco.analysis import (
     benchmark_round_costs,
     compute_benchmark,
     compute_metrics,
-    dual_regret_gap,
-    evaluate_theorem1_bounds,
-    evaluate_theorem3_bounds,
     fit_growth_exponent,
     llp2_bound_report,
     llp_bound_report,
@@ -26,6 +23,8 @@ from lazyoco.problems import (
 )
 from lazyoco.runner import play_rounds
 from lazyoco.sets import Ball, Box, ConfigurationError, Simplex
+
+from helpers import dual_regret_gap, evaluate_theorem1_bounds, evaluate_theorem3_bounds
 
 
 def grid_feasible_argmin(sc, horizon, resolution=1e-6):

@@ -312,7 +312,8 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
     calls = []
     real_minimize = learners.minimize
     monkeypatch.setattr(learners, "minimize",
-                        lambda obj, settings: calls.append(1) or real_minimize(obj, settings))
+                        lambda obj, settings, **kw: calls.append(1)
+                        or real_minimize(obj, settings, **kw))
     sc = make_scenario("alternating_linear", horizon=200)
     p = make_predictor("perfect", bounds=sc.bounds, domain=sc.domain, dimension=1,
                        constraints=1)

@@ -4,7 +4,6 @@ import pytest
 from lazyoco.learners import LearnerConfig, LlpLearner
 from lazyoco.predictors import (
     PREDICTOR_KINDS,
-    UnsupportedScenarioError,
     make_predictor,
     zero_bundle,
 )
@@ -50,13 +49,6 @@ def test_perfect_forecast_on_alternating_even_round():
     # deferred constraint value forecast evaluates the true oracle
     assert b.predicted_value is None
     assert b.predicted_value_fn(np.array([0.5]))[0] == pytest.approx(0.655)
-
-
-def test_perfect_predictor_requires_lookahead():
-    sc = alternating()
-    p = predictor_for(sc, "perfect")
-    with pytest.raises(UnsupportedScenarioError):
-        p.bundle_for(None)
 
 
 def test_unknown_predictor_kind_rejected():

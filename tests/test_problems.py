@@ -9,6 +9,8 @@ from lazyoco.problems import (
 )
 from lazyoco.sets import ConfigurationError
 
+from helpers import sample
+
 
 def test_alternating_round_values():
     sc = make_scenario("alternating_linear", horizon=10)
@@ -235,7 +237,7 @@ def test_bound_consistency(sc):
     b = sc.bounds
     for _ in range(1000):
         t = int(rng.integers(1, 41))
-        x = sc.domain.sample(rng)
+        x = sample(sc.domain, rng)
         oracle = sc.round(t)
         f, c = oracle.cost(x)
         g, _ = oracle.constraint(x)

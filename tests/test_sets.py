@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lazyoco.sets import Ball, Box, ConfigurationError, Simplex, make_set, positive_part
+from lazyoco.sets import Ball, Box, ConfigurationError, Simplex, make_set, norm, positive_part
 
-from helpers import simplex_projection_qp
+from helpers import sample, simplex_projection_qp
 
 
 def test_positive_part_examples():
@@ -58,7 +58,7 @@ def test_projection_idempotence_and_optimality(domain):
         p = domain.project(y)
         assert domain.contains(p)
         assert np.array_equal(domain.project(p), p)
-        x = domain.sample(rng)
+        x = sample(domain, rng)
         assert np.linalg.norm(p - y) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -118,6 +118,31 @@ def test_invalid_set_parameters_rejected():
 
 
 def test_dimension_mismatch_rejected():
-    box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ConfigurationError):
-        box.project([1.0, 2.0, 3.0])
+    # one loop rather than a parametrization keeps this test's id
+    for domain in (Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+                   Ball(np.zeros(2), 1.0), Simplex(2)):
+        bad_points = (
+            [1.0, 2.0, 3.0],
+            np.zeros(3),
+            np.zeros((2, 1)),
+            np.zeros((1, 2)),
+            np.array([np.nan, 0.0]),
+            np.array([0.0, np.inf]),
+            np.array([-np.inf, 0.0]),
+            [np.nan, 0.0],
+        )
+        for point in bad_points:
+            with pytest.raises(ConfigurationError):
+                domain.project(point)
+            with pytest.raises(ConfigurationError):
+                domain.argmin_linear(point)
+
+
+def test_norm_is_bit_equal_to_linalg_norm():
+    rng = np.random.default_rng(23)
+    for n in range(1, 11):
+        for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            for _ in range(200):
+                v = rng.normal(size=n) * scale
+                assert norm(v) == float(np.linalg.norm(v))
+    assert norm(np.zeros(4)) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from lazyoco.sets import Box, ConfigurationError
 from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
 
-from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec
+from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec, sample
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 BOX2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -51,7 +51,7 @@ def test_linear_objective_vertex_and_fallback():
     res = minimize(obj, SolverSettings())
     assert np.array_equal(res.x, [-1.0, 1.0])
     flat = FtrlObjective(BOX2, 0.0, np.zeros(2), np.zeros(2))
-    res = minimize(flat, SolverSettings(fallback=np.array([0.3, -0.2])))
+    res = minimize(flat, SolverSettings(), fallback=np.array([0.3, -0.2]))
     assert np.array_equal(res.x, [0.3, -0.2])
 
 
@@ -158,7 +158,7 @@ def test_solver_residual_certifies_near_optimality():
         vx = obj.value(res.x)
         gn = float(np.linalg.norm(obj.gradient(res.x)))
         for _ in range(20):
-            y = obj.domain.sample(rng)
+            y = sample(obj.domain, rng)
             assert vx <= obj.value(y) + 1e-6 * (1.0 + gn)
 
 
