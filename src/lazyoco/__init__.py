@@ -10,6 +10,7 @@ from .analysis import (
     BENCHMARK_KINDS,
     BenchmarkResult,
     BoundReport,
+    ComparatorFold,
     ExponentFit,
     TraceMetrics,
     compute_benchmark,
@@ -52,7 +53,7 @@ __all__ = [
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",
     "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
     "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit", "TraceMetrics",
-    "compute_benchmark", "compute_metrics",
+    "ComparatorFold", "compute_benchmark", "compute_metrics",
     "fit_growth_exponent", "perturbed_report", "llp_bound_report", "llp2_bound_report",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",
     "execute_run", "write_trace", "sweep", "compare", "bench",

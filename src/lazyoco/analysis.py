@@ -1,15 +1,17 @@
 """Offline benchmarks, trace metrics, bound evaluation, and rate fitting.
 
-The benchmark routines replay a finished scenario and minimize the total
-cost over one of two comparator sets: the per-round-feasible set (every
-g_t(x) <= 0) or the aggregate-feasible set (sum_t g_t(x) <= 0).  Rounds
-must have affine constraints and affine or shifted-quadratic costs; they
-are accumulated into closed forms, and the minimizer is exact.  In one
-dimension it is a clipped stationary point or an interval end.  In more
-dimensions the total cost is qw/2 ||x - p||^2 plus a constant, so the
-comparator is the projection of p onto the box cut by the accumulated
-rows, solved by a dual active-set method whose multipliers certify the
-result: `BenchmarkResult.gap` is the duality gap in cost units.
+The benchmark routines fold the rounds of a run, as it plays them, into
+closed forms and minimize the total cost over one of two comparator sets:
+the per-round-feasible set (every g_t(x) <= 0) or the aggregate-feasible
+set (sum_t g_t(x) <= 0).  Rounds must have affine constraints and affine
+or shifted-quadratic costs, and the minimizer is exact.  In one dimension
+it is a clipped stationary point or an interval end.  In more dimensions
+the total cost is qw/2 ||x - p||^2 plus a constant, so the comparator is
+the projection of p onto the box cut by the accumulated rows, solved by a
+dual active-set method whose multipliers certify the result:
+`BenchmarkResult.gap` is the duality gap in cost units.  A trace row's
+comparator cost is read from the cost sums copied at that row, so no
+round is kept or drawn twice.
 
 Bound evaluators plug run statistics into the regret/violation
 certificates verbatim.  Two of them use different constants in the same
@@ -30,6 +32,7 @@ __all__ = [
     "BENCHMARK_KINDS",
     "PrefixOptimum",
     "BenchmarkResult",
+    "ComparatorFold",
     "compute_benchmark",
     "benchmark_round_costs",
     "TraceMetrics",
@@ -93,7 +96,13 @@ class _CostAccumulator:
             self.const += 0.5 * w * float(u @ u) + float(b)
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.lin @ x) + self.const + 0.5 * self.qw * float(x @ x) - float(self.ql @ x)
+        return _cost_value(self.lin, self.const, self.qw, self.ql, x)
+
+
+def _cost_value(lin, const, qw, ql, x: np.ndarray) -> float:
+    # the one formula for a folded total cost, so a row's comparator cost and
+    # the comparator's own total agree bit for bit
+    return float(lin.dot(x)) + const + 0.5 * qw * float(x.dot(x)) - float(ql.dot(x))
 
 
 class _ConstraintAccumulator:
@@ -102,7 +111,8 @@ class _ConstraintAccumulator:
     def __init__(self, n: int, kind: str):
         self.n = n
         self.kind = kind
-        # the distinct affine rows [w | u] seen so far, keyed by their bytes (X_T only)
+        # the distinct rounds' rows (X_T only), keyed by the bytes of W then u;
+        # every round has the same number of rows, as every scenario does
         self.rows: dict[bytes, None] = {}
         self.Wsum = None                        # aggregate fold, X_T_max
         self.usum = None
@@ -118,8 +128,7 @@ class _ConstraintAccumulator:
                 self.Wsum = self.Wsum + W
                 self.usum = self.usum + u
         else:
-            for w_row, u_j in zip(W, u):
-                self.rows[w_row.tobytes() + u_j.tobytes()] = None
+            self.rows[W.tobytes() + u.tobytes()] = None
 
     def row_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (W, u) stack of every affine inequality that must hold."""
@@ -129,7 +138,11 @@ class _ConstraintAccumulator:
             return self.Wsum, self.usum
         if not self.rows:
             return np.zeros((0, self.n)), np.zeros(0)
-        stacked = np.frombuffer(b"".join(self.rows), dtype=float).reshape(-1, self.n + 1)
+        n = self.n
+        blocks = np.frombuffer(b"".join(self.rows), dtype=float).reshape(len(self.rows), -1)
+        d = blocks.shape[1] // (n + 1)
+        stacked = np.column_stack((blocks[:, :d * n].reshape(-1, n),
+                                   blocks[:, d * n:].reshape(-1)))
         stacked = np.unique(stacked, axis=0)
         return stacked[:, :-1], stacked[:, -1]
 
@@ -213,7 +226,7 @@ def _solve_projection(cost: _CostAccumulator, cons: _ConstraintAccumulator,
                       domain) -> tuple[np.ndarray | None, float, bool, float]:
     if cost.qw <= 0.0:
         raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
-                                 "total cost; the replayed costs have no quadratic part")
+                                 "total cost; the played costs have no quadratic part")
     W, u = cons.row_matrix()
     n = cost.n
     G = np.vstack([W, np.eye(n), -np.eye(n)])
@@ -228,60 +241,75 @@ def _solve_projection(cost: _CostAccumulator, cons: _ConstraintAccumulator,
     return x, cost.value(x), True, cost.qw * (primal - dual)
 
 
-def compute_benchmark(replay, domain, kind: str, horizon: int,
-                      checkpoints: tuple[int, ...] = ()) -> BenchmarkResult:
-    """Minimize the replayed total cost over the requested comparator set."""
-    if kind not in BENCHMARK_KINDS:
-        raise ConfigurationError(f"unknown benchmark kind {kind!r}")
-    if horizon < 1:
-        raise ConfigurationError("benchmark horizon must be >= 1")
-    n = domain.dimension
-    if n >= 2 and not isinstance(domain, Box):
-        raise ConfigurationError(
-            f"the comparator for n >= 2 needs a box domain, got {type(domain).__name__}")
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > horizon):
-        raise ConfigurationError("checkpoints must lie in [1, horizon]")
+class ComparatorFold:
+    """The played rounds, added once each in play order, folded for the comparator.
 
-    cost = _CostAccumulator(n)
-    cons = _ConstraintAccumulator(n, kind)
-    prefix: list[PrefixOptimum] = []
-    marks = set(checkpoints)
+    `mark` keeps the comparator over the rounds so far as a prefix optimum.
+    """
 
-    def solve():
-        if n >= 2:
-            return _solve_projection(cost, cons, domain)
-        x, v, ok = _solve_exact_1d(cost, cons, domain)
-        return x, v, ok, 0.0 if ok else math.nan
+    def __init__(self, domain, kind: str):
+        if kind not in BENCHMARK_KINDS:
+            raise ConfigurationError(f"unknown benchmark kind {kind!r}")
+        n = domain.dimension
+        if n >= 2 and not isinstance(domain, Box):
+            raise ConfigurationError(
+                f"the comparator for n >= 2 needs a box domain, got {type(domain).__name__}")
+        self.domain = domain
+        self.kind = kind
+        self.t = 0
+        self.cost = _CostAccumulator(n)
+        self.cons = _ConstraintAccumulator(n, kind)
+        self.prefix: list[PrefixOptimum] = []
+        self.cost_sums_size = 2 * n + 2
 
-    for t in range(1, horizon + 1):
-        oracle = replay.round(t)
+    def add(self, oracle) -> None:
+        t = self.t + 1
         if oracle.cost_affine is None and oracle.cost_quadratic is None:
             raise ConfigurationError(f"round {t}: the comparator needs an affine or "
                                      "shifted-quadratic cost")
         if oracle.constraint_affine is None:
             raise ConfigurationError(f"round {t}: the comparator needs an affine constraint")
-        cost.add(oracle)
-        cons.add(oracle)
-        if t in marks and t != horizon:
-            x, v, ok, _ = solve()
-            prefix.append(PrefixOptimum(t=t, x_star=x, total_cost=v, feasible=ok))
+        self.cost.add(oracle)
+        self.cons.add(oracle)
+        self.t = t
 
-    x_star, total, feasible, gap = solve()
-    if checkpoints and checkpoints[-1] == horizon:
-        prefix.append(PrefixOptimum(t=horizon, x_star=x_star, total_cost=total,
-                                    feasible=feasible))
-    return BenchmarkResult(kind=kind, x_star=x_star, optimal_total_cost=total,
-                           feasible=feasible, gap=gap, prefix=tuple(prefix))
+    def copy_cost_sums(self, out: np.ndarray) -> None:
+        """Write the cost sums lin, const, qw, ql into out, of length 2n + 2."""
+        c = self.cost
+        out[:c.n] = c.lin
+        out[c.n] = c.const
+        out[c.n + 1] = c.qw
+        out[c.n + 2:] = c.ql
+
+    def solve(self) -> tuple[np.ndarray | None, float, bool, float]:
+        """(x, total cost, feasible, duality gap) over the rounds so far."""
+        if self.cost.n >= 2:
+            return _solve_projection(self.cost, self.cons, self.domain)
+        x, v, ok = _solve_exact_1d(self.cost, self.cons, self.domain)
+        return x, v, ok, 0.0 if ok else math.nan
+
+    def mark(self) -> None:
+        x, v, ok, _ = self.solve()
+        self.prefix.append(PrefixOptimum(t=self.t, x_star=x, total_cost=v, feasible=ok))
 
 
-def benchmark_round_costs(replay, x_star: np.ndarray, horizon: int) -> np.ndarray:
-    """Per-round cost of the fixed comparator along a replayed scenario."""
-    out = np.empty(horizon)
+def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
+    """Minimize the folded total cost over the fold's comparator set."""
+    if fold.t < 1:
+        raise ConfigurationError("the comparator needs at least one played round")
+    x_star, total, feasible, gap = fold.solve()
+    return BenchmarkResult(kind=fold.kind, x_star=x_star, optimal_total_cost=total,
+                           feasible=feasible, gap=gap, prefix=tuple(fold.prefix))
+
+
+def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """The comparator's total cost up to each trace row, from the cost sums
+    `ComparatorFold.copy_cost_sums` wrote there (one row each)."""
     x = np.asarray(x_star, dtype=float)
-    for t in range(1, horizon + 1):
-        out[t - 1] = replay.round(t).cost_value(x)
-    return out
+    n = len(x)
+    columns = (cost_sums[:, :n], cost_sums[:, n], cost_sums[:, n + 1], cost_sums[:, n + 2:])
+    return np.fromiter((_cost_value(*row, x) for row in zip(*columns)), dtype=float,
+                       count=len(cost_sums))
 
 
 # -- metrics -----------------------------------------------------------------

@@ -231,14 +231,14 @@ class LlpLearner:
         if self.variant != "llp2":
             sigma_t = self._advance_regularizer(h, x)
 
-        z, gz, res_presc = self._prescient(truth, x, c_t, gvals, jac_x, lam, flags)
+        z, gz, res_presc, fold = self._prescient(truth, x, c_t, gvals, jac_x, lam, flags)
 
         dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
         if self.prox_S > 0.0:
             self.drift_gap = max(self.drift_gap, dxz - h / self.prox_S)
 
-        self._fold_round(truth, c_t, lam, jac_x)
+        self._fold_round(*fold)
         self.cum_gz = self.cum_gz + gz
         self.cum_gx = self.cum_gx + gvals
         self.cum_cost += f_val
@@ -454,32 +454,35 @@ class LlpLearner:
     # -- prescient -------------------------------------------------------------
 
     def _prescient(self, truth, x, c_t, gvals, jac_x, lam, flags: list[str]):
-        linear = self.ccum + c_t
+        """(z, g(z), residual, fold): the fold is the round's additions to the
+        folded state, computed here once and handed on to `_fold_round`."""
+        ccum = self.ccum + c_t
+        linear = ccum
         folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
         terms = list(self.lag_terms)
+        wsum = lin = term = None
         v = self.variant
         if v == "llp_perturbed":
             wsum = self.lam_sum + lam
             if self.base_affine is not None:
-                fold = self.base_affine[0].T @ wsum
-                linear = linear + fold
-                folded.append(fold)
+                lin = self.base_affine[0].T @ wsum
             elif wsum.any():
                 terms.append((wsum, self.base_constraint, None))
         else:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
             if lam.any():
-                fold = None
                 if v == "llp_linearized":
-                    fold = jac_x.T @ lam
+                    lin = jac_x.T @ lam
                 elif truth.constraint_affine is not None:
-                    fold = truth.constraint_affine[0].T @ lam
+                    lin = truth.constraint_affine[0].T @ lam
                 else:
-                    terms.append((lam, truth.constraint, None))
-                if fold is not None:
-                    linear = linear + fold
-                    folded.append(fold)
+                    term = (lam, truth.constraint, None)
+                    terms.append(term)
+        if lin is not None:
+            linear = linear + lin
+            folded.append(lin)
+        fold = (ccum, wsum, lin, term)
         if self.prox_S == 0.0 and not terms:
             # With no regularizer the aggregate is a bare linear functional, and
             # when the round's forecasts were exact x already satisfies its
@@ -490,9 +493,9 @@ class LlpLearner:
                 mag += norm(part)
             if norm(linear) <= self.cfg.solver.tolerance * (1.0 + mag):
                 if v == "llp_linearized":
-                    return x, gvals, 0.0
+                    return x, gvals, 0.0, fold
                 gz = np.asarray(truth.constraint_value(x), dtype=float)
-                return x, gz, 0.0
+                return x, gz, 0.0, fold
         obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
         res = minimize(obj, self.cfg.solver, fallback=x)
         if not res.converged:
@@ -502,20 +505,17 @@ class LlpLearner:
             gz = gvals + jac_x @ (z - x)
         else:
             gz = np.asarray(truth.constraint_value(z), dtype=float)
-        return z, gz, res.residual
+        return z, gz, res.residual, fold
 
-    def _fold_round(self, truth, c_t, lam, jac_x) -> None:
-        self.ccum = self.ccum + c_t
-        v = self.variant
-        if v == "llp_perturbed":
-            self.lam_sum = self.lam_sum + lam
-        elif v == "llp_linearized":
-            self.lag_lin = self.lag_lin + jac_x.T @ lam
-        elif lam.any():
-            if truth.constraint_affine is not None:
-                self.lag_lin = self.lag_lin + truth.constraint_affine[0].T @ lam
-            else:
-                self.lag_terms.append((lam, truth.constraint, None))
+    def _fold_round(self, ccum, wsum, lin, term) -> None:
+        self.ccum = ccum
+        if self.variant == "llp_perturbed":
+            # the fixed row's fold W^T lam_sum is redone from lam_sum each round
+            self.lam_sum = wsum
+        elif lin is not None:
+            self.lag_lin = self.lag_lin + lin
+        elif term is not None:
+            self.lag_terms.append(term)
 
     # -- dual --------------------------------------------------------------------
 

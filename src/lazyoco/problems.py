@@ -7,6 +7,13 @@ closed-form descriptors when the round functions are affine or shifted
 quadratics; the learners and the benchmark solver use those to keep
 per-round work constant.
 
+Rounds are drawn once, in order, and nothing is kept behind them:
+`round(t)` returns the current round when t names it and draws the next
+one when t is one past it.  Any other t is refused with
+ConfigurationError, so memory stays flat in the horizon and whoever needs
+a round again (the offline comparator, a test) keeps what it needs
+itself.
+
 Adaptive scenarios (the regret/violation lower-bound opponent) consume
 the player's actions through :meth:`record_action` before emitting the
 next round.
@@ -91,16 +98,6 @@ class RoundOracle:
     cost_quadratic: tuple[float, np.ndarray, float] | None = None
     constraint_affine: tuple[np.ndarray, np.ndarray] | None = None
 
-    def cost_value(self, x: np.ndarray) -> float:
-        if self.cost_affine is not None:
-            c, b = self.cost_affine
-            return float(c @ x) + b
-        if self.cost_quadratic is not None:
-            w, u, b = self.cost_quadratic
-            d = x - u
-            return 0.5 * w * float(d @ d) + b
-        return self.cost(x)[0]
-
     def constraint_value(self, x: np.ndarray) -> np.ndarray:
         if self.constraint_affine is not None:
             W, u = self.constraint_affine
@@ -163,7 +160,27 @@ def affine_round(c, cb, W, u) -> RoundOracle:
     )
 
 
-class AlternatingLinear:
+class _Scenario:
+    """The in-order draw rule shared by every scenario kind."""
+
+    adaptive = False
+    _t = 0  # the current round; 0 before the first draw
+
+    def _advance(self, t: int) -> bool:
+        """Whether round t is a new draw; the current round may be asked for again."""
+        if t == self._t + 1:
+            self._t = t
+            return True
+        if t == self._t and t >= 1:
+            return False
+        raise ConfigurationError(f"round {t} requested out of order: {self.kind} draws "
+                                 f"each round once, in order, and is at round {self._t}")
+
+    def record_action(self, t: int, x: np.ndarray) -> None:
+        pass
+
+
+class AlternatingLinear(_Scenario):
     """Two linear phases on [-1, 1] with a single alternating constraint.
 
     Even t: f_t(x) = -4x, g_t(x) = 0.79x + 0.26.
@@ -171,7 +188,6 @@ class AlternatingLinear:
     """
 
     kind = "alternating_linear"
-    adaptive = False
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -189,16 +205,11 @@ class AlternatingLinear:
         self._odd = affine_round([-1.0], 0.0, [[0.64]], [-0.135])
 
     def round(self, t: int) -> RoundOracle:
+        self._advance(t)
         return self._even if t % 2 == 0 else self._odd
 
-    def record_action(self, t: int, x: np.ndarray) -> None:
-        pass
 
-    def replay(self) -> "AlternatingLinear":
-        return AlternatingLinear(self.horizon, seed=self.seed, params=self.params)
-
-
-class StochasticConstraint:
+class StochasticConstraint(_Scenario):
     """Linear cost with a constraint that bites at random rounds.
 
     f_t(x) = -2x on [-1, 1].  With probability 0.1 / (t+1)^0.05 the round
@@ -209,7 +220,6 @@ class StochasticConstraint:
     """
 
     kind = "stochastic_constraint"
-    adaptive = False
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -224,31 +234,18 @@ class StochasticConstraint:
         self.bounds = ProblemBounds(L_f=2.0, L_g=1.0, G=1.0, D=1.0, F=2.0,
                                     E_m=4.0, Delta_m=2.0)
         self._rng = np.random.default_rng(self.seed)
-        self._branches: list[bool] = []
         self._active = affine_round([-2.0], 0.0, [[1.0]], [0.0])
         self._slack = affine_round([-2.0], 0.0, [[0.0]], [-0.01])
-
-    def _ensure(self, t: int) -> None:
-        while len(self._branches) < t:
-            s = len(self._branches) + 1
-            p = 0.1 / (s + 1.0) ** 0.05
-            self._branches.append(bool(self._rng.uniform() < p))
-
-    def branch_active(self, t: int) -> bool:
-        self._ensure(t)
-        return self._branches[t - 1]
+        self._current = None
 
     def round(self, t: int) -> RoundOracle:
-        return self._active if self.branch_active(t) else self._slack
-
-    def record_action(self, t: int, x: np.ndarray) -> None:
-        pass
-
-    def replay(self) -> "StochasticConstraint":
-        return StochasticConstraint(self.horizon, seed=self.seed, params=self.params)
+        if self._advance(t):
+            p = 0.1 / (t + 1.0) ** 0.05
+            self._current = self._active if self._rng.uniform() < p else self._slack
+        return self._current
 
 
-class ImpossibilityAdversary:
+class ImpossibilityAdversary(_Scenario):
     """Adaptive opponent forcing max(R_t, V_t) = Omega(t) on [0, 1].
 
     Two round types: p = (f(x) = -x, g(x) = -1) and q = (f(x) = -2x,
@@ -277,6 +274,7 @@ class ImpossibilityAdversary:
                                     E_m=4.0, Delta_m=4.0)
         self._p = affine_round([-1.0], 0.0, [[0.0]], [-1.0])
         self._q = affine_round([-2.0], 0.0, [[2.0]], [-1.0])
+        self._current = None
         self._sum_x = 0.0
         self._n_seen = 0
         self._mode = "I"
@@ -291,13 +289,7 @@ class ImpossibilityAdversary:
             return 1.0
         return self._sum_x / self._n_seen
 
-    def _branch_for(self, t: int) -> str:
-        if t <= len(self.branch_log):
-            return self.branch_log[t - 1]
-        if t != len(self.branch_log) + 1:
-            raise ConfigurationError("adversary rounds must be requested in order")
-        if self._n_seen < t - 1:
-            raise ConfigurationError(f"round {t} requested before action {t - 1} was recorded")
+    def _next_branch(self, t: int) -> str:
         if self._mode == "I" and t > self._block_start and self._mean() < 0.75:
             # I_n ended at t-1; mirror its length with p-rounds
             self._mode = "J"
@@ -313,7 +305,11 @@ class ImpossibilityAdversary:
         return branch
 
     def round(self, t: int) -> RoundOracle:
-        return self._q if self._branch_for(t) == "q" else self._p
+        if t == self._t + 1 and self._n_seen < self._t:
+            raise ConfigurationError(f"round {t} requested before action {t - 1} was recorded")
+        if self._advance(t):
+            self._current = self._q if self._next_branch(t) == "q" else self._p
+        return self._current
 
     def record_action(self, t: int, x: np.ndarray) -> None:
         if t != self._n_seen + 1:
@@ -321,36 +317,8 @@ class ImpossibilityAdversary:
         self._sum_x += float(np.asarray(x).reshape(-1)[0])
         self._n_seen += 1
 
-    def replay(self) -> "_BranchReplay":
-        return _BranchReplay(self)
 
-
-class _BranchReplay:
-    """Re-emits an adversary's recorded branch sequence."""
-
-    adaptive = False
-
-    def __init__(self, source: ImpossibilityAdversary):
-        self.kind = source.kind
-        self.horizon = source.horizon
-        self.dimension = source.dimension
-        self.n_constraints = source.n_constraints
-        self.domain = source.domain
-        self.bounds = source.bounds
-        self._log = list(source.branch_log)
-        self._p = source._p
-        self._q = source._q
-
-    def round(self, t: int) -> RoundOracle:
-        if t > len(self._log):
-            raise ConfigurationError(f"replay has only {len(self._log)} recorded rounds")
-        return self._q if self._log[t - 1] == "q" else self._p
-
-    def record_action(self, t: int, x: np.ndarray) -> None:
-        pass
-
-
-class PerturbedLinear:
+class PerturbedLinear(_Scenario):
     """Fixed constraint g(x) = x plus a bounded per-round perturbation b_t.
 
     f_t(x) = slope * x on [-1, 1]; g_t(x) = x + b_t with b_t drawn
@@ -360,7 +328,6 @@ class PerturbedLinear:
     """
 
     kind = "perturbed_linear"
-    adaptive = False
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -383,25 +350,16 @@ class PerturbedLinear:
         self.base_affine = (np.array([[1.0]]), np.array([0.0]))
         self.base_constraint = affine_constraint_oracle(*self.base_affine)
         self._rng = np.random.default_rng(self.seed)
-        self._shifts: list[float] = []
-
-    def perturbation(self, t: int) -> np.ndarray:
-        while len(self._shifts) < t:
-            self._shifts.append(float(self._rng.uniform(-self.amplitude, self.amplitude)))
-        return np.array([self._shifts[t - 1]])
+        self._current = None
 
     def round(self, t: int) -> RoundOracle:
-        b = self.perturbation(t)
-        return affine_round([self.cost_slope], 0.0, [[1.0]], b)
-
-    def record_action(self, t: int, x: np.ndarray) -> None:
-        pass
-
-    def replay(self) -> "PerturbedLinear":
-        return PerturbedLinear(self.horizon, seed=self.seed, params=self.params)
+        if self._advance(t):
+            b_t = float(self._rng.uniform(-self.amplitude, self.amplitude))
+            self._current = affine_round([self.cost_slope], 0.0, [[1.0]], [b_t])
+        return self._current
 
 
-class RandomQuadratic:
+class RandomQuadratic(_Scenario):
     """Seeded quadratic costs with random affine constraints.
 
     f_t(x) = ||x - u_t||^2 / 2 with u_t uniform in the scaled cube;
@@ -411,7 +369,6 @@ class RandomQuadratic:
     """
 
     kind = "random_quadratic"
-    adaptive = False
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -456,7 +413,7 @@ class RandomQuadratic:
             Delta_m=2.0 * math.sqrt(self.n_constraints) * self.matrix_scale,
         )
         self._rng = np.random.default_rng(self.seed)
-        self._rounds: list[RoundOracle] = []
+        self._current = None
 
     def _draw(self) -> RoundOracle:
         n, d = self.dimension, self.n_constraints
@@ -478,16 +435,9 @@ class RandomQuadratic:
         )
 
     def round(self, t: int) -> RoundOracle:
-        while len(self._rounds) < t:
-            self._rounds.append(self._draw())
-        return self._rounds[t - 1]
-
-    def record_action(self, t: int, x: np.ndarray) -> None:
-        pass
-
-    def replay(self) -> "RandomQuadratic":
-        return RandomQuadratic(self.horizon, self.dimension, self.n_constraints,
-                               seed=self.seed, params=self.params)
+        if self._advance(t):
+            self._current = self._draw()
+        return self._current
 
 
 SCENARIO_KINDS = {

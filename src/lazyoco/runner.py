@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .learners import LearnerConfig, LearnerTotals, RoundRecord, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
-from .problems import SCENARIO_KINDS, finite_number, make_scenario
+from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
 from .sets import ConfigurationError, norm
 from .solver import SolverSettings
 
@@ -344,20 +344,22 @@ def _learner_for(config: RunConfig, scenario):
                         base_affine=getattr(scenario, "base_affine", None))
 
 
-def play_rounds(scenario, predictor, learner, horizon: int) -> Iterator[RoundRecord]:
-    """Play rounds 1..horizon and yield each round's record.
+def play_rounds(scenario, predictor, learner,
+                horizon: int) -> Iterator[tuple[RoundOracle, RoundRecord]]:
+    """Play rounds 1..horizon and yield each round's truth with its record.
 
     Round t's truth and its forecast are drawn together, the learner plays
     the round, and only then is the played point shown to the scenario and
     the predictor, so an adaptive scenario and a predictor that tracks the
-    learner see x_t before round t+1 is drawn.
+    learner see x_t before round t+1 is drawn.  Each round is drawn once:
+    whoever needs the truth again (the comparator, a test) keeps it from here.
     """
     for t in range(1, horizon + 1):
         truth = scenario.round(t)
         rec = learner.play_round(truth, predictor.bundle_for(truth))
         scenario.record_action(t, rec.x)
         predictor.note_action(rec.x)
-        yield rec
+        yield truth, rec
 
 
 def execute_run(config: RunConfig) -> RunResult:
@@ -367,15 +369,25 @@ def execute_run(config: RunConfig) -> RunResult:
     T = config.horizon
     predictor = _predictor_for(config, scenario)
     learner = _learner_for(config, scenario)
+    fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
+    # criterion 07 reads the comparator at each adversary block end, taken
+    # as the block end is emitted
+    block_ends = getattr(scenario, "block_ends", None)
 
     rows: list[TraceRow] = []  # regret is filled in once the comparator is known
     flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
-    for rec in play_rounds(scenario, predictor, learner, T):
+    # the fold's cost sums at each row, which that row's regret is read from
+    cost_sums = np.empty(((T + record_every - 1) // record_every, fold.cost_sums_size))
+    for truth, rec in play_rounds(scenario, predictor, learner, T):
+        fold.add(truth)
+        if block_ends and block_ends[-1] == rec.t:
+            fold.mark()
         for fl in rec.flags:
             flag_counts[fl] = flag_counts.get(fl, 0) + 1
         if rec.t % record_every == 0 or rec.t == T:  # the last round's totals feed the summary
             totals = learner.stats()
+            fold.copy_cost_sums(cost_sums[len(rows)])
             rows.append(TraceRow(
                 rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
                 norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
@@ -383,17 +395,13 @@ def execute_run(config: RunConfig) -> RunResult:
                 ";".join(rec.flags),
             ))
 
-    checkpoints = tuple(getattr(scenario, "block_ends", ()) or ())
-    replay = scenario.replay()
-    benchmark = analysis.compute_benchmark(replay, scenario.domain, config.benchmark_kind, T,
-                                           checkpoints=checkpoints)
-
+    benchmark = analysis.compute_benchmark(fold)
     regret = math.nan
     if benchmark.feasible:
-        cum_bench = np.cumsum(analysis.benchmark_round_costs(replay, benchmark.x_star, T))
-        regret = totals.cum_cost - float(cum_bench[-1])
-        for i, row in enumerate(rows):
-            rows[i] = row._replace(regret=row.cum_cost - float(cum_bench[row.t - 1]))
+        comparator = analysis.benchmark_round_costs(cost_sums, benchmark.x_star)
+        for i, (row, c) in enumerate(zip(rows, comparator)):
+            rows[i] = row._replace(regret=row.cum_cost - float(c))
+        regret = rows[-1].regret
 
     report = None
     variant = config.learner.variant
@@ -444,7 +452,7 @@ def execute_run(config: RunConfig) -> RunResult:
         "drift_gap": totals.drift_gap,
         "warning_count": totals.warning_count,
         "flag_counts": flag_counts,
-        "block_ends": list(checkpoints),
+        "block_ends": [] if block_ends is None else list(block_ends),
         "record_every": record_every,
         "rows_written": len(rows),
     }
@@ -732,8 +740,10 @@ def bench(config: RunConfig) -> dict:
     scenario = make_scenario(config.scenario_kind, horizon=config.horizon,
                              dimension=config.dimension, constraints=config.constraints,
                              seed=config.seed, params=config.params)
-    result = analysis.compute_benchmark(scenario.replay(), scenario.domain,
-                                        config.benchmark_kind, config.horizon)
+    fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
+    for t in range(1, config.horizon + 1):
+        fold.add(scenario.round(t))
+    result = analysis.compute_benchmark(fold)
     return _sanitize({
         "benchmark_kind": result.kind,
         "x_star": None if result.x_star is None else result.x_star,

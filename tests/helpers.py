@@ -171,6 +171,11 @@ def cumulative_violation(g_rows):
     return np.linalg.norm(np.maximum(run, 0.0), axis=1)
 
 
+def draw_rounds(scenario, horizon):
+    """Rounds 1..horizon of a non-adaptive scenario: each is drawn once, in order."""
+    return [scenario.round(t) for t in range(1, horizon + 1)]
+
+
 def sample(domain, rng):
     """A random member of a Box, Ball or Simplex."""
     if isinstance(domain, Box):

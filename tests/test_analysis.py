@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lazyoco.analysis import (
+    ComparatorFold,
     benchmark_round_costs,
     compute_benchmark,
     compute_metrics,
@@ -24,18 +25,31 @@ from lazyoco.problems import (
 from lazyoco.runner import play_rounds
 from lazyoco.sets import Ball, Box, ConfigurationError, Simplex
 
-from helpers import dual_regret_gap, evaluate_theorem1_bounds, evaluate_theorem3_bounds
+from helpers import (
+    draw_rounds,
+    dual_regret_gap,
+    evaluate_theorem1_bounds,
+    evaluate_theorem3_bounds,
+)
 
 
-def grid_feasible_argmin(sc, horizon, resolution=1e-6):
+def benchmark_of(rounds, domain, kind, marks=()):
+    """The comparator over a list of rounds, with prefix optima after rounds `marks`."""
+    fold = ComparatorFold(domain, kind)
+    for oracle in rounds:
+        fold.add(oracle)
+        if fold.t in marks:
+            fold.mark()
+    return compute_benchmark(fold)
+
+
+def grid_feasible_argmin(sc, rounds, resolution=1e-6):
     """Brute-force per-round-feasible optimum for a 1D scenario."""
     lo, hi = sc.domain.lower[0], sc.domain.upper[0]
     xs = np.linspace(lo, hi, int(round((hi - lo) / resolution)) + 1)
     total = np.zeros_like(xs)
     feas = np.ones_like(xs, dtype=bool)
-    rep = sc.replay()
-    for t in range(1, horizon + 1):
-        oracle = rep.round(t)
+    for oracle in rounds:
         c = oracle.cost_affine
         total += c[0][0] * xs + c[1]
         W, u = oracle.constraint_affine
@@ -46,10 +60,11 @@ def grid_feasible_argmin(sc, horizon, resolution=1e-6):
 
 def test_benchmark_alternating_per_round_exact():
     sc = make_scenario("alternating_linear", horizon=10)
+    rounds = draw_rounds(sc, 10)
     # binding constraint: 0.79 x + 0.26 <= 0, so x* = -26/79 with slope -25
-    oracle_x = grid_feasible_argmin(sc, 10)
+    oracle_x = grid_feasible_argmin(sc, rounds)
     assert oracle_x == pytest.approx(-26.0 / 79.0, abs=2e-6)
-    res = compute_benchmark(sc.replay(), sc.domain, "X_T", 10)
+    res = benchmark_of(rounds, sc.domain, "X_T")
     assert res.feasible
     assert res.x_star[0] == pytest.approx(-26.0 / 79.0, abs=2e-9)
     # the binding row is honored up to the benchmark feasibility tolerance
@@ -58,33 +73,34 @@ def test_benchmark_alternating_per_round_exact():
 
     # a one-point domain: its bounding box [0, 1] is wider than the set {1}
     point = Simplex(1, scale=1.0)
-    res = compute_benchmark(_Repeat(affine_round([1.0], 0.0, [[0.0]], [-1.0])), point,
-                            "X_T", 3)
+    res = benchmark_of([affine_round([1.0], 0.0, [[0.0]], [-1.0])] * 3, point, "X_T")
     assert res.feasible and point.contains(res.x_star)
     assert res.optimal_total_cost == pytest.approx(3.0, abs=1e-12)
 
 
 def test_benchmark_aggregate_relaxes_per_round():
     sc = make_scenario("alternating_linear", horizon=10)
-    res = compute_benchmark(sc.replay(), sc.domain, "X_T_max", 10)
+    rounds = draw_rounds(sc, 10)
+    res = benchmark_of(rounds, sc.domain, "X_T_max")
     # summed constraint: 7.15 x + 0.625 <= 0
     assert res.x_star[0] == pytest.approx(-0.625 / 7.15, abs=2e-9)
-    strict = compute_benchmark(sc.replay(), sc.domain, "X_T", 10)
+    strict = benchmark_of(rounds, sc.domain, "X_T")
     assert res.optimal_total_cost <= strict.optimal_total_cost + 1e-12
 
 
 def play_adversary(sc, xs):
+    rounds = []
     for t, x in enumerate(xs, start=1):
-        sc.round(t)
+        rounds.append(sc.round(t))
         sc.record_action(t, np.array([float(x)]))
+    return rounds
 
 
 def test_benchmark_adversary_blocks_and_prefix():
     sc = make_scenario("impossibility_adversary", horizon=6)
-    play_adversary(sc, [0.0] * 6)
+    rounds = play_adversary(sc, [0.0] * 6)
     assert sc.block_ends == [2, 4, 6]
-    rep = sc.replay()
-    res = compute_benchmark(rep, sc.domain, "X_T_max", 6, checkpoints=(2, 4, 6))
+    res = benchmark_of(rounds, sc.domain, "X_T_max", marks=(2, 4, 6))
     # q,p alternation: sum g = 6x - 6 <= 0 frees the whole box, cost slope -9
     assert res.x_star[0] == 1.0
     assert res.optimal_total_cost == pytest.approx(-9.0, abs=1e-9)
@@ -92,7 +108,7 @@ def test_benchmark_adversary_blocks_and_prefix():
     assert [p.total_cost for p in res.prefix] == pytest.approx([-3.0, -6.0, -9.0])
     assert all(p.feasible for p in res.prefix)
 
-    strict = compute_benchmark(sc.replay(), sc.domain, "X_T", 6)
+    strict = benchmark_of(rounds, sc.domain, "X_T")
     # every q round demands 2x - 1 <= 0
     assert strict.x_star[0] == pytest.approx(0.5, abs=2e-9)
     assert strict.optimal_total_cost == pytest.approx(-4.5, abs=1e-8)
@@ -100,9 +116,10 @@ def test_benchmark_adversary_blocks_and_prefix():
 
 def test_benchmark_stochastic_binds_at_zero():
     sc = make_scenario("stochastic_constraint", horizon=60, seed=1)
-    active = sum(sc.branch_active(t) for t in range(1, 61))
+    rounds = draw_rounds(sc, 60)
+    active = sum(o.constraint_affine[0][0, 0] == 1.0 for o in rounds)
     assert active >= 1
-    res = compute_benchmark(sc.replay(), sc.domain, "X_T", 60)
+    res = benchmark_of(rounds, sc.domain, "X_T")
     assert res.feasible
     assert abs(res.x_star[0]) <= 2e-9
     assert abs(res.optimal_total_cost) <= 1e-6
@@ -119,21 +136,13 @@ def quadratic_round(W, u) -> RoundOracle:
                                           np.asarray(u, dtype=float)))
 
 
-class _Repeat:
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def round(self, t):
-        return self.oracle
-
-
 def test_benchmark_reports_infeasible():
     # every round asks 0 . x + 1 <= 0, which no point satisfies
     for n, oracle in ((1, affine_round([1.0], 0.0, [[0.0]], [1.0])),
                       (2, quadratic_round([[0.0, 0.0]], [1.0]))):
         dom = Box(-np.ones(n), np.ones(n))
         for kind in ("X_T", "X_T_max"):
-            res = compute_benchmark(_Repeat(oracle), dom, kind, 5)
+            res = benchmark_of([oracle] * 5, dom, kind)
             assert not res.feasible
             assert res.x_star is None
             assert math.isnan(res.optimal_total_cost)
@@ -143,40 +152,34 @@ def test_benchmark_reports_infeasible():
 def test_benchmark_validation():
     sc = make_scenario("alternating_linear", horizon=4)
     with pytest.raises(ConfigurationError):
-        compute_benchmark(sc.replay(), sc.domain, "X_median", 4)
-    with pytest.raises(ConfigurationError):
-        compute_benchmark(sc.replay(), sc.domain, "X_T", 0)
-    with pytest.raises(ConfigurationError):
-        compute_benchmark(sc.replay(), sc.domain, "X_T", 4, checkpoints=(0,))
-    with pytest.raises(ConfigurationError):
-        compute_benchmark(sc.replay(), sc.domain, "X_T", 4, checkpoints=(9,))
+        ComparatorFold(sc.domain, "X_median")
+    with pytest.raises(ConfigurationError, match="at least one played round"):
+        compute_benchmark(ComparatorFold(sc.domain, "X_T"))
 
     # inputs the exact comparator has no closed form for are refused by cause
-    quad = _Repeat(quadratic_round([[1.0, 0.0]], [0.0]))
+    quad = quadratic_round([[1.0, 0.0]], [0.0])
     with pytest.raises(ConfigurationError, match="box domain"):
-        compute_benchmark(quad, Ball(np.zeros(2), 1.0), "X_T", 3)
-    plane = _Repeat(affine_round([1.0, 0.0], 0.0, [[1.0, 0.0]], [0.0]))
+        benchmark_of([quad] * 3, Ball(np.zeros(2), 1.0), "X_T")
+    plane = affine_round([1.0, 0.0], 0.0, [[1.0, 0.0]], [0.0])
     with pytest.raises(ConfigurationError, match="strictly convex"):
-        compute_benchmark(plane, Box(-np.ones(2), np.ones(2)), "X_T", 3)
+        benchmark_of([plane] * 3, Box(-np.ones(2), np.ones(2)), "X_T")
     curved = RoundOracle(cost=lambda x: (float(x @ x), 2.0 * x),
                          constraint=lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :]),
                          cost_quadratic=(2.0, np.zeros(1), 0.0))
     with pytest.raises(ConfigurationError, match="round 1: .*affine constraint"):
-        compute_benchmark(_Repeat(curved), Box(-np.ones(1), np.ones(1)), "X_T", 3)
+        benchmark_of([curved] * 3, Box(-np.ones(1), np.ones(1)), "X_T")
     quartic = RoundOracle(cost=lambda x: (float(x @ x) ** 2, 4.0 * float(x @ x) * x),
                           constraint=affine_constraint_oracle([[1.0]], [0.0]),
                           constraint_affine=(np.array([[1.0]]), np.array([0.0])))
     with pytest.raises(ConfigurationError, match="round 1: .*quadratic cost"):
-        compute_benchmark(_Repeat(quartic), Box(-np.ones(1), np.ones(1)), "X_T", 3)
+        benchmark_of([quartic] * 3, Box(-np.ones(1), np.ones(1)), "X_T")
 
 
-def replayed_totals(sc, horizon, x):
+def totals_at(rounds, x):
     """Total cost and the worst per-round and aggregate constraint values at x."""
-    rep = sc.replay()
     total, worst, agg = 0.0, -math.inf, 0.0
-    for t in range(1, horizon + 1):
-        oracle = rep.round(t)
-        total += oracle.cost_value(x)
+    for oracle in rounds:
+        total += oracle.cost(x)[0]
         g = oracle.constraint_value(x)
         worst = max(worst, float(np.max(g)))
         agg = agg + g
@@ -190,15 +193,16 @@ def test_projection_comparator_certified(n, d, kind):
     horizon = 200
     sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
                        seed=10 * n + d)
-    res = compute_benchmark(sc.replay(), sc.domain, kind, horizon)
+    rounds = draw_rounds(sc, horizon)
+    res = benchmark_of(rounds, sc.domain, kind)
     assert res.feasible
     assert sc.domain.contains(res.x_star)
-    total, worst, agg = replayed_totals(sc, horizon, res.x_star)
+    total, worst, agg = totals_at(rounds, res.x_star)
     assert (worst if kind == "X_T" else agg) <= 1e-9
     assert res.optimal_total_cost == pytest.approx(total, rel=1e-12)
     assert abs(res.gap) <= 1e-9 * max(1.0, abs(res.optimal_total_cost))
     # random_quadratic keeps the origin feasible in every round
-    assert res.optimal_total_cost <= replayed_totals(sc, horizon, np.zeros(n))[0]
+    assert res.optimal_total_cost <= totals_at(rounds, np.zeros(n))[0]
 
 
 @pytest.mark.parametrize("n, d, kind, params", [
@@ -211,8 +215,7 @@ def test_projection_comparator_against_slsqp(n, d, kind, params):
     horizon = 60
     sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
                        seed=n + d, params=params)
-    rep = sc.replay()
-    oracles = [rep.round(t) for t in range(1, horizon + 1)]
+    oracles = draw_rounds(sc, horizon)
     W = np.vstack([o.constraint_affine[0] for o in oracles])
     u = np.concatenate([o.constraint_affine[1] for o in oracles])
     if kind == "X_T_max":
@@ -229,14 +232,36 @@ def test_projection_comparator_against_slsqp(n, d, kind, params):
                                           "jac": lambda x: -W}],
                             options={"ftol": 1e-14, "maxiter": 1000})
     assert ref.success
-    res = compute_benchmark(sc.replay(), sc.domain, kind, horizon)
+    res = benchmark_of(oracles, sc.domain, kind)
     assert res.optimal_total_cost == pytest.approx(ref.fun * horizon, rel=1e-8)
 
 
 def test_benchmark_round_costs_values():
+    """Each row's comparator cost is the running total of its round costs."""
     sc = make_scenario("alternating_linear", horizon=4)
-    costs = benchmark_round_costs(sc.replay(), np.array([0.5]), 4)
-    np.testing.assert_allclose(costs, [-0.5, -2.0, -0.5, -2.0])
+    fold = ComparatorFold(sc.domain, "X_T")
+    sums = np.empty((4, fold.cost_sums_size))
+    for t in range(1, 5):
+        fold.add(sc.round(t))
+        fold.copy_cost_sums(sums[t - 1])
+    costs = benchmark_round_costs(sums, np.array([0.5]))
+    np.testing.assert_allclose(costs, [-0.5, -2.5, -3.0, -5.0])
+
+    # quadratic rounds, with the last row equal to the solved total bit for bit
+    sc = make_scenario("random_quadratic", horizon=30, dimension=3, constraints=2, seed=2)
+    rounds = draw_rounds(sc, 30)
+    fold = ComparatorFold(sc.domain, "X_T")
+    sums = np.empty((3, fold.cost_sums_size))
+    for oracle in rounds:
+        fold.add(oracle)
+        if fold.t % 10 == 0:
+            fold.copy_cost_sums(sums[fold.t // 10 - 1])
+    res = compute_benchmark(fold)
+    costs = benchmark_round_costs(sums, res.x_star)
+    for i, upto in enumerate((10, 20, 30)):
+        want = sum(o.cost(res.x_star)[0] for o in rounds[:upto])
+        assert costs[i] == pytest.approx(want, rel=1e-12)
+    assert costs[-1] == res.optimal_total_cost
 
 
 def test_metrics_hand_example():
@@ -257,11 +282,12 @@ def _llp_run(scenario_kind, horizon, predictor="noisy", seed=7, **sc_kw):
     p = make_predictor(predictor, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=0.4, seed=seed + 1)
-    return sc, config, learner, list(play_rounds(sc, p, learner, horizon))
+    played = list(play_rounds(sc, p, learner, horizon))
+    return [truth for truth, _ in played], config, learner, [rec for _, rec in played]
 
 
 def test_metrics_match_learner_stream():
-    sc, _, learner, records = _llp_run("random_quadratic", 200, dimension=2,
+    _, _, learner, records = _llp_run("random_quadratic", 200, dimension=2,
                                        constraints=2)
     m = compute_metrics([r.f_value for r in records],
                         np.array([r.g_values for r in records]))
@@ -313,7 +339,7 @@ def test_perturbed_report_unit_constants():
 
 
 def test_evaluate_bounds_reconstruct_step_sizes():
-    sc, config, learner, records = _llp_run("alternating_linear", 150)
+    _, config, learner, records = _llp_run("alternating_linear", 150)
     rep = evaluate_theorem1_bounds(records, config, regret=0.0)
 
     a0 = config.a / (2.0 * config.bounds.G)  # beta = 1/2 so 0**beta = 0
@@ -391,10 +417,9 @@ def test_exponent_fit_edge_cases():
                                         np.array([2.3])])
 def test_dual_regret_certificate_on_real_run(comparator):
     """The played multipliers satisfy their optimistic-FTRL regret bound."""
-    sc, config, learner, records = _llp_run("alternating_linear", 200, seed=3)
-    rep = sc.replay()
-    gains = [np.asarray(rep.round(r.t).constraint_value(r.z), dtype=float)
-             for r in records]
+    truths, config, learner, records = _llp_run("alternating_linear", 200, seed=3)
+    gains = [np.asarray(truth.constraint_value(r.z), dtype=float)
+             for truth, r in zip(truths, records)]
     lams = [r.lam for r in records]
     mismatches = [r.xi_t for r in records]
     a0 = config.a / (2.0 * config.bounds.G)

@@ -114,7 +114,7 @@ def run_rounds(learner, sc, predictor_kind, horizon, level=0.3, seed=5):
     p = make_predictor(predictor_kind, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=level, seed=seed)
-    return list(play_rounds(sc, p, learner, horizon))
+    return [rec for _, rec in play_rounds(sc, p, learner, horizon)]
 
 
 def test_multipliers_nonnegative_and_step_nonincreasing():
@@ -137,6 +137,7 @@ def test_sigma_cum_matches_h_identity():
     run_rounds(llp, sc, "noisy", 80, level=0.5)
     assert llp.prox_S == pytest.approx(1.3 * math.sqrt(llp.h_cum), rel=1e-12)
 
+    sc = make_scenario("alternating_linear", horizon=80)  # a scenario plays one run
     llp2 = LlpLearner(cfg("llp2", sigma=1.3, bounds=sc.bounds), sc.domain, 1, 1)
     run_rounds(llp2, sc, "noisy", 80, level=0.5)
     assert llp2.prox_S == pytest.approx(1.3 * math.sqrt(llp2.h_cum + llp2.mu), rel=1e-12)
@@ -162,9 +163,9 @@ def test_per_round_drift_inequality():
 
 def test_llp_equals_linearized_on_affine_rounds():
     """Affine constraints make the linearized variant exactly equal to llp."""
-    sc = make_scenario("alternating_linear", horizon=100)
     xs = {}
     for variant in ("llp", "llp_linearized"):
+        sc = make_scenario("alternating_linear", horizon=100)
         learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, 1, 1)
         records = run_rounds(learner, sc, "noisy", 100, level=0.6, seed=21)
         xs[variant] = np.array([r.x[0] for r in records])
@@ -190,8 +191,8 @@ def test_linearized_folds_nonaffine_constraints():
 
 
 def test_xi_stays_below_twice_constraint_bound():
-    sc = make_scenario("alternating_linear", horizon=150)
     for pk in ("none", "noisy", "adversarial"):
+        sc = make_scenario("alternating_linear", horizon=150)
         learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 1, 1)
         records = run_rounds(learner, sc, pk, 150, level=0.8)
         for rec in records:

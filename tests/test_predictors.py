@@ -11,6 +11,8 @@ from lazyoco.problems import make_scenario
 from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError
 
+from helpers import draw_rounds
+
 
 def alternating():
     return make_scenario("alternating_linear", horizon=200)
@@ -25,7 +27,7 @@ def predictor_for(sc, kind, level=0.1, seed=0):
 def test_none_predictor_is_all_zero():
     sc = alternating()
     p = predictor_for(sc, "none")
-    b = p.bundle_for(sc.round(5))
+    b = p.bundle_for(draw_rounds(sc, 5)[-1])
     assert np.array_equal(b.cost_gradient, [0.0])
     assert np.array_equal(b.predicted_value, [0.0])
     vals, jac = b.constraint(np.array([0.7]))
@@ -42,7 +44,7 @@ def test_zero_bundle_shapes():
 def test_perfect_forecast_on_alternating_even_round():
     sc = alternating()
     p = predictor_for(sc, "perfect")
-    b = p.bundle_for(sc.round(2))
+    b = p.bundle_for(draw_rounds(sc, 2)[-1])
     assert np.array_equal(b.cost_gradient, [-4.0])
     W, u = b.constraint_affine
     assert W[0, 0] == 0.79 and u[0] == 0.26
@@ -60,7 +62,7 @@ def test_unknown_predictor_kind_rejected():
 def run_learner(sc, predictor, horizon, variant="llp", beta=0.5):
     cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=beta, bounds=sc.bounds)
     learner = LlpLearner(cfg, sc.domain, sc.dimension, sc.n_constraints)
-    return learner, list(play_rounds(sc, predictor, learner, horizon))
+    return learner, [rec for _, rec in play_rounds(sc, predictor, learner, horizon)]
 
 
 def test_perfect_errors_vanish_through_learner():
@@ -102,7 +104,7 @@ def test_a4_error_clipping(kind, level, scenario_kind):
 def test_adversarial_opposes_truth():
     sc = alternating()
     p = predictor_for(sc, "adversarial")
-    truth = sc.round(2)  # c = -4, g increasing
+    truth = draw_rounds(sc, 2)[-1]  # c = -4, g increasing
     bundle = p.bundle_for(truth)
     assert bundle.cost_gradient[0] == pytest.approx(sc.bounds.L_f)  # -L_f * sign(-4)
     assert bundle.predicted_value[0] == pytest.approx(-sc.bounds.G)
@@ -125,7 +127,7 @@ def test_noisy_predictor_deterministic_per_seed():
 def test_perfect_gradients_predicts_zero_value():
     sc = alternating()
     p = predictor_for(sc, "perfect_gradients")
-    bundle = p.bundle_for(sc.round(2))
+    bundle = p.bundle_for(draw_rounds(sc, 2)[-1])
     assert np.array_equal(bundle.cost_gradient, [-4.0])
     assert np.array_equal(bundle.predicted_value, [0.0])
     W, _ = bundle.constraint_affine

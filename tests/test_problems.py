@@ -9,22 +9,21 @@ from lazyoco.problems import (
 )
 from lazyoco.sets import ConfigurationError
 
-from helpers import sample
+from helpers import draw_rounds, sample
 
 
 def test_alternating_round_values():
     sc = make_scenario("alternating_linear", horizon=10)
-    even = sc.round(2)
+    odd, even, third = draw_rounds(sc, 3)
     f, _ = even.cost(np.array([1.0]))
     g, _ = even.constraint(np.array([1.0]))
     assert f == -4.0
     assert g[0] == pytest.approx(1.05)
-    odd = sc.round(1)
     f, _ = odd.cost(np.array([0.0]))
     g, _ = odd.constraint(np.array([0.0]))
     assert f == 0.0
     assert g[0] == pytest.approx(-0.135)
-    _, grad = sc.round(3).cost(np.array([0.37]))
+    _, grad = third.cost(np.array([0.37]))
     assert np.array_equal(grad, [-1.0])
 
 
@@ -50,15 +49,12 @@ def test_stochastic_branch_rule_matches_rng_stream():
         assert np.array_equal(grad, [-2.0])
 
 
-def test_stochastic_determinism_and_replay():
+def test_stochastic_determinism():
     a = make_scenario("stochastic_constraint", horizon=200, seed=9)
     b = make_scenario("stochastic_constraint", horizon=200, seed=9)
     seq_a = [a.round(t).constraint(np.array([1.0]))[0][0] for t in range(1, 201)]
     seq_b = [b.round(t).constraint(np.array([1.0]))[0][0] for t in range(1, 201)]
     assert seq_a == seq_b
-    r = a.replay()
-    seq_r = [r.round(t).constraint(np.array([1.0]))[0][0] for t in range(1, 201)]
-    assert seq_r == seq_a
 
 
 def play(sc, actions):
@@ -127,17 +123,6 @@ def test_adversary_blocks_mirror_lengths():
     assert sc.block_ends == ends[:len(sc.block_ends)]
 
 
-def test_adversary_replay_re_emits_branches():
-    rng = np.random.default_rng(23)
-    sc = make_scenario("impossibility_adversary", horizon=100)
-    play(sc, rng.uniform(0.0, 1.0, size=100))
-    rep = sc.replay()
-    for t in range(1, 101):
-        want = -1.0 if sc.branch_log[t - 1] == "p" else 2.0 * 0.3 - 1.0
-        got = rep.round(t).constraint(np.array([0.3]))[0][0]
-        assert got == pytest.approx(want)
-
-
 def test_adversary_requires_recorded_actions():
     sc = make_scenario("impossibility_adversary", horizon=10)
     sc.round(1)
@@ -147,10 +132,11 @@ def test_adversary_requires_recorded_actions():
 
 def test_perturbed_additive_shift_and_jacobian():
     sc = make_scenario("perturbed_linear", horizon=50, seed=1)
+    rounds = draw_rounds(sc, 17)
     for t in (1, 2, 17):
-        b_t = sc.perturbation(t)[0]
+        oracle = rounds[t - 1]
+        b_t = oracle.constraint_affine[1][0]
         assert abs(b_t) <= sc.amplitude
-        oracle = sc.round(t)
         g, jac = oracle.constraint(np.array([0.0]))
         assert g[0] == pytest.approx(b_t)
         assert jac[0, 0] == 1.0  # perturbation-free Jacobian
@@ -167,35 +153,33 @@ def test_perturbed_fixed_shift_example():
 def test_perturbed_determinism():
     a = make_scenario("perturbed_linear", horizon=100, seed=12)
     b = make_scenario("perturbed_linear", horizon=100, seed=12)
-    sa = [a.perturbation(t)[0] for t in range(1, 101)]
-    sb = [b.perturbation(t)[0] for t in range(1, 101)]
+    sa = [o.constraint_affine[1][0] for o in draw_rounds(a, 100)]
+    sb = [o.constraint_affine[1][0] for o in draw_rounds(b, 100)]
     assert sa == sb
-    r = a.replay()
-    assert [r.perturbation(t)[0] for t in range(1, 101)] == sa
 
 
 def scenario_instances():
-    out = [
-        make_scenario("alternating_linear", horizon=40),
-        make_scenario("stochastic_constraint", horizon=40, seed=3),
-        make_scenario("perturbed_linear", horizon=40, seed=4),
-        make_scenario("random_quadratic", horizon=40, dimension=2, constraints=2, seed=5),
-    ]
+    """(scenario, its rounds 1..40 drawn once in order) for every kind."""
+    out = []
+    for sc in (make_scenario("alternating_linear", horizon=40),
+               make_scenario("stochastic_constraint", horizon=40, seed=3),
+               make_scenario("perturbed_linear", horizon=40, seed=4),
+               make_scenario("random_quadratic", horizon=40, dimension=2, constraints=2,
+                             seed=5)):
+        out.append(pytest.param(sc, draw_rounds(sc, 40), id=sc.kind))
     sc = make_scenario("impossibility_adversary", horizon=40)
     rng = np.random.default_rng(0)
-    play(sc, rng.uniform(0.0, 1.0, size=40))
-    out.append(sc.replay())
+    out.append(pytest.param(sc, play(sc, rng.uniform(0.0, 1.0, size=40)), id=sc.kind))
     return out
 
 
-@pytest.mark.parametrize("sc", scenario_instances(),
-                         ids=lambda s: getattr(s, "kind", "replay"))
-def test_convexity_spot_check(sc):
+@pytest.mark.parametrize("sc, rounds", scenario_instances())
+def test_convexity_spot_check(sc, rounds):
     rng = np.random.default_rng(77)
     n = sc.dimension
     lo, hi = sc.domain.bounding_box()
     for t in (1, 7, 24):
-        oracle = sc.round(t)
+        oracle = rounds[t - 1]
         for _ in range(100):
             x = rng.uniform(lo, hi)
             y = rng.uniform(lo, hi)
@@ -210,13 +194,12 @@ def test_convexity_spot_check(sc):
             assert np.all(gm <= gmix + 1e-10)
 
 
-@pytest.mark.parametrize("sc", scenario_instances(),
-                         ids=lambda s: getattr(s, "kind", "replay"))
-def test_subgradient_inequality(sc):
+@pytest.mark.parametrize("sc, rounds", scenario_instances())
+def test_subgradient_inequality(sc, rounds):
     rng = np.random.default_rng(13)
     lo, hi = sc.domain.bounding_box()
     for t in (2, 9):
-        oracle = sc.round(t)
+        oracle = rounds[t - 1]
         for _ in range(50):
             x = rng.uniform(lo, hi)
             y = rng.uniform(lo, hi)
@@ -229,21 +212,41 @@ def test_subgradient_inequality(sc):
                           + np.asarray(jx) @ (y - x) - 1e-10)
 
 
-@pytest.mark.parametrize("sc", scenario_instances(),
-                         ids=lambda s: getattr(s, "kind", "replay"))
-def test_bound_consistency(sc):
+@pytest.mark.parametrize("sc, rounds", scenario_instances())
+def test_bound_consistency(sc, rounds):
     """Sampled |f|, ||g||, ||grad f|| stay within the declared constants."""
     rng = np.random.default_rng(99)
     b = sc.bounds
     for _ in range(1000):
         t = int(rng.integers(1, 41))
         x = sample(sc.domain, rng)
-        oracle = sc.round(t)
+        oracle = rounds[t - 1]
         f, c = oracle.cost(x)
         g, _ = oracle.constraint(x)
         assert abs(f) <= b.F + 1e-9
         assert np.linalg.norm(g) <= b.G + 1e-9
         assert np.linalg.norm(c) <= b.L_f + 1e-9
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, cls in SCENARIO_KINDS.items()
+                                         if not cls.adaptive))
+def test_rounds_are_drawn_in_order(kind):
+    """round(t) gives the current round again or draws the next; nothing else."""
+    sc = make_scenario(kind, horizon=10, seed=3)
+    with pytest.raises(ConfigurationError, match="out of order"):
+        sc.round(0)
+    with pytest.raises(ConfigurationError, match="out of order"):
+        sc.round(2)  # skips round 1
+    first = sc.round(1)
+    assert sc.round(1) is first
+    second = sc.round(2)
+    assert sc.round(2) is second
+    for t in (1, 4, -1):  # an earlier round, a skip, nonsense
+        with pytest.raises(ConfigurationError, match="out of order"):
+            sc.round(t)
+    # a refused request leaves the scenario where it was: round 3 comes next
+    assert sc.round(2) is second
+    assert sc.round(3) is sc.round(3)
 
 
 def test_random_quadratic_origin_feasible_and_reproducible():

@@ -1,13 +1,14 @@
 import copy
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from lazyoco import cli, runner
-from lazyoco.analysis import benchmark_round_costs, compute_metrics
+from lazyoco.analysis import compute_metrics
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
@@ -128,6 +129,30 @@ def test_trace_bytes_deterministic(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_run_memory_grows_only_with_the_comparator_rows():
+    """Peak allocation of a run grows by under 1 KB per round at fixed output.
+
+    With 20 rows written either way, what a longer run must keep is the
+    comparator's distinct X_T rows, d (n + 1) floats a round; a kept copy
+    of every drawn round costs several times that.
+    """
+    def peak(horizon):
+        cfg = runner.parse_run_config(base_doc(
+            scenario={"kind": "random_quadratic", "horizon": horizon, "dimension": 5,
+                      "constraints": 3, "seed": 1},
+            predictor={"kind": "noisy", "level": 0.3, "seed": 2},
+            output={"record_every": horizon // 20}))
+        tracemalloc.start()
+        try:
+            runner.execute_run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2000), peak(8000)
+    assert (long - short) / 6000 < 1024
+
+
 def test_record_every_subsampling():
     doc = base_doc(output={"record_every": 3})
     doc["scenario"]["horizon"] = 10
@@ -151,9 +176,10 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
     last = result.rows[-1]
     assert last.t == 200
     assert last.cum_cost == pytest.approx(s["cum_cost"], rel=1e-15)
-    assert last.regret == pytest.approx(s["regret"], rel=1e-15)
+    # one comparator formula: the summary's regret is the last row's, bit for bit
+    assert last.regret == s["regret"] == s["cum_cost"] - s["optimal_total_cost"]
 
-    # the same run replayed outside the runner, one record per round
+    # the same run played again outside the runner, one record per round
     sc = make_scenario(cfg.scenario_kind, horizon=200, dimension=cfg.dimension,
                        constraints=cfg.constraints, seed=cfg.seed)
     learner = make_learner(cfg.learner, sc.domain, sc.dimension, sc.n_constraints)
@@ -161,11 +187,13 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
                                domain=sc.domain, dimension=sc.dimension,
                                constraints=sc.n_constraints, level=cfg.predictor_level,
                                seed=cfg.predictor_seed)
-    records = list(runner.play_rounds(sc, predictor, learner, 200))
+    played = list(runner.play_rounds(sc, predictor, learner, 200))
+    records = [rec for _, rec in played]
     totals = learner.stats()
     assert totals.cum_cost == s["cum_cost"]
     assert totals.h_cum == s["h_cum"]
-    bcosts = benchmark_round_costs(sc.replay(), result.benchmark.x_star, 200)
+    # the comparator's cost round by round, summed directly from the truths
+    bcosts = [truth.cost(result.benchmark.x_star)[0] for truth, _ in played]
     m = compute_metrics([r.f_value for r in records],
                         np.array([r.g_values for r in records]), bcosts)
     assert [row.t for row in result.rows] == list(range(1, 201))
@@ -370,6 +398,31 @@ def test_cli_rejects_bad_scenario_params(tmp_path, capsys, kind, param, value):
                    output={"path": str(tmp_path / "t.csv")})
     assert cli.main(["run", write_config(tmp_path, "params.json", doc)]) == 2
     assert param in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, comparator", [
+    ({"kind": "alternating_linear", "horizon": 50}, "X_T"),
+    ({"kind": "stochastic_constraint", "horizon": 80, "seed": 3}, "X_T"),
+    ({"kind": "perturbed_linear", "horizon": 60, "seed": 2}, "X_T_max"),
+    ({"kind": "random_quadratic", "horizon": 60, "dimension": 3, "constraints": 2,
+      "seed": 4}, "X_T"),
+    ({"kind": "random_quadratic", "horizon": 70, "dimension": 2, "constraints": 3,
+      "seed": 1}, "X_T_max"),
+], ids=["alternating", "stochastic", "perturbed_max", "quadratic", "quadratic_max"])
+def test_cli_bench_matches_run_summary(tmp_path, capsys, scenario, comparator):
+    """`bench` folds a fresh scenario and gets the comparator `run` reports, bit for bit."""
+    doc = base_doc(scenario=scenario, benchmark={"kind": comparator},
+                   predictor={"kind": "noisy", "level": 0.3, "seed": 5})
+    path = write_config(tmp_path, "c.json", doc)
+    assert cli.main(["bench", path]) == 0
+    bench = json.loads(capsys.readouterr().out)
+    assert cli.main(["run", path]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert bench["feasible"] is True and summary["benchmark_feasible"] is True
+    assert len(bench["x_star"]) == scenario.get("dimension", 1)
+    assert bench["x_star"] == summary["x_star"]
+    assert bench["optimal_total_cost"] == summary["optimal_total_cost"]
+    assert bench["gap"] == summary["benchmark_gap"]
 
 
 def test_cli_bench_and_compare(tmp_path, capsys):
