@@ -21,16 +21,20 @@ constraint rounds with an active multiplier are kept as (multiplier,
 oracle) pairs and replayed inside the inner solver; that path grows
 linearly in t and is intended for desk-scale horizons.
 
-A forecast may arrive as functions of the not-yet-known action instead
-of concrete vectors (the honest reading of "the forecast evaluated at
-the learner's own next point").  A deferred value forecast makes the
-multiplier lam = [a (cum + v~(x))]_+ depend on the action x being chosen.
-That pair is one convex problem: x minimizes F(x) + ||[a (cum + g~(x))]_+||^2
-/ (2a), whose penalty gradient is J~^T lam.  The primal step solves at
-lam = 0, keeps that point if the multiplier stays 0 there, and otherwise
-makes one solve with the penalty term, exact over the breakpoints in the
-scalar affine case.  The multiplier is read off the chosen action, so the
-recorded mismatch sequence is always the one actually used by the updates.
+Forecasts arrive in closed form (see `predictors`).  A quadratic cost
+forecast (w, u) folds into the prox: S/2 ||x - b/S||^2 + w/2 ||x - u||^2
+is one prox at weight S + w and centre (b + w u) / (S + w), and the cost
+gradient it stands for at the played point is w (x - u).  A deferred
+value forecast is W~ x + u~ at the action x being chosen, so the
+multiplier lam = [a (cum + W~ x + u~)]_+ depends on x.  The primal puts
+lam on J = W~ (on the fixed base rows for `llp_perturbed`); with J = W~,
+J^T lam is the gradient of the convex penalty
+||[a (cum + W~ x + u~)]_+||^2 / (2a), so the pair is one convex problem.
+The primal step solves at lam = 0, keeps that point if the multiplier
+stays 0 there, and otherwise makes one solve with the penalty term,
+exact over the breakpoints in the scalar case.  The multiplier is read
+off the chosen action, so the recorded mismatch sequence is always the
+one actually used by the updates.
 """
 
 from __future__ import annotations
@@ -130,25 +134,14 @@ def _start_point(config: LearnerConfig, domain, n: int) -> np.ndarray:
     return x0
 
 
-def _cost_term_oracle(bundle: PredictionBundle):
-    # shape the deferred cost like a single-row constraint so the inner
-    # solver treats it uniformly
-    vf, gf = bundle.cost_value_fn, bundle.cost_gradient_fn
-
-    def oracle(x):
-        return np.array([float(vf(x))]), np.asarray(gf(x), dtype=float)[None, :]
-
-    return oracle
-
-
 class LlpLearner:
     """All four lazy variants behind one round loop."""
 
     def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int,
-                 base_constraint=None, base_affine=None):
+                 base_affine=None):
         if config.variant == "greedy_baseline":
             raise ConfigurationError("use GreedyLearner for the greedy baseline")
-        if config.variant == "llp_perturbed" and base_constraint is None and base_affine is None:
+        if config.variant == "llp_perturbed" and base_affine is None:
             raise ConfigurationError(
                 "llp_perturbed needs the scenario's fixed base constraint")
         self.cfg = config
@@ -156,7 +149,6 @@ class LlpLearner:
         self.n = int(dimension)
         self.d = int(constraints)
         self.variant = config.variant
-        self.base_constraint = base_constraint
         self.base_affine = base_affine
         if base_affine is not None:
             self.base_affine = (np.asarray(base_affine[0], dtype=float),
@@ -215,7 +207,7 @@ class LlpLearner:
             bundle = self._zero_bundle
         flags: list[str] = []
 
-        x, lam, ct_used, vt, jt, res_primal = self._primal(bundle, flags)
+        x, lam, ct_used, vt, res_primal = self._primal(bundle, flags)
 
         f_val, c_t = truth.cost(x)
         f_val = float(f_val)
@@ -225,7 +217,7 @@ class LlpLearner:
         jac_x = np.asarray(jac_x, dtype=float)
 
         eps = c_t - ct_used
-        h = self._mismatch_norm(eps, jac_x, bundle, jt, lam, x)
+        h = self._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
 
         sigma_t = 0.0
         if self.variant != "llp2":
@@ -266,131 +258,91 @@ class LlpLearner:
             return self.prox_b / self.prox_S
         return np.zeros(self.n)
 
-    def _objective(self, lam: np.ndarray, jt, bundle: PredictionBundle) -> FtrlObjective:
+    def _objective(self, lam: np.ndarray, bundle: PredictionBundle) -> FtrlObjective:
         """The primal aggregate with the round's multiplier fixed at lam."""
         linear = self.ccum.copy()
-        terms: list = []
-        if bundle.deferred_cost:
-            terms.append((np.ones(1), _cost_term_oracle(bundle), bundle.cost_smoothness))
+        S, center = self.prox_S, self._center()
+        if bundle.cost_gradient is None:
+            # S/2 |x - b/S|^2 + w/2 |x - u|^2 is one prox at weight S + w
+            w, u = bundle.cost_quadratic
+            center = (self.prox_b + w * u) / (S + w)
+            S = S + w
         else:
             linear = linear + bundle.cost_gradient
-        v = self.variant
-        if v == "llp_perturbed":
-            wsum = self.lam_sum + lam
-            if self.base_affine is not None:
-                linear = linear + self.base_affine[0].T @ wsum
-            elif wsum.any():
-                terms.append((wsum, self.base_constraint, None))
+        if self.variant == "llp_perturbed":
+            linear = linear + self.base_affine[0].T @ (self.lam_sum + lam)
         else:
             linear = linear + self.lag_lin
-            terms.extend(self.lag_terms)
             if lam.any():
-                if v == "llp_linearized" and jt is not None:
-                    linear = linear + jt.T @ lam
-                elif bundle.constraint_affine is not None:
-                    linear = linear + bundle.constraint_affine[0].T @ lam
-                else:
-                    terms.append((lam, bundle.constraint, None))
-        return FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
+                linear = linear + bundle.constraint_affine[0].T @ lam
+        return FtrlObjective(self.domain, S, center, linear, list(self.lag_terms))
 
     def _primal(self, bundle: PredictionBundle, flags: list[str]):
         """Resolve the round's multiplier/forecast pair and solve for x_t.
 
-        Returns (x, lam, cost_gradient_used, predicted_value_used,
-        predicted_jacobian_used, residual).
+        Returns (x, lam, cost_gradient_used, predicted_value_used, residual).
         """
-        jt = bundle.predicted_jacobian
-        jfn = None
-        if self.variant == "llp_linearized" and jt is None:
-            jfn = bundle.predicted_jacobian_fn
-            if jfn is None:
-                jt = bundle.jacobian_at(self.last_x)
-        vfn = bundle.predicted_value_fn
-        if bundle.deferred_value and vfn is None:
-            raise ConfigurationError("prediction bundle carries no constraint value forecast")
-
-        if self.pending is not None and bundle.deferred_value:
-            x, lam, vt, res = self._fixed_point(bundle, jt, jfn, vfn)
+        if self.pending is not None and bundle.predicted_value is None:
+            x, lam, res = self._fixed_point(bundle)
         else:
             if self.pending is None:
                 lam = np.zeros(self.d)
             else:
                 lam = dual_closed_form(*self.pending, bundle.predicted_value)
-            # a deferred Jacobian needs no iteration: with lam known, the
-            # forecast oracle itself enters the objective
-            res = minimize(self._objective(lam, jt, bundle), self.cfg.solver,
+            res = minimize(self._objective(lam, bundle), self.cfg.solver,
                            fallback=self.last_x)
-            x, vt = res.x, bundle.predicted_value
-            if vt is None:
-                vt = np.asarray(vfn(x), dtype=float)
+            x = res.x
         if not res.converged:
             flags.append("primal_solver")
-        if jfn is not None:
-            jt = np.asarray(jfn(x), dtype=float)
+        vt = bundle.predicted_value
+        if vt is None:
+            W, u = bundle.constraint_affine
+            vt = W @ x + u
         ct = bundle.cost_gradient
         if ct is None:
-            ct = np.asarray(bundle.cost_gradient_fn(x), dtype=float)
-        return x, lam, ct, vt, jt, res.residual
+            w, c = bundle.cost_quadratic
+            ct = w * (x - c)
+        return x, lam, ct, vt, res.residual
 
-    def _fixed_point(self, bundle: PredictionBundle, jt, jfn, vfn):
-        """(x, lam, predicted_value_used, SolveResult) with lam = [a (cum + v~(x))]_+."""
+    def _fixed_point(self, bundle: PredictionBundle):
+        """(x, lam, SolveResult) with lam = [a (cum + W~ x + u~)]_+."""
         a_dual, cum = self.pending
+        W, u = bundle.constraint_affine
 
         def multiplier(x):
-            vt = np.asarray(vfn(x), dtype=float)
-            return dual_closed_form(a_dual, cum, vt), vt
+            return dual_closed_form(a_dual, cum, W @ x + u)
 
-        obj = self._objective(np.zeros(self.d), jt, bundle)
+        obj = self._objective(np.zeros(self.d), bundle)
         res = minimize(obj, self.cfg.solver, fallback=self.last_x)
-        lam, vt = multiplier(res.x)
+        lam = multiplier(res.x)
         if not (lam > 0.0).any():
-            return res.x, lam, vt, res
-        jp = self._primal_jacobian(bundle, jt, jfn)
+            return res.x, lam, res
+        # J, the rows the primal puts the multiplier on
+        jp = self.base_affine[0] if self.variant == "llp_perturbed" else W
         x = self._scalar_zero(obj, bundle, jp, a_dual, cum)
         if x is not None:
             res = SolveResult(x=x, residual=0.0, converged=True)
         else:
-            # one term with gradient J_p(x)^T lam(x); when J_p is the Jacobian
-            # of v~ that is the convex penalty ||lam(x)||^2 / (2a) it reports
-            constant = isinstance(jp, np.ndarray)
-
+            # one term with gradient J^T lam(x); with J = W~ that is the
+            # convex penalty ||lam(x)||^2 / (2a) it reports
             def penalty(x):
-                lam = multiplier(x)[0]
-                J = jp if constant else np.asarray(jp(x), dtype=float)
-                return np.array([0.5 * float(lam @ lam) / a_dual]), (J.T @ lam)[None, :]
+                lam = multiplier(x)
+                return np.array([0.5 * float(lam @ lam) / a_dual]), (jp.T @ lam)[None, :]
 
-            smoothness = None
-            if constant and bundle.constraint_affine is not None:
-                smoothness = (a_dual * float(np.linalg.norm(bundle.constraint_affine[0]))
-                              * float(np.linalg.norm(jp)))
+            smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
             obj.constraint_terms.append((np.ones(1), penalty, smoothness))
             res = minimize(obj, self.cfg.solver, fallback=self.last_x)
-        lam, vt = multiplier(res.x)
-        return res.x, lam, vt, res
-
-    def _primal_jacobian(self, bundle: PredictionBundle, jt, jfn):
-        """J_p, the Jacobian the primal puts the multiplier on: an array or x -> array."""
-        v = self.variant
-        if v == "llp_perturbed":
-            if self.base_affine is not None:
-                return self.base_affine[0]
-            return lambda x: self.base_constraint(x)[1]
-        if v == "llp_linearized":
-            return jt if jfn is None else jfn
-        if bundle.constraint_affine is not None:
-            return bundle.constraint_affine[0]
-        return lambda x: bundle.constraint(x)[1]
+        return res.x, multiplier(res.x), res
 
     def _scalar_zero(self, obj: FtrlObjective, bundle: PredictionBundle, jp,
                      a_dual: float, cum: np.ndarray):
-        """Exact primal point for n = 1 with an affine forecast, or None.
+        """Exact primal point for n = 1, or None.
 
         The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
         linear, and nondecreasing when every p_i f_i >= 0; its zero is found
         over the sorted breakpoints and clipped to the set.
         """
-        if (self.n != 1 or obj.constraint_terms or not isinstance(jp, np.ndarray)
-                or bundle.constraint_affine is None):
+        if self.n != 1 or obj.constraint_terms:
             return None
         rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
                         (cum + bundle.constraint_affine[1]).tolist()))
@@ -422,12 +374,10 @@ class LlpLearner:
 
     # -- observation and regularizers ------------------------------------------
 
-    def _mismatch_norm(self, eps, jac_x, bundle, jt, lam, x) -> float:
+    def _mismatch_norm(self, eps, jac_x, pred_jac, lam) -> float:
         if self.variant == "llp_perturbed":
             return norm(eps)
-        pred_jac = jt if self.variant == "llp_linearized" else bundle.jacobian_at(x)
-        delta = jac_x - np.asarray(pred_jac, dtype=float)
-        return norm(eps + delta.T @ lam)
+        return norm(eps + (jac_x - pred_jac).T @ lam)
 
     def _advance_regularizer(self, h: float, x: np.ndarray) -> float:
         self.h_cum += h
@@ -464,10 +414,7 @@ class LlpLearner:
         v = self.variant
         if v == "llp_perturbed":
             wsum = self.lam_sum + lam
-            if self.base_affine is not None:
-                lin = self.base_affine[0].T @ wsum
-            elif wsum.any():
-                terms.append((wsum, self.base_constraint, None))
+            lin = self.base_affine[0].T @ wsum
         else:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
@@ -564,8 +511,7 @@ class GreedyLearner:
     its z column simply repeats x and all prediction fields stay zero.
     """
 
-    def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int,
-                 base_constraint=None, base_affine=None):
+    def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int):
         if config.variant != "greedy_baseline":
             raise ConfigurationError("GreedyLearner requires variant 'greedy_baseline'")
         self.cfg = config
@@ -612,8 +558,7 @@ class GreedyLearner:
 
 
 def make_learner(config: LearnerConfig, domain, dimension: int, constraints: int,
-                 base_constraint=None, base_affine=None):
+                 base_affine=None):
     if config.variant == "greedy_baseline":
         return GreedyLearner(config, domain, dimension, constraints)
-    return LlpLearner(config, domain, dimension, constraints,
-                      base_constraint=base_constraint, base_affine=base_affine)
+    return LlpLearner(config, domain, dimension, constraints, base_affine=base_affine)

@@ -1,13 +1,13 @@
 """Prediction bundles delivered to the learner with each round.
 
 The bundle for round t is drawn from round t's truth before the learner
-picks x_t.  It carries a cost-gradient prediction, a predicted constraint
-oracle, the predicted constraint value at the forecaster's own guess of
-the action, and (for the linearized learner) the predicted Jacobian at
-that guess.  Any of the three point predictions may be deferred: instead
-of a concrete array the bundle holds a callable that the learner
-evaluates at its own action once that action exists, which makes the
-forecaster's guess coincide with the realized point.
+picks x_t.  Every round a run plays has an affine constraint and an
+affine or quadratic cost, so every forecast is in closed form: the
+predicted constraint g~(x) = W~ x + u~, and either a cost gradient c~ or
+a quadratic cost forecast (w, u), f~(x) = w/2 ||x - u||^2 + const.  The
+constraint value forecast v~ may be deferred (None): it then means g~ at
+the point the learner plays, W~ x_t + u~, which makes the forecaster's
+guess of the action coincide with the realized point.
 
 Forecast errors are always measured downstream against what the learner
 actually used, so every kind here produces valid inputs; the kinds only
@@ -17,7 +17,6 @@ differ in how good the forecasts are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,53 +33,26 @@ __all__ = [
 
 @dataclass
 class PredictionBundle:
-    """Forecast of one upcoming round; array fields may defer to callables."""
+    """Forecast of one upcoming round, in closed form.
+
+    cost_gradient      c~, or None when the cost forecast is quadratic
+    constraint_affine  (W~, u~), the predicted constraint W~ x + u~
+    predicted_value    v~, or None for W~ x + u~ at the played x
+    cost_quadratic     (w, u), set when cost_gradient is None
+    """
 
     cost_gradient: np.ndarray | None
-    constraint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    constraint_affine: tuple[np.ndarray, np.ndarray]
     predicted_value: np.ndarray | None
-    predicted_jacobian: np.ndarray | None
-    constraint_affine: tuple[np.ndarray, np.ndarray] | None = None
-    cost_gradient_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    cost_value_fn: Callable[[np.ndarray], float] | None = None
-    cost_smoothness: float | None = None
-    predicted_value_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    predicted_jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def deferred_cost(self) -> bool:
-        return self.cost_gradient is None
-
-    @property
-    def deferred_value(self) -> bool:
-        return self.predicted_value is None
-
-    def jacobian_at(self, x: np.ndarray) -> np.ndarray:
-        """Predicted-oracle Jacobian at a realized point."""
-        if self.constraint_affine is not None:
-            return self.constraint_affine[0]
-        return self.constraint(x)[1]
-
-
-def _zero_constraint(n: int, d: int):
-    W = np.zeros((d, n))
-    u = np.zeros(d)
-
-    def constraint(x):
-        return u, W
-
-    return constraint, (W, u)
+    cost_quadratic: tuple[float, np.ndarray] | None = None
 
 
 def zero_bundle(n: int, d: int) -> PredictionBundle:
     """The no-information bundle: all forecasts identically zero."""
-    constraint, affine = _zero_constraint(n, d)
     return PredictionBundle(
         cost_gradient=np.zeros(n),
-        constraint=constraint,
+        constraint_affine=(np.zeros((d, n)), np.zeros(d)),
         predicted_value=np.zeros(d),
-        predicted_jacobian=np.zeros((d, n)),
-        constraint_affine=affine,
     )
 
 
@@ -116,76 +88,43 @@ class NonePredictor:
 
 
 def _cost_forecast(truth: RoundOracle) -> dict:
-    """Exact cost-gradient forecast; deferred unless the gradient is constant."""
+    """Exact cost forecast: an affine cost's gradient, or a quadratic's (w, u)."""
     if truth.cost_affine is not None:
         return {"cost_gradient": truth.cost_affine[0].copy()}
-    if truth.cost_quadratic is not None:
-        w, u, b = truth.cost_quadratic
-
-        def grad(x, w=w, u=u):
-            return w * (x - u)
-
-        def value(x, w=w, u=u, b=b):
-            diff = x - u
-            return 0.5 * w * float(diff @ diff) + b
-
-        return {"cost_gradient": None, "cost_gradient_fn": grad,
-                "cost_value_fn": value, "cost_smoothness": w}
-    return {"cost_gradient": None,
-            "cost_gradient_fn": lambda x: truth.cost(x)[1],
-            "cost_value_fn": lambda x: truth.cost(x)[0],
-            "cost_smoothness": None}
+    w, u, _ = truth.cost_quadratic
+    return {"cost_gradient": None, "cost_quadratic": (w, u)}
 
 
 class PerfectPredictor:
-    """Hands over the true next-round oracles; point forecasts are deferred."""
+    """Hands over the true round in closed form; the value forecast is deferred."""
 
     kind = "perfect"
 
     def __init__(self, bounds, domain, dimension, constraints, level=0.0, seed=None):
-        self.n = dimension
-        self.d = constraints
+        pass
 
     def note_action(self, x: np.ndarray) -> None:
         pass
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        parts = _cost_forecast(truth)
-        jac = truth.constraint_affine[0].copy() if truth.constraint_affine is not None else None
-        return PredictionBundle(
-            constraint=truth.constraint,
-            constraint_affine=truth.constraint_affine,
-            predicted_value=None,
-            predicted_value_fn=truth.constraint_value,
-            predicted_jacobian=jac,
-            predicted_jacobian_fn=None if jac is not None else (lambda x: truth.constraint(x)[1]),
-            **parts,
-        )
+        return PredictionBundle(constraint_affine=truth.constraint_affine,
+                                predicted_value=None, **_cost_forecast(truth))
 
 
 class PerfectGradientsPredictor:
-    """True gradients and oracles but no forecast of the next constraint value."""
+    """True cost and constraint but no forecast of the next constraint value."""
 
     kind = "perfect_gradients"
 
     def __init__(self, bounds, domain, dimension, constraints, level=0.0, seed=None):
-        self.n = dimension
-        self.d = constraints
+        self._zero_value = np.zeros(constraints)
 
     def note_action(self, x: np.ndarray) -> None:
         pass
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        parts = _cost_forecast(truth)
-        jac = truth.constraint_affine[0].copy() if truth.constraint_affine is not None else None
-        return PredictionBundle(
-            constraint=truth.constraint,
-            constraint_affine=truth.constraint_affine,
-            predicted_value=np.zeros(self.d),
-            predicted_jacobian=jac,
-            predicted_jacobian_fn=None if jac is not None else (lambda x: truth.constraint(x)[1]),
-            **parts,
-        )
+        return PredictionBundle(constraint_affine=truth.constraint_affine,
+                                predicted_value=self._zero_value, **_cost_forecast(truth))
 
 
 class NoisyPredictor:
@@ -193,11 +132,11 @@ class NoisyPredictor:
 
     The cost gradient gets an additive perturbation of norm at most
     level * L_f, then is clipped back to the L_f ball.  The constraint
-    oracle is blended, (1 - gamma) g + gamma * const, with gamma =
-    min(level, 1) and a random constant vector of norm <= G; blending
-    preserves convexity and keeps both the predicted values and the
-    Jacobian rows inside the declared bounds, which additive noise on a
-    scenario quoted at its exact constants would not.
+    forecast is blended, (1 - gamma) (W x + u) + gamma * const, with gamma =
+    min(level, 1) and a random constant vector of norm <= G; blending keeps
+    it affine and keeps both the predicted values and the Jacobian rows
+    inside the declared bounds, which additive noise on a scenario quoted
+    at its exact constants would not.  The value forecast is deferred.
     """
 
     kind = "noisy"
@@ -218,7 +157,7 @@ class NoisyPredictor:
         self.last_x = np.asarray(x, dtype=float).copy()
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        # all randomness is drawn here, never inside deferred callables
+        # all randomness is drawn here, in the same order every round
         e = self.rng.normal(size=self.n)
         e = _unit(e) * self.level * self.bounds.L_f * self.rng.uniform()
         c_guess = truth.cost(self.last_x)[1]
@@ -227,36 +166,11 @@ class NoisyPredictor:
         shift = self.rng.normal(size=self.d)
         shift = _unit(shift) * self.bounds.G * self.rng.uniform()
         gamma = self.gamma
-
-        if truth.constraint_affine is not None:
-            W, u = truth.constraint_affine
-            Wb = (1.0 - gamma) * W
-            ub = (1.0 - gamma) * u + gamma * shift
-            affine = (Wb, ub)
-
-            def constraint(x, Wb=Wb, ub=ub):
-                return Wb @ x + ub, Wb
-
-            value_fn = lambda x, Wb=Wb, ub=ub: Wb @ x + ub
-            jac = Wb
-        else:
-            affine = None
-
-            def constraint(x, g=truth.constraint, s=shift, gamma=gamma):
-                vals, J = g(x)
-                return (1.0 - gamma) * vals + gamma * s, (1.0 - gamma) * J
-
-            value_fn = lambda x, c=constraint: c(x)[0]
-            jac = None
-
+        W, u = truth.constraint_affine
         return PredictionBundle(
             cost_gradient=c_tilde,
-            constraint=constraint,
-            constraint_affine=affine,
+            constraint_affine=((1.0 - gamma) * W, (1.0 - gamma) * u + gamma * shift),
             predicted_value=None,
-            predicted_value_fn=value_fn,
-            predicted_jacobian=jac,
-            predicted_jacobian_fn=None if jac is not None else (lambda x, c=constraint: c(x)[1]),
         )
 
 
@@ -288,20 +202,11 @@ class AdversarialPredictor:
             scale = min(scale, b.L_g / float(row_norms.max()))
         if fro > 0.0:
             scale = min(scale, b.G / (fro * b.D))
-        W_adv = -scale * J
-        u_adv = np.zeros(self.d)
-
-        v_tilde = -b.G * _unit(g_vals)
-
-        def constraint(x, W=W_adv, u=u_adv):
-            return W @ x + u, W
 
         return PredictionBundle(
             cost_gradient=c_tilde,
-            constraint=constraint,
-            constraint_affine=(W_adv, u_adv),
-            predicted_value=v_tilde,
-            predicted_jacobian=W_adv,
+            constraint_affine=(-scale * J, np.zeros(self.d)),
+            predicted_value=-b.G * _unit(g_vals),
         )
 
 

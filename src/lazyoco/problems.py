@@ -348,7 +348,6 @@ class PerturbedLinear(_Scenario):
         self.bounds = ProblemBounds(L_f=lf, L_g=1.0, G=1.0 + self.amplitude, D=1.0,
                                     F=lf, E_m=2.0 * lf, Delta_m=2.0)
         self.base_affine = (np.array([[1.0]]), np.array([0.0]))
-        self.base_constraint = affine_constraint_oracle(*self.base_affine)
         self._rng = np.random.default_rng(self.seed)
         self._current = None
 

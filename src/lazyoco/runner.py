@@ -340,7 +340,6 @@ def _predictor_for(config: RunConfig, scenario):
 def _learner_for(config: RunConfig, scenario):
     return make_learner(config.learner, scenario.domain, scenario.dimension,
                         scenario.n_constraints,
-                        base_constraint=getattr(scenario, "base_constraint", None),
                         base_affine=getattr(scenario, "base_affine", None))
 
 

@@ -28,20 +28,11 @@ def cfg(variant="llp", sigma=1.0, a=1.0, beta=0.5, bounds=None, **kw):
 
 
 def affine_bundle(c, W, u, value=None):
-    """Exact forecast of an affine round; value defaults to the deferred hook."""
-    W = np.asarray(W, dtype=float)
-    u = np.asarray(u, dtype=float)
-
-    def constraint(x):
-        return W @ x + u, W
-
+    """Exact forecast of an affine round; value defaults to deferred (W x + u)."""
     return PredictionBundle(
         cost_gradient=np.asarray(c, dtype=float),
-        constraint=constraint,
-        constraint_affine=(W, u),
+        constraint_affine=(np.asarray(W, dtype=float), np.asarray(u, dtype=float)),
         predicted_value=None if value is None else np.asarray(value, dtype=float),
-        predicted_value_fn=(lambda x: W @ x + u) if value is None else None,
-        predicted_jacobian=W,
     )
 
 
@@ -70,12 +61,12 @@ def test_mismatch_norm_formula():
     bundle = affine_bundle([0.0, 0.0], [[0.5, 0.5]], [0.0], value=[0.0])
     lam = np.array([2.0])
     x = np.zeros(2)
-    h = learner._mismatch_norm(eps, jac_x, bundle, bundle.predicted_jacobian, lam, x)
+    h = learner._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
     assert h == pytest.approx(math.sqrt(5.0), abs=1e-15)
 
     pert = LlpLearner(cfg("llp_perturbed"), Box(-np.ones(2), np.ones(2)), 2, 1,
                       base_affine=(np.array([[1.0, 0.0]]), np.array([0.0])))
-    h = pert._mismatch_norm(eps, jac_x, bundle, bundle.predicted_jacobian, lam, x)
+    h = pert._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
     assert h == 1.0  # perturbed variant only sees the cost-gradient error
 
 
@@ -282,9 +273,10 @@ def test_primal_fixed_point_against_grid(variant, n, d):
         learner, bundle, J, fixed = primal_case(rng, variant, n, d, S, case >= 4)
         a_dual, cum = learner.pending
         flags = []
-        x, lam, _, vt, _, _ = learner._primal(bundle, flags)
+        x, lam, _, vt, _ = learner._primal(bundle, flags)
         assert flags == []
-        assert np.array_equal(vt, bundle.predicted_value_fn(x))
+        W, u = bundle.constraint_affine
+        assert np.array_equal(vt, W @ x + u)
         assert np.array_equal(lam, positive_part(a_dual * (cum + vt)))
         active += bool(np.any(lam > 0.0))
 
@@ -331,6 +323,38 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
             interior += bool(-1.0 < rec.x[0] < 1.0 and rec.lam[0] > 0.0)
     assert interior > 50
     assert len(calls) <= 2 * 200
+
+
+@pytest.mark.parametrize("variant", ("llp", "llp2", "llp_linearized"))
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 3)])
+def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
+    """An exact quadratic cost forecast folds into the prox instead of being iterated.
+
+    `perfect_gradients` gives the value forecast outright, so every solve is
+    one projection.  `perfect` defers it, and a solve iterates only when it
+    carries the fixed-point penalty term (n >= 2 with the multiplier on).
+    """
+    calls = []
+    real_minimize = learners.minimize
+
+    def counted(obj, settings, **kw):
+        res = real_minimize(obj, settings, **kw)
+        calls[-1].append((bool(obj.constraint_terms), res.iterations))
+        return res
+
+    monkeypatch.setattr(learners, "minimize", counted)
+    for kind in ("perfect_gradients", "perfect"):
+        calls.append([])
+        sc = make_scenario("random_quadratic", horizon=200, dimension=n, constraints=d, seed=3)
+        learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, n, d)
+        run_rounds(learner, sc, kind, 200)
+        assert learner.warning_count == 0
+    gradients, perfect = calls
+    assert len(gradients) >= 200 and len(perfect) >= 200
+    assert all(iterations == 0 for _, iterations in gradients)
+    assert all(penalty for penalty, iterations in perfect if iterations > 0)
+    if n == 1:
+        assert all(iterations == 0 for _, iterations in perfect)
 
 
 def test_llp_perturbed_requires_base_constraint():

@@ -30,15 +30,16 @@ def test_none_predictor_is_all_zero():
     b = p.bundle_for(draw_rounds(sc, 5)[-1])
     assert np.array_equal(b.cost_gradient, [0.0])
     assert np.array_equal(b.predicted_value, [0.0])
-    vals, jac = b.constraint(np.array([0.7]))
-    assert np.array_equal(vals, [0.0]) and np.array_equal(jac, [[0.0]])
+    W, u = b.constraint_affine
+    assert np.array_equal(W, [[0.0]]) and np.array_equal(u, [0.0])
 
 
 def test_zero_bundle_shapes():
     b = zero_bundle(3, 2)
     assert b.cost_gradient.shape == (3,)
     assert b.predicted_value.shape == (2,)
-    assert b.predicted_jacobian.shape == (2, 3)
+    assert b.constraint_affine[0].shape == (2, 3)
+    assert b.constraint_affine[1].shape == (2,)
 
 
 def test_perfect_forecast_on_alternating_even_round():
@@ -48,9 +49,9 @@ def test_perfect_forecast_on_alternating_even_round():
     assert np.array_equal(b.cost_gradient, [-4.0])
     W, u = b.constraint_affine
     assert W[0, 0] == 0.79 and u[0] == 0.26
-    # deferred constraint value forecast evaluates the true oracle
+    # the deferred constraint value forecast is the true g at the played point
     assert b.predicted_value is None
-    assert b.predicted_value_fn(np.array([0.5]))[0] == pytest.approx(0.655)
+    assert (W @ np.array([0.5]) + u)[0] == pytest.approx(0.655)
 
 
 def test_unknown_predictor_kind_rejected():
@@ -95,9 +96,9 @@ def test_a4_error_clipping(kind, level, scenario_kind):
         assert np.linalg.norm(c_tilde) <= b.L_f + 1e-9
         assert np.linalg.norm(c_true - c_tilde) <= b.E_m + 1e-9
         jac_true = truth.constraint(x)[1]
-        jac_pred = bundle.jacobian_at(x)
-        assert np.linalg.norm(jac_true - jac_pred) <= b.Delta_m + 1e-9
-        vals = bundle.constraint(x)[0]
+        W, u = bundle.constraint_affine
+        assert np.linalg.norm(jac_true - W) <= b.Delta_m + 1e-9
+        vals = W @ x + u
         assert np.linalg.norm(vals) <= b.G + 1e-9
 
 
@@ -121,7 +122,8 @@ def test_noisy_predictor_deterministic_per_seed():
         ba, bb = pa.bundle_for(truth), pb.bundle_for(truth)
         assert np.array_equal(ba.cost_gradient, bb.cost_gradient)
         x = np.array([0.3, -0.4])
-        assert np.array_equal(ba.constraint(x)[0], bb.constraint(x)[0])
+        (Wa, ua), (Wb, ub) = ba.constraint_affine, bb.constraint_affine
+        assert np.array_equal(Wa @ x + ua, Wb @ x + ub)
 
 
 def test_perfect_gradients_predicts_zero_value():

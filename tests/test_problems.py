@@ -214,7 +214,14 @@ def test_subgradient_inequality(sc, rounds):
 
 @pytest.mark.parametrize("sc, rounds", scenario_instances())
 def test_bound_consistency(sc, rounds):
-    """Sampled |f|, ||g||, ||grad f|| stay within the declared constants."""
+    """Sampled |f|, ||g||, ||grad f|| stay within the declared constants.
+
+    Every round also carries the closed forms that the forecasts and the
+    comparator read: an affine constraint, and an affine or a quadratic cost.
+    """
+    for oracle in rounds:
+        assert oracle.constraint_affine is not None
+        assert (oracle.cost_affine is None) != (oracle.cost_quadratic is None)
     rng = np.random.default_rng(99)
     b = sc.bounds
     for _ in range(1000):

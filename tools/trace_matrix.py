@@ -1,0 +1,197 @@
+"""Write, or compare, the traces and summaries of a fixed matrix of runs.
+
+    python tools/trace_matrix.py OUT_DIR [--src SRC_DIR]
+    python tools/trace_matrix.py --compare A_DIR B_DIR
+
+The first form plays every cell of the matrix with the `lazyoco` package
+under SRC_DIR (default: the `src/` next to this script) and writes, per
+cell, `<cell>.csv` and `<cell>.csv.summary.json`, or `<cell>.error` with
+the message of the ConfigurationError or exception that stopped it.  To
+check a change for byte-identity, run it once per checkout (pointing
+--src at each tree, or copying this script into the older one) and
+compare the two directories.
+
+The second form lists the files that differ between the two directories
+and, for every differing trace, the largest absolute and relative change
+per column; for a differing summary, the keys whose values changed.
+It exits 1 when anything differs.
+
+The matrix:
+- 5 variants x 5 predictors x 5 scenario kinds x 2 settings: T = 400,
+  beta 0.5, a row every round; T = 173, beta 0, a row every 7th round.
+  Scenario seed 3, `random_quadratic` at n = 3, d = 2, predictor level
+  0.3 and seed 4, sigma = a = 1.  `llp_perturbed` off
+  `perturbed_linear` is refused at parse.
+- the three `bench/` workloads at their bench horizons, `quadratic_noisy`
+  for instances 0-7;
+- the two configs that acceptance criterion 11 re-runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+
+VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed", "greedy_baseline")
+PREDICTORS = ("none", "perfect", "perfect_gradients", "noisy", "adversarial")
+KINDS = ("alternating_linear", "stochastic_constraint", "impossibility_adversary",
+         "perturbed_linear", "random_quadratic")
+# (horizon, beta, record_every)
+SETTINGS = ((400, 0.5, 1), (173, 0.0, 7))
+
+
+def cells() -> dict[str, dict]:
+    """Cell name -> run config document (without the output path)."""
+    out = {}
+    for kind in KINDS:
+        shape = {"dimension": 3, "constraints": 2} if kind == "random_quadratic" else {}
+        for variant in VARIANTS:
+            for predictor in PREDICTORS:
+                for horizon, beta, every in SETTINGS:
+                    out[f"{kind}__{variant}__{predictor}__T{horizon}"] = {
+                        "scenario": {"kind": kind, "horizon": horizon, "seed": 3, **shape},
+                        "learner": {"variant": variant, "sigma": 1.0, "a": 1.0,
+                                    "beta": beta},
+                        "predictor": {"kind": predictor, "level": 0.3, "seed": 4},
+                        "output": {"record_every": every},
+                    }
+
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    from workloads import WORKLOADS, run_config
+
+    for name, count in (("scalar_none", 1), ("scalar_perfect", 1), ("quadratic_noisy", 8)):
+        w = WORKLOADS[name]
+        for inst in range(count):
+            doc = run_config(w, inst, w.horizon, "")
+            del doc["output"]["path"]
+            out[f"bench_{name}_{inst}"] = doc
+
+    out["criterion11_quadratic"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 800,
+                     "dimension": 2, "constraints": 2, "seed": 5},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "noisy", "level": 0.5, "seed": 6},
+    }
+    out["criterion11_perturbed"] = {
+        "scenario": {"kind": "perturbed_linear", "horizon": 500, "seed": 2},
+        "learner": {"variant": "llp_perturbed", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+    }
+    return out
+
+
+def write_matrix(out_dir: str, src: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from lazyoco import runner
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, doc in cells().items():
+        path = os.path.join(out_dir, name + ".csv")
+        doc = dict(doc, output={**doc.get("output", {}), "path": path})
+        try:
+            runner.write_trace(runner.execute_run(runner.parse_run_config(doc)))
+        except Exception as exc:  # noqa: BLE001 - the failure is the cell's output
+            with open(os.path.join(out_dir, name + ".error"), "w", encoding="utf-8") as fh:
+                fh.write(f"{type(exc).__name__}: {exc}\n")
+
+
+def _read_trace(path: str) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _trace_changes(a: str, b: str) -> dict[str, tuple[float, float]]:
+    """Column -> (largest absolute, largest relative change) over the rows."""
+    cols_a, rows_a = _read_trace(a)
+    cols_b, rows_b = _read_trace(b)
+    if cols_a != cols_b or len(rows_a) != len(rows_b):
+        return {"<shape>": (math.inf, math.inf)}
+    out: dict[str, tuple[float, float]] = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for col, va, vb in zip(cols_a, row_a, row_b):
+            if va == vb:
+                continue
+            fa, fb = _number(va), _number(vb)
+            if fa is None or fb is None:
+                dabs = drel = math.inf
+            else:
+                dabs = abs(fa - fb)
+                scale = max(abs(fa), abs(fb))
+                drel = dabs / scale if scale > 0.0 else 0.0
+            old = out.get(col, (0.0, 0.0))
+            out[col] = (max(old[0], dabs), max(old[1], drel))
+    return out
+
+
+def _summary_changes(a: str, b: str) -> list[str]:
+    with open(a, encoding="utf-8") as fh:
+        sa = json.load(fh)
+    with open(b, encoding="utf-8") as fh:
+        sb = json.load(fh)
+    return sorted(k for k in set(sa) | set(sb) if sa.get(k) != sb.get(k))
+
+
+def compare(a_dir: str, b_dir: str) -> int:
+    names_a, names_b = set(os.listdir(a_dir)), set(os.listdir(b_dir))
+    differ = 0
+    for name in sorted(names_a ^ names_b):
+        side = a_dir if name in names_a else b_dir
+        print(f"only in {side}: {name}")
+        differ += 1
+    columns: dict[str, tuple[float, float]] = {}
+    identical = 0
+    for name in sorted(names_a & names_b):
+        pa, pb = os.path.join(a_dir, name), os.path.join(b_dir, name)
+        with open(pa, "rb") as fa, open(pb, "rb") as fb:
+            if fa.read() == fb.read():
+                identical += 1
+                continue
+        differ += 1
+        if name.endswith(".summary.json"):
+            print(f"differs: {name}: keys {', '.join(_summary_changes(pa, pb))}")
+        elif name.endswith(".csv"):
+            changes = _trace_changes(pa, pb)
+            print(f"differs: {name}: columns {', '.join(changes)}")
+            for col, (dabs, drel) in changes.items():
+                old = columns.get(col, (0.0, 0.0))
+                columns[col] = (max(old[0], dabs), max(old[1], drel))
+        else:
+            print(f"differs: {name}")
+    print(f"{differ} files differ, {identical} identical")
+    for col, (dabs, drel) in columns.items():
+        print(f"  {col}: largest change {dabs:.3g} absolute, {drel:.3g} relative")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", help="directory to write the matrix into")
+    parser.add_argument("--src", default=os.path.join(REPO, "src"),
+                        help="source tree whose lazyoco package plays the runs")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two written matrices instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out_dir:
+        parser.error("give OUT_DIR or --compare A B")
+    write_matrix(args.out_dir, args.src)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
