@@ -22,12 +22,12 @@ next round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sets import Box, ConfigurationError, make_set
+from .sets import Box, ConfigurationError
 
 __all__ = [
     "ProblemBounds",

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -64,6 +65,13 @@ class TraceRow(NamedTuple):
 
 
 TRACE_COLUMNS = TraceRow._fields
+# columns of RunResult.table, which holds every TRACE_COLUMNS column but flags
+_T, _COST, _REGRET, _VIOLATION = (TRACE_COLUMNS.index(c)
+                                  for c in ("t", "cum_cost", "regret", "violation_norm"))
+# one CSV line: t as an integer, each float formatted with ".17g"
+_CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
+# rows formatted per write, so no payload holds the whole trace
+_CSV_BLOCK = 256
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
@@ -307,11 +315,25 @@ def _as_int(v, name: str) -> int:
 
 @dataclass
 class RunResult:
+    """A finished run.
+
+    `table` is an (n_rows, 12) float64 array with one row per recorded
+    round: t and the eleven numeric trace columns, in `TRACE_COLUMNS`
+    order.  `flags` holds each row's last column.  `rows` builds the
+    `TraceRow`s from the two on first use.
+    """
+
     config: RunConfig
-    rows: list[TraceRow]
+    table: np.ndarray
+    flags: list[str]
     summary: dict
     benchmark: analysis.BenchmarkResult | None
     totals: LearnerTotals
+
+    @cached_property
+    def rows(self) -> list[TraceRow]:
+        return [TraceRow(int(v[0]), *v[1:], fl)
+                for v, fl in zip(self.table.tolist(), self.flags)]
 
 
 def _sanitize(v):
@@ -373,11 +395,13 @@ def execute_run(config: RunConfig) -> RunResult:
     # as the block end is emitted
     block_ends = getattr(scenario, "block_ends", None)
 
-    rows: list[TraceRow] = []  # regret is filled in once the comparator is known
     flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
+    n_rows = (T + record_every - 1) // record_every
+    table = np.empty((n_rows, len(TRACE_COLUMNS) - 1))  # regret is filled in at the end
+    flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
-    cost_sums = np.empty(((T + record_every - 1) // record_every, fold.cost_sums_size))
+    cost_sums = np.empty((n_rows, fold.cost_sums_size))
     for truth, rec in play_rounds(scenario, predictor, learner, T):
         fold.add(truth)
         if block_ends and block_ends[-1] == rec.t:
@@ -386,21 +410,19 @@ def execute_run(config: RunConfig) -> RunResult:
             flag_counts[fl] = flag_counts.get(fl, 0) + 1
         if rec.t % record_every == 0 or rec.t == T:  # the last round's totals feed the summary
             totals = learner.stats()
-            fold.copy_cost_sums(cost_sums[len(rows)])
-            rows.append(TraceRow(
-                rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
-                norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
-                rec.xi_t, totals.bound_running, max(rec.solver_residuals),
-                ";".join(rec.flags),
-            ))
+            i = len(flags)
+            fold.copy_cost_sums(cost_sums[i])
+            table[i] = (rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
+                        norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
+                        rec.xi_t, totals.bound_running, max(rec.solver_residuals))
+            flags.append(";".join(rec.flags))
 
     benchmark = analysis.compute_benchmark(fold)
     regret = math.nan
     if benchmark.feasible:
-        comparator = analysis.benchmark_round_costs(cost_sums, benchmark.x_star)
-        for i, (row, c) in enumerate(zip(rows, comparator)):
-            rows[i] = row._replace(regret=row.cum_cost - float(c))
-        regret = rows[-1].regret
+        table[:, _REGRET] = table[:, _COST] - analysis.benchmark_round_costs(
+            cost_sums, benchmark.x_star)
+        regret = float(table[-1, _REGRET])
 
     report = None
     variant = config.learner.variant
@@ -453,22 +475,14 @@ def execute_run(config: RunConfig) -> RunResult:
         "flag_counts": flag_counts,
         "block_ends": [] if block_ends is None else list(block_ends),
         "record_every": record_every,
-        "rows_written": len(rows),
+        "rows_written": n_rows,
     }
     summary = _sanitize(summary)
-    return RunResult(config=config, rows=rows, summary=summary, benchmark=benchmark,
-                     totals=totals)
+    return RunResult(config=config, table=table, flags=flags, summary=summary,
+                     benchmark=benchmark, totals=totals)
 
 
 # -- persistence -----------------------------------------------------------------
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def write_trace(result: RunResult, path: str | None = None, fmt: str | None = None) -> str:
@@ -477,12 +491,13 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
         raise ConfigurationError("no output path configured for the trace")
     fmt = fmt if fmt is not None else result.config.output.format
     if fmt == "csv":
-        lines = [",".join(TRACE_COLUMNS)]
-        for row in result.rows:
-            lines.append(",".join(map(_fmt, row)))
-        payload = "\n".join(lines) + "\n"
+        table, flags = result.table, result.flags
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            for a in range(0, len(flags), _CSV_BLOCK):
+                b = a + _CSV_BLOCK
+                fh.write("".join([_CSV_ROW % (*v, fl)
+                                  for v, fl in zip(table[a:b].tolist(), flags[a:b])]))
     else:
         doc = {"columns": list(TRACE_COLUMNS),
                "rows": [_sanitize(list(row)) for row in result.rows]}
@@ -497,9 +512,11 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
 
 def write_plot(result: RunResult, path: str) -> str:
     """Standalone SVG line chart: average regret and total violation vs t."""
-    ts = [row.t for row in result.rows]
-    reg = [row.regret / row.t if math.isfinite(row.regret) else None for row in result.rows]
-    vio = [row.violation_norm for row in result.rows]
+    table = result.table
+    ts = table[:, _T].tolist()
+    reg = [v if math.isfinite(v) else None
+           for v in (table[:, _REGRET] / table[:, _T]).tolist()]
+    vio = table[:, _VIOLATION].tolist()
     width, height, pad = 800, 420, 56
     series = [("avg regret", reg, "#c0392b"), ("violation", vio, "#2c6fbb")]
     vals = [v for _, ys, _ in series for v in ys if v is not None]
@@ -529,13 +546,13 @@ def write_plot(result: RunResult, path: str) -> str:
         f'<text x="{width / 2:.1f}" y="{height - 14}" font-size="13" '
         'text-anchor="middle" font-family="sans-serif">t</text>',
         f'<text x="{pad}" y="{pad - 8}" font-size="13" font-family="sans-serif">'
-        f'{_fmt(vmax)}</text>',
+        f'{vmax:.17g}</text>',
         f'<text x="{pad}" y="{height - pad + 16}" font-size="11" '
-        f'font-family="sans-serif">{_fmt(tmin)}</text>',
+        f'font-family="sans-serif">{tmin:.17g}</text>',
         f'<text x="{width - pad}" y="{height - pad + 16}" font-size="11" '
-        f'text-anchor="end" font-family="sans-serif">{_fmt(tmax)}</text>',
+        f'text-anchor="end" font-family="sans-serif">{tmax:.17g}</text>',
         f'<text x="{pad - 4}" y="{height - pad}" font-size="11" text-anchor="end" '
-        f'font-family="sans-serif">{_fmt(vmin)}</text>',
+        f'font-family="sans-serif">{vmin:.17g}</text>',
     ]
     for idx, (label, ys, color) in enumerate(series):
         pts = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts, ys) if v is not None]
@@ -697,36 +714,32 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
         labels.append(label)
 
     T = first.horizon
-    runs: list[list[TraceRow]] = []
+    columns: list[np.ndarray] = []  # per config: average regret, then violation
     terminal: dict[str, dict] = {}
     for cfg, label in zip(configs, labels):
         # every round is compared, whatever the config's own record_every
-        rows = execute_run(replace(cfg, output=replace(cfg.output, record_every=1))).rows
-        runs.append(rows)
-        last = rows[-1]
+        table = execute_run(replace(cfg, output=replace(cfg.output, record_every=1))).table
+        columns += [table[:, _REGRET] / table[:, _T], table[:, _VIOLATION]]
+        regret, violation = float(table[-1, _REGRET]), float(table[-1, _VIOLATION])
         terminal[label] = {
-            "avg_regret": _sanitize(last.regret / T),
-            "violation": last.violation_norm,
-            "avg_violation": last.violation_norm / T,
+            "avg_regret": _sanitize(regret / T),
+            "violation": violation,
+            "avg_violation": violation / T,
         }
 
     header = ["t"]
     for label in labels:
         header.append(f"avg_regret_{label}")
         header.append(f"violation_{label}")
-    lines = [",".join(header)]
-    for i in range(T):
-        cells = [str(i + 1)]
-        for rows in runs:
-            cells.append(_fmt(rows[i].regret / rows[i].t))
-            cells.append(_fmt(rows[i].violation_norm))
-        lines.append(",".join(cells))
     out = output_path
     if out is None and first.output.path:
         out = first.output.path + ".compare.csv"
     if out:
+        line = "%d" + ",%.17g" * len(columns) + "\n"
+        rows = zip(range(1, T + 1), *(c.tolist() for c in columns))
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n")
+            fh.write("".join([line % row for row in rows]))
     return {"labels": labels, "terminal": terminal, "path": out,
             "scenario": first.scenario_kind, "horizon": T}
 

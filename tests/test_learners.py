@@ -5,11 +5,10 @@ import pytest
 
 from lazyoco import learners
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
-from lazyoco.predictors import PredictionBundle, make_predictor, zero_bundle
+from lazyoco.predictors import PredictionBundle, make_predictor
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
 from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError, positive_part
-from lazyoco.solver import SolverSettings
 
 from helpers import grid_min_1d, refine_min_box_vec, saddle_point_grid
 

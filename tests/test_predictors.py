@@ -9,7 +9,7 @@ from lazyoco.predictors import (
 )
 from lazyoco.problems import make_scenario
 from lazyoco.runner import play_rounds
-from lazyoco.sets import Box, ConfigurationError
+from lazyoco.sets import ConfigurationError
 
 from helpers import draw_rounds
 

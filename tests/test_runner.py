@@ -107,14 +107,27 @@ def test_csv_trace_format(tmp_path):
 
 
 def test_json_trace_format(tmp_path):
-    path = str(tmp_path / "trace.json")
-    doc = base_doc(output={"path": path, "format": "json"})
-    doc["scenario"]["horizon"] = 4
+    """The JSON trace holds the CSV trace's rows, cell for cell."""
+    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 10, "dimension": 2,
+                             "constraints": 2, "seed": 4},
+                   predictor={"kind": "noisy", "level": 0.5, "seed": 3},
+                   output={"path": str(tmp_path / "trace.json"), "format": "json",
+                           "record_every": 3})
     result = runner.execute_run(runner.parse_run_config(doc))
     runner.write_trace(result)
-    loaded = json.load(open(path, encoding="utf-8"))
-    assert loaded["columns"] == list(runner.TRACE_COLUMNS)
-    assert len(loaded["rows"]) == 4
+    runner.write_trace(result, str(tmp_path / "trace.csv"), "csv")
+    loaded = json.load(open(tmp_path / "trace.json", encoding="utf-8"))
+    lines = open(tmp_path / "trace.csv", encoding="utf-8").read().splitlines()
+    assert loaded["columns"] == list(runner.TRACE_COLUMNS) == lines[0].split(",")
+    assert [row[0] for row in loaded["rows"]] == [3, 6, 9, 10]  # subsampled, last round kept
+    assert len(lines) == 1 + len(loaded["rows"])
+    for row, line in zip(loaded["rows"], lines[1:]):
+        cells = line.split(",")
+        assert len(row) == len(cells) == 13
+        assert type(row[0]) is int and str(row[0]) == cells[0]
+        for value, cell in zip(row[1:12], cells[1:12]):
+            assert type(value) is float and value == float(cell)
+        assert type(row[12]) is str and row[12] == cells[12]
 
 
 def test_trace_bytes_deterministic(tmp_path):
@@ -151,6 +164,29 @@ def test_run_memory_grows_only_with_the_comparator_rows():
 
     short, long = peak(2000), peak(8000)
     assert (long - short) / 6000 < 1024
+
+
+def test_recorded_rows_cost_under_256_bytes_each(tmp_path):
+    """Peak allocation of a run and its CSV grows by under 256 B per recorded row.
+
+    A row's twelve numbers take 96 B in the run's float table; a row held as
+    Python objects, or a CSV payload built as one string, costs several
+    times that.
+    """
+    def peak(horizon):
+        cfg = runner.parse_run_config(base_doc(
+            scenario={"kind": "alternating_linear", "horizon": horizon, "seed": 0},
+            output={"path": str(tmp_path / f"trace{horizon}.csv"), "record_every": 1}))
+        tracemalloc.start()
+        try:
+            runner.write_trace(runner.execute_run(cfg))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # the first run in a process also pays one-time allocations
+    short, long = peak(2000), peak(8000)
+    assert (long - short) / 6000 < 256
 
 
 def test_record_every_subsampling():

@@ -5,11 +5,11 @@
 
 The first form plays every cell of the matrix with the `lazyoco` package
 under SRC_DIR (default: the `src/` next to this script) and writes, per
-cell, `<cell>.csv` and `<cell>.csv.summary.json`, or `<cell>.error` with
-the message of the ConfigurationError or exception that stopped it.  To
-check a change for byte-identity, run it once per checkout (pointing
---src at each tree, or copying this script into the older one) and
-compare the two directories.
+cell, its trace `<cell>.csv` (`<cell>.json` for a JSON cell) and the
+trace's `.summary.json`, or `<cell>.error` with the message of the
+ConfigurationError or exception that stopped it.  To check a change for
+byte-identity, run it once per checkout (pointing --src at each tree, or
+copying this script into the older one) and compare the two directories.
 
 The second form lists the files that differ between the two directories
 and, for every differing trace, the largest absolute and relative change
@@ -24,7 +24,10 @@ The matrix:
   `perturbed_linear` is refused at parse.
 - the three `bench/` workloads at their bench horizons, `quadratic_noisy`
   for instances 0-7;
-- the two configs that acceptance criterion 11 re-runs.
+- the two configs that acceptance criterion 11 re-runs;
+- the T = 173 cells and the two criterion-11 configs again with
+  `output.format = "json"`, as `<cell>__json`, so both trace writers are
+  checked.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ def cells() -> dict[str, dict]:
         "scenario": {"kind": "perturbed_linear", "horizon": 500, "seed": 2},
         "learner": {"variant": "llp_perturbed", "sigma": 1.0, "a": 1.0, "beta": 0.5},
     }
+    for name in [n for n in out if n.endswith("__T173") or n.startswith("criterion11_")]:
+        doc = out[name]
+        out[name + "__json"] = dict(doc, output={**doc.get("output", {}), "format": "json"})
     return out
 
 
@@ -92,8 +98,9 @@ def write_matrix(out_dir: str, src: str) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     for name, doc in cells().items():
-        path = os.path.join(out_dir, name + ".csv")
-        doc = dict(doc, output={**doc.get("output", {}), "path": path})
+        output = doc.get("output", {})
+        path = os.path.join(out_dir, f"{name}.{output.get('format', 'csv')}")
+        doc = dict(doc, output={**output, "path": path})
         try:
             runner.write_trace(runner.execute_run(runner.parse_run_config(doc)))
         except Exception as exc:  # noqa: BLE001 - the failure is the cell's output
@@ -102,7 +109,11 @@ def write_matrix(out_dir: str, src: str) -> None:
 
 
 def _read_trace(path: str) -> tuple[list[str], list[list[str]]]:
+    """A trace's columns and its rows, each cell as text."""
     with open(path, newline="", encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            doc = json.load(fh)
+            return doc["columns"], [[json.dumps(v) for v in row] for row in doc["rows"]]
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
 
@@ -163,7 +174,7 @@ def compare(a_dir: str, b_dir: str) -> int:
         differ += 1
         if name.endswith(".summary.json"):
             print(f"differs: {name}: keys {', '.join(_summary_changes(pa, pb))}")
-        elif name.endswith(".csv"):
+        elif name.endswith((".csv", ".json")):
             changes = _trace_changes(pa, pb)
             print(f"differs: {name}: columns {', '.join(changes)}")
             for col, (dabs, drel) in changes.items():
