@@ -1,9 +1,10 @@
 """Online convex optimization with long-term constraints and untrusted predictions.
 
-The package splits into five layers: feasible sets (`sets`), environments
-(`problems`), forecast sources (`predictors`), the inner minimization
-(`solver`), the learners themselves (`learners`), and offline evaluation
-(`analysis`).  `runner` and `cli` wire them into reproducible experiments.
+The package splits into six layers: the box feasible set (`sets`), rounds
+in closed form and the scenarios that emit them (`problems`), forecast
+sources (`predictors`), the inner minimization (`solver`), the learners
+themselves (`learners`), and offline evaluation (`analysis`).  `runner`
+and `cli` wire them into reproducible experiments.
 """
 
 from .analysis import (
@@ -40,14 +41,14 @@ from .runner import (
     sweep,
     write_trace,
 )
-from .sets import Ball, Box, ConfigurationError, Simplex, make_set, positive_part
+from .sets import Box, ConfigurationError, positive_part
 from .solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Ball", "Box", "Simplex", "make_set", "positive_part", "ConfigurationError",
+    "Box", "positive_part", "ConfigurationError",
     "ProblemBounds", "RoundOracle", "SCENARIO_KINDS", "make_scenario",
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",

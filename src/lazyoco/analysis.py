@@ -3,8 +3,9 @@
 The benchmark routines fold the rounds of a run, as it plays them, into
 closed forms and minimize the total cost over one of two comparator sets:
 the per-round-feasible set (every g_t(x) <= 0) or the aggregate-feasible
-set (sum_t g_t(x) <= 0).  Rounds must have affine constraints and affine
-or shifted-quadratic costs, and the minimizer is exact.  In one dimension
+set (sum_t g_t(x) <= 0) within the box domain.  Every round has an affine
+constraint and an affine or shifted-quadratic cost (`problems.RoundOracle`
+admits nothing else), and the minimizer is exact.  In one dimension
 it is a clipped stationary point or an interval end.  In more dimensions
 the total cost is qw/2 ||x - p||^2 plus a constant, so the comparator is
 the projection of p onto the box cut by the accumulated rows, solved by a
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sets import Box, ConfigurationError
+from .sets import ConfigurationError
 
 __all__ = [
     "BENCHMARK_KINDS",
@@ -85,15 +86,13 @@ class _CostAccumulator:
     def add(self, oracle) -> None:
         if oracle.cost_affine is not None:
             c, b = oracle.cost_affine
-            self.lin = self.lin + np.asarray(c, dtype=float)
-            self.const += float(b)
+            self.lin = self.lin + c
+            self.const += b
         else:
             w, u, b = oracle.cost_quadratic
-            w = float(w)
-            u = np.asarray(u, dtype=float)
             self.qw += w
             self.ql = self.ql + w * u
-            self.const += 0.5 * w * float(u @ u) + float(b)
+            self.const += 0.5 * w * float(u @ u) + b
 
     def value(self, x: np.ndarray) -> float:
         return _cost_value(self.lin, self.const, self.qw, self.ql, x)
@@ -118,8 +117,7 @@ class _ConstraintAccumulator:
         self.usum = None
 
     def add(self, oracle) -> None:
-        W = np.asarray(oracle.constraint_affine[0], dtype=float)
-        u = np.asarray(oracle.constraint_affine[1], dtype=float)
+        W, u = oracle.constraint_affine
         if self.kind == "X_T_max":
             if self.Wsum is None:
                 self.Wsum = W.copy()
@@ -161,9 +159,7 @@ def _interval_1d(cons: _ConstraintAccumulator, lo: float, hi: float) -> tuple[fl
 
 def _solve_exact_1d(cost: _CostAccumulator, cons: _ConstraintAccumulator,
                     domain) -> tuple[np.ndarray | None, float, bool]:
-    # a one-dimensional set is the interval between its linear minimizers
-    lo, hi = _interval_1d(cons, float(domain.argmin_linear(np.ones(1))[0]),
-                          float(domain.argmin_linear(-np.ones(1))[0]))
+    lo, hi = _interval_1d(cons, float(domain.lower[0]), float(domain.upper[0]))
     if lo > hi:
         return None, math.nan, False
     slope = float(cost.lin[0] - cost.ql[0])
@@ -251,9 +247,6 @@ class ComparatorFold:
         if kind not in BENCHMARK_KINDS:
             raise ConfigurationError(f"unknown benchmark kind {kind!r}")
         n = domain.dimension
-        if n >= 2 and not isinstance(domain, Box):
-            raise ConfigurationError(
-                f"the comparator for n >= 2 needs a box domain, got {type(domain).__name__}")
         self.domain = domain
         self.kind = kind
         self.t = 0
@@ -263,15 +256,9 @@ class ComparatorFold:
         self.cost_sums_size = 2 * n + 2
 
     def add(self, oracle) -> None:
-        t = self.t + 1
-        if oracle.cost_affine is None and oracle.cost_quadratic is None:
-            raise ConfigurationError(f"round {t}: the comparator needs an affine or "
-                                     "shifted-quadratic cost")
-        if oracle.constraint_affine is None:
-            raise ConfigurationError(f"round {t}: the comparator needs an affine constraint")
         self.cost.add(oracle)
         self.cons.add(oracle)
-        self.t = t
+        self.t += 1
 
     def copy_cost_sums(self, out: np.ndarray) -> None:
         """Write the cost sums lin, const, qw, ql into out, of length 2n + 2."""
@@ -442,9 +429,6 @@ class ExponentFit:
     intercept: float
     r_squared: float
     dropped: int = 0
-
-    def __iter__(self):
-        return iter((self.exponent, self.intercept, self.r_squared))
 
 
 def fit_growth_exponent(samples, tail_fraction: float = 1.0) -> ExponentFit:

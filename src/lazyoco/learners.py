@@ -15,11 +15,13 @@ accumulated weight.  The dual step only fixes the step size: afterwards
 multiplier lam = [a_t (sum g(z) + v~)]_+ from `pending` and that round's
 forecast value v~.
 
-Everything affine is folded into constant-size vectors, so runs over
-linear scenarios cost O(1) per round regardless of horizon.  Nonlinear
-constraint rounds with an active multiplier are kept as (multiplier,
-oracle) pairs and replayed inside the inner solver; that path grows
-linearly in t and is intended for desk-scale horizons.
+Every round is in closed form (see `problems`): its constraint is
+W x + u, so the round's Lagrangian part W^T lam folds into one linear
+vector, and the aggregate the learner carries stays a constant-size
+prox plus linear term whatever the horizon.  The constraint value at the
+played point, W x + u, is what every variant observes; `llp_linearized`
+differs from `llp` only in taking the prescient point's value from the
+linearization at x, g(x) + W (z - x).
 
 Forecasts arrive in closed form (see `predictors`).  A quadratic cost
 forecast (w, u) folds into the prox: S/2 ||x - b/S||^2 + w/2 ||x - u||^2
@@ -100,7 +102,7 @@ class RoundRecord:
     xi_t: float
     sigma_t: float
     a_t: float
-    solver_residuals: tuple[float, float]
+    solver_residual: float
     flags: tuple[str, ...]
 
 
@@ -155,11 +157,9 @@ class LlpLearner:
                                 np.asarray(base_affine[1], dtype=float))
 
         x0 = _start_point(config, domain, self.n)
-        # a one-dimensional set is the interval between its linear minimizers
         self._interval = None
         if self.n == 1:
-            self._interval = (float(domain.argmin_linear(np.ones(1))[0]),
-                              float(domain.argmin_linear(-np.ones(1))[0]))
+            self._interval = (float(domain.lower[0]), float(domain.upper[0]))
 
         b = config.bounds
         self.t = 0
@@ -170,7 +170,6 @@ class LlpLearner:
         # folded aggregate state
         self.ccum = np.zeros(self.n)
         self.lag_lin = np.zeros(self.n)
-        self.lag_terms: list = []
         self.lam_sum = np.zeros(self.d)
         self.prox_S = 0.0
         self.prox_b = np.zeros(self.n)
@@ -210,20 +209,17 @@ class LlpLearner:
         x, lam, ct_used, vt, res_primal = self._primal(bundle, flags)
 
         f_val, c_t = truth.cost(x)
-        f_val = float(f_val)
-        c_t = np.asarray(c_t, dtype=float)
-        gvals, jac_x = truth.constraint(x)
-        gvals = np.asarray(gvals, dtype=float)
-        jac_x = np.asarray(jac_x, dtype=float)
+        W, u = truth.constraint_affine
+        gvals = W @ x + u
 
         eps = c_t - ct_used
-        h = self._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
+        h = self._mismatch_norm(eps, W, bundle.constraint_affine[0], lam)
 
         sigma_t = 0.0
         if self.variant != "llp2":
             sigma_t = self._advance_regularizer(h, x)
 
-        z, gz, res_presc, fold = self._prescient(truth, x, c_t, gvals, jac_x, lam, flags)
+        z, gz, fold = self._prescient(truth, x, c_t, gvals, lam)
 
         dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
@@ -248,7 +244,7 @@ class LlpLearner:
             t=t, x=x, z=z, lam=lam, f_value=f_val,
             g_values=gvals, epsilon_norm=norm(eps),
             h_t=h, xi_t=xi, sigma_t=sigma_t, a_t=a_t,
-            solver_residuals=(res_primal, res_presc), flags=tuple(flags),
+            solver_residual=res_primal, flags=tuple(flags),
         )
 
     # -- primal --------------------------------------------------------------
@@ -275,7 +271,7 @@ class LlpLearner:
             linear = linear + self.lag_lin
             if lam.any():
                 linear = linear + bundle.constraint_affine[0].T @ lam
-        return FtrlObjective(self.domain, S, center, linear, list(self.lag_terms))
+        return FtrlObjective(self.domain, S, center, linear)
 
     def _primal(self, bundle: PredictionBundle, flags: list[str]):
         """Resolve the round's multiplier/forecast pair and solve for x_t.
@@ -342,7 +338,7 @@ class LlpLearner:
         linear, and nondecreasing when every p_i f_i >= 0; its zero is found
         over the sorted breakpoints and clipped to the set.
         """
-        if self.n != 1 or obj.constraint_terms:
+        if self.n != 1:
             return None
         rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
                         (cum + bundle.constraint_affine[1]).tolist()))
@@ -374,10 +370,10 @@ class LlpLearner:
 
     # -- observation and regularizers ------------------------------------------
 
-    def _mismatch_norm(self, eps, jac_x, pred_jac, lam) -> float:
+    def _mismatch_norm(self, eps, W, pred_W, lam) -> float:
         if self.variant == "llp_perturbed":
             return norm(eps)
-        return norm(eps + (jac_x - pred_jac).T @ lam)
+        return norm(eps + (W - pred_W).T @ lam)
 
     def _advance_regularizer(self, h: float, x: np.ndarray) -> float:
         self.h_cum += h
@@ -403,34 +399,27 @@ class LlpLearner:
 
     # -- prescient -------------------------------------------------------------
 
-    def _prescient(self, truth, x, c_t, gvals, jac_x, lam, flags: list[str]):
-        """(z, g(z), residual, fold): the fold is the round's additions to the
-        folded state, computed here once and handed on to `_fold_round`."""
+    def _prescient(self, truth: RoundOracle, x, c_t, gvals, lam):
+        """(z, g(z), fold): the fold is the round's additions to the folded
+        state, computed here once and handed on to `_fold_round`."""
+        W = truth.constraint_affine[0]
         ccum = self.ccum + c_t
         linear = ccum
         folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
-        terms = list(self.lag_terms)
-        wsum = lin = term = None
-        v = self.variant
-        if v == "llp_perturbed":
+        wsum = lin = None
+        if self.variant == "llp_perturbed":
             wsum = self.lam_sum + lam
             lin = self.base_affine[0].T @ wsum
         else:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
             if lam.any():
-                if v == "llp_linearized":
-                    lin = jac_x.T @ lam
-                elif truth.constraint_affine is not None:
-                    lin = truth.constraint_affine[0].T @ lam
-                else:
-                    term = (lam, truth.constraint, None)
-                    terms.append(term)
+                lin = W.T @ lam
         if lin is not None:
             linear = linear + lin
             folded.append(lin)
-        fold = (ccum, wsum, lin, term)
-        if self.prox_S == 0.0 and not terms:
+        fold = (ccum, wsum, lin)
+        if self.prox_S == 0.0:
             # With no regularizer the aggregate is a bare linear functional, and
             # when the round's forecasts were exact x already satisfies its
             # first-order conditions; a slope at rounding scale relative to the
@@ -439,30 +428,22 @@ class LlpLearner:
             for part in folded:
                 mag += norm(part)
             if norm(linear) <= self.cfg.solver.tolerance * (1.0 + mag):
-                if v == "llp_linearized":
-                    return x, gvals, 0.0, fold
-                gz = np.asarray(truth.constraint_value(x), dtype=float)
-                return x, gz, 0.0, fold
-        obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear, terms)
-        res = minimize(obj, self.cfg.solver, fallback=x)
-        if not res.converged:
-            flags.append("prescient_solver")
-        z = res.x
-        if v == "llp_linearized":
-            gz = gvals + jac_x @ (z - x)
+                return x, gvals, fold
+        obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear)
+        z = minimize(obj, self.cfg.solver, fallback=x).x
+        if self.variant == "llp_linearized":
+            gz = gvals + W @ (z - x)
         else:
-            gz = np.asarray(truth.constraint_value(z), dtype=float)
-        return z, gz, res.residual, fold
+            gz = truth.constraint_value(z)
+        return z, gz, fold
 
-    def _fold_round(self, ccum, wsum, lin, term) -> None:
+    def _fold_round(self, ccum, wsum, lin) -> None:
         self.ccum = ccum
         if self.variant == "llp_perturbed":
             # the fixed row's fold W^T lam_sum is redone from lam_sum each round
             self.lam_sum = wsum
         elif lin is not None:
             self.lag_lin = self.lag_lin + lin
-        elif term is not None:
-            self.lag_terms.append(term)
 
     # -- dual --------------------------------------------------------------------
 
@@ -531,19 +512,17 @@ class GreedyLearner:
         x = self.x
         lam = self.lam
         f_val, c_t = truth.cost(x)
-        f_val = float(f_val)
-        gvals, jac_x = truth.constraint(x)
-        gvals = np.asarray(gvals, dtype=float)
+        W, u = truth.constraint_affine
+        gvals = W @ x + u
         eta = self.cfg.a / math.sqrt(t)
-        self.x = self.domain.project(x - eta * (np.asarray(c_t, dtype=float)
-                                                + np.asarray(jac_x, dtype=float).T @ lam))
+        self.x = self.domain.project(x - eta * (c_t + W.T @ lam))
         self.lam = positive_part(lam + eta * gvals)
         self.cum_cost += f_val
         self.cum_gx = self.cum_gx + gvals
         return RoundRecord(
             t=t, x=x, z=x, lam=lam, f_value=f_val,
             g_values=gvals, epsilon_norm=0.0, h_t=0.0, xi_t=0.0,
-            sigma_t=0.0, a_t=eta, solver_residuals=(0.0, 0.0), flags=(),
+            sigma_t=0.0, a_t=eta, solver_residual=0.0, flags=(),
         )
 
     def stats(self) -> LearnerTotals:

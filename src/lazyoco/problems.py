@@ -1,11 +1,11 @@
-"""Round oracles and scenario generators.
+"""Rounds in closed form and the scenario generators.
 
-A scenario emits one :class:`RoundOracle` per round t = 1, 2, ...  Each
-oracle evaluates the round's cost f_t (value and gradient) and the
-constraint map g_t (values and Jacobian).  Oracles additionally expose
-closed-form descriptors when the round functions are affine or shifted
-quadratics; the learners and the benchmark solver use those to keep
-per-round work constant.
+A scenario emits one :class:`RoundOracle` per round t = 1, 2, ...  Every
+round is an affine constraint g_t(x) = W x + u with an affine cost
+<c, x> + b or a shifted quadratic cost w/2 ||x - u||^2 + b: the class of
+problems whose offline comparator is solved exactly.  The oracle holds
+these descriptors and nothing else; its `cost` and `constraint` methods
+evaluate them.
 
 Rounds are drawn once, in order, and nothing is kept behind them:
 `round(t)` returns the current round when t names it and draws the next
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,27 +81,49 @@ class ProblemBounds:
 
 @dataclass
 class RoundOracle:
-    """One round's cost and constraint evaluators.
+    """One round in closed form; the constraint and exactly one cost are given.
 
-    cost(x) -> (f_t(x), grad f_t(x)); constraint(x) -> (g_t(x), Jacobian).
-    Descriptors, when present, give the same functions in closed form:
-
-    cost_affine       (c, b)   with f(x) = <c, x> + b
+    constraint_affine (W, u)    with g(x) = W x + u
+    cost_affine       (c, b)    with f(x) = <c, x> + b
     cost_quadratic    (w, u, b) with f(x) = w/2 ||x - u||^2 + b
-    constraint_affine (W, u)   with g(x) = W x + u
+
+    cost(x) -> (f(x), grad f(x)); constraint(x) -> (g(x), W).
     """
 
-    cost: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    constraint: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    constraint_affine: tuple[np.ndarray, np.ndarray]
     cost_affine: tuple[np.ndarray, float] | None = None
     cost_quadratic: tuple[float, np.ndarray, float] | None = None
-    constraint_affine: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.constraint_affine is None:
+            raise ConfigurationError("the comparator needs an affine constraint")
+        W, u = self.constraint_affine
+        self.constraint_affine = (np.asarray(W, dtype=float), np.asarray(u, dtype=float))
+        if (self.cost_affine is None) == (self.cost_quadratic is None):
+            raise ConfigurationError("the comparator needs an affine or shifted-quadratic "
+                                     "cost, given as exactly one descriptor")
+        if self.cost_affine is not None:
+            c, b = self.cost_affine
+            self.cost_affine = (np.asarray(c, dtype=float), float(b))
+        else:
+            w, c, b = self.cost_quadratic
+            self.cost_quadratic = (float(w), np.asarray(c, dtype=float), float(b))
+
+    def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        if self.cost_affine is not None:
+            c, b = self.cost_affine
+            return float(c @ x) + b, c
+        w, u, b = self.cost_quadratic
+        diff = x - u
+        return 0.5 * w * float(diff @ diff) + b, w * diff
+
+    def constraint(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        W, u = self.constraint_affine
+        return W @ x + u, W
 
     def constraint_value(self, x: np.ndarray) -> np.ndarray:
-        if self.constraint_affine is not None:
-            W, u = self.constraint_affine
-            return W @ x + u
-        return self.constraint(x)[0]
+        W, u = self.constraint_affine
+        return W @ x + u
 
 
 def finite_number(v) -> bool:
@@ -129,35 +150,8 @@ def _scenario_params(kind: str, params: dict | None, defaults: dict) -> dict:
     return {key: float(given.get(key, v)) for key, v in defaults.items()}
 
 
-def affine_cost_oracle(c, b=0.0):
-    c = np.asarray(c, dtype=float)
-
-    def cost(x):
-        return float(c @ x) + b, c
-
-    return cost
-
-
-def affine_constraint_oracle(W, u):
-    W = np.asarray(W, dtype=float)
-    u = np.asarray(u, dtype=float)
-
-    def constraint(x):
-        return W @ x + u, W
-
-    return constraint
-
-
 def affine_round(c, cb, W, u) -> RoundOracle:
-    c = np.asarray(c, dtype=float)
-    W = np.asarray(W, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return RoundOracle(
-        cost=affine_cost_oracle(c, cb),
-        constraint=affine_constraint_oracle(W, u),
-        cost_affine=(c, float(cb)),
-        constraint_affine=(W, u),
-    )
+    return RoundOracle(cost_affine=(c, cb), constraint_affine=(W, u))
 
 
 class _Scenario:
@@ -280,7 +274,6 @@ class ImpossibilityAdversary(_Scenario):
         self._mode = "I"
         self._block_start = 1
         self._j_left = 0
-        self.branch_log: list[str] = []
         self.block_ends: list[int] = []
 
     def _mean(self) -> float:
@@ -295,7 +288,6 @@ class ImpossibilityAdversary(_Scenario):
             self._mode = "J"
             self._j_left = (t - 1) - self._block_start + 1
         branch = "q" if self._mode == "I" else "p"
-        self.branch_log.append(branch)
         if self._mode == "J":
             self._j_left -= 1
             if self._j_left == 0:
@@ -421,17 +413,7 @@ class RandomQuadratic(_Scenario):
         norms = np.linalg.norm(A, axis=1, keepdims=True)
         A = A * (self.matrix_scale / np.maximum(norms, 1.0))
         b = self._rng.uniform(0.0, self.offset_scale, size=d)
-
-        def cost(x, u=u):
-            diff = x - u
-            return 0.5 * float(diff @ diff), diff
-
-        return RoundOracle(
-            cost=cost,
-            constraint=affine_constraint_oracle(A, -b),
-            cost_quadratic=(1.0, u, 0.0),
-            constraint_affine=(A, -b),
-        )
+        return RoundOracle(constraint_affine=(A, -b), cost_quadratic=(1.0, u, 0.0))
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):

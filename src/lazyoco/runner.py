@@ -71,7 +71,11 @@ _T, _COST, _REGRET, _VIOLATION = (TRACE_COLUMNS.index(c)
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
 # rows formatted per write, so no payload holds the whole trace
-_CSV_BLOCK = 256
+_BLOCK_ROWS = 256
+# the JSON trace up to its first row, as json.dump(..., sort_keys=True,
+# indent=1) writes it
+_JSON_HEAD = ('{\n "columns": ' + json.dumps(list(TRACE_COLUMNS), indent=1).replace("\n", "\n ")
+              + ',\n "rows": [')
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
@@ -414,7 +418,7 @@ def execute_run(config: RunConfig) -> RunResult:
             fold.copy_cost_sums(cost_sums[i])
             table[i] = (rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
                         norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
-                        rec.xi_t, totals.bound_running, max(rec.solver_residuals))
+                        rec.xi_t, totals.bound_running, rec.solver_residual)
             flags.append(";".join(rec.flags))
 
     benchmark = analysis.compute_benchmark(fold)
@@ -494,20 +498,33 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
         table, flags = result.table, result.flags
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for a in range(0, len(flags), _CSV_BLOCK):
-                b = a + _CSV_BLOCK
+            for a in range(0, len(flags), _BLOCK_ROWS):
+                b = a + _BLOCK_ROWS
                 fh.write("".join([_CSV_ROW % (*v, fl)
                                   for v, fl in zip(table[a:b].tolist(), flags[a:b])]))
     else:
-        doc = {"columns": list(TRACE_COLUMNS),
-               "rows": [_sanitize(list(row)) for row in result.rows]}
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
+        _write_json_trace(out, result.table, result.flags)
     with open(out + ".summary.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(result.summary, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
     return out
+
+
+def _write_json_trace(out: str, table: np.ndarray, flags: list[str]) -> None:
+    """The document json.dump(..., sort_keys=True, indent=1) would write for
+    {"columns": TRACE_COLUMNS, "rows": rows}, with non-finite floats as null,
+    written a block of rows at a time from the table."""
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_JSON_HEAD)
+        sep = "\n "
+        for a in range(0, len(flags), _BLOCK_ROWS):
+            b = a + _BLOCK_ROWS
+            rows = [[int(v[0])] + [x if math.isfinite(x) else None for x in v[1:]] + [fl]
+                    for v, fl in zip(table[a:b].tolist(), flags[a:b])]
+            # the block's list without its brackets, one level deeper
+            fh.write(sep + json.dumps(rows, indent=1)[2:-2].replace("\n", "\n "))
+            sep = ",\n "
+        fh.write("\n ]\n}\n" if flags else "]\n}\n")
 
 
 def write_plot(result: RunResult, path: str) -> str:

@@ -4,17 +4,19 @@ The aggregate objective always has the shape
 
     S/2 ||x - center||^2 + <linear, x> + sum_i <w_i, g_i(x)>
 
-over a feasible set.  Whenever the learner managed to fold everything
-affine into `linear` the term list is empty and the minimizer is exact:
-a prox projection when S > 0, a vertex rule when S = 0.  Remaining
-terms are handled iteratively: projected gradient with a fixed step
-1 / (S + sum_i ||w_i|| L_i) when every term declares a smoothness
-constant L_i, projected subgradient with step ~ 1/sqrt(k) and
-best-iterate tracking otherwise.  Convergence is judged by the norm of
-the gradient map x - project(x - grad(x) / max(S, 1)).  The `fallback`
-argument of `minimize` breaks ties of the vertex rule (coordinates with
-zero slope) and is where the iterations start; without it they start at
-the prox center.
+over a box.  The learners fold every round, whose constraint is affine,
+into `linear`, so their term list is empty and the minimizer is exact: a
+prox projection when S > 0, a vertex rule when S = 0.  The one term a
+learner adds is the penalty of its fixed point for a deferred value
+forecast, where the exact scalar step does not apply.  Terms are handled
+iteratively: projected gradient with a fixed step 1 / (S + sum_i ||w_i||
+L_i) when every term declares a smoothness constant L_i, projected
+subgradient with step ~ 1/sqrt(k) and best-iterate tracking otherwise.
+Convergence is judged by the norm of the gradient map
+x - project(x - grad(x) / max(S, 1)).  The `fallback` argument of
+`minimize` breaks ties of the vertex rule (coordinates with zero slope)
+and is where the iterations start; without it they start at the prox
+center.
 
 The dual maximization is never iterative: with a quadratic dual
 regularizer the maximizer over the nonnegative orthant is the closed

@@ -18,12 +18,11 @@ from lazyoco.predictors import make_predictor
 from lazyoco.problems import (
     ProblemBounds,
     RoundOracle,
-    affine_constraint_oracle,
     affine_round,
     make_scenario,
 )
 from lazyoco.runner import play_rounds
-from lazyoco.sets import Ball, Box, ConfigurationError, Simplex
+from lazyoco.sets import Box, ConfigurationError
 
 from helpers import (
     draw_rounds,
@@ -71,8 +70,8 @@ def test_benchmark_alternating_per_round_exact():
     assert res.optimal_total_cost == pytest.approx(-25.0 * (-26.0 / 79.0), abs=1e-7)
     assert res.kind == "X_T"
 
-    # a one-point domain: its bounding box [0, 1] is wider than the set {1}
-    point = Simplex(1, scale=1.0)
+    # a one-point domain: the comparator's interval is that point
+    point = Box(np.array([1.0]), np.array([1.0]))
     res = benchmark_of([affine_round([1.0], 0.0, [[0.0]], [-1.0])] * 3, point, "X_T")
     assert res.feasible and point.contains(res.x_star)
     assert res.optimal_total_cost == pytest.approx(3.0, abs=1e-12)
@@ -127,13 +126,7 @@ def test_benchmark_stochastic_binds_at_zero():
 
 def quadratic_round(W, u) -> RoundOracle:
     """||x||^2 / 2 subject to W x + u <= 0."""
-    def cost(x):
-        return 0.5 * float(x @ x), x
-
-    return RoundOracle(cost=cost, constraint=affine_constraint_oracle(W, u),
-                       cost_quadratic=(1.0, np.zeros(len(W[0])), 0.0),
-                       constraint_affine=(np.asarray(W, dtype=float),
-                                          np.asarray(u, dtype=float)))
+    return RoundOracle(constraint_affine=(W, u), cost_quadratic=(1.0, np.zeros(len(W[0])), 0.0))
 
 
 def test_benchmark_reports_infeasible():
@@ -157,22 +150,17 @@ def test_benchmark_validation():
         compute_benchmark(ComparatorFold(sc.domain, "X_T"))
 
     # inputs the exact comparator has no closed form for are refused by cause
-    quad = quadratic_round([[1.0, 0.0]], [0.0])
-    with pytest.raises(ConfigurationError, match="box domain"):
-        benchmark_of([quad] * 3, Ball(np.zeros(2), 1.0), "X_T")
     plane = affine_round([1.0, 0.0], 0.0, [[1.0, 0.0]], [0.0])
     with pytest.raises(ConfigurationError, match="strictly convex"):
         benchmark_of([plane] * 3, Box(-np.ones(2), np.ones(2)), "X_T")
-    curved = RoundOracle(cost=lambda x: (float(x @ x), 2.0 * x),
-                         constraint=lambda x: (np.array([x @ x - 1.0]), 2.0 * x[None, :]),
-                         cost_quadratic=(2.0, np.zeros(1), 0.0))
-    with pytest.raises(ConfigurationError, match="round 1: .*affine constraint"):
-        benchmark_of([curved] * 3, Box(-np.ones(1), np.ones(1)), "X_T")
-    quartic = RoundOracle(cost=lambda x: (float(x @ x) ** 2, 4.0 * float(x @ x) * x),
-                          constraint=affine_constraint_oracle([[1.0]], [0.0]),
-                          constraint_affine=(np.array([[1.0]]), np.array([0.0])))
-    with pytest.raises(ConfigurationError, match="round 1: .*quadratic cost"):
-        benchmark_of([quartic] * 3, Box(-np.ones(1), np.ones(1)), "X_T")
+    # a round without an affine constraint or a closed-form cost cannot be built
+    with pytest.raises(ConfigurationError, match="affine constraint"):
+        RoundOracle(constraint_affine=None, cost_quadratic=(2.0, np.zeros(1), 0.0))
+    with pytest.raises(ConfigurationError, match="quadratic cost"):
+        RoundOracle(constraint_affine=(np.array([[1.0]]), np.array([0.0])))
+    with pytest.raises(ConfigurationError, match="exactly one"):
+        RoundOracle(constraint_affine=(np.array([[1.0]]), np.array([0.0])),
+                    cost_affine=(np.ones(1), 0.0), cost_quadratic=(1.0, np.zeros(1), 0.0))
 
 
 def totals_at(rounds, x):

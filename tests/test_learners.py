@@ -162,24 +162,6 @@ def test_llp_equals_linearized_on_affine_rounds():
     np.testing.assert_allclose(xs["llp"], xs["llp_linearized"], atol=1e-12)
 
 
-def nonaffine_round():
-    def constraint(x):
-        return np.array([float(x[0]) ** 2 - 0.25]), np.array([[2.0 * x[0]]])
-
-    return RoundOracle(cost=lambda x: (float(-x[0]), np.array([-1.0])),
-                       constraint=constraint)
-
-
-def test_linearized_folds_nonaffine_constraints():
-    lin = LlpLearner(cfg("llp_linearized"), BOX1, 1, 1)
-    full = LlpLearner(cfg("llp"), BOX1, 1, 1)
-    for _ in range(6):
-        lin.play_round(nonaffine_round())
-        full.play_round(nonaffine_round())
-    assert len(lin.lag_terms) == 0   # everything folded into the linear part
-    assert len(full.lag_terms) > 0   # llp keeps the oracles it cannot fold
-
-
 def test_xi_stays_below_twice_constraint_bound():
     for pk in ("none", "noisy", "adversarial"):
         sc = make_scenario("alternating_linear", horizon=150)
@@ -397,18 +379,13 @@ def test_greedy_converges_to_static_saddle():
     assert x_hat == pytest.approx(0.3, abs=2e-3)
     assert lam_hat == pytest.approx(0.7, abs=2e-3)
 
-    def oracle():
-        def cost(x):
-            return 0.5 * float(x[0]) ** 2 - float(x[0]), np.array([x[0] - 1.0])
-
-        return RoundOracle(cost=cost,
-                           constraint=lambda x: (np.array([x[0] - 0.3]),
-                                                 np.array([[1.0]])))
-
+    # x^2/2 - x = (x - 1)^2/2 - 1/2
+    oracle = RoundOracle(constraint_affine=([[1.0]], [-0.3]),
+                         cost_quadratic=(1.0, [1.0], -0.5))
     learner = GreedyLearner(cfg("greedy_baseline", a=1.0), BOX1, 1, 1)
     xs, lams = [], []
     for _ in range(4000):
-        rec = learner.play_round(oracle())
+        rec = learner.play_round(oracle)
         xs.append(rec.x[0])
         lams.append(rec.lam[0])
     assert np.mean(xs[2000:]) == pytest.approx(x_hat, abs=0.05)

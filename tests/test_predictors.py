@@ -85,7 +85,7 @@ def test_a4_error_clipping(kind, level, scenario_kind):
     p = predictor_for(sc, kind, level=level, seed=11)
     b = sc.bounds
     rng = np.random.default_rng(1)
-    lo, hi = sc.domain.bounding_box()
+    lo, hi = sc.domain.lower, sc.domain.upper
     for t in range(1, 121):
         truth = sc.round(t)
         bundle = p.bundle_for(truth)

@@ -66,10 +66,19 @@ def play(sc, actions):
     return oracles
 
 
+def branches(oracles):
+    """Each round's branch, read off its constraint: q has W = [[2]], p has W = [[0]]."""
+    out = []
+    for oracle in oracles:
+        w = oracle.constraint_affine[0][0, 0]
+        assert w in (0.0, 2.0)
+        out.append("q" if w == 2.0 else "p")
+    return out
+
+
 def test_adversary_all_ones_stays_in_q():
     sc = make_scenario("impossibility_adversary", horizon=50)
-    play(sc, [1.0] * 50)
-    assert sc.branch_log == ["q"] * 50
+    assert branches(play(sc, [1.0] * 50)) == ["q"] * 50
     assert sc.block_ends == []
 
 
@@ -85,23 +94,22 @@ def test_adversary_first_round_is_q():
 
 def test_adversary_switches_to_p_when_mean_drops():
     sc = make_scenario("impossibility_adversary", horizon=10)
-    play(sc, [0.5, 1.0])
+    oracles = play(sc, [0.5, 1.0])
     # x_bar = 0.5 after round 1 ends I_1, so round 2 opens J_1 with p
-    assert sc.branch_log == ["q", "p"]
+    assert branches(oracles) == ["q", "p"]
     assert sc.block_ends == [2]
     oracle = sc.round(3)
     sc.record_action(3, np.array([1.0]))
     g, _ = oracle.constraint(np.array([0.9]))
-    assert g[0] == -1.0 or sc.branch_log[2] == "q"
-    assert sc.branch_log[2] == "q"  # I_2 opens after J_1 closes
+    assert g[0] == -1.0 or branches([oracle]) == ["q"]
+    assert branches([oracle]) == ["q"]  # I_2 opens after J_1 closes
 
 
 def test_adversary_blocks_mirror_lengths():
     """Every completed J_n repeats p exactly |I_n| times."""
     rng = np.random.default_rng(5)
     sc = make_scenario("impossibility_adversary", horizon=400)
-    play(sc, rng.uniform(0.0, 1.0, size=400))
-    log = sc.branch_log
+    log = branches(play(sc, rng.uniform(0.0, 1.0, size=400)))
     runs = []
     for mark in log:
         if runs and runs[-1][0] == mark:
@@ -177,7 +185,7 @@ def scenario_instances():
 def test_convexity_spot_check(sc, rounds):
     rng = np.random.default_rng(77)
     n = sc.dimension
-    lo, hi = sc.domain.bounding_box()
+    lo, hi = sc.domain.lower, sc.domain.upper
     for t in (1, 7, 24):
         oracle = rounds[t - 1]
         for _ in range(100):
@@ -197,7 +205,7 @@ def test_convexity_spot_check(sc, rounds):
 @pytest.mark.parametrize("sc, rounds", scenario_instances())
 def test_subgradient_inequality(sc, rounds):
     rng = np.random.default_rng(13)
-    lo, hi = sc.domain.bounding_box()
+    lo, hi = sc.domain.lower, sc.domain.upper
     for t in (2, 9):
         oracle = rounds[t - 1]
         for _ in range(50):

@@ -166,17 +166,19 @@ def test_run_memory_grows_only_with_the_comparator_rows():
     assert (long - short) / 6000 < 1024
 
 
-def test_recorded_rows_cost_under_256_bytes_each(tmp_path):
-    """Peak allocation of a run and its CSV grows by under 256 B per recorded row.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_recorded_rows_cost_under_256_bytes_each(tmp_path, fmt):
+    """Peak allocation of a run and its trace grows by under 256 B per recorded row.
 
     A row's twelve numbers take 96 B in the run's float table; a row held as
-    Python objects, or a CSV payload built as one string, costs several
+    Python objects, or a trace payload built as one string, costs several
     times that.
     """
     def peak(horizon):
         cfg = runner.parse_run_config(base_doc(
             scenario={"kind": "alternating_linear", "horizon": horizon, "seed": 0},
-            output={"path": str(tmp_path / f"trace{horizon}.csv"), "record_every": 1}))
+            output={"path": str(tmp_path / f"trace{horizon}.{fmt}"), "format": fmt,
+                    "record_every": 1}))
         tracemalloc.start()
         try:
             runner.write_trace(runner.execute_run(cfg))
