@@ -354,23 +354,29 @@ def _perturbed_constants(sigma: float, a: float, beta: float, bounds) -> tuple[f
     return A1, A2
 
 
-def regret_certificate(variant: str, h_sum: float, sigma: float, bounds, *,
-                       sum_a_prev_xi_sq: float = 0.0, mu: float = 0.0,
-                       xi_sq_sum: float = 0.0, horizon: int = 0, a: float = 0.0,
-                       beta: float = 0.0) -> float:
+def regret_certificate(variant: str, h_sum, sigma: float, bounds, *,
+                       sum_a_prev_xi_sq=0.0, mu=0.0, xi_sq_sum=0.0, horizon=0,
+                       a: float = 0.0, beta: float = 0.0):
     """The regret certificate B_t of a lazy variant after `horizon` rounds.
 
-    The per-row `bound_B_t` of a trace and the summary's `bound_B_T` both
+    The `bound_B_t` column of a trace and the summary's `bound_B_T` both
     come from here.  `llp_perturbed` reads xi_sq_sum, horizon, a and beta;
     the other variants read sum_a_prev_xi_sq and mu, which is nonzero only
-    for `llp2`.
+    for `llp2`.  The running sums (h_sum, sum_a_prev_xi_sq, mu, xi_sq_sum,
+    horizon) are numbers, giving a float, or equal-length columns, giving
+    the column of B_t row by row.
     """
     if variant == "llp_perturbed":
         A1, A2 = _perturbed_constants(sigma, a, beta, bounds)
-        tail = min(2.0 * a * math.sqrt(xi_sq_sum), A2 * float(horizon) ** (1.0 - beta))
-        return A1 * math.sqrt(h_sum) + tail
-    base = 2.0 * (sigma * bounds.D ** 2 + bounds.L_f / sigma)
-    return base * math.sqrt(h_sum + mu) + sum_a_prev_xi_sq
+        # Python's pow row by row: numpy's vectorized power can differ from
+        # it in the last bit
+        growth = np.array([A2 * float(t) ** (1.0 - beta)
+                           for t in np.ravel(horizon).tolist()]).reshape(np.shape(horizon))
+        B = A1 * np.sqrt(h_sum) + np.minimum(2.0 * a * np.sqrt(xi_sq_sum), growth)
+    else:
+        base = 2.0 * (sigma * bounds.D ** 2 + bounds.L_f / sigma)
+        B = base * np.sqrt(h_sum + mu) + sum_a_prev_xi_sq
+    return B if np.ndim(B) else float(B)
 
 
 def _llp_report(variant: str, h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,

@@ -37,6 +37,12 @@ stays 0 there, and otherwise makes one solve with the penalty term,
 exact over the breakpoints in the scalar case.  The multiplier is read
 off the chosen action, so the recorded mismatch sequence is always the
 one actually used by the updates.
+
+Every step without the penalty term (the primal step at a fixed
+multiplier, the lam = 0 solve and the prescient step) is one prox
+projection or vertex rule, and calls `solver.exact_step` directly on the
+arrays the learner holds; `solver.minimize` is the penalty's path.  The
+start point is checked against the set once, at construction.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .analysis import regret_certificate
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
 from .sets import ConfigurationError, norm, positive_part
-from .solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
+from .solver import FtrlObjective, SolverSettings, dual_step, exact_step, minimize
 
 __all__ = [
     "VARIANTS",
@@ -254,9 +260,10 @@ class LlpLearner:
             return self.prox_b / self.prox_S
         return np.zeros(self.n)
 
-    def _objective(self, lam: np.ndarray, bundle: PredictionBundle) -> FtrlObjective:
-        """The primal aggregate with the round's multiplier fixed at lam."""
-        linear = self.ccum.copy()
+    def _objective(self, lam: np.ndarray, bundle: PredictionBundle):
+        """(S, centre, linear) of the primal aggregate with the round's multiplier
+        fixed at lam: S/2 ||x - centre||^2 + <linear, x> over the box."""
+        linear = self.ccum
         S, center = self.prox_S, self._center()
         if bundle.cost_gradient is None:
             # S/2 |x - b/S|^2 + w/2 |x - u|^2 is one prox at weight S + w
@@ -269,27 +276,26 @@ class LlpLearner:
             linear = linear + self.base_affine[0].T @ (self.lam_sum + lam)
         else:
             linear = linear + self.lag_lin
-            if lam.any():
+            # the builtin any over the few entries of the 1-D lam: ndarray.any
+            # runs a Python-level wrapper before its reduction
+            if any(lam):
                 linear = linear + bundle.constraint_affine[0].T @ lam
-        return FtrlObjective(self.domain, S, center, linear)
+        return S, center, linear
 
     def _primal(self, bundle: PredictionBundle, flags: list[str]):
         """Resolve the round's multiplier/forecast pair and solve for x_t.
 
         Returns (x, lam, cost_gradient_used, predicted_value_used, residual).
         """
+        residual = 0.0
         if self.pending is not None and bundle.predicted_value is None:
-            x, lam, res = self._fixed_point(bundle)
+            x, lam, residual = self._fixed_point(bundle, flags)
         else:
             if self.pending is None:
                 lam = np.zeros(self.d)
             else:
-                lam = dual_closed_form(*self.pending, bundle.predicted_value)
-            res = minimize(self._objective(lam, bundle), self.cfg.solver,
-                           fallback=self.last_x)
-            x = res.x
-        if not res.converged:
-            flags.append("primal_solver")
+                lam = dual_step(*self.pending, bundle.predicted_value)
+            x = exact_step(self.domain, *self._objective(lam, bundle), self.last_x)
         vt = bundle.predicted_value
         if vt is None:
             W, u = bundle.constraint_affine
@@ -298,40 +304,43 @@ class LlpLearner:
         if ct is None:
             w, c = bundle.cost_quadratic
             ct = w * (x - c)
-        return x, lam, ct, vt, res.residual
+        return x, lam, ct, vt, residual
 
-    def _fixed_point(self, bundle: PredictionBundle):
-        """(x, lam, SolveResult) with lam = [a (cum + W~ x + u~)]_+."""
+    def _fixed_point(self, bundle: PredictionBundle, flags: list[str]):
+        """(x, lam, solver residual) with lam = [a (cum + W~ x + u~)]_+."""
         a_dual, cum = self.pending
         W, u = bundle.constraint_affine
 
         def multiplier(x):
-            return dual_closed_form(a_dual, cum, W @ x + u)
+            return dual_step(a_dual, cum, W @ x + u)
 
-        obj = self._objective(np.zeros(self.d), bundle)
-        res = minimize(obj, self.cfg.solver, fallback=self.last_x)
-        lam = multiplier(res.x)
+        S, center, linear = self._objective(np.zeros(self.d), bundle)
+        x = exact_step(self.domain, S, center, linear, self.last_x)
+        lam = multiplier(x)
         if not (lam > 0.0).any():
-            return res.x, lam, res
+            return x, lam, 0.0
         # J, the rows the primal puts the multiplier on
         jp = self.base_affine[0] if self.variant == "llp_perturbed" else W
-        x = self._scalar_zero(obj, bundle, jp, a_dual, cum)
+        x = self._scalar_zero(S, center, linear, bundle, jp, a_dual, cum)
         if x is not None:
-            res = SolveResult(x=x, residual=0.0, converged=True)
-        else:
-            # one term with gradient J^T lam(x); with J = W~ that is the
-            # convex penalty ||lam(x)||^2 / (2a) it reports
-            def penalty(x):
-                lam = multiplier(x)
-                return np.array([0.5 * float(lam @ lam) / a_dual]), (jp.T @ lam)[None, :]
+            return x, multiplier(x), 0.0
 
-            smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
-            obj.constraint_terms.append((np.ones(1), penalty, smoothness))
-            res = minimize(obj, self.cfg.solver, fallback=self.last_x)
-        return res.x, multiplier(res.x), res
+        # one term with gradient J^T lam(x); with J = W~ that is the
+        # convex penalty ||lam(x)||^2 / (2a) it reports
+        def penalty(x):
+            lam = multiplier(x)
+            return np.array([0.5 * float(lam @ lam) / a_dual]), (jp.T @ lam)[None, :]
 
-    def _scalar_zero(self, obj: FtrlObjective, bundle: PredictionBundle, jp,
-                     a_dual: float, cum: np.ndarray):
+        smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
+        obj = FtrlObjective(self.domain, S, center, linear,
+                            [(np.ones(1), penalty, smoothness)])
+        res = minimize(obj, self.cfg.solver, fallback=self.last_x)
+        if not res.converged:
+            flags.append("primal_solver")
+        return res.x, multiplier(res.x), res.residual
+
+    def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
+                     bundle: PredictionBundle, jp, a_dual: float, cum: np.ndarray):
         """Exact primal point for n = 1, or None.
 
         The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
@@ -344,8 +353,7 @@ class LlpLearner:
                         (cum + bundle.constraint_affine[1]).tolist()))
         if any(p * f < 0.0 for p, f, _ in rows):
             return None
-        S = obj.quad_weight
-        offset = float(obj.linear[0]) - S * float(obj.quad_center[0])
+        offset = float(linear[0]) - S * float(center[0])
 
         def deriv(x: float) -> float:
             acc = 0.0
@@ -413,7 +421,7 @@ class LlpLearner:
         else:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
-            if lam.any():
+            if any(lam):
                 lin = W.T @ lam
         if lin is not None:
             linear = linear + lin
@@ -422,15 +430,17 @@ class LlpLearner:
         if self.prox_S == 0.0:
             # With no regularizer the aggregate is a bare linear functional, and
             # when the round's forecasts were exact x already satisfies its
-            # first-order conditions; a slope at rounding scale relative to the
-            # folded magnitudes is a tie, resolved at the played point.
+            # first-order conditions; a coordinate whose slope is at rounding
+            # scale relative to the folded magnitudes is a tie, resolved at the
+            # played point, and only the others take the vertex rule.
             mag = 0.0
             for part in folded:
                 mag += norm(part)
-            if norm(linear) <= self.cfg.solver.tolerance * (1.0 + mag):
+            tie = np.abs(linear) <= self.cfg.solver.tolerance * (1.0 + mag)
+            if tie.all():
                 return x, gvals, fold
-        obj = FtrlObjective(self.domain, self.prox_S, self._center(), linear)
-        z = minimize(obj, self.cfg.solver, fallback=x).x
+            linear = np.where(tie, 0.0, linear)
+        z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
         if self.variant == "llp_linearized":
             gz = gvals + W @ (z - x)
         else:

@@ -24,7 +24,7 @@ from . import analysis
 from .learners import LearnerConfig, LearnerTotals, RoundRecord, VARIANTS, make_learner
 from .predictors import PREDICTOR_KINDS, make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
-from .sets import ConfigurationError, norm
+from .sets import ConfigurationError, norm, positive_part
 from .solver import SolverSettings
 
 __all__ = [
@@ -66,8 +66,9 @@ class TraceRow(NamedTuple):
 
 TRACE_COLUMNS = TraceRow._fields
 # columns of RunResult.table, which holds every TRACE_COLUMNS column but flags
-_T, _COST, _REGRET, _VIOLATION = (TRACE_COLUMNS.index(c)
-                                  for c in ("t", "cum_cost", "regret", "violation_norm"))
+_T, _COST, _REGRET, _VIOLATION, _H, _BOUND = (
+    TRACE_COLUMNS.index(c)
+    for c in ("t", "cum_cost", "regret", "violation_norm", "h_cum", "bound_B_t"))
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
 # rows formatted per write, so no payload holds the whole trace
@@ -76,6 +77,9 @@ _BLOCK_ROWS = 256
 # indent=1) writes it
 _JSON_HEAD = ('{\n "columns": ' + json.dumps(list(TRACE_COLUMNS), indent=1).replace("\n", "\n ")
               + ',\n "rows": [')
+# one row of that document: t as an integer, each float as its repr (which
+# is its str, and what json writes) or "null", then the quoted flags
+_JSON_ROW = "  [\n   %d,\n" + "   %s,\n" * (len(TRACE_COLUMNS) - 2) + "   %s\n  ]"
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
@@ -402,10 +406,17 @@ def execute_run(config: RunConfig) -> RunResult:
     flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
     n_rows = (T + record_every - 1) // record_every
-    table = np.empty((n_rows, len(TRACE_COLUMNS) - 1))  # regret is filled in at the end
+    # regret and bound_B_t are filled in at the end
+    table = np.empty((n_rows, len(TRACE_COLUMNS) - 1))
     flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
     cost_sums = np.empty((n_rows, fold.cost_sums_size))
+    # a lazy learner's other B_t inputs at each row: sum of a_{t-1} xi_t^2,
+    # mu and sum of xi_t^2; the greedy baseline's regularizer sums stay 0
+    variant = config.learner.variant
+    lazy = variant != "greedy_baseline"
+    bound_inputs = np.empty((n_rows, 3))
+    sigma_cum = h_cum = 0.0
     for truth, rec in play_rounds(scenario, predictor, learner, T):
         fold.add(truth)
         if block_ends and block_ends[-1] == rec.t:
@@ -413,13 +424,25 @@ def execute_run(config: RunConfig) -> RunResult:
         for fl in rec.flags:
             flag_counts[fl] = flag_counts.get(fl, 0) + 1
         if rec.t % record_every == 0 or rec.t == T:  # the last round's totals feed the summary
-            totals = learner.stats()
             i = len(flags)
             fold.copy_cost_sums(cost_sums[i])
-            table[i] = (rec.t, rec.f_value, totals.cum_cost, math.nan, totals.violation_norm,
-                        norm(rec.lam), rec.a_t, totals.sigma_cum, totals.h_cum,
-                        rec.xi_t, totals.bound_running, rec.solver_residual)
+            if lazy:
+                sigma_cum, h_cum = learner.prox_S, learner.h_cum
+                bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
+            table[i] = (rec.t, rec.f_value, learner.cum_cost, math.nan,
+                        norm(positive_part(learner.cum_gx)), norm(rec.lam), rec.a_t,
+                        sigma_cum, h_cum, rec.xi_t, math.nan, rec.solver_residual)
             flags.append(";".join(rec.flags))
+
+    totals = learner.stats()
+    if lazy:
+        c = config.learner
+        table[:, _BOUND] = analysis.regret_certificate(
+            variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
+            mu=bound_inputs[:, 1], xi_sq_sum=bound_inputs[:, 2], horizon=table[:, _T],
+            a=c.a, beta=c.beta)
+    else:
+        table[:, _BOUND] = 0.0
 
     benchmark = analysis.compute_benchmark(fold)
     regret = math.nan
@@ -429,8 +452,7 @@ def execute_run(config: RunConfig) -> RunResult:
         regret = float(table[-1, _REGRET])
 
     report = None
-    variant = config.learner.variant
-    if benchmark.feasible and variant != "greedy_baseline":
+    if benchmark.feasible and lazy:
         if variant == "llp2":
             report = analysis.llp2_bound_report(
                 totals.h_cum, totals.sum_prev_a_xi_sq, totals.a_prev, regret,
@@ -514,16 +536,18 @@ def _write_json_trace(out: str, table: np.ndarray, flags: list[str]) -> None:
     """The document json.dump(..., sort_keys=True, indent=1) would write for
     {"columns": TRACE_COLUMNS, "rows": rows}, with non-finite floats as null,
     written a block of rows at a time from the table."""
+    quoted = {fl: json.dumps(fl) for fl in set(flags)}
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(_JSON_HEAD)
-        sep = "\n "
+        sep = "\n"
         for a in range(0, len(flags), _BLOCK_ROWS):
-            b = a + _BLOCK_ROWS
-            rows = [[int(v[0])] + [x if math.isfinite(x) else None for x in v[1:]] + [fl]
-                    for v, fl in zip(table[a:b].tolist(), flags[a:b])]
-            # the block's list without its brackets, one level deeper
-            fh.write(sep + json.dumps(rows, indent=1)[2:-2].replace("\n", "\n "))
-            sep = ",\n "
+            block = table[a:a + _BLOCK_ROWS]
+            rows = [_JSON_ROW % ((*v, quoted[fl]) if finite else
+                                 (*[x if math.isfinite(x) else "null" for x in v], quoted[fl]))
+                    for v, fl, finite in zip(block.tolist(), flags[a:a + _BLOCK_ROWS],
+                                             np.isfinite(block).all(axis=1).tolist())]
+            fh.write(sep + ",\n".join(rows))
+            sep = ",\n"
         fh.write("\n ]\n}\n" if flags else "]\n}\n")
 
 

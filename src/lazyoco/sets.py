@@ -4,8 +4,11 @@ Every scenario plays on a box, and the offline comparator's exact
 solution needs one.  A box knows its dimension, the norm bound D of its
 farthest corner (||x|| <= D for every member), an exact projection
 (per-coordinate clipping), and an exact minimizer of a linear function
-(used by the degenerate first-round update, where the aggregate
-objective has no curvature).
+(the vertex rule, for an objective with no curvature).  Both check the
+shape and finiteness of what they are given, for the callers at the
+boundaries (start points, the greedy baseline, `solver.minimize`); the
+lazy learner's round loop takes the same formulas from
+`solver.exact_step` on arrays it already holds.
 """
 
 from __future__ import annotations

@@ -4,17 +4,19 @@ The aggregate objective always has the shape
 
     S/2 ||x - center||^2 + <linear, x> + sum_i <w_i, g_i(x)>
 
-over a box.  The learners fold every round, whose constraint is affine,
-into `linear`, so their term list is empty and the minimizer is exact: a
-prox projection when S > 0, a vertex rule when S = 0.  The one term a
-learner adds is the penalty of its fixed point for a deferred value
-forecast, where the exact scalar step does not apply.  Terms are handled
-iteratively: projected gradient with a fixed step 1 / (S + sum_i ||w_i||
-L_i) when every term declares a smoothness constant L_i, projected
-subgradient with step ~ 1/sqrt(k) and best-iterate tracking otherwise.
-Convergence is judged by the norm of the gradient map
-x - project(x - grad(x) / max(S, 1)).  The `fallback` argument of
-`minimize` breaks ties of the vertex rule (coordinates with zero slope)
+over a box.  With no terms the minimizer is exact, and `exact_step` is
+its one formula: a prox projection when S > 0, a vertex rule when S = 0.
+The learners fold every round, whose constraint is affine, into `linear`,
+so their steps call `exact_step` directly on arrays they already hold.
+`minimize` checks its inputs and handles terms: the penalty of a
+learner's fixed point for a deferred value forecast, where the exact
+scalar step does not apply, and the general convex objectives criterion
+06 checks.  Terms are handled iteratively: projected gradient with a
+fixed step 1 / (S + sum_i ||w_i|| L_i) when every term declares a
+smoothness constant L_i, projected subgradient with step ~ 1/sqrt(k) and
+best-iterate tracking otherwise.  Convergence is judged by the norm of
+the gradient map x - project(x - grad(x) / max(S, 1)).  The `fallback`
+argument breaks ties of the vertex rule (coordinates with zero slope)
 and is where the iterations start; without it they start at the prox
 center.
 
@@ -31,14 +33,16 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import ConfigurationError, norm, positive_part
+from .sets import ConfigurationError, _vector, norm
 
 __all__ = [
     "SolverSettings",
     "FtrlObjective",
     "SolveResult",
+    "exact_step",
     "minimize",
     "dual_closed_form",
+    "dual_step",
 ]
 
 # (weights, oracle, smoothness): oracle(x) -> (values, jacobian); the term
@@ -97,6 +101,23 @@ def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> f
     return norm(x - step)
 
 
+def exact_step(domain, S: float, center: np.ndarray, linear: np.ndarray,
+               fallback: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of S/2 ||x - center||^2 + <linear, x> over the box `domain`.
+
+    With S > 0, the clip of center - linear / S to the box.  With S = 0,
+    the vertex rule: each coordinate goes to the end its slope points away
+    from, and a zero-slope coordinate keeps `fallback` (clipped to the box),
+    or the box midpoint without one.  The arrays are taken as they are:
+    their shape and finiteness are the caller's to have checked.
+    """
+    lo, hi = domain.lower, domain.upper
+    if S > 0.0:
+        return (center - linear / S).clip(lo, hi)
+    tie = 0.5 * (lo + hi) if fallback is None else fallback.clip(lo, hi)
+    return np.where(linear > 0.0, lo, np.where(linear == 0.0, tie, hi))
+
+
 def minimize(obj: FtrlObjective, settings: SolverSettings,
              fallback: np.ndarray | None = None) -> SolveResult:
     """Minimize an aggregate objective over its feasible set."""
@@ -105,10 +126,12 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
         raise ConfigurationError("quadratic weight must be nonnegative")
 
     if not obj.constraint_terms:
-        if S > 0.0:
-            x = obj.domain.project(obj.quad_center - obj.linear / S)
-            return SolveResult(x=x, residual=0.0, converged=True)
-        x = obj.domain.argmin_linear(obj.linear, fallback=fallback)
+        # the checks the learners' direct calls leave to their own boundaries
+        n = obj.domain.dimension
+        center = _vector(obj.quad_center, n, "center") if S > 0.0 else obj.quad_center
+        if fallback is not None:
+            fallback = _vector(fallback, n, "fallback")
+        x = exact_step(obj.domain, S, center, _vector(obj.linear, n, "linear"), fallback)
         return SolveResult(x=x, residual=0.0, converged=True)
 
     smooth = all(L is not None for _, _, L in obj.constraint_terms)
@@ -157,4 +180,10 @@ def dual_closed_form(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) 
     """Maximizer of <lam, cumulative + predicted> - ||lam||^2 / (2 a_t) over lam >= 0."""
     if not (a_t > 0.0 and math.isfinite(a_t)):
         raise ConfigurationError(f"dual step size must be positive, got {a_t}")
-    return positive_part(a_t * (np.asarray(cumulative, dtype=float) + np.asarray(predicted, dtype=float)))
+    return dual_step(a_t, np.asarray(cumulative, dtype=float), np.asarray(predicted, dtype=float))
+
+
+def dual_step(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """[a_t (cumulative + predicted)]_+, the formula of `dual_closed_form` without
+    its checks: for float arrays and a step size the caller knows is positive."""
+    return np.maximum(a_t * (cumulative + predicted), 0.0)

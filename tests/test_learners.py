@@ -311,31 +311,38 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
 def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     """An exact quadratic cost forecast folds into the prox instead of being iterated.
 
-    `perfect_gradients` gives the value forecast outright, so every solve is
-    one projection.  `perfect` defers it, and a solve iterates only when it
-    carries the fixed-point penalty term (n >= 2 with the multiplier on).
+    `perfect_gradients` gives the value forecast outright, so every step is
+    one exact projection and `minimize` never runs.  `perfect` defers it, and
+    `minimize` runs only for a solve that carries the fixed-point penalty
+    term (n >= 2 with the multiplier on).
     """
-    calls = []
-    real_minimize = learners.minimize
+    steps, calls = [], []
+    real_step, real_minimize = learners.exact_step, learners.minimize
+
+    def counted_step(*args):
+        steps[-1] += 1
+        return real_step(*args)
 
     def counted(obj, settings, **kw):
         res = real_minimize(obj, settings, **kw)
-        calls[-1].append((bool(obj.constraint_terms), res.iterations))
+        calls[-1].append(bool(obj.constraint_terms))
         return res
 
+    monkeypatch.setattr(learners, "exact_step", counted_step)
     monkeypatch.setattr(learners, "minimize", counted)
     for kind in ("perfect_gradients", "perfect"):
+        steps.append(0)
         calls.append([])
         sc = make_scenario("random_quadratic", horizon=200, dimension=n, constraints=d, seed=3)
         learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, n, d)
         run_rounds(learner, sc, kind, 200)
         assert learner.warning_count == 0
     gradients, perfect = calls
-    assert len(gradients) >= 200 and len(perfect) >= 200
-    assert all(iterations == 0 for _, iterations in gradients)
-    assert all(penalty for penalty, iterations in perfect if iterations > 0)
+    assert min(steps) >= 200
+    assert gradients == []
+    assert all(perfect)
     if n == 1:
-        assert all(iterations == 0 for _, iterations in perfect)
+        assert perfect == []
 
 
 def test_llp_perturbed_requires_base_constraint():

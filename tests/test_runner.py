@@ -7,12 +7,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lazyoco import cli, runner
+from lazyoco import cli, learners, runner
 from lazyoco.analysis import compute_metrics
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
-from lazyoco.sets import ConfigurationError
+from lazyoco.sets import Box, ConfigurationError
 
 
 def base_doc(**over):
@@ -128,6 +128,28 @@ def test_json_trace_format(tmp_path):
         for value, cell in zip(row[1:12], cells[1:12]):
             assert type(value) is float and value == float(cell)
         assert type(row[12]) is str and row[12] == cells[12]
+
+
+def test_json_trace_is_the_json_module_document(tmp_path):
+    """Rows with non-finite floats (null), signed zeros and quoted flags, over
+    several write blocks, come out as json.dump writes the whole document."""
+    rng = np.random.default_rng(5)
+    n = 2 * 256 + 3
+    table = rng.normal(size=(n, 12)) * 10.0 ** rng.integers(-300, 300, size=(n, 12))
+    table[:, 0] = np.arange(1, n + 1)
+    table[::7, 3] = math.nan
+    table[::11, 5] = math.inf
+    table[::13, 8] = -math.inf
+    table[::5, 9] = -0.0
+    flags = [["", "primal_solver", 'a;"b"', "\u00e9\\"][i % 4] for i in range(n)]
+    for rows in (0, 1, n):
+        path = str(tmp_path / f"trace{rows}.json")
+        runner._write_json_trace(path, table[:rows], flags[:rows])
+        doc = {"columns": list(runner.TRACE_COLUMNS),
+               "rows": [[int(v[0])] + [x if math.isfinite(x) else None for x in v[1:]] + [fl]
+                        for v, fl in zip(table[:rows].tolist(), flags[:rows])]}
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def test_trace_bytes_deterministic(tmp_path):
@@ -252,6 +274,72 @@ def test_perfect_prediction_summary():
     assert s["xi_sq_cum"] == 0.0
     assert s["bound_B_T"] == 0.0
     assert s["regret"] <= 300 * (4.0 + 1.05) * 10.0 * 1e-9
+
+
+def test_perfect_predictions_keep_z_at_x_off_the_box_corners():
+    """sigma stays 0 under exact forecasts, so the prescient step is the vertex
+    rule; a coordinate of x inside the box, whose slope is rounding noise,
+    keeps its value even while another coordinate sits on the boundary."""
+    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 4000, "dimension": 2,
+                             "constraints": 1, "seed": 0,
+                             "params": {"center_scale": 2.0, "offset_scale": 0.0}},
+                   predictor={"kind": "perfect"}, benchmark={"kind": "X_T_max"})
+    s = runner.execute_run(runner.parse_run_config(doc)).summary
+    assert s["sigma_cum"] == 0.0
+    assert s["max_xz"] <= 1e-8
+    assert s["bound_B_T"] == 0.0
+
+
+@pytest.mark.parametrize("predictor", ["none", "perfect"])
+def test_round_loop_calls_no_solver_or_checked_set_method(monkeypatch, predictor):
+    """In the round loop the lazy learner's steps are exact: no `minimize`, no
+    `Box.project` or `Box.argmin_linear`, and its totals are read once per run."""
+    counts = {}  # name -> [calls outside the round loop, calls inside it]
+    in_loop = [False]
+    for owner, name in ((learners.LlpLearner, "stats"), (learners, "minimize"),
+                        (Box, "project"), (Box, "argmin_linear")):
+        counts[name] = [0, 0]
+
+        def counted(*args, _real=getattr(owner, name), _count=counts[name], **kw):
+            _count[in_loop[0]] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+    real_play_rounds = runner.play_rounds
+
+    def play_rounds(*args):
+        in_loop[0] = True
+        try:
+            yield from real_play_rounds(*args)
+        finally:
+            in_loop[0] = False
+
+    monkeypatch.setattr(runner, "play_rounds", play_rounds)
+    doc = base_doc(predictor={"kind": predictor})
+    doc["scenario"]["horizon"] = 2000
+    result = runner.execute_run(runner.parse_run_config(doc))
+    assert result.summary["rows_written"] == 2000
+    assert counts["project"][0] > 0  # the start point is projected, before the loop
+    assert sum(counts["stats"]) == 1
+    assert counts["minimize"][1] == counts["project"][1] == counts["argmin_linear"][1] == 0
+
+
+@pytest.mark.parametrize("variant", ["llp", "llp2", "llp_perturbed", "greedy_baseline"])
+def test_bound_column_is_the_running_certificate(variant):
+    """The trace's bound_B_t, evaluated once over the column, is bit for bit the
+    certificate the learner reports after each round."""
+    doc = base_doc(scenario={"kind": "perturbed_linear", "horizon": 300, "seed": 1},
+                   predictor={"kind": "noisy", "level": 0.5, "seed": 2})
+    doc["learner"]["variant"] = variant
+    cfg = runner.parse_run_config(doc)
+    column = runner.execute_run(cfg).table[:, runner.TRACE_COLUMNS.index("bound_B_t")]
+    sc = make_scenario(cfg.scenario_kind, horizon=300, seed=cfg.seed)
+    learner = runner._learner_for(cfg, sc)
+    predictor = runner._predictor_for(cfg, sc)
+    running = [learner.stats().bound_running
+               for _ in runner.play_rounds(sc, predictor, learner, 300)]
+    assert column.tolist() == running
+    assert (column > 0.0).all() if variant != "greedy_baseline" else not column.any()
 
 
 def test_bound_dispatch_by_variant():

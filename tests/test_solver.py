@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lazyoco.sets import Box, ConfigurationError
-from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
+from lazyoco.solver import (FtrlObjective, SolveResult, SolverSettings, dual_closed_form,
+                            exact_step, minimize)
 
 from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec, sample
 
@@ -53,6 +54,31 @@ def test_linear_objective_vertex_and_fallback():
     flat = FtrlObjective(BOX2, 0.0, np.zeros(2), np.zeros(2))
     res = minimize(flat, SolverSettings(), fallback=np.array([0.3, -0.2]))
     assert np.array_equal(res.x, [0.3, -0.2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_exact_step_is_minimize_without_terms(n):
+    """The learners' direct step is, bit for bit, the checked `minimize` and the
+    box's own projection or vertex rule, on 500 random box problems."""
+    rng = np.random.default_rng(40 + n)
+    settings = SolverSettings()
+    zero_slopes = 0
+    for k in range(500):
+        lo = rng.uniform(-2.0, 0.0, size=n)
+        box = Box(lo, lo + rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.9))
+        S = 0.0 if k % 2 else rng.uniform(0.0, 3.0)
+        center = rng.uniform(-3.0, 3.0, size=n)
+        linear = rng.uniform(-2.0, 2.0, size=n) * (rng.random(n) < 0.7)
+        fallback = rng.uniform(-3.0, 3.0, size=n) if k % 4 < 2 else None
+        zero_slopes += int(S == 0.0 and fallback is not None and (linear == 0.0).any())
+        got = exact_step(box, S, center, linear, fallback)
+        res = minimize(FtrlObjective(box, S, center, linear), settings, fallback=fallback)
+        ref = box.project(center - linear / S) if S > 0.0 else \
+            box.argmin_linear(linear, fallback=fallback)
+        assert got.dtype == ref.dtype and got.shape == (n,)
+        assert got.tobytes() == res.x.tobytes() == ref.tobytes()
+        assert res.residual == 0.0 and res.converged
+    assert zero_slopes > 25
 
 
 def test_negative_quad_weight_rejected():

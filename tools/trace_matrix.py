@@ -25,6 +25,10 @@ The matrix:
 - the three `bench/` workloads at their bench horizons, `quadratic_noisy`
   for instances 0-7;
 - the two configs that acceptance criterion 11 re-runs;
+- `prescient_tie_quadratic`: exact forecasts on `random_quadratic` at
+  n = 2, d = 1 with `center_scale` 2 and `offset_scale` 0, T = 4 000,
+  `X_T_max`, where the unregularized prescient step must keep z = x while
+  one coordinate of x sits on the box boundary;
 - the T = 173 cells and the two criterion-11 configs again with
   `output.format = "json"`, as `<cell>__json`, so both trace writers are
   checked.
@@ -85,6 +89,14 @@ def cells() -> dict[str, dict]:
     out["criterion11_perturbed"] = {
         "scenario": {"kind": "perturbed_linear", "horizon": 500, "seed": 2},
         "learner": {"variant": "llp_perturbed", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+    }
+    out["prescient_tie_quadratic"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 4000, "dimension": 2,
+                     "constraints": 1, "seed": 0,
+                     "params": {"center_scale": 2.0, "offset_scale": 0.0}},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "perfect"},
+        "benchmark": {"kind": "X_T_max"},
     }
     for name in [n for n in out if n.endswith("__T173") or n.startswith("criterion11_")]:
         doc = out[name]
