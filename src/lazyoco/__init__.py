@@ -13,9 +13,7 @@ from .analysis import (
     BoundReport,
     ComparatorFold,
     ExponentFit,
-    TraceMetrics,
     compute_benchmark,
-    compute_metrics,
     fit_growth_exponent,
     llp2_bound_report,
     llp_bound_report,
@@ -53,8 +51,8 @@ __all__ = [
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",
     "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
-    "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit", "TraceMetrics",
-    "ComparatorFold", "compute_benchmark", "compute_metrics",
+    "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit",
+    "ComparatorFold", "compute_benchmark",
     "fit_growth_exponent", "perturbed_report", "llp_bound_report", "llp2_bound_report",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",
     "execute_run", "write_trace", "sweep", "compare", "bench",

@@ -1,18 +1,23 @@
-"""Offline benchmarks, trace metrics, bound evaluation, and rate fitting.
+"""Offline benchmarks, bound evaluation, and rate fitting.
 
 The benchmark routines fold the rounds of a run, as it plays them, into
 closed forms and minimize the total cost over one of two comparator sets:
 the per-round-feasible set (every g_t(x) <= 0) or the aggregate-feasible
 set (sum_t g_t(x) <= 0) within the box domain.  Every round has an affine
 constraint and an affine or shifted-quadratic cost (`problems.RoundOracle`
-admits nothing else), and the minimizer is exact.  In one dimension
-it is a clipped stationary point or an interval end.  In more dimensions
-the total cost is qw/2 ||x - p||^2 plus a constant, so the comparator is
-the projection of p onto the box cut by the accumulated rows, solved by a
-dual active-set method whose multipliers certify the result:
-`BenchmarkResult.gap` is the duality gap in cost units.  A trace row's
-comparator cost is read from the cost sums copied at that row, so no
-round is kept or drawn twice.
+admits nothing else), and the minimizer is exact.  The fold keeps of the
+constraints only what its set needs: in one dimension the per-round set is
+an interval, three numbers folded as the rounds arrive; the aggregate set
+is one summed row per constraint; and the per-round set in more
+dimensions is every distinct row [W | u], held once as float64 in one
+buffer that is deduplicated in place and read in place by the solve.
+In one dimension the minimizer is a clipped stationary point or an
+interval end.  In more dimensions the total cost is qw/2 ||x - p||^2 plus
+a constant, so the comparator is the projection of p onto the box cut by
+the rows, solved by a dual active-set method whose multipliers certify
+the result: `BenchmarkResult.gap` is the duality gap in cost units.  A
+trace row's comparator cost is read from the cost sums copied at that
+row, so no round is kept or drawn twice.
 
 Bound evaluators plug run statistics into the regret/violation
 certificates verbatim.  Two of them use different constants in the same
@@ -36,8 +41,6 @@ __all__ = [
     "ComparatorFold",
     "compute_benchmark",
     "benchmark_round_costs",
-    "TraceMetrics",
-    "compute_metrics",
     "BoundReport",
     "regret_certificate",
     "llp_bound_report",
@@ -82,16 +85,19 @@ class _CostAccumulator:
         self.const = 0.0
         self.qw = 0.0
         self.ql = np.zeros(n)
+        self._wu = np.empty(n)          # w u of the round being added
 
     def add(self, oracle) -> None:
         if oracle.cost_affine is not None:
             c, b = oracle.cost_affine
+            # affine costs are 1-D in every scenario, and numpy adds two
+            # 1-element arrays in place at twice the time of out of place
             self.lin = self.lin + c
             self.const += b
         else:
             w, u, b = oracle.cost_quadratic
             self.qw += w
-            self.ql = self.ql + w * u
+            self.ql += np.multiply(u, w, out=self._wu)
             self.const += 0.5 * w * float(u @ u) + b
 
     def value(self, x: np.ndarray) -> float:
@@ -104,63 +110,189 @@ def _cost_value(lin, const, qw, ql, x: np.ndarray) -> float:
     return float(lin.dot(x)) + const + 0.5 * qw * float(x.dot(x)) - float(ql.dot(x))
 
 
-class _ConstraintAccumulator:
-    """Affine rows W x + u <= 0 of either benchmark set."""
+def _box_rows(G: np.ndarray, h: np.ndarray, domain) -> None:
+    """Write the box as the 2n rows x <= upper, -x <= -lower of G x <= h."""
+    n = G.shape[1]
+    G[:n] = np.eye(n)
+    G[n:] = -np.eye(n)
+    h[:n] = domain.upper
+    h[n:] = -domain.lower
 
-    def __init__(self, n: int, kind: str):
-        self.n = n
-        self.kind = kind
-        # the distinct rounds' rows (X_T only), keyed by the bytes of W then u;
-        # every round has the same number of rows, as every scenario does
-        self.rows: dict[bytes, None] = {}
-        self.Wsum = None                        # aggregate fold, X_T_max
+
+class _Interval:
+    """X_T in one dimension: the interval of the box every round's rows leave.
+
+    min and max are exact and independent of order, so folding the rows as
+    they arrive gives the ends a scan of the distinct rows would.
+    """
+
+    def __init__(self, domain):
+        self.lo = float(domain.lower[0])
+        self.hi = float(domain.upper[0])
+        self.infeasible = False
+
+    def add(self, W: np.ndarray, u: np.ndarray) -> None:
+        for (w,), v in zip(W.tolist(), u.tolist()):
+            if w > 0.0:
+                end = (-v + _FEAS_TOL) / w
+                if end < self.hi:
+                    self.hi = end
+            elif w < 0.0:
+                end = (-v + _FEAS_TOL) / w
+                if end > self.lo:
+                    self.lo = end
+            elif v > _FEAS_TOL:
+                self.infeasible = True
+
+    def interval(self) -> tuple[float, float, bool]:
+        return self.lo, self.hi, self.infeasible
+
+
+class _RowSums:
+    """X_T_max: the summed rows sum_t W_t x + sum_t u_t <= 0, one per constraint."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.n = domain.dimension
+        self.G = None       # (d + 2n, n): the summed W, then the box rows
         self.usum = None
+        self.h = None
 
-    def add(self, oracle) -> None:
-        W, u = oracle.constraint_affine
-        if self.kind == "X_T_max":
-            if self.Wsum is None:
-                self.Wsum = W.copy()
-                self.usum = u.copy()
-            else:
-                self.Wsum = self.Wsum + W
-                self.usum = self.usum + u
-        else:
-            self.rows[W.tobytes() + u.tobytes()] = None
+    def _start(self, d: int) -> None:
+        # -0.0 is the identity of +, so the first round's rows are kept bit for bit
+        self.G = np.full((d + 2 * self.n, self.n), -0.0)
+        self.usum = np.full(d, -0.0)
+        self.h = np.empty(d + 2 * self.n)
+        _box_rows(self.G[d:], self.h[d:], self.domain)
 
-    def row_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deduplicated (W, u) stack of every affine inequality that must hold."""
-        if self.kind == "X_T_max":
-            if self.Wsum is None:
-                return np.zeros((0, self.n)), np.zeros(0)
-            return self.Wsum, self.usum
-        if not self.rows:
-            return np.zeros((0, self.n)), np.zeros(0)
+    def add(self, W: np.ndarray, u: np.ndarray) -> None:
+        if self.G is None:
+            self._start(len(u))
+        self.G[:len(u)] += W
+        self.usum += u
+
+    def interval(self) -> tuple[float, float, bool]:
+        folded = _Interval(self.domain)
+        if self.G is not None:
+            folded.add(self.G[:len(self.usum)], self.usum)
+        return folded.interval()
+
+    def system(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.G is None:
+            self._start(0)
+        np.negative(self.usum, out=self.h[:len(self.usum)])
+        return self.G, self.h
+
+
+class _DistinctRows:
+    """X_T for n >= 2: the distinct rows [W | u] of every round, as float64.
+
+    Each round's rows are appended to one buffer.  A full buffer is first
+    deduplicated in place, and grows only if distinct rows then fill more
+    than half of it, so it holds at most about twice the distinct rows.
+    To solve, the rows are deduplicated and laid out in place as the system
+    G x <= h, G = [W; I; -I] and h = [-u; upper; -lower], with G
+    C-contiguous: BLAS rounds G^T y differently when G's rows are strided
+    (n = 2, 3), and the comparator's floats should not depend on how its
+    rows are stored.  The next added round lays the buffer out as rows again.
+    """
+
+    _START_ROWS = 256
+    _CHUNK_ROWS = 4096      # rows moved per copy when the buffer is laid out anew
+
+    def __init__(self, domain):
+        self.domain = domain
+        n = self.n = domain.dimension
+        self.rows = np.empty((self._START_ROWS, n + 1))
+        self.filled = 0
+        # a sorted row's fields compare as np.unique(axis=0) compares rows
+        self.key = np.dtype([(f"f{i}", float) for i in range(n + 1)])
+        self.split = False      # the buffer holds the system, not the rows
+
+    def add(self, W: np.ndarray, u: np.ndarray) -> None:
+        if self.split:
+            self._join()
+        end = self.filled + len(u)
+        if end > len(self.rows):
+            self._make_room(len(u))
+            end = self.filled + len(u)
+        self.rows[self.filled:end, :self.n] = W
+        self.rows[self.filled:end, self.n] = u
+        self.filled = end
+
+    def _grow(self, rows: int) -> None:
+        # realloc: no second buffer; no view of the buffer outlives a solve
+        self.rows.resize((rows, self.n + 1), refcheck=False)
+
+    def _make_room(self, d: int) -> None:
+        self.filled = self._distinct()
+        if 2 * (self.filled + d) > len(self.rows):
+            self._grow(2 * (self.filled + d))
+
+    def _distinct(self) -> int:
+        """Sort the filled rows as np.unique(axis=0) does and drop the repeats.
+
+        A zero is kept as +0.0, so rows that differ only in the sign of a zero
+        are one row.  Returns the number of distinct rows, which then lead the
+        buffer in sorted order.
+        """
+        rows = self.rows[:self.filled]
+        rows += 0.0
+        keys = rows.view(self.key)[:, 0]
+        # stable sort is timsort, which takes the rows the last call sorted as one run
+        keys.sort(kind="stable")
+        later = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        if len(later) + 1 < len(keys):
+            # the kept rows move toward the front, chunk by chunk; a chunk's
+            # rows are read before any row of a later chunk is overwritten
+            for s in range(0, len(later), self._CHUNK_ROWS):
+                idx = later[s:s + self._CHUNK_ROWS]
+                rows[1 + s:1 + s + len(idx)] = rows[idx]
+            return len(later) + 1
+        return len(keys)
+
+    def system(self) -> tuple[np.ndarray, np.ndarray]:
+        """The views G, h of the deduplicated rows and the box."""
+        if not self.split:
+            self._split()
+        return self._system_views()
+
+    def _split(self) -> None:
+        """Lay the distinct rows out as the system G x <= h."""
         n = self.n
-        blocks = np.frombuffer(b"".join(self.rows), dtype=float).reshape(len(self.rows), -1)
-        d = blocks.shape[1] // (n + 1)
-        stacked = np.column_stack((blocks[:, :d * n].reshape(-1, n),
-                                   blocks[:, d * n:].reshape(-1)))
-        stacked = np.unique(stacked, axis=0)
-        return stacked[:, :-1], stacked[:, -1]
+        m = self.filled = self._distinct()
+        if m + 2 * n > len(self.rows):
+            self._grow(m + 2 * n)
+        flat = self.rows.reshape(-1)
+        h_top = -self.rows[:m, n]
+        for a in range(0, m, self._CHUNK_ROWS):     # rows move toward the front
+            b = min(a + self._CHUNK_ROWS, m)
+            flat[a * n:b * n].reshape(b - a, n)[...] = self.rows[a:b, :n]
+        G, h = self._system_views()
+        h[:m] = h_top
+        _box_rows(G[m:], h[m:], self.domain)
+        self.split = True
+
+    def _system_views(self) -> tuple[np.ndarray, np.ndarray]:
+        size = self.filled + 2 * self.n
+        flat = self.rows.reshape(-1)
+        return flat[:size * self.n].reshape(size, self.n), flat[size * self.n:size * (self.n + 1)]
+
+    def _join(self) -> None:
+        """Lay the system out as rows [W | u] again."""
+        n, m = self.n, self.filled
+        G, h = self._system_views()
+        u = -h[:m]
+        for b in range(m, 0, -self._CHUNK_ROWS):       # rows move toward the back
+            a = max(0, b - self._CHUNK_ROWS)
+            self.rows[a:b, :n] = G[a:b]
+        self.rows[:m, n] = u
+        self.split = False
 
 
-def _interval_1d(cons: _ConstraintAccumulator, lo: float, hi: float) -> tuple[float, float]:
-    W, u = cons.row_matrix()
-    for w_row, u_row in zip(W[:, 0], u):
-        if w_row > 0.0:
-            hi = min(hi, (-u_row + _FEAS_TOL) / w_row)
-        elif w_row < 0.0:
-            lo = max(lo, (-u_row + _FEAS_TOL) / w_row)
-        elif u_row > _FEAS_TOL:
-            return 1.0, 0.0
-    return lo, hi
-
-
-def _solve_exact_1d(cost: _CostAccumulator, cons: _ConstraintAccumulator,
-                    domain) -> tuple[np.ndarray | None, float, bool]:
-    lo, hi = _interval_1d(cons, float(domain.lower[0]), float(domain.upper[0]))
-    if lo > hi:
+def _solve_exact_1d(cost: _CostAccumulator, lo: float, hi: float,
+                    infeasible: bool) -> tuple[np.ndarray | None, float, bool]:
+    if infeasible or lo > hi:
         return None, math.nan, False
     slope = float(cost.lin[0] - cost.ql[0])
     if cost.qw > 0.0:
@@ -186,7 +318,8 @@ def _project_polytope(p: np.ndarray, G: np.ndarray,
     active: list[int] = []
     steps = 0
     while True:
-        viol = G @ x - h
+        viol = G @ x
+        viol -= h
         j = int(np.argmax(viol))
         if viol[j] <= _FEAS_TOL:
             return x, u
@@ -218,22 +351,20 @@ def _project_polytope(p: np.ndarray, G: np.ndarray,
             u[dropped] = 0.0
 
 
-def _solve_projection(cost: _CostAccumulator, cons: _ConstraintAccumulator,
-                      domain) -> tuple[np.ndarray | None, float, bool, float]:
+def _solve_projection(cost: _CostAccumulator, G: np.ndarray,
+                      h: np.ndarray) -> tuple[np.ndarray | None, float, bool, float]:
     if cost.qw <= 0.0:
         raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
                                  "total cost; the played costs have no quadratic part")
-    W, u = cons.row_matrix()
-    n = cost.n
-    G = np.vstack([W, np.eye(n), -np.eye(n)])
-    h = np.concatenate([-u, domain.upper, -domain.lower])
     p = (cost.ql - cost.lin) / cost.qw
     x, mult = _project_polytope(p, G, h)
     if x is None:
         return None, math.nan, False, math.nan
     Gu = G.T @ mult
     primal = 0.5 * float((x - p) @ (x - p))
-    dual = float(mult @ (G @ p - h)) - 0.5 * float(Gu @ Gu)
+    slack = G @ p
+    slack -= h
+    dual = float(mult @ slack) - 0.5 * float(Gu @ Gu)
     return x, cost.value(x), True, cost.qw * (primal - dual)
 
 
@@ -247,17 +378,21 @@ class ComparatorFold:
         if kind not in BENCHMARK_KINDS:
             raise ConfigurationError(f"unknown benchmark kind {kind!r}")
         n = domain.dimension
-        self.domain = domain
         self.kind = kind
         self.t = 0
         self.cost = _CostAccumulator(n)
-        self.cons = _ConstraintAccumulator(n, kind)
+        if kind == "X_T_max":
+            self.cons = _RowSums(domain)
+        elif n == 1:
+            self.cons = _Interval(domain)
+        else:
+            self.cons = _DistinctRows(domain)
         self.prefix: list[PrefixOptimum] = []
         self.cost_sums_size = 2 * n + 2
 
     def add(self, oracle) -> None:
         self.cost.add(oracle)
-        self.cons.add(oracle)
+        self.cons.add(*oracle.constraint_affine)
         self.t += 1
 
     def copy_cost_sums(self, out: np.ndarray) -> None:
@@ -271,8 +406,8 @@ class ComparatorFold:
     def solve(self) -> tuple[np.ndarray | None, float, bool, float]:
         """(x, total cost, feasible, duality gap) over the rounds so far."""
         if self.cost.n >= 2:
-            return _solve_projection(self.cost, self.cons, self.domain)
-        x, v, ok = _solve_exact_1d(self.cost, self.cons, self.domain)
+            return _solve_projection(self.cost, *self.cons.system())
+        x, v, ok = _solve_exact_1d(self.cost, *self.cons.interval())
         return x, v, ok, 0.0 if ok else math.nan
 
     def mark(self) -> None:
@@ -297,43 +432,6 @@ def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarr
     columns = (cost_sums[:, :n], cost_sums[:, n], cost_sums[:, n + 1], cost_sums[:, n + 2:])
     return np.fromiter((_cost_value(*row, x) for row in zip(*columns)), dtype=float,
                        count=len(cost_sums))
-
-
-# -- metrics -----------------------------------------------------------------
-
-
-@dataclass
-class TraceMetrics:
-    cum_cost: np.ndarray
-    regret: np.ndarray
-    violation: np.ndarray
-    violation_z: np.ndarray | None = None
-
-
-def compute_metrics(f_values, g_values, bench_costs=None, gz_values=None) -> TraceMetrics:
-    """Recompute cumulative metrics from raw per-round data.
-
-    g_values is (T, d); bench_costs is the comparator's per-round cost (or
-    None, which leaves regret as NaN).
-    """
-    f = np.asarray(f_values, dtype=float)
-    g = np.atleast_2d(np.asarray(g_values, dtype=float))
-    if g.shape[0] != f.shape[0]:
-        g = g.T
-    cum_cost = np.cumsum(f)
-    if bench_costs is None:
-        regret = np.full_like(cum_cost, math.nan)
-    else:
-        regret = cum_cost - np.cumsum(np.asarray(bench_costs, dtype=float))
-    viol = np.linalg.norm(np.maximum(np.cumsum(g, axis=0), 0.0), axis=1)
-    viol_z = None
-    if gz_values is not None:
-        gz = np.atleast_2d(np.asarray(gz_values, dtype=float))
-        if gz.shape[0] != f.shape[0]:
-            gz = gz.T
-        viol_z = np.linalg.norm(np.maximum(np.cumsum(gz, axis=0), 0.0), axis=1)
-    return TraceMetrics(cum_cost=cum_cost, regret=regret, violation=viol,
-                        violation_z=viol_z)
 
 
 # -- theoretical bounds --------------------------------------------------------

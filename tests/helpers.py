@@ -6,6 +6,9 @@ that expected values are frozen from an independent oracle rather than
 from the code under test.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from lazyoco.analysis import llp2_bound_report, llp_bound_report
@@ -192,3 +195,37 @@ def dual_regret_gap(gains, lams, mismatch_norms, a_prevs, comparator):
         cert += ap * float(m) ** 2
     cert += float(lam_star @ lam_star) / (2.0 * a_prevs[-1])
     return realized, cert
+
+
+@dataclass
+class TraceMetrics:
+    cum_cost: np.ndarray
+    regret: np.ndarray
+    violation: np.ndarray
+    violation_z: np.ndarray | None = None
+
+
+def compute_metrics(f_values, g_values, bench_costs=None, gz_values=None) -> TraceMetrics:
+    """Recompute cumulative metrics from raw per-round data.
+
+    g_values is (T, d); bench_costs is the comparator's per-round cost (or
+    None, which leaves regret as NaN).
+    """
+    f = np.asarray(f_values, dtype=float)
+    g = np.atleast_2d(np.asarray(g_values, dtype=float))
+    if g.shape[0] != f.shape[0]:
+        g = g.T
+    cum_cost = np.cumsum(f)
+    if bench_costs is None:
+        regret = np.full_like(cum_cost, math.nan)
+    else:
+        regret = cum_cost - np.cumsum(np.asarray(bench_costs, dtype=float))
+    viol = np.linalg.norm(np.maximum(np.cumsum(g, axis=0), 0.0), axis=1)
+    viol_z = None
+    if gz_values is not None:
+        gz = np.atleast_2d(np.asarray(gz_values, dtype=float))
+        if gz.shape[0] != f.shape[0]:
+            gz = gz.T
+        viol_z = np.linalg.norm(np.maximum(np.cumsum(gz, axis=0), 0.0), axis=1)
+    return TraceMetrics(cum_cost=cum_cost, regret=regret, violation=viol,
+                        violation_z=viol_z)

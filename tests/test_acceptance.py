@@ -8,6 +8,7 @@ the batch.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,8 +325,8 @@ def test_criterion_11_reruns_are_byte_identical(tmp_path):
             doc_run = {**doc, "output": {"path": path}}
             cfg = runner.parse_run_config(doc_run)
             runner.write_trace(runner.execute_run(cfg))
-            payloads.append((open(path, "rb").read(),
-                             open(path + ".summary.json", "rb").read()))
+            payloads.append((Path(path).read_bytes(),
+                             Path(path + ".summary.json").read_bytes()))
         if payloads[0] != payloads[1]:
             mismatches.append(name)
     ok = not mismatches

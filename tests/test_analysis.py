@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lazyoco import analysis
 from lazyoco.analysis import (
     ComparatorFold,
     benchmark_round_costs,
     compute_benchmark,
-    compute_metrics,
     fit_growth_exponent,
     llp2_bound_report,
     llp_bound_report,
@@ -25,6 +25,7 @@ from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError
 
 from helpers import (
+    compute_metrics,
     draw_rounds,
     dual_regret_gap,
     evaluate_theorem1_bounds,
@@ -250,6 +251,135 @@ def test_benchmark_round_costs_values():
         want = sum(o.cost(res.x_star)[0] for o in rounds[:upto])
         assert costs[i] == pytest.approx(want, rel=1e-12)
     assert costs[-1] == res.optimal_total_cost
+
+
+def distinct_rows_before(rounds):
+    """The X_T rows as the comparator built them before it kept a row buffer:
+    one bytes key per distinct round, then np.unique(axis=0) of the stacked rows."""
+    n = rounds[0].constraint_affine[0].shape[1]
+    keys = dict.fromkeys(W.tobytes() + u.tobytes()
+                         for W, u in (o.constraint_affine for o in rounds))
+    blocks = np.frombuffer(b"".join(keys), dtype=float).reshape(len(keys), -1)
+    d = blocks.shape[1] // (n + 1)
+    stacked = np.column_stack((blocks[:, :d * n].reshape(-1, n), blocks[:, d * n:].reshape(-1)))
+    return np.unique(stacked, axis=0)
+
+
+def rounds_with_repeats(n, d, horizon, seed):
+    """random_quadratic rounds, then the same rounds again, a round with one of
+    its rows twice, and rounds whose rows differ from a kept row only in the
+    sign of a zero."""
+    sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
+                       seed=seed)
+    rounds = draw_rounds(sc, horizon)
+    W, u = rounds[0].constraint_affine
+    twice = W.copy()
+    twice[1] = twice[0]
+    utwice = u.copy()
+    utwice[1] = utwice[0]
+    signed = []
+    for sign in (0.0, -0.0):
+        Wz, uz = W.copy(), u.copy()
+        Wz[:, 0] = sign
+        uz[-1] = sign
+        signed.append(RoundOracle(constraint_affine=(Wz, uz),
+                                  cost_quadratic=(1.0, np.zeros(n), 0.0)))
+    extra = [RoundOracle(constraint_affine=(twice, utwice),
+                         cost_quadratic=(0.5, np.full(n, 0.1), 0.0))]
+    return rounds + rounds[::-1] + extra + signed + signed[::-1]
+
+
+@pytest.mark.parametrize("chunk", [4096, 3])
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (5, 3)])
+def test_distinct_rows_are_the_unique_rows(n, d, chunk, monkeypatch):
+    """The rows the n >= 2 solve reads are np.unique's rows of the old stack,
+    bit for bit once a zero is taken as +0.0, and the solve on them gives the
+    old x*, total cost and gap."""
+    monkeypatch.setattr(analysis._DistinctRows, "_CHUNK_ROWS", chunk)
+    rounds = rounds_with_repeats(n, d, 150, seed=n + d)
+    fold = ComparatorFold(Box(-np.ones(n), np.ones(n)), "X_T")
+    for oracle in rounds:
+        fold.add(oracle)
+    ref = distinct_rows_before(rounds)
+    G, h = fold.cons.system()
+    m = len(G) - 2 * n
+    got = np.column_stack((G[:m], -h[:m]))
+    assert got.tobytes() == (ref + 0.0).tobytes()
+    assert len(got) < len(rounds) * d      # the repeats were dropped
+
+    # the solve on the system the comparator built the old way
+    G_old = np.vstack([ref[:, :-1], np.eye(n), -np.eye(n)])
+    h_old = np.concatenate([-ref[:, -1], np.ones(n), np.ones(n)])
+    x_old, cost_old, ok_old, gap_old = analysis._solve_projection(fold.cost, G_old, h_old)
+    x, cost, ok, gap = fold.solve()
+    assert ok and ok_old
+    assert x.tobytes() == x_old.tobytes()
+    assert (cost, gap) == (cost_old, gap_old)
+
+
+def interval_before(rounds, lo, hi):
+    """The old 1-D X_T interval: a scan over every distinct row, (lo, hi, feasible)."""
+    rows = distinct_rows_before(rounds)
+    for w_row, u_row in zip(rows[:, 0], rows[:, 1]):
+        if w_row > 0.0:
+            hi = min(hi, (-u_row + analysis._FEAS_TOL) / w_row)
+        elif w_row < 0.0:
+            lo = max(lo, (-u_row + analysis._FEAS_TOL) / w_row)
+        elif u_row > analysis._FEAS_TOL:
+            return 1.0, 0.0, False
+    return lo, hi, lo <= hi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_folded_interval_is_the_row_scan(seed):
+    rng = np.random.default_rng(seed)
+    tol = analysis._FEAS_TOL
+    d = 1 + seed % 3
+
+    def draw(u_zero, u_high):
+        w = rng.choice([-1.0, 0.0, 1.0], size=(d, 1)) * rng.uniform(0.5, 2.0, size=(d, 1))
+        u = np.where(w[:, 0] == 0.0, rng.choice(u_zero, size=d),
+                     rng.uniform(-1.0, u_high, size=d))
+        return affine_round([1.0], 0.0, w, u)
+
+    # w = 0 rows at the tolerance, on its feasible side, while the other rows
+    # narrow the box; then rows that may empty it either way, and one that must
+    rounds = [draw([-tol, 0.0, tol], 0.0) for _ in range(30)]
+    rounds += [draw([tol, 2.0 * tol], 1.0) for _ in range(10)]
+    rounds.append(affine_round([1.0], 0.0, np.zeros((d, 1)), np.full(d, 2.0 * tol)))
+    feasible_at = []
+    for t in range(1, len(rounds) + 1):
+        fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
+        for oracle in rounds[:t]:
+            fold.add(oracle)
+        lo, hi, infeasible = fold.cons.interval()
+        feasible = not infeasible and lo <= hi
+        want = interval_before(rounds[:t], -1.0, 1.0)
+        assert feasible == want[2]
+        if feasible:
+            assert (lo, hi) == want[:2]
+        feasible_at.append(feasible)
+    assert feasible_at[29] and not feasible_at[-1]
+
+
+@pytest.mark.parametrize("kind", ["X_T", "X_T_max"])
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2)])
+def test_mark_is_the_prefix_comparator(n, d, kind):
+    """A prefix optimum marked after every round is the comparator of a fresh
+    fold of that prefix."""
+    if n == 1:
+        sc = make_scenario("perturbed_linear", horizon=80, seed=3)
+        rounds = draw_rounds(sc, 80)
+    else:
+        rounds = rounds_with_repeats(n, d, 70, seed=7)     # 290 rows: the buffer is compacted
+    dom = Box(-np.ones(n), np.ones(n))
+    res = benchmark_of(rounds, dom, kind, marks=range(1, len(rounds) + 1))
+    assert len(res.prefix) == len(rounds)
+    for t, mark in enumerate(res.prefix, start=1):
+        fresh = benchmark_of(rounds[:t], dom, kind)
+        assert mark.t == t and mark.feasible == fresh.feasible
+        assert mark.x_star.tobytes() == fresh.x_star.tobytes()
+        assert mark.total_cost == fresh.optimal_total_cost
 
 
 def test_metrics_hand_example():

@@ -3,16 +3,18 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lazyoco import cli, learners, runner
-from lazyoco.analysis import compute_metrics
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
 from lazyoco.sets import Box, ConfigurationError
+
+from helpers import compute_metrics
 
 
 def base_doc(**over):
@@ -91,7 +93,7 @@ def test_csv_trace_format(tmp_path):
     result = runner.execute_run(runner.parse_run_config(doc))
     runner.write_trace(result)
 
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(runner.TRACE_COLUMNS)
     assert len(lines) == 6
     for i, line in enumerate(lines[1:], start=1):
@@ -101,7 +103,7 @@ def test_csv_trace_format(tmp_path):
         for cell in cells[1:12]:
             f = float(cell)                  # shortest .17g text survives parsing
             assert format(f, ".17g") == cell
-    summary = json.loads(open(path + ".summary.json", encoding="utf-8").read())
+    summary = json.loads(Path(path + ".summary.json").read_text(encoding="utf-8"))
     assert summary["rows_written"] == 5
     assert summary["horizon"] == 5
 
@@ -116,8 +118,8 @@ def test_json_trace_format(tmp_path):
     result = runner.execute_run(runner.parse_run_config(doc))
     runner.write_trace(result)
     runner.write_trace(result, str(tmp_path / "trace.csv"), "csv")
-    loaded = json.load(open(tmp_path / "trace.json", encoding="utf-8"))
-    lines = open(tmp_path / "trace.csv", encoding="utf-8").read().splitlines()
+    loaded = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
+    lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert loaded["columns"] == list(runner.TRACE_COLUMNS) == lines[0].split(",")
     assert [row[0] for row in loaded["rows"]] == [3, 6, 9, 10]  # subsampled, last round kept
     assert len(lines) == 1 + len(loaded["rows"])
@@ -159,8 +161,8 @@ def test_trace_bytes_deterministic(tmp_path):
         doc = base_doc(output={"path": path},
                        predictor={"kind": "noisy", "level": 0.5, "seed": 9})
         runner.write_trace(runner.execute_run(runner.parse_run_config(doc)))
-        payloads.append((open(path, "rb").read(),
-                         open(path + ".summary.json", "rb").read()))
+        payloads.append((Path(path).read_bytes(),
+                         Path(path + ".summary.json").read_bytes()))
     assert payloads[0] == payloads[1]
 
 
@@ -186,6 +188,32 @@ def test_run_memory_grows_only_with_the_comparator_rows():
 
     short, long = peak(2000), peak(8000)
     assert (long - short) / 6000 < 1024
+
+
+@pytest.mark.parametrize("scenario, predictor, per_round", [
+    # the distinct rows, 3 x 6 floats = 144 B a round, held once with no copy
+    ({"kind": "random_quadratic", "dimension": 5, "constraints": 3, "seed": 1},
+     {"kind": "noisy", "level": 0.3, "seed": 2}, 320),
+    # a 1-D comparator set is an interval: three numbers, whatever the horizon
+    ({"kind": "perturbed_linear", "seed": 0}, {"kind": "none"}, 8),
+], ids=["quadratic_rows", "interval_1d"])
+def test_comparator_memory_per_round(scenario, predictor, per_round):
+    """Peak allocation of an X_T run grows by under `per_round` bytes a round
+    at fixed output, the solve's working copies included."""
+    def peak(horizon):
+        cfg = runner.parse_run_config(base_doc(
+            scenario=dict(scenario, horizon=horizon), predictor=predictor,
+            output={"record_every": horizon // 20}))
+        tracemalloc.start()
+        try:
+            runner.execute_run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # the first run in a process also pays one-time allocations
+    short, long = peak(2000), peak(8000)
+    assert (long - short) / 6000 < per_round
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -365,7 +393,7 @@ def test_write_plot_svg(tmp_path):
     doc["scenario"]["horizon"] = 30
     result = runner.execute_run(runner.parse_run_config(doc))
     runner.write_plot(result, path)
-    body = open(path, encoding="utf-8").read()
+    body = Path(path).read_text(encoding="utf-8")
     assert body.startswith("<svg") and "polyline" in body
     ET.fromstring(body)  # well-formed XML
 
@@ -424,7 +452,7 @@ def _compare_csv(tmp_path, record_every):
         doc["scenario"]["horizon"] = 50
         doc["learner"]["variant"] = variant
         docs.append(runner.parse_run_config(doc))
-    return runner.compare(docs, output_path=out), open(out, "rb").read()
+    return runner.compare(docs, output_path=out), Path(out).read_bytes()
 
 
 @pytest.mark.parametrize("record_every", [1, 7])

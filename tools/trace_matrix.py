@@ -29,6 +29,9 @@ The matrix:
   n = 2, d = 1 with `center_scale` 2 and `offset_scale` 0, T = 4 000,
   `X_T_max`, where the unregularized prescient step must keep z = x while
   one coordinate of x sits on the box boundary;
+- `comparator_empty_1d`: `perturbed_linear` with `amplitude` 1.5, T = 400,
+  `X_T`, whose rounds leave no common feasible point, so the trace has no
+  regret and the summary no comparator;
 - the T = 173 cells and the two criterion-11 configs again with
   `output.format = "json"`, as `<cell>__json`, so both trace writers are
   checked.
@@ -97,6 +100,12 @@ def cells() -> dict[str, dict]:
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "perfect"},
         "benchmark": {"kind": "X_T_max"},
+    }
+    out["comparator_empty_1d"] = {
+        "scenario": {"kind": "perturbed_linear", "horizon": 400, "seed": 3,
+                     "params": {"amplitude": 1.5}},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "benchmark": {"kind": "X_T"},
     }
     for name in [n for n in out if n.endswith("__T173") or n.startswith("criterion11_")]:
         doc = out[name]
