@@ -9,8 +9,8 @@ admits nothing else), and the minimizer is exact.  The fold keeps of the
 constraints only what its set needs: in one dimension the per-round set is
 an interval, three numbers folded as the rounds arrive; the aggregate set
 is one summed row per constraint; and the per-round set in more
-dimensions is every distinct row [W | u], held once as float64 in one
-buffer that is deduplicated in place and read in place by the solve.
+dimensions is every round's rows, appended in play order to the system
+G x <= h that the solve reads.
 In one dimension the minimizer is a clipped stationary point or an
 interval end.  In more dimensions the total cost is qw/2 ||x - p||^2 plus
 a constant, so the comparator is the projection of p onto the box cut by
@@ -184,110 +184,45 @@ class _RowSums:
         return self.G, self.h
 
 
-class _DistinctRows:
-    """X_T for n >= 2: the distinct rows [W | u] of every round, as float64.
+class _PlayedRows:
+    """X_T for n >= 2: every round's rows, in play order, as the system G x <= h.
 
-    Each round's rows are appended to one buffer.  A full buffer is first
-    deduplicated in place, and grows only if distinct rows then fill more
-    than half of it, so it holds at most about twice the distinct rows.
-    To solve, the rows are deduplicated and laid out in place as the system
-    G x <= h, G = [W; I; -I] and h = [-u; upper; -lower], with G
-    C-contiguous: BLAS rounds G^T y differently when G's rows are strided
-    (n = 2, 3), and the comparator's floats should not depend on how its
-    rows are stored.  The next added round lays the buffer out as rows again.
+    Round t's W goes into the next rows of G and -u into the next entries
+    of h; both buffers double when full.  `system` writes the box rows
+    I, -I and bounds upper, -lower after the last round's rows and returns
+    the C-contiguous prefixes, which the next `add` overwrites.  A repeated
+    row is kept: the active-set solve never adds a row whose twin is
+    already active, since it is tight then.
     """
 
     _START_ROWS = 256
-    _CHUNK_ROWS = 4096      # rows moved per copy when the buffer is laid out anew
 
     def __init__(self, domain):
         self.domain = domain
-        n = self.n = domain.dimension
-        self.rows = np.empty((self._START_ROWS, n + 1))
-        self.filled = 0
-        # a sorted row's fields compare as np.unique(axis=0) compares rows
-        self.key = np.dtype([(f"f{i}", float) for i in range(n + 1)])
-        self.split = False      # the buffer holds the system, not the rows
+        self.n = domain.dimension
+        self.G = np.empty((self._START_ROWS, self.n))
+        self.h = np.empty(self._START_ROWS)
+        self.m = 0
+
+    def _reserve(self, rows: int) -> None:
+        if rows > len(self.h):
+            size = max(rows, 2 * len(self.h))
+            # realloc: no second buffer; no view of the buffers outlives a solve
+            self.G.resize((size, self.n), refcheck=False)
+            self.h.resize(size, refcheck=False)
 
     def add(self, W: np.ndarray, u: np.ndarray) -> None:
-        if self.split:
-            self._join()
-        end = self.filled + len(u)
-        if end > len(self.rows):
-            self._make_room(len(u))
-            end = self.filled + len(u)
-        self.rows[self.filled:end, :self.n] = W
-        self.rows[self.filled:end, self.n] = u
-        self.filled = end
-
-    def _grow(self, rows: int) -> None:
-        # realloc: no second buffer; no view of the buffer outlives a solve
-        self.rows.resize((rows, self.n + 1), refcheck=False)
-
-    def _make_room(self, d: int) -> None:
-        self.filled = self._distinct()
-        if 2 * (self.filled + d) > len(self.rows):
-            self._grow(2 * (self.filled + d))
-
-    def _distinct(self) -> int:
-        """Sort the filled rows as np.unique(axis=0) does and drop the repeats.
-
-        A zero is kept as +0.0, so rows that differ only in the sign of a zero
-        are one row.  Returns the number of distinct rows, which then lead the
-        buffer in sorted order.
-        """
-        rows = self.rows[:self.filled]
-        rows += 0.0
-        keys = rows.view(self.key)[:, 0]
-        # stable sort is timsort, which takes the rows the last call sorted as one run
-        keys.sort(kind="stable")
-        later = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        if len(later) + 1 < len(keys):
-            # the kept rows move toward the front, chunk by chunk; a chunk's
-            # rows are read before any row of a later chunk is overwritten
-            for s in range(0, len(later), self._CHUNK_ROWS):
-                idx = later[s:s + self._CHUNK_ROWS]
-                rows[1 + s:1 + s + len(idx)] = rows[idx]
-            return len(later) + 1
-        return len(keys)
+        end = self.m + len(u)
+        self._reserve(end)
+        self.G[self.m:end] = W
+        np.negative(u, out=self.h[self.m:end])
+        self.m = end
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
-        """The views G, h of the deduplicated rows and the box."""
-        if not self.split:
-            self._split()
-        return self._system_views()
-
-    def _split(self) -> None:
-        """Lay the distinct rows out as the system G x <= h."""
-        n = self.n
-        m = self.filled = self._distinct()
-        if m + 2 * n > len(self.rows):
-            self._grow(m + 2 * n)
-        flat = self.rows.reshape(-1)
-        h_top = -self.rows[:m, n]
-        for a in range(0, m, self._CHUNK_ROWS):     # rows move toward the front
-            b = min(a + self._CHUNK_ROWS, m)
-            flat[a * n:b * n].reshape(b - a, n)[...] = self.rows[a:b, :n]
-        G, h = self._system_views()
-        h[:m] = h_top
-        _box_rows(G[m:], h[m:], self.domain)
-        self.split = True
-
-    def _system_views(self) -> tuple[np.ndarray, np.ndarray]:
-        size = self.filled + 2 * self.n
-        flat = self.rows.reshape(-1)
-        return flat[:size * self.n].reshape(size, self.n), flat[size * self.n:size * (self.n + 1)]
-
-    def _join(self) -> None:
-        """Lay the system out as rows [W | u] again."""
-        n, m = self.n, self.filled
-        G, h = self._system_views()
-        u = -h[:m]
-        for b in range(m, 0, -self._CHUNK_ROWS):       # rows move toward the back
-            a = max(0, b - self._CHUNK_ROWS)
-            self.rows[a:b, :n] = G[a:b]
-        self.rows[:m, n] = u
-        self.split = False
+        size = self.m + 2 * self.n
+        self._reserve(size)
+        _box_rows(self.G[self.m:size], self.h[self.m:size], self.domain)
+        return self.G[:size], self.h[:size]
 
 
 def _solve_exact_1d(cost: _CostAccumulator, lo: float, hi: float,
@@ -386,7 +321,7 @@ class ComparatorFold:
         elif n == 1:
             self.cons = _Interval(domain)
         else:
-            self.cons = _DistinctRows(domain)
+            self.cons = _PlayedRows(domain)
         self.prefix: list[PrefixOptimum] = []
         self.cost_sums_size = 2 * n + 2
 

@@ -19,9 +19,7 @@ Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part W^T lam folds into one linear
 vector, and the aggregate the learner carries stays a constant-size
 prox plus linear term whatever the horizon.  The constraint value at the
-played point, W x + u, is what every variant observes; `llp_linearized`
-differs from `llp` only in taking the prescient point's value from the
-linearization at x, g(x) + W (z - x).
+played point, W x + u, is what every variant observes.
 
 Forecasts arrive in closed form (see `predictors`).  A quadratic cost
 forecast (w, u) folds into the prox: S/2 ||x - b/S||^2 + w/2 ||x - u||^2
@@ -69,7 +67,7 @@ __all__ = [
     "make_learner",
 ]
 
-VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed", "greedy_baseline")
+VARIANTS = ("llp", "llp2", "llp_perturbed", "greedy_baseline")
 
 
 @dataclass
@@ -441,11 +439,7 @@ class LlpLearner:
                 return x, gvals, fold
             linear = np.where(tie, 0.0, linear)
         z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
-        if self.variant == "llp_linearized":
-            gz = gvals + W @ (z - x)
-        else:
-            gz = truth.constraint_value(z)
-        return z, gz, fold
+        return z, truth.constraint_value(z), fold
 
     def _fold_round(self, ccum, wsum, lin) -> None:
         self.ccum = ccum

@@ -203,6 +203,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     ln = _mapping(doc["learner"], "learner")
     _check_keys(ln, _LEARNER_KEYS, "learner")
     variant = _string(ln, "variant", "learner", required=True)
+    if variant == "llp_linearized":
+        raise ConfigurationError("learner variant 'llp_linearized' was retired: on the "
+                                 "affine constraints of every round it is 'llp'; use 'llp'")
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown learner variant {variant!r}")
     sigma = _number(ln, "sigma", "learner", required=True)

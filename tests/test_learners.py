@@ -151,17 +151,6 @@ def test_per_round_drift_inequality():
     assert learner.drift_gap <= 10.0 * tol
 
 
-def test_llp_equals_linearized_on_affine_rounds():
-    """Affine constraints make the linearized variant exactly equal to llp."""
-    xs = {}
-    for variant in ("llp", "llp_linearized"):
-        sc = make_scenario("alternating_linear", horizon=100)
-        learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, 1, 1)
-        records = run_rounds(learner, sc, "noisy", 100, level=0.6, seed=21)
-        xs[variant] = np.array([r.x[0] for r in records])
-    np.testing.assert_allclose(xs["llp"], xs["llp_linearized"], atol=1e-12)
-
-
 def test_xi_stays_below_twice_constraint_bound():
     for pk in ("none", "noisy", "adversarial"):
         sc = make_scenario("alternating_linear", horizon=150)
@@ -207,7 +196,7 @@ def test_llp2_mu_arithmetic():
     assert learner.prox_S == pytest.approx(math.sqrt(10.1), rel=1e-12)
 
 
-LAZY_VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed")
+LAZY_VARIANTS = ("llp", "llp2", "llp_perturbed")
 
 
 def primal_case(rng, variant, n, d, S, zero_jacobian):
@@ -306,7 +295,7 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
     assert len(calls) <= 2 * 200
 
 
-@pytest.mark.parametrize("variant", ("llp", "llp2", "llp_linearized"))
+@pytest.mark.parametrize("variant", ("llp", "llp2"))
 @pytest.mark.parametrize("n, d", [(1, 1), (5, 3)])
 def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     """An exact quadratic cost forecast folds into the prox instead of being iterated.

@@ -170,7 +170,7 @@ def test_run_memory_grows_only_with_the_comparator_rows():
     """Peak allocation of a run grows by under 1 KB per round at fixed output.
 
     With 20 rows written either way, what a longer run must keep is the
-    comparator's distinct X_T rows, d (n + 1) floats a round; a kept copy
+    comparator's X_T rows, d (n + 1) floats a round; a kept copy
     of every drawn round costs several times that.
     """
     def peak(horizon):
@@ -191,7 +191,7 @@ def test_run_memory_grows_only_with_the_comparator_rows():
 
 
 @pytest.mark.parametrize("scenario, predictor, per_round", [
-    # the distinct rows, 3 x 6 floats = 144 B a round, held once with no copy
+    # every round's rows, 3 x 6 floats = 144 B a round, kept as the system the solve reads
     ({"kind": "random_quadratic", "dimension": 5, "constraints": 3, "seed": 1},
      {"kind": "noisy", "level": 0.3, "seed": 2}, 320),
     # a 1-D comparator set is an interval: three numbers, whatever the horizon
@@ -374,7 +374,6 @@ def test_bound_dispatch_by_variant():
     for variant, scenario, expect in (
         ("llp", "alternating_linear", True),
         ("llp2", "alternating_linear", True),
-        ("llp_linearized", "alternating_linear", True),
         ("llp_perturbed", "perturbed_linear", True),
         ("greedy_baseline", "alternating_linear", False),
     ):
@@ -518,6 +517,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     doomed = copy.deepcopy(doc)
     doomed["output"]["path"] = str(tmp_path / "no_such_dir" / "t.csv")
     assert cli.main(["run", write_config(tmp_path, "doomed.json", doomed)]) == 3
+
+
+def test_retired_linearized_variant_is_refused(tmp_path, capsys):
+    """`llp_linearized` was `llp` on affine constraints; the refusal names `llp`."""
+    doc = base_doc(output={"path": str(tmp_path / "t.csv")})
+    doc["learner"]["variant"] = "llp_linearized"
+    with pytest.raises(ConfigurationError, match="use 'llp'"):
+        runner.parse_run_config(doc)
+    assert cli.main(["run", write_config(tmp_path, "retired.json", doc)]) == 2
+    assert "use 'llp'" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("key, mutate", [

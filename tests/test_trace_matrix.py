@@ -65,3 +65,28 @@ def test_compare_names_the_changed_column(tmp_path, capsys, fmt):
     assert out[1] == "1 files differ, 2 identical"
     assert out[2].startswith("  cum_cost: largest change 0.001 absolute, ")
     assert len(out) == 3
+
+
+def test_compare_sizes_a_changed_summary_key(tmp_path, capsys):
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_cell(a, "csv")
+    shutil.copytree(a, b)
+    path = b / "cell.csv.summary.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["benchmark_gap"] = 0.25
+    x0 = doc["x_star"][0]
+    doc["x_star"][0] = 2.0 * x0
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    gap = json.loads((a / "cell.csv.summary.json").read_text(encoding="utf-8"))["benchmark_gap"]
+    assert gap == 0.0 and x0 != 0.0
+    assert out == [
+        "differs: cell.csv.summary.json: keys benchmark_gap (0.25 absolute, 1 relative), "
+        f"x_star[0] ({abs(x0):.3g} absolute, 0.5 relative)",
+        "1 files differ, 2 identical",
+        "  summary benchmark_gap: largest change 0.25 absolute, 1 relative",
+        f"  summary x_star[0]: largest change {abs(x0):.3g} absolute, 0.5 relative",
+    ]

@@ -12,12 +12,15 @@ byte-identity, run it once per checkout (pointing --src at each tree, or
 copying this script into the older one) and compare the two directories.
 
 The second form lists the files that differ between the two directories
-and, for every differing trace, the largest absolute and relative change
-per column; for a differing summary, the keys whose values changed.
-It exits 1 when anything differs.
+and, for every differing trace, the columns that changed; for a differing
+summary, each changed key with its absolute and relative change (a list
+entry as key[i], a nested entry as key.name; a change that is not between
+two numbers reads inf).  It closes with the largest absolute and relative
+change per trace column and per summary key.  It exits 1 when anything
+differs.
 
 The matrix:
-- 5 variants x 5 predictors x 5 scenario kinds x 2 settings: T = 400,
+- 4 variants x 5 predictors x 5 scenario kinds x 2 settings: T = 400,
   beta 0.5, a row every round; T = 173, beta 0, a row every 7th round.
   Scenario seed 3, `random_quadratic` at n = 3, d = 2, predictor level
   0.3 and seed 4, sigma = a = 1.  `llp_perturbed` off
@@ -49,7 +52,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 
-VARIANTS = ("llp", "llp2", "llp_linearized", "llp_perturbed", "greedy_baseline")
+VARIANTS = ("llp", "llp2", "llp_perturbed", "greedy_baseline")
 PREDICTORS = ("none", "perfect", "perfect_gradients", "noisy", "adversarial")
 KINDS = ("alternating_linear", "stochastic_constraint", "impossibility_adversary",
          "perturbed_linear", "random_quadratic")
@@ -146,6 +149,20 @@ def _number(text: str) -> float | None:
         return None
 
 
+def _change(va, vb) -> tuple[float, float]:
+    """(absolute, relative) change between two values; inf unless both are numbers."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb)):
+        return math.inf, math.inf
+    dabs = abs(va - vb)
+    scale = max(abs(va), abs(vb))
+    return dabs, dabs / scale if scale > 0.0 else 0.0
+
+
+def _merge(into: dict[str, tuple[float, float]], key: str, change: tuple[float, float]) -> None:
+    old = into.get(key, (0.0, 0.0))
+    into[key] = (max(old[0], change[0]), max(old[1], change[1]))
+
+
 def _trace_changes(a: str, b: str) -> dict[str, tuple[float, float]]:
     """Column -> (largest absolute, largest relative change) over the rows."""
     cols_a, rows_a = _read_trace(a)
@@ -155,26 +172,35 @@ def _trace_changes(a: str, b: str) -> dict[str, tuple[float, float]]:
     out: dict[str, tuple[float, float]] = {}
     for row_a, row_b in zip(rows_a, rows_b):
         for col, va, vb in zip(cols_a, row_a, row_b):
-            if va == vb:
-                continue
-            fa, fb = _number(va), _number(vb)
-            if fa is None or fb is None:
-                dabs = drel = math.inf
-            else:
-                dabs = abs(fa - fb)
-                scale = max(abs(fa), abs(fb))
-                drel = dabs / scale if scale > 0.0 else 0.0
-            old = out.get(col, (0.0, 0.0))
-            out[col] = (max(old[0], dabs), max(old[1], drel))
+            if va != vb:
+                _merge(out, col, _change(_number(va), _number(vb)))
     return out
 
 
-def _summary_changes(a: str, b: str) -> list[str]:
+def _leaves(value, key: str = ""):
+    """(key, value) for each entry of a summary, a list's as key[i], a mapping's as key.name."""
+    if isinstance(value, dict):
+        for name, v in value.items():
+            yield from _leaves(v, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def _summary_changes(a: str, b: str) -> dict[str, tuple[float, float]]:
+    """Key -> (absolute, relative change) for each summary entry that changed."""
     with open(a, encoding="utf-8") as fh:
-        sa = json.load(fh)
+        la = dict(_leaves(json.load(fh)))
     with open(b, encoding="utf-8") as fh:
-        sb = json.load(fh)
-    return sorted(k for k in set(sa) | set(sb) if sa.get(k) != sb.get(k))
+        lb = dict(_leaves(json.load(fh)))
+    out = {}
+    for key in sorted(set(la) | set(lb)):
+        va, vb = la.get(key), lb.get(key)
+        if va != vb:
+            out[key] = _change(va, vb)
+    return out
 
 
 def compare(a_dir: str, b_dir: str) -> int:
@@ -185,6 +211,7 @@ def compare(a_dir: str, b_dir: str) -> int:
         print(f"only in {side}: {name}")
         differ += 1
     columns: dict[str, tuple[float, float]] = {}
+    keys: dict[str, tuple[float, float]] = {}
     identical = 0
     for name in sorted(names_a & names_b):
         pa, pb = os.path.join(a_dir, name), os.path.join(b_dir, name)
@@ -194,18 +221,23 @@ def compare(a_dir: str, b_dir: str) -> int:
                 continue
         differ += 1
         if name.endswith(".summary.json"):
-            print(f"differs: {name}: keys {', '.join(_summary_changes(pa, pb))}")
+            changes = _summary_changes(pa, pb)
+            print(f"differs: {name}: keys " + ", ".join(
+                f"{key} ({dabs:.3g} absolute, {drel:.3g} relative)"
+                for key, (dabs, drel) in changes.items()))
+            for key, change in changes.items():
+                _merge(keys, key, change)
         elif name.endswith((".csv", ".json")):
             changes = _trace_changes(pa, pb)
             print(f"differs: {name}: columns {', '.join(changes)}")
-            for col, (dabs, drel) in changes.items():
-                old = columns.get(col, (0.0, 0.0))
-                columns[col] = (max(old[0], dabs), max(old[1], drel))
+            for col, change in changes.items():
+                _merge(columns, col, change)
         else:
             print(f"differs: {name}")
     print(f"{differ} files differ, {identical} identical")
-    for col, (dabs, drel) in columns.items():
-        print(f"  {col}: largest change {dabs:.3g} absolute, {drel:.3g} relative")
+    for label, largest in (("", columns), ("summary ", keys)):
+        for key, (dabs, drel) in largest.items():
+            print(f"  {label}{key}: largest change {dabs:.3g} absolute, {drel:.3g} relative")
     return 1 if differ else 0
 
 
