@@ -10,14 +10,10 @@ and `cli` wire them into reproducible experiments.
 from .analysis import (
     BENCHMARK_KINDS,
     BenchmarkResult,
-    BoundReport,
     ComparatorFold,
     ExponentFit,
     compute_benchmark,
     fit_growth_exponent,
-    llp2_bound_report,
-    llp_bound_report,
-    perturbed_report,
 )
 from .learners import VARIANTS, LearnerConfig, RoundRecord, make_learner
 from .predictors import (
@@ -51,9 +47,8 @@ __all__ = [
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",
     "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
-    "BENCHMARK_KINDS", "BenchmarkResult", "BoundReport", "ExponentFit",
-    "ComparatorFold", "compute_benchmark",
-    "fit_growth_exponent", "perturbed_report", "llp_bound_report", "llp2_bound_report",
+    "BENCHMARK_KINDS", "BenchmarkResult", "ExponentFit",
+    "ComparatorFold", "compute_benchmark", "fit_growth_exponent",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",
     "execute_run", "write_trace", "sweep", "compare", "bench",
 ]

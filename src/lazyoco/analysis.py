@@ -19,16 +19,20 @@ the result: `BenchmarkResult.gap` is the duality gap in cost units.  A
 trace row's comparator cost is read from the cost sums copied at that
 row, so no round is kept or drawn twice.
 
-Bound evaluators plug run statistics into the regret/violation
-certificates verbatim.  Two of them use different constants in the same
-role (4G^2 under the adaptive step size, G^2 inside K_T); both are kept
-exactly as defined at their use sites rather than reconciled.
+The certificates are two formulas.  `regret_certificate` is B_t, over
+numbers or over a trace's running-sum columns; a run evaluates it once,
+over its `bound_B_t` column, and the summary's `bound_B_T` is the last
+row.  `violation_certificate` turns B_T, the regret and the run's sums
+into V and V_z, with one branch for `llp`/`llp2` (a_{T-1}, mu) and one
+for `llp_perturbed` (K_T, T^beta).  K_T = sqrt(G^2 + sum xi^2) takes G^2
+where the adaptive step size takes 4G^2; both stay as defined at their
+use sites rather than reconciled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +45,8 @@ __all__ = [
     "ComparatorFold",
     "compute_benchmark",
     "benchmark_round_costs",
-    "BoundReport",
     "regret_certificate",
-    "llp_bound_report",
-    "llp2_bound_report",
-    "perturbed_report",
+    "violation_certificate",
     "ExponentFit",
     "fit_growth_exponent",
 ]
@@ -372,35 +373,21 @@ def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarr
 # -- theoretical bounds --------------------------------------------------------
 
 
-@dataclass
-class BoundReport:
-    B_T: float
-    V_bound: float
-    V_z_bound: float
-    clamped: bool
-    inputs: dict = field(default_factory=dict)
-
-
-def _perturbed_constants(sigma: float, a: float, beta: float, bounds) -> tuple[float, float]:
-    A1 = 2.0 * sigma * bounds.D ** 2 + 2.0 * bounds.L_f / sigma
-    A2 = 4.0 * a * bounds.G ** 2 / (1.0 - beta)
-    return A1, A2
-
-
 def regret_certificate(variant: str, h_sum, sigma: float, bounds, *,
                        sum_a_prev_xi_sq=0.0, mu=0.0, xi_sq_sum=0.0, horizon=0,
                        a: float = 0.0, beta: float = 0.0):
     """The regret certificate B_t of a lazy variant after `horizon` rounds.
 
-    The `bound_B_t` column of a trace and the summary's `bound_B_T` both
-    come from here.  `llp_perturbed` reads xi_sq_sum, horizon, a and beta;
-    the other variants read sum_a_prev_xi_sq and mu, which is nonzero only
-    for `llp2`.  The running sums (h_sum, sum_a_prev_xi_sq, mu, xi_sq_sum,
-    horizon) are numbers, giving a float, or equal-length columns, giving
-    the column of B_t row by row.
+    The `bound_B_t` column of a trace comes from here, and the summary's
+    `bound_B_T` is its last row.  `llp_perturbed` reads xi_sq_sum, horizon,
+    a and beta; the other variants read sum_a_prev_xi_sq and mu, which is
+    nonzero only for `llp2`.  The running sums (h_sum, sum_a_prev_xi_sq,
+    mu, xi_sq_sum, horizon) are numbers, giving a float, or equal-length
+    columns, giving the column of B_t row by row.
     """
     if variant == "llp_perturbed":
-        A1, A2 = _perturbed_constants(sigma, a, beta, bounds)
+        A1 = 2.0 * sigma * bounds.D ** 2 + 2.0 * bounds.L_f / sigma
+        A2 = 4.0 * a * bounds.G ** 2 / (1.0 - beta)
         # Python's pow row by row: numpy's vectorized power can differ from
         # it in the last bit
         growth = np.array([A2 * float(t) ** (1.0 - beta)
@@ -412,51 +399,26 @@ def regret_certificate(variant: str, h_sum, sigma: float, bounds, *,
     return B if np.ndim(B) else float(B)
 
 
-def _llp_report(variant: str, h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
-                regret: float, sigma: float, bounds, mu: float) -> BoundReport:
-    B = regret_certificate(variant, h_sum, sigma, bounds, sum_a_prev_xi_sq=sum_a_prev_xi_sq,
-                           mu=mu)
-    gap = B - regret
-    vz = math.sqrt(2.0 * max(gap, 0.0) / a_prev_last)
-    v = vz + (2.0 * bounds.L_g / sigma) * math.sqrt(h_sum + mu)
-    return BoundReport(B_T=B, V_bound=v, V_z_bound=vz, clamped=gap < 0.0,
-                       inputs={"sigma": sigma, "D": bounds.D, "L_f": bounds.L_f,
-                               "L_g": bounds.L_g, "h_sum": h_sum,
-                               "sum_a_prev_xi_sq": sum_a_prev_xi_sq,
-                               "a_prev_last": a_prev_last, "regret": regret})
+def violation_certificate(variant: str, B_T: float, regret: float, sigma: float, bounds, *,
+                          h_sum: float, a_prev: float = 0.0, mu: float = 0.0,
+                          xi_sq_sum: float = 0.0, horizon: int = 0, a: float = 0.0,
+                          beta: float = 0.0) -> tuple[float, float, bool]:
+    """(V, V_z, clamped): the violation certificates of a lazy variant after
+    `horizon` rounds, from its regret certificate B_T and realized regret.
 
-
-def llp_bound_report(h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
-                     regret: float, sigma: float, bounds) -> BoundReport:
-    return _llp_report("llp", h_sum, sum_a_prev_xi_sq, a_prev_last, regret, sigma, bounds, 0.0)
-
-
-def llp2_bound_report(h_sum: float, sum_a_prev_xi_sq: float, a_prev_last: float,
-                      regret: float, sigma: float, bounds, mu_next: float) -> BoundReport:
-    rep = _llp_report("llp2", h_sum, sum_a_prev_xi_sq, a_prev_last, regret, sigma, bounds,
-                      mu_next)
-    base = regret_certificate("llp", h_sum, sigma, bounds, sum_a_prev_xi_sq=sum_a_prev_xi_sq)
-    rep.inputs.update(mu_next=mu_next, B_T_base=base)
-    return rep
-
-
-def perturbed_report(h_sum: float, xi_sq_sum: float, horizon: int, regret: float,
-                     sigma: float, a: float, beta: float, bounds) -> BoundReport:
-    A1, A2 = _perturbed_constants(sigma, a, beta, bounds)
-    A3 = 2.0 / a
-    A4 = 2.0 * bounds.L_g / sigma
-    K = math.sqrt(bounds.G ** 2 + xi_sq_sum)
-    t = float(horizon)
-    B = regret_certificate("llp_perturbed", h_sum, sigma, bounds, xi_sq_sum=xi_sq_sum,
-                           horizon=horizon, a=a, beta=beta)
-    gap = B - regret
-    clamped = gap < 0.0
-    vz = math.sqrt(A3 * max(K, t ** beta) * max(gap, 0.0))
-    v = vz + A4 * math.sqrt(h_sum)
-    return BoundReport(B_T=B, V_bound=v, V_z_bound=vz, clamped=clamped,
-                       inputs={"A_1": A1, "A_2": A2, "A_3": A3, "A_4": A4, "K_T": K,
-                               "h_sum": h_sum, "xi_sq_sum": xi_sq_sum,
-                               "beta": beta, "a": a, "regret": regret})
+    V_z bounds the prescient points' violation and V the played points'.
+    Both read the slack B_T - regret, taken as 0 when it is negative, which
+    `clamped` reports.  `llp_perturbed` scales it by K_T = sqrt(G^2 +
+    xi_sq_sum) or T^beta, whichever is larger, and reads a and beta; the
+    other variants divide it by a_prev = a_{T-1} and read mu.
+    """
+    gap = B_T - regret
+    if variant == "llp_perturbed":
+        K = math.sqrt(bounds.G ** 2 + xi_sq_sum)
+        vz = math.sqrt(2.0 / a * max(K, float(horizon) ** beta) * max(gap, 0.0))
+        return vz + 2.0 * bounds.L_g / sigma * math.sqrt(h_sum), vz, gap < 0.0
+    vz = math.sqrt(2.0 * max(gap, 0.0) / a_prev)
+    return vz + (2.0 * bounds.L_g / sigma) * math.sqrt(h_sum + mu), vz, gap < 0.0
 
 
 # -- growth rates ----------------------------------------------------------------

@@ -51,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import regret_certificate
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
 from .sets import ConfigurationError, norm, positive_part
@@ -111,20 +110,18 @@ class RoundRecord:
 
 
 class LearnerTotals(NamedTuple):
-    """Running sums after the latest round; the greedy baseline fills the first five."""
+    """The end-of-run values no trace row holds; the greedy baseline fills the first two.
 
-    cum_cost: float
-    violation_norm: float
+    The run's other totals (cumulative cost, violation, a_T, the
+    regularizer sums and B_T) are its trace's last row.
+    """
+
     violation_z_norm: float
-    a_t: float
     a_prev: float
     warning_count: int = 0
-    h_cum: float = 0.0
-    sigma_cum: float = 0.0
     xi_sq_cum: float = 0.0
     sum_prev_a_xi_sq: float = 0.0
     mu: float = 0.0
-    bound_running: float = 0.0
     max_xz: float = 0.0
     drift_gap: float = -math.inf
 
@@ -467,23 +464,13 @@ class LlpLearner:
     # -- reporting ----------------------------------------------------------------
 
     def stats(self) -> LearnerTotals:
-        c = self.cfg
         return LearnerTotals(
-            cum_cost=self.cum_cost,
-            violation_norm=norm(positive_part(self.cum_gx)),
             violation_z_norm=norm(positive_part(self.cum_gz)),
-            a_t=self.a_prev,
             a_prev=self.a_prev_last,
             warning_count=self.warning_count,
-            h_cum=self.h_cum,
-            sigma_cum=self.prox_S,
             xi_sq_cum=self.xi_sq_cum,
             sum_prev_a_xi_sq=self.sum_a_prev_xi_sq,
             mu=self.mu,
-            bound_running=regret_certificate(
-                self.variant, self.h_cum, c.sigma, c.bounds,
-                sum_a_prev_xi_sq=self.sum_a_prev_xi_sq, mu=self.mu,
-                xi_sq_sum=self.xi_sq_cum, horizon=self.t, a=c.a, beta=c.beta),
             max_xz=self.max_xz,
             drift_gap=self.drift_gap,
         )
@@ -519,7 +506,8 @@ class GreedyLearner:
         W, u = truth.constraint_affine
         gvals = W @ x + u
         eta = self.cfg.a / math.sqrt(t)
-        self.x = self.domain.project(x - eta * (c_t + W.T @ lam))
+        # `Box.project`'s clip, without re-checking an array built here
+        self.x = (x - eta * (c_t + W.T @ lam)).clip(self.domain.lower, self.domain.upper)
         self.lam = positive_part(lam + eta * gvals)
         self.cum_cost += f_val
         self.cum_gx = self.cum_gx + gvals
@@ -530,12 +518,8 @@ class GreedyLearner:
         )
 
     def stats(self) -> LearnerTotals:
-        vnorm = norm(positive_part(self.cum_gx))
         return LearnerTotals(
-            cum_cost=self.cum_cost,
-            violation_norm=vnorm,
-            violation_z_norm=vnorm,
-            a_t=self.cfg.a / math.sqrt(max(self.t, 1)),
+            violation_z_norm=norm(positive_part(self.cum_gx)),
             a_prev=self.cfg.a / math.sqrt(max(self.t - 1, 1)),
         )
 

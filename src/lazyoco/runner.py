@@ -438,8 +438,8 @@ def execute_run(config: RunConfig) -> RunResult:
             flags.append(";".join(rec.flags))
 
     totals = learner.stats()
+    c = config.learner
     if lazy:
-        c = config.learner
         table[:, _BOUND] = analysis.regret_certificate(
             variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
             mu=bound_inputs[:, 1], xi_sq_sum=bound_inputs[:, 2], horizon=table[:, _T],
@@ -448,27 +448,19 @@ def execute_run(config: RunConfig) -> RunResult:
         table[:, _BOUND] = 0.0
 
     benchmark = analysis.compute_benchmark(fold)
-    regret = math.nan
     if benchmark.feasible:
         table[:, _REGRET] = table[:, _COST] - analysis.benchmark_round_costs(
             cost_sums, benchmark.x_star)
-        regret = float(table[-1, _REGRET])
 
-    report = None
+    # round T's totals, as Python floats: the summary reads them off the last row
+    last = dict(zip(TRACE_COLUMNS, table[-1].tolist()))
+    bound_B_T = bound_V = bound_V_z = bound_clamped = None
     if benchmark.feasible and lazy:
-        if variant == "llp2":
-            report = analysis.llp2_bound_report(
-                totals.h_cum, totals.sum_prev_a_xi_sq, totals.a_prev, regret,
-                config.learner.sigma, config.learner.bounds, totals.mu)
-        elif variant == "llp_perturbed":
-            report = analysis.perturbed_report(
-                totals.h_cum, totals.xi_sq_cum, T, regret,
-                config.learner.sigma, config.learner.a, config.learner.beta,
-                config.learner.bounds)
-        else:
-            report = analysis.llp_bound_report(
-                totals.h_cum, totals.sum_prev_a_xi_sq, totals.a_prev, regret,
-                config.learner.sigma, config.learner.bounds)
+        bound_B_T = last["bound_B_t"]
+        bound_V, bound_V_z, bound_clamped = analysis.violation_certificate(
+            variant, bound_B_T, last["regret"], c.sigma, c.bounds, h_sum=last["h_cum"],
+            a_prev=totals.a_prev, mu=totals.mu, xi_sq_sum=totals.xi_sq_cum, horizon=T,
+            a=c.a, beta=c.beta)
 
     summary = {
         "scenario": config.scenario_kind,
@@ -484,18 +476,18 @@ def execute_run(config: RunConfig) -> RunResult:
         "x_star": None if benchmark.x_star is None else benchmark.x_star,
         "optimal_total_cost": benchmark.optimal_total_cost,
         "benchmark_gap": benchmark.gap,
-        "cum_cost": totals.cum_cost,
-        "regret": regret,
-        "violation_norm": totals.violation_norm,
+        "cum_cost": last["cum_cost"],
+        "regret": last["regret"],
+        "violation_norm": last["violation_norm"],
         "violation_z_norm": totals.violation_z_norm,
-        "bound_B_T": None if report is None else report.B_T,
-        "bound_V": None if report is None else report.V_bound,
-        "bound_V_z": None if report is None else report.V_z_bound,
-        "bound_clamped": None if report is None else report.clamped,
-        "h_cum": totals.h_cum,
+        "bound_B_T": bound_B_T,
+        "bound_V": bound_V,
+        "bound_V_z": bound_V_z,
+        "bound_clamped": bound_clamped,
+        "h_cum": last["h_cum"],
         "xi_sq_cum": totals.xi_sq_cum,
-        "sigma_cum": totals.sigma_cum,
-        "a_T": totals.a_t,
+        "sigma_cum": last["sigma_cum"],
+        "a_T": last["a_t"],
         "a_prev": totals.a_prev,
         "mu": totals.mu,
         "max_xz": totals.max_xz,

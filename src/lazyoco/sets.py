@@ -6,9 +6,9 @@ farthest corner (||x|| <= D for every member), an exact projection
 (per-coordinate clipping), and an exact minimizer of a linear function
 (the vertex rule, for an objective with no curvature).  Both check the
 shape and finiteness of what they are given, for the callers at the
-boundaries (start points, the greedy baseline, `solver.minimize`); the
-lazy learner's round loop takes the same formulas from
-`solver.exact_step` on arrays it already holds.
+boundaries (start points, `solver.minimize`); the learners' round loops
+take the same formulas on arrays they already hold, the lazy learner
+through `solver.exact_step` and the greedy baseline by one `clip`.
 """
 
 from __future__ import annotations

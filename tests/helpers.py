@@ -8,10 +8,11 @@ from the code under test.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from lazyoco.analysis import llp2_bound_report, llp_bound_report
+from lazyoco.analysis import regret_certificate, violation_certificate
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -165,16 +166,30 @@ def _bound_inputs(records, config):
     return float(np.sum(h)), float(np.sum(a_prev * xi * xi)), float(a_prev[-1])
 
 
+class Certificates(NamedTuple):
+    B_T: float
+    V: float
+    V_z: float
+    clamped: bool
+
+
+def _certificates(variant, records, config, regret, mu):
+    h_sum, sum_a_prev_xi_sq, a_prev = _bound_inputs(records, config)
+    B = regret_certificate(variant, h_sum, config.sigma, config.bounds,
+                           sum_a_prev_xi_sq=sum_a_prev_xi_sq, mu=mu)
+    return Certificates(B, *violation_certificate(variant, B, regret, config.sigma,
+                                                  config.bounds, h_sum=h_sum,
+                                                  a_prev=a_prev, mu=mu))
+
+
 def evaluate_theorem1_bounds(records, config, regret):
-    """Theorem 1's report from the round records."""
-    return llp_bound_report(*_bound_inputs(records, config), regret, config.sigma,
-                            config.bounds)
+    """Theorem 1's certificates from the round records."""
+    return _certificates("llp", records, config, regret, 0.0)
 
 
 def evaluate_theorem3_bounds(records, config, regret, mu_next):
-    """Theorem 3's report (llp2) from the round records."""
-    return llp2_bound_report(*_bound_inputs(records, config), regret, config.sigma,
-                             config.bounds, mu_next)
+    """Theorem 3's certificates (llp2) from the round records."""
+    return _certificates("llp2", records, config, regret, mu_next)
 
 
 def dual_regret_gap(gains, lams, mismatch_norms, a_prevs, comparator):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lazyoco import runner
-from lazyoco.analysis import fit_growth_exponent, llp_bound_report
+from lazyoco.analysis import fit_growth_exponent, regret_certificate
 from lazyoco.solver import dual_closed_form, minimize
 from lazyoco.solver import SolverSettings
 
@@ -252,12 +252,11 @@ def test_criterion_09_nonproximal_variant(llp_sweep, llp2_sweep):
     dominated = True
     for T in HORIZONS:
         res = llp2_results[T]
-        st = res.totals
         s = res.summary
-        plain = llp_bound_report(st.h_cum, st.sum_prev_a_xi_sq, st.a_prev,
-                                 s["regret"], res.config.learner.sigma,
-                                 res.config.learner.bounds)
-        if not s["bound_B_T"] >= plain.B_T:
+        plain = regret_certificate("llp", s["h_cum"], res.config.learner.sigma,
+                                   res.config.learner.bounds,
+                                   sum_a_prev_xi_sq=res.totals.sum_prev_a_xi_sq)
+        if not s["bound_B_T"] >= plain:
             dominated = False
 
     v1 = fit_growth_exponent(

@@ -9,9 +9,8 @@ from lazyoco.analysis import (
     benchmark_round_costs,
     compute_benchmark,
     fit_growth_exponent,
-    llp2_bound_report,
-    llp_bound_report,
-    perturbed_report,
+    regret_certificate,
+    violation_certificate,
 )
 from lazyoco.learners import LearnerConfig, LlpLearner
 from lazyoco.predictors import make_predictor
@@ -22,7 +21,7 @@ from lazyoco.problems import (
     make_scenario,
 )
 from lazyoco.runner import play_rounds
-from lazyoco.sets import Box, ConfigurationError
+from lazyoco.sets import Box, ConfigurationError, norm, positive_part
 
 from helpers import (
     compute_metrics,
@@ -416,23 +415,23 @@ def test_metrics_match_learner_stream():
                                        constraints=2)
     m = compute_metrics([r.f_value for r in records],
                         np.array([r.g_values for r in records]))
-    s = learner.stats()
-    assert m.cum_cost[-1] == pytest.approx(s.cum_cost, rel=1e-12)
-    assert m.violation[-1] == pytest.approx(s.violation_norm, rel=1e-12, abs=1e-12)
+    assert m.cum_cost[-1] == pytest.approx(learner.cum_cost, rel=1e-12)
+    assert m.violation[-1] == pytest.approx(norm(positive_part(learner.cum_gx)),
+                                            rel=1e-12, abs=1e-12)
 
 
-def test_llp_bound_report_hand_arithmetic():
+def test_llp_certificates_hand_arithmetic():
     b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
-    rep = llp_bound_report(h_sum=4.0, sum_a_prev_xi_sq=4.0, a_prev_last=1.0,
-                           regret=4.0, sigma=1.0, bounds=b)
+    B = regret_certificate("llp", 4.0, 1.0, b, sum_a_prev_xi_sq=4.0)
     # 2(1 + 1) sqrt(4) + 4 = 12; V = sqrt(2 * 8 / 1) + 2 sqrt(4) = 8
-    assert rep.B_T == pytest.approx(12.0)
-    assert rep.V_z_bound == pytest.approx(4.0)
-    assert rep.V_bound == pytest.approx(8.0)
-    assert not rep.clamped
+    assert B == pytest.approx(12.0)
+    V, V_z, clamped = violation_certificate("llp", B, 4.0, 1.0, b, h_sum=4.0, a_prev=1.0)
+    assert V_z == pytest.approx(4.0)
+    assert V == pytest.approx(8.0)
+    assert not clamped
 
-    hot = llp_bound_report(4.0, 4.0, 1.0, regret=20.0, sigma=1.0, bounds=b)
-    assert hot.clamped and hot.V_z_bound == 0.0 and hot.V_bound == pytest.approx(4.0)
+    V, V_z, clamped = violation_certificate("llp", B, 20.0, 1.0, b, h_sum=4.0, a_prev=1.0)
+    assert clamped and V_z == 0.0 and V == pytest.approx(4.0)
 
 
 def test_llp2_bound_dominates_llp_bound():
@@ -442,25 +441,37 @@ def test_llp2_bound_dominates_llp_bound():
         h, s_axi, mu = rng.uniform(0.0, 20.0, size=3)
         a_last = rng.uniform(0.01, 1.0)
         regret = rng.uniform(-10.0, 10.0)
-        r3 = llp2_bound_report(h, s_axi, a_last, regret, 1.0, b, mu_next=mu)
-        r1 = llp_bound_report(h, s_axi, a_last, regret, 1.0, b)
-        assert r3.inputs["B_T_base"] == r1.B_T
-        assert r3.B_T >= r1.B_T
-        assert r3.V_bound >= r1.V_bound - 1e-12
+        B3 = regret_certificate("llp2", h, 1.0, b, sum_a_prev_xi_sq=s_axi, mu=mu)
+        B1 = regret_certificate("llp", h, 1.0, b, sum_a_prev_xi_sq=s_axi)
+        V3, _, _ = violation_certificate("llp2", B3, regret, 1.0, b, h_sum=h,
+                                         a_prev=a_last, mu=mu)
+        V1, _, _ = violation_certificate("llp", B1, regret, 1.0, b, h_sum=h, a_prev=a_last)
+        assert B3 >= B1
+        assert V3 >= V1 - 1e-12
 
 
 def test_perturbed_report_unit_constants():
     b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=2.0, Delta_m=2.0)
-    rep = perturbed_report(h_sum=1.0, xi_sq_sum=0.0, horizon=16, regret=0.0,
-                           sigma=1.0, a=1.0, beta=0.5, bounds=b)
-    assert rep.inputs["A_1"] == 4.0
-    assert rep.inputs["A_2"] == 8.0
-    assert rep.inputs["A_3"] == 2.0
-    assert rep.inputs["A_4"] == 2.0
-    assert rep.inputs["K_T"] == 1.0
-    assert rep.B_T == pytest.approx(4.0)  # A_1 sqrt(1) + min(0, A_2 * 4)
-    assert rep.V_z_bound == pytest.approx(math.sqrt(2.0 * 4.0 * 4.0))
-    assert rep.V_bound == pytest.approx(rep.V_z_bound + 2.0)
+    # A_1 = 2 sigma D^2 + 2 L_f / sigma = 4, A_2 = 4 a G^2 / (1 - beta) = 8,
+    # A_3 = 2 / a = 2, A_4 = 2 L_g / sigma = 2, K_T = sqrt(G^2 + sum xi^2)
+    kw = dict(sigma=1.0, bounds=b, a=1.0, beta=0.5)
+
+    # no dual mismatch: K_T = 1 < T^beta = 4, and B_T is A_1 alone
+    B = regret_certificate("llp_perturbed", 1.0, xi_sq_sum=0.0, horizon=16, **kw)
+    assert B == pytest.approx(4.0)  # A_1 sqrt(1) + min(0, A_2 * 4)
+    V, V_z, clamped = violation_certificate("llp_perturbed", B, 0.0, h_sum=1.0,
+                                            xi_sq_sum=0.0, horizon=16, **kw)
+    assert V_z == pytest.approx(math.sqrt(2.0 * 4.0 * 4.0))  # A_3 T^beta B_T
+    assert V == pytest.approx(V_z + 2.0)  # + A_4 sqrt(1)
+    assert not clamped
+
+    # sum xi^2 = 80: 2a sqrt(80) > A_2 T^(1 - beta) = 16, and K_T = 9 > T^beta = 2
+    B = regret_certificate("llp_perturbed", 1.0, xi_sq_sum=80.0, horizon=4, **kw)
+    assert B == pytest.approx(4.0 + 16.0)  # A_1 sqrt(1) + A_2 * 2
+    V, V_z, clamped = violation_certificate("llp_perturbed", B, 0.0, h_sum=1.0,
+                                            xi_sq_sum=80.0, horizon=4, **kw)
+    assert V_z == pytest.approx(math.sqrt(2.0 * 9.0 * 20.0))  # A_3 K_T B_T
+    assert V == pytest.approx(V_z + 2.0)
 
 
 def test_evaluate_bounds_reconstruct_step_sizes():
@@ -480,7 +491,6 @@ def test_evaluate_bounds_reconstruct_step_sizes():
     assert learner.h_cum == pytest.approx(h_sum, rel=1e-12)
 
     r3 = evaluate_theorem3_bounds(records, config, regret=0.0, mu_next=3.0)
-    assert r3.inputs["B_T_base"] == pytest.approx(rep.B_T, rel=1e-12)
     assert r3.B_T >= rep.B_T
 
 

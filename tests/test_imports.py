@@ -1,12 +1,18 @@
-"""Every name a module under src/ or tests/ imports is used in that module."""
+"""Every name a module under src/ or tests/ imports is used in that module, and
+each module of the package imports only the layers below it."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+PACKAGE = ROOT / "src" / "lazyoco"
+# the layers in the order the package docstring lists them, lowest first
+LAYERS = re.findall(r"`(\w+)`", ast.get_docstring(ast.parse(
+    (PACKAGE / "__init__.py").read_text(encoding="utf-8"))))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +56,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The sibling modules `source` imports, as `from .x import ...` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_are_found():
+    source = ("from . import runner, cli\n"
+              "from .sets import Box\n"
+              "from .solver.inner import step\n"
+              "from numpy import array\n"
+              "def f():\n"
+              "    from .analysis import regret_certificate\n")
+    assert package_imports(source) == {"runner", "cli", "sets", "solver", "analysis"}
+
+
+def test_every_module_is_a_listed_layer():
+    assert LAYERS == ["sets", "problems", "predictors", "solver", "learners", "analysis",
+                      "runner", "cli"]
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_module_imports_only_lower_layers(layer):
+    source = (PACKAGE / f"{layer}.py").read_text(encoding="utf-8")
+    below = set(LAYERS[:LAYERS.index(layer)])
+    assert package_imports(source) - below == set()

@@ -79,8 +79,8 @@ def test_regularizer_increments():
 def test_dual_step_size_first_round_example():
     # a=1, G=1, beta=1/2, xi_1=0 -> a_1 = 1/max{2, 1} = 0.5
     learner = LlpLearner(cfg(), BOX1, 1, 1)
-    learner.play_round(affine_round([0.0], 0.0, [[0.0]], [0.0]))
-    assert learner.stats().a_t == 0.5
+    rec = learner.play_round(affine_round([0.0], 0.0, [[0.0]], [0.0]))
+    assert rec.a_t == 0.5
 
 
 def test_dual_step_size_worst_case_example():
@@ -90,7 +90,7 @@ def test_dual_step_size_worst_case_example():
     for _ in range(100):
         rec = learner.play_round(oracle)
         assert rec.xi_t == 2.0
-    assert learner.stats().a_t == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
+    assert rec.a_t == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
 
 
 def test_xi_is_norm_of_value_gap():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lazyoco import cli, learners, runner
+from lazyoco import analysis, cli, learners, runner
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
@@ -277,9 +277,8 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
                                seed=cfg.predictor_seed)
     played = list(runner.play_rounds(sc, predictor, learner, 200))
     records = [rec for _, rec in played]
-    totals = learner.stats()
-    assert totals.cum_cost == s["cum_cost"]
-    assert totals.h_cum == s["h_cum"]
+    assert learner.cum_cost == s["cum_cost"]
+    assert learner.h_cum == s["h_cum"]
     # the comparator's cost round by round, summed directly from the truths
     bcosts = [truth.cost(result.benchmark.x_star)[0] for truth, _ in played]
     m = compute_metrics([r.f_value for r in records],
@@ -321,14 +320,15 @@ def test_perfect_predictions_keep_z_at_x_off_the_box_corners():
 @pytest.mark.parametrize("predictor", ["none", "perfect"])
 def test_round_loop_calls_no_solver_or_checked_set_method(monkeypatch, predictor):
     """In the round loop the lazy learner's steps are exact: no `minimize`, no
-    `Box.project` or `Box.argmin_linear`, and its totals are read once per run."""
+    `Box.project` or `Box.argmin_linear`, and its totals are read once per run.
+    The greedy baseline's projected step calls no checked `Box` method either."""
     counts = {}  # name -> [calls outside the round loop, calls inside it]
     in_loop = [False]
     for owner, name in ((learners.LlpLearner, "stats"), (learners, "minimize"),
                         (Box, "project"), (Box, "argmin_linear")):
-        counts[name] = [0, 0]
 
-        def counted(*args, _real=getattr(owner, name), _count=counts[name], **kw):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kw):
+            _count = counts[_name]
             _count[in_loop[0]] += 1
             return _real(*args, **kw)
 
@@ -343,19 +343,23 @@ def test_round_loop_calls_no_solver_or_checked_set_method(monkeypatch, predictor
             in_loop[0] = False
 
     monkeypatch.setattr(runner, "play_rounds", play_rounds)
-    doc = base_doc(predictor={"kind": predictor})
-    doc["scenario"]["horizon"] = 2000
-    result = runner.execute_run(runner.parse_run_config(doc))
-    assert result.summary["rows_written"] == 2000
-    assert counts["project"][0] > 0  # the start point is projected, before the loop
-    assert sum(counts["stats"]) == 1
-    assert counts["minimize"][1] == counts["project"][1] == counts["argmin_linear"][1] == 0
+    for variant in ("llp", "greedy_baseline"):
+        for name in ("stats", "minimize", "project", "argmin_linear"):
+            counts[name] = [0, 0]
+        doc = base_doc(predictor={"kind": predictor})
+        doc["scenario"]["horizon"] = 2000
+        doc["learner"]["variant"] = variant
+        result = runner.execute_run(runner.parse_run_config(doc))
+        assert result.summary["rows_written"] == 2000
+        assert counts["project"][0] > 0  # the start point is projected, before the loop
+        assert sum(counts["stats"]) == (variant == "llp")
+        assert counts["minimize"][1] == counts["project"][1] == counts["argmin_linear"][1] == 0
 
 
 @pytest.mark.parametrize("variant", ["llp", "llp2", "llp_perturbed", "greedy_baseline"])
 def test_bound_column_is_the_running_certificate(variant):
     """The trace's bound_B_t, evaluated once over the column, is bit for bit the
-    certificate the learner reports after each round."""
+    certificate of the learner's running sums after each round."""
     doc = base_doc(scenario={"kind": "perturbed_linear", "horizon": 300, "seed": 1},
                    predictor={"kind": "noisy", "level": 0.5, "seed": 2})
     doc["learner"]["variant"] = variant
@@ -364,8 +368,11 @@ def test_bound_column_is_the_running_certificate(variant):
     sc = make_scenario(cfg.scenario_kind, horizon=300, seed=cfg.seed)
     learner = runner._learner_for(cfg, sc)
     predictor = runner._predictor_for(cfg, sc)
-    running = [learner.stats().bound_running
-               for _ in runner.play_rounds(sc, predictor, learner, 300)]
+    c = cfg.learner
+    running = [0.0 if variant == "greedy_baseline" else analysis.regret_certificate(
+        variant, learner.h_cum, c.sigma, c.bounds, sum_a_prev_xi_sq=learner.sum_a_prev_xi_sq,
+        mu=learner.mu, xi_sq_sum=learner.xi_sq_cum, horizon=learner.t, a=c.a, beta=c.beta)
+        for _ in runner.play_rounds(sc, predictor, learner, 300)]
     assert column.tolist() == running
     assert (column > 0.0).all() if variant != "greedy_baseline" else not column.any()
 
@@ -380,10 +387,17 @@ def test_bound_dispatch_by_variant():
         doc = base_doc()
         doc["scenario"] = {"kind": scenario, "horizon": 30, "seed": 0}
         doc["learner"]["variant"] = variant
-        s = runner.execute_run(runner.parse_run_config(doc)).summary
+        result = runner.execute_run(runner.parse_run_config(doc))
+        s, last = result.summary, result.rows[-1]
         assert (s["bound_B_T"] is not None) is expect
         if expect:
             assert s["bound_V"] >= s["bound_V_z"] - 1e-12
+            assert s["bound_B_T"].hex() == last.bound_B_t.hex()
+            assert type(s["bound_clamped"]) is bool
+        # the summary's totals are round T's row, bit for bit
+        for key, column in (("cum_cost", "cum_cost"), ("violation_norm", "violation_norm"),
+                            ("h_cum", "h_cum"), ("sigma_cum", "sigma_cum"), ("a_T", "a_t")):
+            assert s[key].hex() == getattr(last, column).hex(), (variant, key)
 
 
 def test_write_plot_svg(tmp_path):
