@@ -154,35 +154,33 @@ class _RowSums:
 
     def __init__(self, domain):
         self.domain = domain
-        self.n = domain.dimension
-        self.G = None       # (d + 2n, n): the summed W, then the box rows
-        self.usum = None
-        self.h = None
-
-    def _start(self, d: int) -> None:
         # -0.0 is the identity of +, so the first round's rows are kept bit for bit
-        self.G = np.full((d + 2 * self.n, self.n), -0.0)
-        self.usum = np.full(d, -0.0)
-        self.h = np.empty(d + 2 * self.n)
-        _box_rows(self.G[d:], self.h[d:], self.domain)
+        self.W = self.u = -0.0
 
     def add(self, W: np.ndarray, u: np.ndarray) -> None:
-        if self.G is None:
-            self._start(len(u))
-        self.G[:len(u)] += W
-        self.usum += u
+        # out of place: numpy runs an in-place ufunc on arrays this small about twice as slowly
+        self.W = self.W + W
+        self.u = self.u + u
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if np.ndim(self.u) == 0:  # no round yet
+            return np.empty((0, self.domain.dimension)), np.empty(0)
+        return self.W, self.u
 
     def interval(self) -> tuple[float, float, bool]:
         folded = _Interval(self.domain)
-        if self.G is not None:
-            folded.add(self.G[:len(self.usum)], self.usum)
+        folded.add(*self._rows())
         return folded.interval()
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.G is None:
-            self._start(0)
-        np.negative(self.usum, out=self.h[:len(self.usum)])
-        return self.G, self.h
+        """The summed rows, then the box rows, as G x <= h."""
+        W, u = self._rows()
+        d, n = W.shape
+        G, h = np.empty((d + 2 * n, n)), np.empty(d + 2 * n)
+        G[:d] = W
+        np.negative(u, out=h[:d])
+        _box_rows(G[d:], h[d:], self.domain)
+        return G, h
 
 
 class _PlayedRows:

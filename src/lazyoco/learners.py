@@ -80,6 +80,9 @@ class LearnerConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
+        if self.variant == "llp_linearized":
+            raise ConfigurationError("learner variant 'llp_linearized' was retired: on the "
+                                     "affine constraints of every round it is 'llp'; use 'llp'")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown learner variant {self.variant!r}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):

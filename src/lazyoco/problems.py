@@ -67,6 +67,10 @@ class ProblemBounds:
             if not (np.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"bound {name} must be positive, got {v}")
             object.__setattr__(self, name, v)
+        # the dual step divides by sqrt(4 G^2 + ...) and the regret certificate squares D
+        if not (math.isfinite(4.0 * self.G * self.G) and math.isfinite(self.D * self.D)):
+            raise ConfigurationError(f"bounds G = {self.G:.3g} and D = {self.D:.3g} must keep "
+                                     "4 G^2 and D^2 finite")
         for name in ("E_m", "Delta_m"):
             v = float(getattr(self, name))
             if not (np.isfinite(v) and v >= 0.0):
@@ -140,7 +144,9 @@ def _scenario_params(kind: str, params: dict | None, defaults: dict) -> dict:
     An unknown key, or a value that is not a finite number (bools
     included), is refused with a message naming the param.
     """
-    given = dict(params or {})
+    given = {} if params is None else params
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{kind} params must be a JSON object")
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigurationError(f"unknown {kind} params: {unknown}")
@@ -155,10 +161,35 @@ def affine_round(c, cb, W, u) -> RoundOracle:
 
 
 class _Scenario:
-    """The in-order draw rule shared by every scenario kind."""
+    """The arguments, params and in-order draw rule shared by every scenario kind.
+
+    A kind sets `kind`, the `defaults` of its params (floats a config may
+    override), a `_setup()` that builds its `domain`, its `bounds` and its
+    draw state from the shape and `self.params`, and its own `round(t)`,
+    which asks `_advance(t)` whether t is a new draw.  A kind that is not
+    `one_dimensional` takes any dimension and constraint count >= 1.
+    """
 
     adaptive = False
+    one_dimensional = True
+    defaults: dict = {}
     _t = 0  # the current round; 0 before the first draw
+    _current = None
+
+    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
+                 seed: int = 0, params: dict | None = None):
+        if self.one_dimensional and (dimension != 1 or constraints != 1):
+            raise ConfigurationError(f"{self.kind} is one-dimensional with one constraint")
+        if dimension < 1 or constraints < 1:
+            raise ConfigurationError("dimension and constraints must be >= 1")
+        if horizon < 1:
+            raise ConfigurationError("horizon must be >= 1")
+        self.horizon = int(horizon)
+        self.dimension = int(dimension)
+        self.n_constraints = int(constraints)
+        self.seed = int(seed)
+        self.params = _scenario_params(self.kind, params, self.defaults)
+        self._setup()
 
     def _advance(self, t: int) -> bool:
         """Whether round t is a new draw; the current round may be asked for again."""
@@ -183,15 +214,7 @@ class AlternatingLinear(_Scenario):
 
     kind = "alternating_linear"
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
-        if dimension != 1 or constraints != 1:
-            raise ConfigurationError("alternating_linear is one-dimensional with one constraint")
-        self.horizon = int(horizon)
-        self.dimension = 1
-        self.n_constraints = 1
-        self.seed = int(seed)
-        self.params = _scenario_params(self.kind, params, {})
+    def _setup(self):
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=4.0, L_g=0.79, G=1.05, D=1.0, F=4.0,
                                     E_m=8.0, Delta_m=1.58)
@@ -215,22 +238,13 @@ class StochasticConstraint(_Scenario):
 
     kind = "stochastic_constraint"
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
-        if dimension != 1 or constraints != 1:
-            raise ConfigurationError("stochastic_constraint is one-dimensional with one constraint")
-        self.horizon = int(horizon)
-        self.dimension = 1
-        self.n_constraints = 1
-        self.seed = int(seed)
-        self.params = _scenario_params(self.kind, params, {})
+    def _setup(self):
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=2.0, L_g=1.0, G=1.0, D=1.0, F=2.0,
                                     E_m=4.0, Delta_m=2.0)
         self._rng = np.random.default_rng(self.seed)
         self._active = affine_round([-2.0], 0.0, [[1.0]], [0.0])
         self._slack = affine_round([-2.0], 0.0, [[0.0]], [-0.01])
-        self._current = None
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):
@@ -254,21 +268,12 @@ class ImpossibilityAdversary(_Scenario):
     kind = "impossibility_adversary"
     adaptive = True
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
-        if dimension != 1 or constraints != 1:
-            raise ConfigurationError("impossibility_adversary is one-dimensional with one constraint")
-        self.horizon = int(horizon)
-        self.dimension = 1
-        self.n_constraints = 1
-        self.seed = int(seed)
-        self.params = _scenario_params(self.kind, params, {})
+    def _setup(self):
         self.domain = Box(np.array([0.0]), np.array([1.0]))
         self.bounds = ProblemBounds(L_f=2.0, L_g=2.0, G=1.0, D=1.0, F=2.0,
                                     E_m=4.0, Delta_m=4.0)
         self._p = affine_round([-1.0], 0.0, [[0.0]], [-1.0])
         self._q = affine_round([-2.0], 0.0, [[2.0]], [-1.0])
-        self._current = None
         self._sum_x = 0.0
         self._n_seen = 0
         self._mode = "I"
@@ -320,17 +325,9 @@ class PerturbedLinear(_Scenario):
     """
 
     kind = "perturbed_linear"
+    defaults = {"amplitude": 0.1, "cost_slope": -2.0}
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
-        if dimension != 1 or constraints != 1:
-            raise ConfigurationError("perturbed_linear is one-dimensional with one constraint")
-        self.horizon = int(horizon)
-        self.dimension = 1
-        self.n_constraints = 1
-        self.seed = int(seed)
-        self.params = _scenario_params(self.kind, params,
-                                       {"amplitude": 0.1, "cost_slope": -2.0})
+    def _setup(self):
         self.amplitude = self.params["amplitude"]
         self.cost_slope = self.params["cost_slope"]
         if self.amplitude < 0.0:
@@ -341,7 +338,6 @@ class PerturbedLinear(_Scenario):
                                     F=lf, E_m=2.0 * lf, Delta_m=2.0)
         self.base_affine = (np.array([[1.0]]), np.array([0.0]))
         self._rng = np.random.default_rng(self.seed)
-        self._current = None
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):
@@ -360,17 +356,10 @@ class RandomQuadratic(_Scenario):
     """
 
     kind = "random_quadratic"
+    one_dimensional = False
+    defaults = {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5}
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
-        self.horizon = int(horizon)
-        self.dimension = int(dimension)
-        self.n_constraints = int(constraints)
-        if self.dimension < 1 or self.n_constraints < 1:
-            raise ConfigurationError("dimension and constraints must be >= 1")
-        self.seed = int(seed)
-        self.params = _scenario_params(
-            self.kind, params, {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5})
+    def _setup(self):
         self.center_scale = self.params["center_scale"]
         self.matrix_scale = self.params["matrix_scale"]
         self.offset_scale = self.params["offset_scale"]
@@ -404,7 +393,6 @@ class RandomQuadratic(_Scenario):
             Delta_m=2.0 * math.sqrt(self.n_constraints) * self.matrix_scale,
         )
         self._rng = np.random.default_rng(self.seed)
-        self._current = None
 
     def _draw(self) -> RoundOracle:
         n, d = self.dimension, self.n_constraints
@@ -435,8 +423,4 @@ def make_scenario(kind: str, horizon: int, dimension: int = 1, constraints: int 
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
             f"unknown scenario kind {kind!r}; expected one of {sorted(SCENARIO_KINDS)}")
-    if int(horizon) < 1:
-        raise ConfigurationError("horizon must be >= 1")
-    cls = SCENARIO_KINDS[kind]
-    return cls(horizon=int(horizon), dimension=int(dimension),
-               constraints=int(constraints), seed=int(seed), params=params)
+    return SCENARIO_KINDS[kind](horizon, dimension, constraints, seed, params)

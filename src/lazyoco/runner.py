@@ -14,15 +14,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, LearnerTotals, RoundRecord, VARIANTS, make_learner
-from .predictors import PREDICTOR_KINDS, make_predictor
+from .learners import LearnerConfig, LearnerTotals, RoundRecord, make_learner
+from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
 from .sets import ConfigurationError, norm, positive_part
 from .solver import SolverSettings
@@ -95,49 +95,32 @@ _SWEEP_KEYS = {"base", "horizons", "betas", "repetitions"}
 # -- config parsing -----------------------------------------------------------
 
 
-def _mapping(doc, name: str) -> dict:
+def _mapping(doc, name: str, allowed: set) -> dict:
+    """doc as a JSON object with only `allowed` keys; a missing or null one reads as {}."""
+    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{name} must be a JSON object")
-    return doc
-
-
-def _check_keys(doc: dict, allowed: set, name: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
         raise ConfigurationError(f"unknown {name} keys: {', '.join(unknown)}")
+    return doc
 
 
-def _number(doc: dict, key: str, name: str, default=None, required=False):
+_JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+def _field(doc: dict, key, name: str, kind: type, default=None, required=False):
+    """doc[key] as a JSON `kind` (float: any finite number), or `default` when absent."""
     if key not in doc:
         if required:
             raise ConfigurationError(f"{name}.{key} is required")
         return default
     v = doc[key]
-    if not finite_number(v):
-        raise ConfigurationError(f"{name}.{key} must be a finite number")
-    return float(v)
-
-
-def _integer(doc: dict, key: str, name: str, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigurationError(f"{name}.{key} is required")
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigurationError(f"{name}.{key} must be an integer")
-    return int(v)
-
-
-def _string(doc: dict, key: str, name: str, default=None, required=False):
-    if key not in doc:
-        if required:
-            raise ConfigurationError(f"{name}.{key} is required")
-        return default
-    v = doc[key]
-    if not isinstance(v, str):
-        raise ConfigurationError(f"{name}.{key} must be a string")
-    return v
+    if kind is float and finite_number(v):
+        return float(v)
+    if kind is not float and isinstance(v, kind) and not isinstance(v, bool):
+        return v
+    raise ConfigurationError(f"{name}.{key} must be {_JSON_TYPES[kind]}")
 
 
 @dataclass
@@ -161,7 +144,6 @@ class RunConfig:
     predictor_seed: int
     benchmark_kind: str
     output: OutputSpec
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def load_json(path: str) -> dict:
@@ -173,152 +155,104 @@ def load_json(path: str) -> dict:
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    doc = _mapping(doc, "config")
-    _check_keys(doc, _TOP_KEYS, "config")
+    """The run a config document describes.
+
+    The parser checks the document's structure and JSON types; the kinds,
+    ranges and combinations are checked by what they build: a scenario at
+    the config's horizon, the learner config, a predictor, a learner and a
+    comparator fold, all thrown away here.  So `execute_run` refuses
+    nothing the parser accepts.
+    """
+    doc = _mapping(doc, "config", _TOP_KEYS)
     if "scenario" not in doc or "learner" not in doc:
         raise ConfigurationError("config requires 'scenario' and 'learner' sections")
 
-    sc = _mapping(doc["scenario"], "scenario")
-    _check_keys(sc, _SCENARIO_KEYS, "scenario")
-    kind = _string(sc, "kind", "scenario", required=True)
-    if kind not in SCENARIO_KINDS:
-        raise ConfigurationError(
-            f"unknown scenario kind {kind!r}; expected one of {sorted(SCENARIO_KINDS)}")
-    horizon = _integer(sc, "horizon", "scenario", required=True)
-    if horizon < 1:
-        raise ConfigurationError("scenario.horizon must be >= 1")
-    dimension = _integer(sc, "dimension", "scenario", default=1)
-    constraints = _integer(sc, "constraints", "scenario", default=1)
-    seed = _integer(sc, "seed", "scenario", default=0)
-    params = sc.get("params", {})
-    if params is None:
-        params = {}
-    params = _mapping(params, "scenario.params")
+    sc = _mapping(doc["scenario"], "scenario", _SCENARIO_KEYS)
+    # the scenario's defaults feed the learner's bounds
+    probe = make_scenario(_field(sc, "kind", "scenario", str, required=True),
+                          horizon=_field(sc, "horizon", "scenario", int, required=True),
+                          dimension=_field(sc, "dimension", "scenario", int, 1),
+                          constraints=_field(sc, "constraints", "scenario", int, 1),
+                          seed=_field(sc, "seed", "scenario", int, 0), params=sc.get("params"))
 
-    # scenario defaults feed the learner's bounds; a throwaway instance is
-    # cheap and keeps the published constants in one place
-    probe = make_scenario(kind, horizon=1, dimension=dimension,
-                          constraints=constraints, seed=seed, params=params)
+    ln = _mapping(doc["learner"], "learner", _LEARNER_KEYS)
+    bd = _mapping(ln.get("bounds"), "learner.bounds", _BOUNDS_KEYS)
+    sv = _mapping(ln.get("solver"), "learner.solver", _SOLVER_KEYS)
+    x0 = ln.get("x0")
+    if x0 is not None and not (isinstance(x0, list) and all(finite_number(v) for v in x0)):
+        raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
+    learner = LearnerConfig(
+        variant=_field(ln, "variant", "learner", str, required=True),
+        sigma=_field(ln, "sigma", "learner", float, required=True),
+        a=_field(ln, "a", "learner", float, required=True),
+        beta=_field(ln, "beta", "learner", float, required=True),
+        bounds=probe.bounds.replace(
+            **{key: _field(bd, key, "learner.bounds", float) for key in sorted(bd)}),
+        x0=x0,
+        solver=SolverSettings(
+            tolerance=_field(sv, "tolerance", "learner.solver", float, SolverSettings.tolerance),
+            max_iterations=_field(sv, "max_iterations", "learner.solver", int,
+                                  SolverSettings.max_iterations)))
 
-    ln = _mapping(doc["learner"], "learner")
-    _check_keys(ln, _LEARNER_KEYS, "learner")
-    variant = _string(ln, "variant", "learner", required=True)
-    if variant == "llp_linearized":
-        raise ConfigurationError("learner variant 'llp_linearized' was retired: on the "
-                                 "affine constraints of every round it is 'llp'; use 'llp'")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown learner variant {variant!r}")
-    sigma = _number(ln, "sigma", "learner", required=True)
-    a = _number(ln, "a", "learner", required=True)
-    beta = _number(ln, "beta", "learner", required=True)
-
-    bounds = probe.bounds
-    if "bounds" in ln and ln["bounds"] is not None:
-        bd = _mapping(ln["bounds"], "learner.bounds")
-        _check_keys(bd, _BOUNDS_KEYS, "learner.bounds")
-        overrides = {}
-        for key in sorted(bd):
-            overrides[key] = _number(bd, key, "learner.bounds", required=True)
-        bounds = bounds.replace(**overrides)
-
-    x0 = None
-    if "x0" in ln and ln["x0"] is not None:
-        raw_x0 = ln["x0"]
-        if not isinstance(raw_x0, list) or not all(finite_number(v) for v in raw_x0):
-            raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
-        x0 = np.asarray(raw_x0, dtype=float)
-
-    solver = SolverSettings()
-    if "solver" in ln and ln["solver"] is not None:
-        sv = _mapping(ln["solver"], "learner.solver")
-        _check_keys(sv, _SOLVER_KEYS, "learner.solver")
-        solver = SolverSettings(
-            tolerance=_number(sv, "tolerance", "learner.solver", default=1e-9),
-            max_iterations=_integer(sv, "max_iterations", "learner.solver", default=10000),
-        )
-
-    learner = LearnerConfig(variant=variant, sigma=sigma, a=a, beta=beta,
-                            bounds=bounds, x0=x0, solver=solver)
-
-    pr = doc.get("predictor", {})
-    pr = _mapping({} if pr is None else pr, "predictor")
-    _check_keys(pr, _PREDICTOR_KEYS, "predictor")
-    predictor_kind = _string(pr, "kind", "predictor", default="none")
-    if predictor_kind not in PREDICTOR_KINDS:
-        raise ConfigurationError(f"unknown predictor kind {predictor_kind!r}")
-    predictor_level = _number(pr, "level", "predictor", default=0.1)
-    predictor_seed = _integer(pr, "seed", "predictor", default=0)
-
-    bm = doc.get("benchmark", {})
-    bm = _mapping({} if bm is None else bm, "benchmark")
-    _check_keys(bm, _BENCHMARK_KEYS, "benchmark")
-    benchmark_kind = _string(bm, "kind", "benchmark", default="X_T")
-    if benchmark_kind not in analysis.BENCHMARK_KINDS:
-        raise ConfigurationError(f"unknown benchmark kind {benchmark_kind!r}")
-
-    out = doc.get("output", {})
-    out = _mapping({} if out is None else out, "output")
-    _check_keys(out, _OUTPUT_KEYS, "output")
-    fmt = _string(out, "format", "output", default="csv")
-    if fmt not in ("csv", "json"):
+    pr = _mapping(doc.get("predictor"), "predictor", _PREDICTOR_KEYS)
+    bm = _mapping(doc.get("benchmark"), "benchmark", _BENCHMARK_KEYS)
+    out = _mapping(doc.get("output"), "output", _OUTPUT_KEYS)
+    output = OutputSpec(path=_field(out, "path", "output", str),
+                        format=_field(out, "format", "output", str, "csv"),
+                        record_every=_field(out, "record_every", "output", int, 1))
+    if output.format not in ("csv", "json"):
         raise ConfigurationError("output.format must be 'csv' or 'json'")
-    record_every = _integer(out, "record_every", "output", default=1)
-    if record_every < 1:
+    if output.record_every < 1:
         raise ConfigurationError("output.record_every must be >= 1")
-    output = OutputSpec(path=_string(out, "path", "output", default=None),
-                        format=fmt, record_every=record_every)
 
-    config = RunConfig(scenario_kind=kind, horizon=horizon, dimension=dimension,
-                       constraints=constraints, seed=seed, params=dict(params),
-                       learner=learner, predictor_kind=predictor_kind,
-                       predictor_level=predictor_level, predictor_seed=predictor_seed,
-                       benchmark_kind=benchmark_kind, output=output, raw=doc)
-    # a throwaway predictor and learner run their own checks (noise level, x0,
-    # base constraint), so execute_run refuses nothing the parser accepts
+    config = RunConfig(scenario_kind=probe.kind, horizon=probe.horizon,
+                       dimension=probe.dimension, constraints=probe.n_constraints,
+                       seed=probe.seed, params=probe.params, learner=learner,
+                       predictor_kind=_field(pr, "kind", "predictor", str, "none"),
+                       predictor_level=_field(pr, "level", "predictor", float, 0.1),
+                       predictor_seed=_field(pr, "seed", "predictor", int, 0),
+                       benchmark_kind=_field(bm, "kind", "benchmark", str, "X_T"),
+                       output=output)
     _predictor_for(config, probe)
     _learner_for(config, probe)
+    analysis.ComparatorFold(probe.domain, config.benchmark_kind)
     return config
 
 
 @dataclass
 class SweepConfig:
-    base: dict
+    """A parsed sweep: the base run and one parsed run per (beta, horizon, repetition)."""
+
+    base: RunConfig
     horizons: list[int]
     betas: list[float]
     repetitions: int
+    cells: dict[str, RunConfig]
 
 
 def parse_sweep_config(doc: dict) -> SweepConfig:
-    doc = _mapping(doc, "sweep")
-    _check_keys(doc, _SWEEP_KEYS, "sweep")
+    doc = _mapping(doc, "sweep", _SWEEP_KEYS)
     if "base" not in doc:
         raise ConfigurationError("sweep requires a 'base' run config")
-    base = _mapping(doc["base"], "sweep.base")
-    parse_run_config(base)  # validate eagerly; cells re-derive from the raw dict
-    horizons = doc.get("horizons")
-    if not isinstance(horizons, list) or not horizons:
-        raise ConfigurationError("sweep.horizons must be a nonempty list")
-    hs = [_as_int(h, "sweep.horizons") for h in horizons]
+    base = parse_run_config(doc["base"])  # so every cell derives from a well-formed base
+    grid = {}
+    for key, kind in (("horizons", int), ("betas", float)):
+        values = doc.get(key)
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(f"sweep.{key} must be a nonempty list")
+        # typed before any cell formats them into its key and output path
+        grid[key] = [_field({i: v}, i, f"sweep.{key}", kind) for i, v in enumerate(values)]
+    hs, bs = grid["horizons"], grid["betas"]
     if any(b <= a for a, b in zip(hs, hs[1:])):
         raise ConfigurationError("sweep.horizons must be strictly increasing")
-    betas = doc.get("betas")
-    if not isinstance(betas, list) or not betas:
-        raise ConfigurationError("sweep.betas must be a nonempty list")
-    bs = []
-    for b in betas:
-        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b < 1.0:
-            raise ConfigurationError("sweep.betas entries must lie in [0, 1)")
-        bs.append(float(b))
-    reps = doc.get("repetitions", 1)
-    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+    reps = _field(doc, "repetitions", "sweep", int, 1)
+    if reps < 1:
         raise ConfigurationError("sweep.repetitions must be a positive integer")
-    return SweepConfig(base=base, horizons=hs, betas=bs, repetitions=reps)
-
-
-def _as_int(v, name: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ConfigurationError(f"{name} entries must be positive integers")
-    return v
+    # the cells' own checks (horizon >= 1, beta in [0, 1)) run here, at parse
+    cells = {_cell_key(beta, horizon, rep):
+             parse_run_config(_derive_cell(doc["base"], beta, horizon, rep))
+             for beta in bs for horizon in hs for rep in range(reps)}
+    return SweepConfig(base=base, horizons=hs, betas=bs, repetitions=reps, cells=cells)
 
 
 # -- single run ----------------------------------------------------------------
@@ -640,9 +574,8 @@ def _derive_cell(base: dict, beta: float, horizon: int, rep: int) -> dict:
 
 
 def _run_cell(args):
-    key, doc = args
+    key, config = args
     try:
-        config = parse_run_config(doc)
         result = execute_run(config)
         if config.output.path is not None:
             write_trace(result)
@@ -666,13 +599,7 @@ def worker_count() -> int:
 
 def sweep(sweep_config: SweepConfig) -> dict:
     """One run per (beta, horizon, repetition) plus per-beta growth fits."""
-    cells = []
-    for beta in sweep_config.betas:
-        for horizon in sweep_config.horizons:
-            for rep in range(sweep_config.repetitions):
-                key = _cell_key(beta, horizon, rep)
-                cells.append((key, _derive_cell(sweep_config.base, beta, horizon, rep)))
-
+    cells = list(sweep_config.cells.items())
     workers = worker_count()
     results: dict[str, dict] = {}
     if workers == 1 or len(cells) == 1:
@@ -713,7 +640,7 @@ def sweep(sweep_config: SweepConfig) -> dict:
     report = {"cells": results, "exponents": exponents,
               "horizons": sweep_config.horizons, "betas": sweep_config.betas,
               "repetitions": sweep_config.repetitions}
-    out = (sweep_config.base.get("output") or {}).get("path")
+    out = sweep_config.base.output.path
     if out:
         with open(f"{out}.sweep.json", "w", encoding="utf-8", newline="") as fh:
             json.dump(_sanitize(report), fh, sort_keys=True, indent=1, allow_nan=False)

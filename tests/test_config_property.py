@@ -12,7 +12,7 @@ from lazyoco.sets import ConfigurationError
 
 # one deliberate fault per document, or none; each must be refused at parse
 _FAULTS = (None, None, None, None, None, "sigma", "a", "beta", "x0 shape", "x0 outside",
-           "noise level", "dimension", "param")
+           "noise level", "dimension", "param", "bound overflow")
 
 
 @st.composite
@@ -36,6 +36,13 @@ def run_docs(draw):
     learner = {"variant": draw(st.sampled_from(VARIANTS)),
                "sigma": draw(positive), "a": draw(positive),
                "beta": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))}
+    # optional sections; a null one reads as absent
+    for section, fields in (
+            ("bounds", {key: positive for key in ("L_f", "L_g", "G", "D", "F", "E_m", "Delta_m")}),
+            ("solver", {"tolerance": st.sampled_from([1e-9, 1e-6]),
+                        "max_iterations": st.sampled_from([3, 50, 10000])})):
+        if draw(st.booleans()):
+            learner[section] = draw(st.none() | st.fixed_dictionaries({}, optional=fields))
     if draw(st.booleans()):
         learner["x0"] = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
                                       min_size=n, max_size=n))
@@ -54,6 +61,8 @@ def run_docs(draw):
         predictor.update(kind="noisy", level=-0.5)
     elif fault == "dimension":
         scenario["dimension"] = 0 if kind == "random_quadratic" else 2
+    elif fault == "bound overflow":
+        learner["bounds"] = draw(st.sampled_from([{"G": 1e160}, {"D": 1e200}]))
     elif fault == "param":
         scenario["params"] = {"amplitude" if kind == "perturbed_linear" else "offset_scale": -1.0}
     return fault, {

@@ -292,6 +292,18 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
     assert m.cum_cost[-1] == pytest.approx(s["cum_cost"], rel=1e-12)
 
 
+def test_unconverged_primal_solve_is_flagged_in_row_and_summary():
+    """A solver capped at 3 iterations stops one penalty solve short of converging."""
+    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 400, "dimension": 5,
+                             "constraints": 3, "seed": 3},
+                   predictor={"kind": "perfect"})
+    doc["learner"]["solver"] = {"max_iterations": 3}
+    result = runner.execute_run(runner.parse_run_config(doc))
+    assert [fl for fl in result.flags if fl] == ["primal_solver"]
+    assert result.summary["flag_counts"] == {"primal_solver": 1}
+    assert result.summary["warning_count"] == 1
+
+
 def test_perfect_prediction_summary():
     doc = base_doc(predictor={"kind": "perfect"})
     doc["scenario"]["horizon"] = 300
@@ -444,6 +456,35 @@ def test_sweep_cells_and_exponents(tmp_path, monkeypatch):
     assert (tmp_path / "sw.sweep.json").exists()
 
 
+def test_sweep_pool_matches_one_worker(tmp_path, monkeypatch):
+    """Parsed cells cross the process boundary and play the runs one worker plays."""
+    base = base_doc()
+    base["scenario"]["horizon"] = 10
+    reports, written = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LAZYOCO_WORKERS", workers)
+        (tmp_path / workers).mkdir()
+        base["output"] = {"path": str(tmp_path / workers / "sw")}
+        reports.append(runner.sweep(runner.parse_sweep_config(
+            {"base": base, "horizons": [10, 20], "betas": [0.0, 0.5], "repetitions": 2})))
+        written.append({p.name: p.read_bytes() for p in (tmp_path / workers).iterdir()})
+    assert reports[0]["cells"] == reports[1]["cells"]
+    assert len(reports[0]["cells"]) == 8
+    assert written[0] == written[1] and len(written[0]) == 17
+
+
+@pytest.mark.parametrize("key, values", [("betas", [0.5, "0.7"]), ("horizons", [10, "20"])])
+def test_cli_rejects_sweep_grid_types(tmp_path, capsys, monkeypatch, key, values):
+    # a cell formats beta into its output path, so the types are checked before
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
+           "horizons": [10, 20], "betas": [0.0, 0.5]}
+    doc[key] = values
+    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
+    assert f"sweep.{key}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw*"))
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAZYOCO_WORKERS", "3")
     assert runner.worker_count() == 3
@@ -556,6 +597,24 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, mutate):
     mutate(doc)
     assert cli.main(["run", write_config(tmp_path, "nonfinite.json", doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, variant, bounds, message", [
+    ("alternating_linear", "llp", {"G": 1e160}, "G = 1e+160"),
+    ("alternating_linear", "llp", {"D": 1e200}, "D = 1e+200"),
+    ("perturbed_linear", "llp_perturbed", {"G": 1e200}, "G = 1e+200"),
+])
+def test_cli_rejects_overflowing_bound_overrides(tmp_path, capsys, kind, variant, bounds,
+                                                 message):
+    # 4 G^2 overflowing made the step size 0 and D^2 overflowing made a certificate inf:
+    # both crashed the run after it had started
+    doc = base_doc(scenario={"kind": kind, "horizon": 10},
+                   predictor={"kind": "noisy", "level": 0.3},
+                   output={"path": str(tmp_path / "t.csv")})
+    doc["learner"].update(variant=variant, bounds=bounds)
+    assert cli.main(["run", write_config(tmp_path, "bounds.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("t.csv*"))
 
 
 @pytest.mark.parametrize("kind, param, value", [
