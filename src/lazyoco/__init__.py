@@ -15,7 +15,7 @@ from .analysis import (
     compute_benchmark,
     fit_growth_exponent,
 )
-from .learners import VARIANTS, LearnerConfig, RoundRecord, make_learner
+from .learners import VARIANTS, LearnerConfig, make_learner
 from .predictors import (
     PREDICTOR_KINDS,
     PredictionBundle,
@@ -46,7 +46,7 @@ __all__ = [
     "ProblemBounds", "RoundOracle", "SCENARIO_KINDS", "make_scenario",
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
     "SolverSettings", "SolveResult", "FtrlObjective", "minimize", "dual_closed_form",
-    "LearnerConfig", "RoundRecord", "VARIANTS", "make_learner",
+    "LearnerConfig", "VARIANTS", "make_learner",
     "BENCHMARK_KINDS", "BenchmarkResult", "ExponentFit",
     "ComparatorFold", "compute_benchmark", "fit_growth_exponent",
     "RunConfig", "SweepConfig", "RunResult", "parse_run_config", "parse_sweep_config",

@@ -13,7 +13,10 @@ fresh step size, and its prescient solve therefore sees the off-by-one
 accumulated weight.  The dual step only fixes the step size: afterwards
 `pending` holds (a_t, sum_s g_s(z_s)), and the next primal step reads its
 multiplier lam = [a_t (sum g(z) + v~)]_+ from `pending` and that round's
-forecast value v~.
+forecast value v~.  `play_round` returns x_t and leaves no record: the
+learner's attributes after it (the round's `lam`, `f_value`, `xi_t`,
+`solver_residual` and `flags`, and the running totals) are what a trace
+row reads.
 
 Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part W^T lam folds into one linear
@@ -59,7 +62,6 @@ from .solver import FtrlObjective, SolverSettings, dual_step, exact_step, minimi
 __all__ = [
     "VARIANTS",
     "LearnerConfig",
-    "RoundRecord",
     "LearnerTotals",
     "LlpLearner",
     "GreedyLearner",
@@ -95,33 +97,17 @@ class LearnerConfig:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
-@dataclass
-class RoundRecord:
-    t: int
-    x: np.ndarray
-    z: np.ndarray
-    lam: np.ndarray
-    f_value: float
-    g_values: np.ndarray
-    epsilon_norm: float
-    h_t: float
-    xi_t: float
-    sigma_t: float
-    a_t: float
-    solver_residual: float
-    flags: tuple[str, ...]
-
-
 class LearnerTotals(NamedTuple):
-    """The end-of-run values no trace row holds; the greedy baseline fills the first two.
+    """The end-of-run values no trace row holds; the greedy baseline fills the first three.
 
     The run's other totals (cumulative cost, violation, a_T, the
-    regularizer sums and B_T) are its trace's last row.
+    regularizer sums and B_T) are its trace's last row.  `flag_counts`
+    counts the rounds that raised each flag; a round raises at most one.
     """
 
     violation_z_norm: float
     a_prev: float
-    warning_count: int = 0
+    flag_counts: dict
     xi_sq_cum: float = 0.0
     sum_prev_a_xi_sq: float = 0.0
     mu: float = 0.0
@@ -178,10 +164,9 @@ class LlpLearner:
         self.prox_S = 0.0
         self.prox_b = np.zeros(self.n)
 
-        # dual-rate state; 0**0 == 1 makes the beta = 0 case come out right
+        # dual-rate state, a_t and a_{t-1}; 0**0 == 1 makes the beta = 0 case come out right
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
-        self.a_prev = a0
-        self.a_prev_last = a0
+        self.a_t = self.a_prev = a0
         self.h_cum = 0.0
         self.xi_sq_cum = 0.0
         self.sum_a_prev_xi_sq = 0.0
@@ -194,62 +179,57 @@ class LlpLearner:
         self.last_x = x0
         self.max_xz = 0.0
         self.drift_gap = -math.inf
-        self.warning_count = 0
+        self.flag_counts: dict[str, int] = {}
+
+        # the latest round's own values
+        self.lam = np.zeros(self.d)
+        self.f_value = self.xi_t = self.solver_residual = 0.0
+        self.flags = ""
 
     # -- round loop ----------------------------------------------------------
 
-    def play_round(self, truth: RoundOracle, bundle: PredictionBundle | None = None) -> RoundRecord:
-        """Play one round against the revealed oracle, given that round's forecast.
+    def play_round(self, truth: RoundOracle, bundle: PredictionBundle | None = None) -> np.ndarray:
+        """Play one round against the revealed oracle, given that round's forecast; return x_t.
 
         bundle is the forecast for this round (None means the zero forecast);
         the learner sees it before it picks x_t.
         """
         self.t += 1
-        t = self.t
         if bundle is None:
             bundle = self._zero_bundle
-        flags: list[str] = []
+        self.flags = ""
 
-        x, lam, ct_used, vt, res_primal = self._primal(bundle, flags)
+        x, lam, ct_used, vt, self.solver_residual = self._primal(bundle)
+        self.lam = lam
 
-        f_val, c_t = truth.cost(x)
+        self.f_value, c_t = truth.cost(x)
         W, u = truth.constraint_affine
         gvals = W @ x + u
+        h = self._mismatch_norm(c_t - ct_used, W, bundle.constraint_affine[0], lam)
 
-        eps = c_t - ct_used
-        h = self._mismatch_norm(eps, W, bundle.constraint_affine[0], lam)
-
-        sigma_t = 0.0
         if self.variant != "llp2":
-            sigma_t = self._advance_regularizer(h, x)
+            self._advance_regularizer(h, x, 0.0)
 
-        z, gz, fold = self._prescient(truth, x, c_t, gvals, lam)
+        z, gz = self._prescient(truth, x, c_t, gvals, lam)
 
         dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
         if self.prox_S > 0.0:
             self.drift_gap = max(self.drift_gap, dxz - h / self.prox_S)
 
-        self._fold_round(*fold)
         self.cum_gz = self.cum_gz + gz
         self.cum_gx = self.cum_gx + gvals
-        self.cum_cost += f_val
+        self.cum_cost += self.f_value
 
-        xi, a_t = self._dual(gz, vt)
+        self._dual(gz, vt)
 
         if self.variant == "llp2":
-            sigma_t = self._advance_regularizer_llp2(h)
+            b = self.cfg.bounds
+            self.mu = b.E_m + self.a_t * b.G * (self.t + 1) * b.Delta_m
+            self._advance_regularizer(h, None, self.mu)
 
         self.last_x = x
-        if flags:
-            self.warning_count += 1
-
-        return RoundRecord(
-            t=t, x=x, z=z, lam=lam, f_value=f_val,
-            g_values=gvals, epsilon_norm=norm(eps),
-            h_t=h, xi_t=xi, sigma_t=sigma_t, a_t=a_t,
-            solver_residual=res_primal, flags=tuple(flags),
-        )
+        return x
 
     # -- primal --------------------------------------------------------------
 
@@ -280,14 +260,14 @@ class LlpLearner:
                 linear = linear + bundle.constraint_affine[0].T @ lam
         return S, center, linear
 
-    def _primal(self, bundle: PredictionBundle, flags: list[str]):
+    def _primal(self, bundle: PredictionBundle):
         """Resolve the round's multiplier/forecast pair and solve for x_t.
 
         Returns (x, lam, cost_gradient_used, predicted_value_used, residual).
         """
         residual = 0.0
         if self.pending is not None and bundle.predicted_value is None:
-            x, lam, residual = self._fixed_point(bundle, flags)
+            x, lam, residual = self._fixed_point(bundle)
         else:
             if self.pending is None:
                 lam = np.zeros(self.d)
@@ -304,7 +284,7 @@ class LlpLearner:
             ct = w * (x - c)
         return x, lam, ct, vt, residual
 
-    def _fixed_point(self, bundle: PredictionBundle, flags: list[str]):
+    def _fixed_point(self, bundle: PredictionBundle):
         """(x, lam, solver residual) with lam = [a (cum + W~ x + u~)]_+."""
         a_dual, cum = self.pending
         W, u = bundle.constraint_affine
@@ -334,7 +314,8 @@ class LlpLearner:
                             [(np.ones(1), penalty, smoothness)])
         res = minimize(obj, self.cfg.solver, fallback=self.last_x)
         if not res.converged:
-            flags.append("primal_solver")
+            self.flags = "primal_solver"
+            self.flag_counts[self.flags] = self.flag_counts.get(self.flags, 0) + 1
         return res.x, multiplier(res.x), res.residual
 
     def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
@@ -381,50 +362,36 @@ class LlpLearner:
             return norm(eps)
         return norm(eps + (W - pred_W).T @ lam)
 
-    def _advance_regularizer(self, h: float, x: np.ndarray) -> float:
+    def _advance_regularizer(self, h: float, x: np.ndarray | None, mu: float) -> None:
+        """Raise the prox weight to sigma sqrt(h_cum + mu); llp2 passes no x to centre it at."""
         self.h_cum += h
-        target = self.cfg.sigma * math.sqrt(self.h_cum)
+        target = self.cfg.sigma * math.sqrt(self.h_cum + mu)
         sigma_t = target - self.prox_S
         if sigma_t > 0.0:
-            self.prox_b = self.prox_b + sigma_t * x
+            if x is not None:
+                self.prox_b = self.prox_b + sigma_t * x
             self.prox_S = target
-            return sigma_t
-        return 0.0
-
-    def _advance_regularizer_llp2(self, h: float) -> float:
-        b = self.cfg.bounds
-        self.h_cum += h
-        mu_next = b.E_m + self.a_prev * b.G * (self.t + 1) * b.Delta_m
-        target = self.cfg.sigma * math.sqrt(self.h_cum + mu_next)
-        sigma_t = target - self.prox_S
-        self.mu = mu_next
-        if sigma_t > 0.0:
-            self.prox_S = target
-            return sigma_t
-        return 0.0
 
     # -- prescient -------------------------------------------------------------
 
     def _prescient(self, truth: RoundOracle, x, c_t, gvals, lam):
-        """(z, g(z), fold): the fold is the round's additions to the folded
-        state, computed here once and handed on to `_fold_round`."""
-        W = truth.constraint_affine[0]
-        ccum = self.ccum + c_t
-        linear = ccum
+        """(z, g(z)); folds the round's cost gradient and multiplier into the state."""
         folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
-        wsum = lin = None
+        self.ccum = linear = self.ccum + c_t
+        lin = None
         if self.variant == "llp_perturbed":
-            wsum = self.lam_sum + lam
-            lin = self.base_affine[0].T @ wsum
+            # the fixed row's fold W^T lam_sum is redone from lam_sum each round
+            self.lam_sum = self.lam_sum + lam
+            lin = self.base_affine[0].T @ self.lam_sum
         else:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
             if any(lam):
-                lin = W.T @ lam
+                lin = truth.constraint_affine[0].T @ lam
+                self.lag_lin = self.lag_lin + lin
         if lin is not None:
             linear = linear + lin
             folded.append(lin)
-        fold = (ccum, wsum, lin)
         if self.prox_S == 0.0:
             # With no regularizer the aggregate is a bare linear functional, and
             # when the round's forecasts were exact x already satisfies its
@@ -436,41 +403,30 @@ class LlpLearner:
                 mag += norm(part)
             tie = np.abs(linear) <= self.cfg.solver.tolerance * (1.0 + mag)
             if tie.all():
-                return x, gvals, fold
+                return x, gvals
             linear = np.where(tie, 0.0, linear)
         z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
-        return z, truth.constraint_value(z), fold
-
-    def _fold_round(self, ccum, wsum, lin) -> None:
-        self.ccum = ccum
-        if self.variant == "llp_perturbed":
-            # the fixed row's fold W^T lam_sum is redone from lam_sum each round
-            self.lam_sum = wsum
-        elif lin is not None:
-            self.lag_lin = self.lag_lin + lin
+        return z, truth.constraint_value(z)
 
     # -- dual --------------------------------------------------------------------
 
-    def _dual(self, gz, vt):
+    def _dual(self, gz, vt) -> None:
         b = self.cfg.bounds
-        xi = norm(gz - vt)
-        a_tm1 = self.a_prev
-        self.sum_a_prev_xi_sq += a_tm1 * xi * xi
+        self.xi_t = xi = norm(gz - vt)
+        self.a_prev = self.a_t
+        self.sum_a_prev_xi_sq += self.a_prev * xi * xi
         self.xi_sq_cum += xi * xi
         denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
-        a_t = min(self.cfg.a / denom, a_tm1)
-        self.a_prev_last = a_tm1
-        self.a_prev = a_t
-        self.pending = (a_t, self.cum_gz)
-        return xi, a_t
+        self.a_t = min(self.cfg.a / denom, self.a_prev)
+        self.pending = (self.a_t, self.cum_gz)
 
     # -- reporting ----------------------------------------------------------------
 
     def stats(self) -> LearnerTotals:
         return LearnerTotals(
             violation_z_norm=norm(positive_part(self.cum_gz)),
-            a_prev=self.a_prev_last,
-            warning_count=self.warning_count,
+            a_prev=self.a_prev,
+            flag_counts=self.flag_counts,
             xi_sq_cum=self.xi_sq_cum,
             sum_prev_a_xi_sq=self.sum_a_prev_xi_sq,
             mu=self.mu,
@@ -482,9 +438,16 @@ class LlpLearner:
 class GreedyLearner:
     """Projected gradient on the instantaneous Lagrangian, step eta/sqrt(t).
 
-    Stand-in competitor with the same record surface as the lazy learners;
-    its z column simply repeats x and all prediction fields stay zero.
+    Stand-in competitor with the lazy learners' row names: `lam` and `a_t`
+    are the multiplier and step of the round just played (`lam_next` and
+    `x` are the next round's), and its regularizer, forecast and prescient
+    totals are the zeros below, since its z is x.
     """
+
+    prox_S = h_cum = xi_t = xi_sq_cum = sum_a_prev_xi_sq = mu = 0.0
+    solver_residual = max_xz = 0.0
+    drift_gap = -math.inf
+    flags = ""
 
     def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int):
         if config.variant != "greedy_baseline":
@@ -494,36 +457,31 @@ class GreedyLearner:
         self.n = int(dimension)
         self.d = int(constraints)
         self.x = _start_point(config, domain, self.n)
-        self.lam = np.zeros(self.d)
+        self.lam = self.lam_next = np.zeros(self.d)
         self.t = 0
-        self.cum_cost = 0.0
+        self.a_t = self.f_value = self.cum_cost = 0.0
         self.cum_gx = np.zeros(self.d)
 
-    def play_round(self, truth: RoundOracle, bundle=None) -> RoundRecord:
-        """One projected step; the forecast is ignored."""
+    def play_round(self, truth: RoundOracle, bundle=None) -> np.ndarray:
+        """One projected step from x_t, which it returns; the forecast is ignored."""
         self.t += 1
-        t = self.t
-        x = self.x
-        lam = self.lam
-        f_val, c_t = truth.cost(x)
+        x, lam = self.x, self.lam_next
+        self.f_value, c_t = truth.cost(x)
         W, u = truth.constraint_affine
         gvals = W @ x + u
-        eta = self.cfg.a / math.sqrt(t)
+        self.a_t = eta = self.cfg.a / math.sqrt(self.t)
         # `Box.project`'s clip, without re-checking an array built here
         self.x = (x - eta * (c_t + W.T @ lam)).clip(self.domain.lower, self.domain.upper)
-        self.lam = positive_part(lam + eta * gvals)
-        self.cum_cost += f_val
+        self.lam, self.lam_next = lam, positive_part(lam + eta * gvals)
+        self.cum_cost += self.f_value
         self.cum_gx = self.cum_gx + gvals
-        return RoundRecord(
-            t=t, x=x, z=x, lam=lam, f_value=f_val,
-            g_values=gvals, epsilon_norm=0.0, h_t=0.0, xi_t=0.0,
-            sigma_t=0.0, a_t=eta, solver_residual=0.0, flags=(),
-        )
+        return x
 
     def stats(self) -> LearnerTotals:
         return LearnerTotals(
             violation_z_norm=norm(positive_part(self.cum_gx)),
             a_prev=self.cfg.a / math.sqrt(max(self.t - 1, 1)),
+            flag_counts={},
         )
 
 

@@ -145,6 +145,8 @@ class NoisyPredictor:
                  level: float = 0.1, seed: int | None = 0):
         if level < 0.0:
             raise ConfigurationError("noise level must be nonnegative")
+        if seed is not None and seed < 0:
+            raise ConfigurationError("predictor seed must be >= 0")
         self.bounds = bounds
         self.n = dimension
         self.d = constraints

@@ -184,6 +184,8 @@ class _Scenario:
             raise ConfigurationError("dimension and constraints must be >= 1")
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if seed < 0:
+            raise ConfigurationError("scenario seed must be >= 0")
         self.horizon = int(horizon)
         self.dimension = int(dimension)
         self.n_constraints = int(constraints)

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, LearnerTotals, RoundRecord, make_learner
+from .learners import LearnerConfig, LearnerTotals, make_learner
 from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
 from .sets import ConfigurationError, norm, positive_part
@@ -69,6 +69,8 @@ TRACE_COLUMNS = TraceRow._fields
 _T, _COST, _REGRET, _VIOLATION, _H, _BOUND = (
     TRACE_COLUMNS.index(c)
     for c in ("t", "cum_cost", "regret", "violation_norm", "h_cum", "bound_B_t"))
+# the learner's totals besides the table's that the B_t column is evaluated from
+_BOUND_INPUTS = ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
 # rows formatted per write, so no payload holds the whole trace
@@ -311,21 +313,22 @@ def _learner_for(config: RunConfig, scenario):
 
 
 def play_rounds(scenario, predictor, learner,
-                horizon: int) -> Iterator[tuple[RoundOracle, RoundRecord]]:
-    """Play rounds 1..horizon and yield each round's truth with its record.
+                horizon: int) -> Iterator[tuple[RoundOracle, np.ndarray]]:
+    """Play rounds 1..horizon and yield each round's truth with the point x_t played.
 
     Round t's truth and its forecast are drawn together, the learner plays
     the round, and only then is the played point shown to the scenario and
     the predictor, so an adaptive scenario and a predictor that tracks the
     learner see x_t before round t+1 is drawn.  Each round is drawn once:
     whoever needs the truth again (the comparator, a test) keeps it from here.
+    The round's other values are on the learner until the next round.
     """
     for t in range(1, horizon + 1):
         truth = scenario.round(t)
-        rec = learner.play_round(truth, predictor.bundle_for(truth))
-        scenario.record_action(t, rec.x)
-        predictor.note_action(rec.x)
-        yield truth, rec
+        x = learner.play_round(truth, predictor.bundle_for(truth))
+        scenario.record_action(t, x)
+        predictor.note_action(x)
+        yield truth, x
 
 
 def execute_run(config: RunConfig) -> RunResult:
@@ -340,7 +343,6 @@ def execute_run(config: RunConfig) -> RunResult:
     # as the block end is emitted
     block_ends = getattr(scenario, "block_ends", None)
 
-    flag_counts: dict[str, int] = {}
     record_every = config.output.record_every
     n_rows = (T + record_every - 1) // record_every
     # regret and bound_B_t are filled in at the end
@@ -348,31 +350,28 @@ def execute_run(config: RunConfig) -> RunResult:
     flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
     cost_sums = np.empty((n_rows, fold.cost_sums_size))
-    # a lazy learner's other B_t inputs at each row: sum of a_{t-1} xi_t^2,
-    # mu and sum of xi_t^2; the greedy baseline's regularizer sums stay 0
-    variant = config.learner.variant
-    lazy = variant != "greedy_baseline"
-    bound_inputs = np.empty((n_rows, 3))
-    sigma_cum = h_cum = 0.0
-    for truth, rec in play_rounds(scenario, predictor, learner, T):
+    # the learner's other B_t inputs at each row: sum of a_{t-1} xi_t^2, mu
+    # and sum of xi_t^2 (the greedy baseline's stay 0)
+    bound_inputs = np.empty((n_rows, len(_BOUND_INPUTS)))
+    for truth, _ in play_rounds(scenario, predictor, learner, T):
         fold.add(truth)
-        if block_ends and block_ends[-1] == rec.t:
+        t = learner.t
+        if block_ends and block_ends[-1] == t:
             fold.mark()
-        for fl in rec.flags:
-            flag_counts[fl] = flag_counts.get(fl, 0) + 1
-        if rec.t % record_every == 0 or rec.t == T:  # the last round's totals feed the summary
+        if t % record_every == 0 or t == T:  # the last round's totals feed the summary
             i = len(flags)
             fold.copy_cost_sums(cost_sums[i])
-            if lazy:
-                sigma_cum, h_cum = learner.prox_S, learner.h_cum
-                bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
-            table[i] = (rec.t, rec.f_value, learner.cum_cost, math.nan,
-                        norm(positive_part(learner.cum_gx)), norm(rec.lam), rec.a_t,
-                        sigma_cum, h_cum, rec.xi_t, math.nan, rec.solver_residual)
-            flags.append(";".join(rec.flags))
+            bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
+            table[i] = (t, learner.f_value, learner.cum_cost, math.nan,
+                        norm(positive_part(learner.cum_gx)), norm(learner.lam), learner.a_t,
+                        learner.prox_S, learner.h_cum, learner.xi_t, math.nan,
+                        learner.solver_residual)
+            flags.append(learner.flags)
 
     totals = learner.stats()
     c = config.learner
+    variant = c.variant
+    lazy = variant != "greedy_baseline"
     if lazy:
         table[:, _BOUND] = analysis.regret_certificate(
             variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
@@ -380,6 +379,17 @@ def execute_run(config: RunConfig) -> RunResult:
             a=c.a, beta=c.beta)
     else:
         table[:, _BOUND] = 0.0
+    # a step size or level that overflows only after some rounds gets past the
+    # parser, so the run stops at its first non-finite total, checked a column
+    # at a time to copy no table; regret is left out, as it is NaN by design
+    # when the comparator set is empty
+    bad = [(np.isfinite(col).argmin(), name, col)
+           for name, col in zip(TRACE_COLUMNS[:-1] + _BOUND_INPUTS, [*table.T, *bound_inputs.T])
+           if name != "regret" and not np.isfinite(col).all()]
+    if bad:
+        i, name, col = min(bad, key=lambda b: b[0])  # the first column among a row's
+        raise FloatingPointError(
+            f"round {int(table[i, _T])}: {name} is {col[i]}, not a finite number")
 
     benchmark = analysis.compute_benchmark(fold)
     if benchmark.feasible:
@@ -426,8 +436,9 @@ def execute_run(config: RunConfig) -> RunResult:
         "mu": totals.mu,
         "max_xz": totals.max_xz,
         "drift_gap": totals.drift_gap,
-        "warning_count": totals.warning_count,
-        "flag_counts": flag_counts,
+        # a round raises at most one flag
+        "warning_count": sum(totals.flag_counts.values()),
+        "flag_counts": totals.flag_counts,
         "block_ends": [] if block_ends is None else list(block_ends),
         "record_every": record_every,
         "rows_written": n_rows,

@@ -1,9 +1,10 @@
 """Brute-force reference computations for the test suite.
 
 Everything here re-derives results from first principles (dense grids,
-direct summation, the step-size recursion rebuilt from round records) so
-that expected values are frozen from an independent oracle rather than
-from the code under test.
+direct summation, the step-size recursion rebuilt from each round's
+values) so that expected values are frozen from an independent oracle
+rather than from the code under test.  `play` and `play_run` take those
+per-round values off the learner after each round.
 """
 
 import math
@@ -13,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lazyoco.analysis import regret_certificate, violation_certificate
+from lazyoco.runner import play_rounds
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -156,14 +158,47 @@ def sample(domain, rng):
     return rng.uniform(domain.lower, domain.upper)
 
 
-def _bound_inputs(records, config):
-    """(sum h_t, sum a_{t-1} xi_t^2, a_{T-1}) with a_{t-1} rebuilt from the records."""
-    h = np.array([r.h_t for r in records])
-    xi = np.array([r.xi_t for r in records])
-    a = np.array([r.a_t for r in records])
+class Played(NamedTuple):
+    """A round as the learner leaves it: the point it returned, the round's own
+    values, the running totals after it, and g(x) from the round's truth."""
+
+    x: np.ndarray
+    lam: np.ndarray
+    f_value: float
+    xi_t: float
+    a_t: float
+    h_cum: float
+    prox_S: float
+    max_xz: float
+    drift_gap: float
+    g_values: np.ndarray
+    cum_gz: np.ndarray | None  # sum of g(z); the greedy baseline has no z
+
+
+def _snapshot(learner, truth, x) -> Played:
+    return Played(x, learner.lam, learner.f_value, learner.xi_t, learner.a_t, learner.h_cum,
+                  learner.prox_S, learner.max_xz, learner.drift_gap, truth.constraint_value(x),
+                  getattr(learner, "cum_gz", None))
+
+
+def play(learner, truth, bundle=None) -> Played:
+    """Play one round and snapshot it."""
+    return _snapshot(learner, truth, learner.play_round(truth, bundle))
+
+
+def play_run(scenario, predictor, learner, horizon) -> list[tuple]:
+    """`runner.play_rounds` over rounds 1..horizon: each truth with its snapshot."""
+    return [(truth, _snapshot(learner, truth, x))
+            for truth, x in play_rounds(scenario, predictor, learner, horizon)]
+
+
+def _bound_inputs(rounds, config):
+    """(sum h_t, sum a_{t-1} xi_t^2, a_{T-1}) with a_{t-1} rebuilt from each round's a_t."""
+    xi = np.array([r.xi_t for r in rounds])
+    a = np.array([r.a_t for r in rounds])
     a0 = config.a / max(2.0 * config.bounds.G, 0.0 ** config.beta)
     a_prev = np.concatenate([[a0], a[:-1]])
-    return float(np.sum(h)), float(np.sum(a_prev * xi * xi)), float(a_prev[-1])
+    return rounds[-1].h_cum, float(np.sum(a_prev * xi * xi)), float(a_prev[-1])
 
 
 class Certificates(NamedTuple):
@@ -173,8 +208,8 @@ class Certificates(NamedTuple):
     clamped: bool
 
 
-def _certificates(variant, records, config, regret, mu):
-    h_sum, sum_a_prev_xi_sq, a_prev = _bound_inputs(records, config)
+def _certificates(variant, rounds, config, regret, mu):
+    h_sum, sum_a_prev_xi_sq, a_prev = _bound_inputs(rounds, config)
     B = regret_certificate(variant, h_sum, config.sigma, config.bounds,
                            sum_a_prev_xi_sq=sum_a_prev_xi_sq, mu=mu)
     return Certificates(B, *violation_certificate(variant, B, regret, config.sigma,
@@ -182,14 +217,14 @@ def _certificates(variant, records, config, regret, mu):
                                                   a_prev=a_prev, mu=mu))
 
 
-def evaluate_theorem1_bounds(records, config, regret):
-    """Theorem 1's certificates from the round records."""
-    return _certificates("llp", records, config, regret, 0.0)
+def evaluate_theorem1_bounds(rounds, config, regret):
+    """Theorem 1's certificates from the played rounds' snapshots."""
+    return _certificates("llp", rounds, config, regret, 0.0)
 
 
-def evaluate_theorem3_bounds(records, config, regret, mu_next):
-    """Theorem 3's certificates (llp2) from the round records."""
-    return _certificates("llp2", records, config, regret, mu_next)
+def evaluate_theorem3_bounds(rounds, config, regret, mu_next):
+    """Theorem 3's certificates (llp2) from the played rounds' snapshots."""
+    return _certificates("llp2", rounds, config, regret, mu_next)
 
 
 def dual_regret_gap(gains, lams, mismatch_norms, a_prevs, comparator):

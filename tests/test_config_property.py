@@ -1,4 +1,10 @@
-"""Generated run configs: each is refused at parse or runs to a finite, repeatable summary."""
+"""Generated run configs: each is refused at parse or runs to a finite, repeatable summary.
+
+At extreme magnitudes a run may instead stop with a FloatingPointError that
+names the round and the total that overflowed.
+"""
+
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,12 +18,12 @@ from lazyoco.sets import ConfigurationError
 
 # one deliberate fault per document, or none; each must be refused at parse
 _FAULTS = (None, None, None, None, None, "sigma", "a", "beta", "x0 shape", "x0 outside",
-           "noise level", "dimension", "param", "bound overflow")
+           "noise level", "dimension", "param", "bound overflow", "negative seed")
 
 
 @st.composite
-def run_docs(draw):
-    fault = draw(st.sampled_from(_FAULTS))
+def run_docs(draw, faults=_FAULTS):
+    fault = draw(st.sampled_from(faults))
     positive = st.sampled_from([0.05, 0.3, 1.0, 2.5])
     kind = draw(st.sampled_from(sorted(SCENARIO_KINDS)))
     scenario = {"kind": kind, "horizon": draw(st.integers(min_value=1, max_value=50)),
@@ -63,6 +69,11 @@ def run_docs(draw):
         scenario["dimension"] = 0 if kind == "random_quadratic" else 2
     elif fault == "bound overflow":
         learner["bounds"] = draw(st.sampled_from([{"G": 1e160}, {"D": 1e200}]))
+    elif fault == "negative seed":
+        if draw(st.booleans()):
+            scenario["seed"] = -1
+        else:
+            predictor.update(kind="noisy", seed=-3)
     elif fault == "param":
         scenario["params"] = {"amplitude" if kind == "perturbed_linear" else "offset_scale": -1.0}
     return fault, {
@@ -100,3 +111,21 @@ def test_parsed_configs_run_to_repeatable_finite_summaries(tmp_path, case):
     assert fault is None, f"parser accepted a config with a bad {fault}"
     first = _run_bytes(config, tmp_path / "a.trace")
     assert _run_bytes(config, tmp_path / "b.trace") == first
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=run_docs(faults=(None,)), a=st.sampled_from([1e-300, 1e300]),
+       sigma=st.sampled_from([1e-300, 1e300]))
+def test_extreme_magnitudes_are_refused_finite_or_named(tmp_path, case, a, sigma):
+    _, doc = case
+    doc["learner"].update(a=a, sigma=sigma)
+    doc["predictor"]["level"] = 1e300
+    try:
+        config = runner.parse_run_config(doc)
+    except ConfigurationError:
+        return
+    try:
+        _run_bytes(config, tmp_path / "a.trace")
+    except FloatingPointError as exc:
+        assert re.fullmatch(r"round \d+: \w+ is (inf|-inf|nan), not a finite number", str(exc))

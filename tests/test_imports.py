@@ -1,11 +1,15 @@
-"""Every name a module under src/ or tests/ imports is used in that module, and
-each module of the package imports only the layers below it."""
+"""Every name a module under src/ or tests/ imports is used in that module,
+each module of the package imports only the layers below it, and every name
+the benchmark tracer rebinds still exists."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 
 import pytest
+
+import lazyoco
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
@@ -92,3 +96,21 @@ def test_module_imports_only_lower_layers(layer):
     source = (PACKAGE / f"{layer}.py").read_text(encoding="utf-8")
     below = set(LAYERS[:LAYERS.index(layer)])
     assert package_imports(source) - below == set()
+
+
+def test_benchmark_tracer_names_resolve():
+    """`bench/run.py --trace 1` rebinds these entry points by name, and a renamed or
+    moved one breaks it; the scenario and predictor entry points are rebound only
+    on classes that define them in their own body."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, path, attr in tracer._ENTRY_POINTS:
+        owner = lazyoco
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr)), f"{path}.{attr}"
+    for kinds, attr in ((lazyoco.problems.SCENARIO_KINDS, "round"),
+                        (lazyoco.predictors.PREDICTOR_KINDS, "bundle_for")):
+        for cls in kinds.values():
+            assert attr in vars(cls), f"{cls.__name__}.{attr}"

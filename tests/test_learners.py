@@ -7,10 +7,9 @@ from lazyoco import learners
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
 from lazyoco.predictors import PredictionBundle, make_predictor
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
-from lazyoco.runner import play_rounds
 from lazyoco.sets import Box, ConfigurationError, positive_part
 
-from helpers import grid_min_1d, refine_min_box_vec, saddle_point_grid
+from helpers import grid_min_1d, play, play_run, refine_min_box_vec, saddle_point_grid
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -37,9 +36,9 @@ def affine_bundle(c, W, u, value=None):
 
 def test_round_one_zero_predictions_stays_at_start():
     learner = LlpLearner(cfg(), BOX1, 1, 1)
-    rec = learner.play_round(affine_round([-1.0], 0.0, [[0.64]], [-0.135]))
-    assert np.array_equal(rec.x, [0.0])
-    assert np.array_equal(rec.lam, [0.0])
+    r = play(learner, affine_round([-1.0], 0.0, [[0.64]], [-0.135]))
+    assert np.array_equal(r.x, [0.0])
+    assert np.array_equal(r.lam, [0.0])
 
 
 def test_round_one_perfect_forecast_plays_vertex():
@@ -48,8 +47,8 @@ def test_round_one_perfect_forecast_plays_vertex():
     assert expected == 1.0
     sc = make_scenario("alternating_linear", horizon=4)
     learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 1, 1)
-    rec = learner.play_round(sc.round(1), affine_bundle([-1.0], [[0.64]], [-0.135]))
-    assert rec.x[0] == expected
+    r = play(learner, sc.round(1), affine_bundle([-1.0], [[0.64]], [-0.135]))
+    assert r.x[0] == expected
 
 
 def test_mismatch_norm_formula():
@@ -71,16 +70,17 @@ def test_mismatch_norm_formula():
 
 def test_regularizer_increments():
     learner = LlpLearner(cfg(sigma=1.0), BOX1, 1, 1)
-    assert learner._advance_regularizer(4.0, np.array([0.5])) == pytest.approx(2.0)
-    assert learner._advance_regularizer(5.0, np.array([0.5])) == pytest.approx(1.0)
+    learner._advance_regularizer(4.0, np.array([0.5]), 0.0)
+    assert learner.prox_S == pytest.approx(2.0)
+    learner._advance_regularizer(5.0, np.array([0.5]), 0.0)
     assert learner.prox_S == pytest.approx(3.0)
 
 
 def test_dual_step_size_first_round_example():
     # a=1, G=1, beta=1/2, xi_1=0 -> a_1 = 1/max{2, 1} = 0.5
     learner = LlpLearner(cfg(), BOX1, 1, 1)
-    rec = learner.play_round(affine_round([0.0], 0.0, [[0.0]], [0.0]))
-    assert rec.a_t == 0.5
+    r = play(learner, affine_round([0.0], 0.0, [[0.0]], [0.0]))
+    assert r.a_t == 0.5
 
 
 def test_dual_step_size_worst_case_example():
@@ -88,23 +88,23 @@ def test_dual_step_size_worst_case_example():
     learner = LlpLearner(cfg(), BOX1, 1, 1)
     oracle = affine_round([0.0], 0.0, [[0.0]], [2.0])
     for _ in range(100):
-        rec = learner.play_round(oracle)
-        assert rec.xi_t == 2.0
-    assert rec.a_t == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
+        r = play(learner, oracle)
+        assert r.xi_t == 2.0
+    assert r.a_t == pytest.approx(1.0 / math.sqrt(404.0), abs=1e-15)
 
 
 def test_xi_is_norm_of_value_gap():
     # g(z) = (1, -1) with zero forecast -> xi = sqrt(2)
     learner = LlpLearner(cfg(), BOX1, 1, 2)
-    rec = learner.play_round(affine_round([0.0], 0.0, [[0.0], [0.0]], [1.0, -1.0]))
-    assert rec.xi_t == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    r = play(learner, affine_round([0.0], 0.0, [[0.0], [0.0]], [1.0, -1.0]))
+    assert r.xi_t == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def run_rounds(learner, sc, predictor_kind, horizon, level=0.3, seed=5):
     p = make_predictor(predictor_kind, bounds=sc.bounds, domain=sc.domain,
                        dimension=sc.dimension, constraints=sc.n_constraints,
                        level=level, seed=seed)
-    return [rec for _, rec in play_rounds(sc, p, learner, horizon)]
+    return [r for _, r in play_run(sc, p, learner, horizon)]
 
 
 def test_multipliers_nonnegative_and_step_nonincreasing():
@@ -112,12 +112,11 @@ def test_multipliers_nonnegative_and_step_nonincreasing():
         sc = make_scenario("random_quadratic", horizon=120, dimension=2,
                            constraints=2, seed=4)
         learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 2, 2)
-        records = run_rounds(learner, sc, pk, 120)
         a_prev = math.inf
-        for rec in records:
-            assert np.all(rec.lam >= 0.0)
-            assert rec.a_t <= a_prev + 1e-15
-            a_prev = rec.a_t
+        for r in run_rounds(learner, sc, pk, 120):
+            assert np.all(r.lam >= 0.0)
+            assert r.a_t <= a_prev + 1e-15
+            a_prev = r.a_t
 
 
 def test_sigma_cum_matches_h_identity():
@@ -134,18 +133,20 @@ def test_sigma_cum_matches_h_identity():
 
 
 def test_per_round_drift_inequality():
-    """||x_t - z_t|| <= h_t / sigma_{1:t} + slack whenever sigma_{1:t} > 0."""
+    """||x_t - z_t|| <= h_t / sigma_{1:t} + slack whenever sigma_{1:t} > 0.
+
+    The learner's drift_gap is the running max of ||x_t - z_t|| - h_t /
+    sigma_{1:t} over those rounds, so it passes the slack from the first
+    round that breaks the inequality; `test_sigma_cum_matches_h_identity`
+    pins sigma_{1:t} = sigma sqrt(h_{1:t}).
+    """
     sc = make_scenario("random_quadratic", horizon=250, dimension=2, constraints=2, seed=9)
     learner = LlpLearner(cfg(sigma=0.8, bounds=sc.bounds), sc.domain, 2, 2)
-    records = run_rounds(learner, sc, "noisy", 250, level=0.4, seed=13)
     tol = learner.cfg.solver.tolerance
-    h_cum = 0.0
     checked = 0
-    for rec in records:
-        h_cum += rec.h_t
-        s_cum = 0.8 * math.sqrt(h_cum)
-        if s_cum > 0.0:
-            assert np.linalg.norm(rec.x - rec.z) <= rec.h_t / s_cum + 10.0 * tol
+    for r in run_rounds(learner, sc, "noisy", 250, level=0.4, seed=13):
+        if r.prox_S > 0.0:
+            assert r.drift_gap <= 10.0 * tol
             checked += 1
     assert checked > 200
     assert learner.drift_gap <= 10.0 * tol
@@ -155,18 +156,20 @@ def test_xi_stays_below_twice_constraint_bound():
     for pk in ("none", "noisy", "adversarial"):
         sc = make_scenario("alternating_linear", horizon=150)
         learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 1, 1)
-        records = run_rounds(learner, sc, pk, 150, level=0.8)
-        for rec in records:
-            assert rec.xi_t <= 2.0 * sc.bounds.G + 1e-9
+        for r in run_rounds(learner, sc, pk, 150, level=0.8):
+            assert r.xi_t <= 2.0 * sc.bounds.G + 1e-9
 
 
 def test_records_are_finite():
+    """x, lam and each round's values stay finite; a finite max ||x - z|| keeps z
+    finite, a finite h_{1:t} each h_t (and the forecast error under it), and a
+    finite sigma_{1:t} each increment."""
     sc = make_scenario("random_quadratic", horizon=100, dimension=3, constraints=2, seed=17)
     learner = LlpLearner(cfg(bounds=sc.bounds), sc.domain, 3, 2)
-    for rec in run_rounds(learner, sc, "noisy", 100, level=0.5):
-        assert np.all(np.isfinite(rec.x)) and np.all(np.isfinite(rec.z))
-        assert np.all(np.isfinite(rec.lam))
-        for v in (rec.f_value, rec.epsilon_norm, rec.h_t, rec.xi_t, rec.sigma_t, rec.a_t):
+    for r in run_rounds(learner, sc, "noisy", 100, level=0.5):
+        assert np.all(np.isfinite(r.x)) and math.isfinite(r.max_xz)
+        assert np.all(np.isfinite(r.lam))
+        for v in (r.f_value, r.h_cum, r.xi_t, r.prox_S, r.a_t):
             assert math.isfinite(v)
 
 
@@ -174,13 +177,13 @@ def test_perfect_collapse_step_size_identity():
     """With exact forecasts a_t = a / max(2G, t^beta) and all xi vanish."""
     sc = make_scenario("alternating_linear", horizon=120)
     learner = LlpLearner(cfg(a=1.0, beta=0.5, bounds=sc.bounds), sc.domain, 1, 1)
-    records = run_rounds(learner, sc, "perfect", 120)
+    rounds = run_rounds(learner, sc, "perfect", 120)
     assert learner.xi_sq_cum == 0.0
-    for rec in records:
-        want = 1.0 / max(2.0 * sc.bounds.G, float(rec.t) ** 0.5)
-        assert rec.a_t == pytest.approx(want, rel=1e-15)
+    for t, r in enumerate(rounds, start=1):
+        want = 1.0 / max(2.0 * sc.bounds.G, float(t) ** 0.5)
+        assert r.a_t == pytest.approx(want, rel=1e-15)
     assert learner.max_xz <= 10.0 * learner.cfg.solver.tolerance
-    assert learner.warning_count == 0
+    assert learner.flag_counts == {}
 
 
 def test_llp2_mu_arithmetic():
@@ -190,8 +193,8 @@ def test_llp2_mu_arithmetic():
     oracle = affine_round([-1.0], 0.0, [[0.0]], [-0.01])
     bundle = affine_bundle([-1.0], [[0.0]], [-0.01], value=[-0.01])
     for _ in range(100):
-        rec = learner.play_round(oracle, bundle)
-        assert rec.h_t == 0.0 and rec.xi_t == 0.0
+        r = play(learner, oracle, bundle)
+        assert r.h_cum == 0.0 and r.xi_t == 0.0
     assert learner.mu == pytest.approx(10.1, abs=1e-12)
     assert learner.prox_S == pytest.approx(math.sqrt(10.1), rel=1e-12)
 
@@ -242,9 +245,8 @@ def test_primal_fixed_point_against_grid(variant, n, d):
         S = 0.0 if case % 2 == 0 else float(rng.uniform(0.5, 3.0))
         learner, bundle, J, fixed = primal_case(rng, variant, n, d, S, case >= 4)
         a_dual, cum = learner.pending
-        flags = []
-        x, lam, _, vt, _ = learner._primal(bundle, flags)
-        assert flags == []
+        x, lam, _, vt, _ = learner._primal(bundle)
+        assert learner.flags == ""
         W, u = bundle.constraint_affine
         assert np.array_equal(vt, W @ x + u)
         assert np.array_equal(lam, positive_part(a_dual * (cum + vt)))
@@ -285,12 +287,12 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
     for t in range(1, 201):
         pending = learner.pending
         truth = sc.round(t)
-        rec = learner.play_round(truth, p.bundle_for(truth))
-        assert rec.flags == () and learner.prox_S == 0.0
+        r = play(learner, truth, p.bundle_for(truth))
+        assert learner.flags == "" and r.prox_S == 0.0
         if pending is not None:
-            want = positive_part(pending[0] * (pending[1] + truth.constraint_value(rec.x)))
-            assert np.array_equal(rec.lam, want)
-            interior += bool(-1.0 < rec.x[0] < 1.0 and rec.lam[0] > 0.0)
+            want = positive_part(pending[0] * (pending[1] + r.g_values))
+            assert np.array_equal(r.lam, want)
+            interior += bool(-1.0 < r.x[0] < 1.0 and r.lam[0] > 0.0)
     assert interior > 50
     assert len(calls) <= 2 * 200
 
@@ -325,7 +327,7 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
         sc = make_scenario("random_quadratic", horizon=200, dimension=n, constraints=d, seed=3)
         learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, n, d)
         run_rounds(learner, sc, kind, 200)
-        assert learner.warning_count == 0
+        assert learner.flag_counts == {}
     gradients, perfect = calls
     assert min(steps) >= 200
     assert gradients == []
@@ -358,9 +360,10 @@ def test_greedy_single_gradient_step():
 
 def test_greedy_multiplier_positive_part():
     learner = GreedyLearner(cfg("greedy_baseline", a=1.0), BOX1, 1, 1)
-    learner.lam = np.array([0.2])
+    learner.lam_next = np.array([0.2])
     learner.play_round(affine_round([0.0], 0.0, [[0.0]], [-0.5]))
-    assert np.array_equal(learner.lam, [0.0])
+    assert np.array_equal(learner.lam, [0.2])  # the multiplier it played
+    assert np.array_equal(learner.lam_next, [0.0])
 
 
 def test_greedy_converges_to_static_saddle():
@@ -381,9 +384,9 @@ def test_greedy_converges_to_static_saddle():
     learner = GreedyLearner(cfg("greedy_baseline", a=1.0), BOX1, 1, 1)
     xs, lams = [], []
     for _ in range(4000):
-        rec = learner.play_round(oracle)
-        xs.append(rec.x[0])
-        lams.append(rec.lam[0])
+        r = play(learner, oracle)
+        xs.append(r.x[0])
+        lams.append(r.lam[0])
     assert np.mean(xs[2000:]) == pytest.approx(x_hat, abs=0.05)
     assert np.mean(lams[2000:]) == pytest.approx(lam_hat, abs=0.05)
 

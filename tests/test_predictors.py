@@ -8,10 +8,9 @@ from lazyoco.predictors import (
     zero_bundle,
 )
 from lazyoco.problems import make_scenario
-from lazyoco.runner import play_rounds
 from lazyoco.sets import ConfigurationError
 
-from helpers import draw_rounds
+from helpers import draw_rounds, play_run
 
 
 def alternating():
@@ -63,16 +62,16 @@ def test_unknown_predictor_kind_rejected():
 def run_learner(sc, predictor, horizon, variant="llp", beta=0.5):
     cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=beta, bounds=sc.bounds)
     learner = LlpLearner(cfg, sc.domain, sc.dimension, sc.n_constraints)
-    return learner, [rec for _, rec in play_rounds(sc, predictor, learner, horizon)]
+    return learner, [r for _, r in play_run(sc, predictor, learner, horizon)]
 
 
 def test_perfect_errors_vanish_through_learner():
     sc = alternating()
     p = predictor_for(sc, "perfect")
-    learner, records = run_learner(sc, p, 120)
-    assert all(r.epsilon_norm == 0.0 for r in records)
-    assert all(r.h_t == 0.0 for r in records)
-    assert all(r.xi_t == 0.0 for r in records)
+    learner, rounds = run_learner(sc, p, 120)
+    # exact forecasts make W~ = W, so h_t = ||eps_t||: h_{1:t} stays 0 iff every eps_t = 0
+    assert all(r.h_cum == 0.0 for r in rounds)
+    assert all(r.xi_t == 0.0 for r in rounds)
     assert learner.max_xz <= 10.0 * learner.cfg.solver.tolerance
 
 

@@ -14,7 +14,7 @@ from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
 from lazyoco.sets import Box, ConfigurationError
 
-from helpers import compute_metrics
+from helpers import compute_metrics, play_run
 
 
 def base_doc(**over):
@@ -267,7 +267,7 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
     # one comparator formula: the summary's regret is the last row's, bit for bit
     assert last.regret == s["regret"] == s["cum_cost"] - s["optimal_total_cost"]
 
-    # the same run played again outside the runner, one record per round
+    # the same run played again outside the runner, one snapshot per round
     sc = make_scenario(cfg.scenario_kind, horizon=200, dimension=cfg.dimension,
                        constraints=cfg.constraints, seed=cfg.seed)
     learner = make_learner(cfg.learner, sc.domain, sc.dimension, sc.n_constraints)
@@ -275,14 +275,14 @@ def test_summary_consistent_with_rows_and_records(scenario, predictor):
                                domain=sc.domain, dimension=sc.dimension,
                                constraints=sc.n_constraints, level=cfg.predictor_level,
                                seed=cfg.predictor_seed)
-    played = list(runner.play_rounds(sc, predictor, learner, 200))
-    records = [rec for _, rec in played]
+    played = play_run(sc, predictor, learner, 200)
+    rounds = [r for _, r in played]
     assert learner.cum_cost == s["cum_cost"]
     assert learner.h_cum == s["h_cum"]
     # the comparator's cost round by round, summed directly from the truths
     bcosts = [truth.cost(result.benchmark.x_star)[0] for truth, _ in played]
-    m = compute_metrics([r.f_value for r in records],
-                        np.array([r.g_values for r in records]), bcosts)
+    m = compute_metrics([r.f_value for r in rounds],
+                        np.array([r.g_values for r in rounds]), bcosts)
     assert [row.t for row in result.rows] == list(range(1, 201))
     for row in result.rows:
         i = row.t - 1
@@ -614,6 +614,34 @@ def test_cli_rejects_overflowing_bound_overrides(tmp_path, capsys, kind, variant
     doc["learner"].update(variant=variant, bounds=bounds)
     assert cli.main(["run", write_config(tmp_path, "bounds.json", doc)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("t.csv*"))
+
+
+@pytest.mark.parametrize("kind, section, seed, message", [
+    ("random_quadratic", "scenario", -1, "scenario seed"),
+    ("alternating_linear", "predictor", -3, "predictor seed"),
+])
+def test_cli_rejects_negative_seeds(tmp_path, capsys, kind, section, seed, message):
+    # numpy refused them with a ValueError once the run had started: exit 3
+    n = 2 if kind == "random_quadratic" else 1
+    doc = base_doc(scenario={"kind": kind, "horizon": 10, "dimension": n, "constraints": n},
+                   predictor={"kind": "noisy", "level": 0.3},
+                   output={"path": str(tmp_path / "t.csv")})
+    doc[section]["seed"] = seed
+    assert cli.main(["run", write_config(tmp_path, "seed.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("t.csv*"))
+
+
+def test_cli_names_the_first_total_that_overflows(tmp_path, capsys):
+    # a = 1e300 passes the parser; its step sizes overflow the multiplier in
+    # round 2, and the run used to end with exit 0 and null summary fields
+    doc = base_doc(scenario={"kind": "alternating_linear", "horizon": 50},
+                   predictor={"kind": "noisy", "level": 0.3},
+                   output={"path": str(tmp_path / "t.csv")})
+    doc["learner"]["a"] = 1e300
+    assert cli.main(["run", write_config(tmp_path, "a.json", doc)]) == 3
+    assert "FloatingPointError: round 2: lambda_norm is inf" in capsys.readouterr().err
     assert not list(tmp_path.glob("t.csv*"))
 
 

@@ -35,6 +35,9 @@ The matrix:
 - `comparator_empty_1d`: `perturbed_linear` with `amplitude` 1.5, T = 400,
   `X_T`, whose rounds leave no common feasible point, so the trace has no
   regret and the summary no comparator;
+- `comparator_max_1d`: `llp` on `alternating_linear` with no forecasts,
+  T = 400, `X_T_max`, the one cell whose comparator folds its summed rows
+  to an interval (every other `X_T_max` cell is n = 2);
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
@@ -116,6 +119,11 @@ def cells() -> dict[str, dict]:
                      "params": {"amplitude": 1.5}},
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "benchmark": {"kind": "X_T"},
+    }
+    out["comparator_max_1d"] = {
+        "scenario": {"kind": "alternating_linear", "horizon": 400, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "benchmark": {"kind": "X_T_max"},
     }
     out["bounds_override"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
