@@ -10,13 +10,13 @@ interaction order
 with two variant quirks: the non-proximal variant (`llp2`) finalizes its
 regularizer only after the dual update because the weight depends on the
 fresh step size, and its prescient solve therefore sees the off-by-one
-accumulated weight.  The dual step only fixes the step size: afterwards
-`pending` holds (a_t, sum_s g_s(z_s)), and the next primal step reads its
-multiplier lam = [a_t (sum g(z) + v~)]_+ from `pending` and that round's
-forecast value v~.  `play_round` returns x_t and leaves no record: the
-learner's attributes after it (the round's `lam`, `f_value`, `xi_t`,
-`solver_residual` and `flags`, and the running totals) are what a trace
-row reads.
+accumulated weight.  The dual step only fixes the step size a_t: the
+next primal step reads its multiplier lam = [a_t (sum g(z) + v~)]_+ off
+the learner's own a_t and sum_s g_s(z_s) and that round's forecast value
+v~ (lam = 0 in round 1, before any dual step).  `play_round` returns x_t
+and leaves no record: the learner's attributes after it (the round's
+`lam`, `f_value`, `xi_t`, `solver_residual` and `flags`, and the running
+totals) are what a trace row reads.
 
 Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part W^T lam folds into one linear
@@ -33,15 +33,16 @@ multiplier lam = [a (cum + W~ x + u~)]_+ depends on x.  The primal puts
 lam on J = W~ (on the fixed base rows for `llp_perturbed`); with J = W~,
 J^T lam is the gradient of the convex penalty
 ||[a (cum + W~ x + u~)]_+||^2 / (2a), so the pair is one convex problem.
-The primal step solves at lam = 0, keeps that point if the multiplier
-stays 0 there, and otherwise makes one solve with the penalty term,
-exact over the breakpoints in the scalar case.  The multiplier is read
-off the chosen action, so the recorded mismatch sequence is always the
-one actually used by the updates.
+The primal step takes one exact step, at the fixed multiplier or at
+lam = 0; with a deferred v~ it keeps that point if the multiplier stays
+0 there, and otherwise makes one solve with the penalty term, exact over
+the breakpoints in the scalar case.  The multiplier is read off the
+chosen action, so the recorded mismatch sequence is always the one
+actually used by the updates.
 
 Every step without the penalty term (the primal step at a fixed
-multiplier, the lam = 0 solve and the prescient step) is one prox
-projection or vertex rule, and calls `solver.exact_step` directly on the
+multiplier, the lam = 0 step and the prescient step) is one prox
+projection or vertex rule, and calls `sets.exact_step` directly on the
 arrays the learner holds; `solver.minimize` is the penalty's path.  The
 start point is checked against the set once, at construction.
 """
@@ -56,8 +57,8 @@ import numpy as np
 
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
-from .sets import ConfigurationError, norm, positive_part
-from .solver import FtrlObjective, SolverSettings, dual_step, exact_step, minimize
+from .sets import ConfigurationError, exact_step, norm, positive_part
+from .solver import FtrlObjective, SolverSettings, dual_step, minimize
 
 __all__ = [
     "VARIANTS",
@@ -147,15 +148,10 @@ class LlpLearner:
                                 np.asarray(base_affine[1], dtype=float))
 
         x0 = _start_point(config, domain, self.n)
-        self._interval = None
-        if self.n == 1:
-            self._interval = (float(domain.lower[0]), float(domain.upper[0]))
 
         b = config.bounds
         self.t = 0
         self._zero_bundle = zero_bundle(self.n, self.d)
-        # (a_t, sum of g(z)) after the latest dual step; None before round 1
-        self.pending: tuple[float, np.ndarray] | None = None
 
         # folded aggregate state
         self.ccum = np.zeros(self.n)
@@ -199,18 +195,22 @@ class LlpLearner:
             bundle = self._zero_bundle
         self.flags = ""
 
-        x, lam, ct_used, vt, self.solver_residual = self._primal(bundle)
-        self.lam = lam
+        x, vt = self._primal(bundle)
+        lam = self.lam
+        ct = bundle.cost_gradient
+        if ct is None:
+            w, c = bundle.cost_quadratic
+            ct = w * (x - c)
 
         self.f_value, c_t = truth.cost(x)
         W, u = truth.constraint_affine
         gvals = W @ x + u
-        h = self._mismatch_norm(c_t - ct_used, W, bundle.constraint_affine[0], lam)
+        h = self._mismatch_norm(c_t - ct, W, bundle.constraint_affine[0], lam)
 
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
 
-        z, gz = self._prescient(truth, x, c_t, gvals, lam)
+        z, gz = self._prescient(W, u, x, c_t, gvals, lam)
 
         dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
@@ -261,65 +261,61 @@ class LlpLearner:
         return S, center, linear
 
     def _primal(self, bundle: PredictionBundle):
-        """Resolve the round's multiplier/forecast pair and solve for x_t.
+        """(x_t, the value forecast v~ it used); sets the round's lam and solver residual.
 
-        Returns (x, lam, cost_gradient_used, predicted_value_used, residual).
+        One exact step at lam = [a_t (sum g(z) + v~)]_+, or at lam = 0 in
+        round 1 or when v~ is deferred.  A deferred v~ is W~ x + u~ at the
+        step's x; if that turns the multiplier on, the fixed point moves x.
         """
-        residual = 0.0
-        if self.pending is not None and bundle.predicted_value is None:
-            x, lam, residual = self._fixed_point(bundle)
-        else:
-            if self.pending is None:
-                lam = np.zeros(self.d)
-            else:
-                lam = dual_step(*self.pending, bundle.predicted_value)
-            x = exact_step(self.domain, *self._objective(lam, bundle), self.last_x)
         vt = bundle.predicted_value
+        lam = (np.zeros(self.d) if self.t == 1 or vt is None
+               else dual_step(self.a_t, self.cum_gz, vt))
+        S, center, linear = self._objective(lam, bundle)
+        x = exact_step(self.domain, S, center, linear, self.last_x)
+        self.solver_residual = 0.0
         if vt is None:
             W, u = bundle.constraint_affine
             vt = W @ x + u
-        ct = bundle.cost_gradient
-        if ct is None:
-            w, c = bundle.cost_quadratic
-            ct = w * (x - c)
-        return x, lam, ct, vt, residual
+            if self.t > 1:
+                lam = dual_step(self.a_t, self.cum_gz, vt)
+                if (lam > 0.0).any():
+                    x = self._fixed_point(S, center, linear, bundle)
+                    vt = W @ x + u
+                    lam = dual_step(self.a_t, self.cum_gz, vt)
+        self.lam = lam
+        return x, vt
 
-    def _fixed_point(self, bundle: PredictionBundle):
-        """(x, lam, solver residual) with lam = [a (cum + W~ x + u~)]_+."""
-        a_dual, cum = self.pending
+    def _fixed_point(self, S: float, center: np.ndarray, linear: np.ndarray,
+                     bundle: PredictionBundle) -> np.ndarray:
+        """x with lam = [a_t (sum g(z) + W~ x + u~)]_+ on; sets the solver residual.
+
+        (S, centre, linear) is the aggregate at lam = 0.
+        """
+        a_dual, cum = self.a_t, self.cum_gz
         W, u = bundle.constraint_affine
-
-        def multiplier(x):
-            return dual_step(a_dual, cum, W @ x + u)
-
-        S, center, linear = self._objective(np.zeros(self.d), bundle)
-        x = exact_step(self.domain, S, center, linear, self.last_x)
-        lam = multiplier(x)
-        if not (lam > 0.0).any():
-            return x, lam, 0.0
         # J, the rows the primal puts the multiplier on
         jp = self.base_affine[0] if self.variant == "llp_perturbed" else W
-        x = self._scalar_zero(S, center, linear, bundle, jp, a_dual, cum)
+        x = self._scalar_zero(S, center, linear, bundle, jp)
         if x is not None:
-            return x, multiplier(x), 0.0
+            return x
 
         # one term with gradient J^T lam(x); with J = W~ that is the
         # convex penalty ||lam(x)||^2 / (2a) it reports
         def penalty(x):
-            lam = multiplier(x)
-            return np.array([0.5 * float(lam @ lam) / a_dual]), (jp.T @ lam)[None, :]
+            lam = dual_step(a_dual, cum, W @ x + u)
+            return 0.5 * float(lam @ lam) / a_dual, jp.T @ lam
 
         smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
-        obj = FtrlObjective(self.domain, S, center, linear,
-                            [(np.ones(1), penalty, smoothness)])
+        obj = FtrlObjective(self.domain, S, center, linear, [(penalty, smoothness)])
         res = minimize(obj, self.cfg.solver, fallback=self.last_x)
         if not res.converged:
             self.flags = "primal_solver"
             self.flag_counts[self.flags] = self.flag_counts.get(self.flags, 0) + 1
-        return res.x, multiplier(res.x), res.residual
+        self.solver_residual = res.residual
+        return res.x
 
     def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
-                     bundle: PredictionBundle, jp, a_dual: float, cum: np.ndarray):
+                     bundle: PredictionBundle, jp):
         """Exact primal point for n = 1, or None.
 
         The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
@@ -328,8 +324,9 @@ class LlpLearner:
         """
         if self.n != 1:
             return None
+        a_dual = self.a_t
         rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
-                        (cum + bundle.constraint_affine[1]).tolist()))
+                        (self.cum_gz + bundle.constraint_affine[1]).tolist()))
         if any(p * f < 0.0 for p, f, _ in rows):
             return None
         offset = float(linear[0]) - S * float(center[0])
@@ -341,7 +338,7 @@ class LlpLearner:
                     acc += p * (r + f * x)
             return S * x + offset + a_dual * acc
 
-        lo, hi = self._interval
+        (lo,), (hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
         knots = sorted([lo, hi] + [-r / f for _, f, r in rows if f != 0.0 and lo < -r / f < hi])
         vals = [deriv(k) for k in knots]
         j = next((i for i, val in enumerate(vals) if val >= 0.0), len(knots) - 1)
@@ -374,8 +371,8 @@ class LlpLearner:
 
     # -- prescient -------------------------------------------------------------
 
-    def _prescient(self, truth: RoundOracle, x, c_t, gvals, lam):
-        """(z, g(z)); folds the round's cost gradient and multiplier into the state."""
+    def _prescient(self, W, u, x, c_t, gvals, lam):
+        """(z, g(z) = W z + u); folds the round's cost gradient and multiplier into the state."""
         folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
         self.ccum = linear = self.ccum + c_t
         lin = None
@@ -387,7 +384,7 @@ class LlpLearner:
             linear = linear + self.lag_lin
             folded.append(self.lag_lin)
             if any(lam):
-                lin = truth.constraint_affine[0].T @ lam
+                lin = W.T @ lam
                 self.lag_lin = self.lag_lin + lin
         if lin is not None:
             linear = linear + lin
@@ -406,7 +403,7 @@ class LlpLearner:
                 return x, gvals
             linear = np.where(tie, 0.0, linear)
         z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
-        return z, truth.constraint_value(z)
+        return z, W @ z + u
 
     # -- dual --------------------------------------------------------------------
 
@@ -418,7 +415,6 @@ class LlpLearner:
         self.xi_sq_cum += xi * xi
         denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
         self.a_t = min(self.cfg.a / denom, self.a_prev)
-        self.pending = (self.a_t, self.cum_gz)
 
     # -- reporting ----------------------------------------------------------------
 

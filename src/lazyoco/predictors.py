@@ -72,16 +72,35 @@ def _unit(v: np.ndarray, fallback_axis: int = 0) -> np.ndarray:
     return v / nv
 
 
-class NonePredictor:
-    kind = "none"
+class _Predictor:
+    """The constructor every kind shares, and the note of the played point most ignore.
+
+    A kind sets up its own state in `_setup(domain)` from the attributes
+    set here, and forecasts in its own `bundle_for(truth)`.
+    """
 
     def __init__(self, bounds: ProblemBounds, domain, dimension: int, constraints: int,
                  level: float = 0.0, seed: int | None = None):
-        # nothing writes into a bundle, so one serves every round
-        self._bundle = zero_bundle(dimension, constraints)
+        self.bounds = bounds
+        self.n = dimension
+        self.d = constraints
+        self.level = float(level)
+        self.seed = seed
+        self._setup(domain)
+
+    def _setup(self, domain) -> None:
+        pass
 
     def note_action(self, x: np.ndarray) -> None:
         pass
+
+
+class NonePredictor(_Predictor):
+    """No forecast: the zero bundle, every round."""
+
+    def _setup(self, domain):
+        # nothing writes into a bundle, so one serves every round
+        self._bundle = zero_bundle(self.n, self.d)
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         return self._bundle
@@ -95,39 +114,26 @@ def _cost_forecast(truth: RoundOracle) -> dict:
     return {"cost_gradient": None, "cost_quadratic": (w, u)}
 
 
-class PerfectPredictor:
+class PerfectPredictor(_Predictor):
     """Hands over the true round in closed form; the value forecast is deferred."""
-
-    kind = "perfect"
-
-    def __init__(self, bounds, domain, dimension, constraints, level=0.0, seed=None):
-        pass
-
-    def note_action(self, x: np.ndarray) -> None:
-        pass
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         return PredictionBundle(constraint_affine=truth.constraint_affine,
                                 predicted_value=None, **_cost_forecast(truth))
 
 
-class PerfectGradientsPredictor:
+class PerfectGradientsPredictor(_Predictor):
     """True cost and constraint but no forecast of the next constraint value."""
 
-    kind = "perfect_gradients"
-
-    def __init__(self, bounds, domain, dimension, constraints, level=0.0, seed=None):
-        self._zero_value = np.zeros(constraints)
-
-    def note_action(self, x: np.ndarray) -> None:
-        pass
+    def _setup(self, domain):
+        self._zero_value = np.zeros(self.d)
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         return PredictionBundle(constraint_affine=truth.constraint_affine,
                                 predicted_value=self._zero_value, **_cost_forecast(truth))
 
 
-class NoisyPredictor:
+class NoisyPredictor(_Predictor):
     """Truth blurred by seeded bounded noise, kept inside the declared bounds.
 
     The cost gradient gets an additive perturbation of norm at most
@@ -139,21 +145,14 @@ class NoisyPredictor:
     at its exact constants would not.  The value forecast is deferred.
     """
 
-    kind = "noisy"
-
-    def __init__(self, bounds: ProblemBounds, domain, dimension, constraints,
-                 level: float = 0.1, seed: int | None = 0):
-        if level < 0.0:
+    def _setup(self, domain):
+        if self.level < 0.0:
             raise ConfigurationError("noise level must be nonnegative")
-        if seed is not None and seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ConfigurationError("predictor seed must be >= 0")
-        self.bounds = bounds
-        self.n = dimension
-        self.d = constraints
-        self.level = float(level)
         self.gamma = min(self.level, 1.0)
-        self.rng = np.random.default_rng(0 if seed is None else int(seed))
-        self.last_x = domain.project(np.zeros(dimension))
+        self.rng = np.random.default_rng(0 if self.seed is None else int(self.seed))
+        self.last_x = domain.project(np.zeros(self.n))
 
     def note_action(self, x: np.ndarray) -> None:
         self.last_x = np.asarray(x, dtype=float).copy()
@@ -176,20 +175,11 @@ class NoisyPredictor:
         )
 
 
-class AdversarialPredictor:
+class AdversarialPredictor(_Predictor):
     """Forecasts at the declared bounds with signs opposing the truth."""
 
-    kind = "adversarial"
-
-    def __init__(self, bounds: ProblemBounds, domain, dimension, constraints,
-                 level: float = 0.0, seed: int | None = None):
-        self.bounds = bounds
-        self.n = dimension
-        self.d = constraints
-        self.center = domain.project(np.zeros(dimension))
-
-    def note_action(self, x: np.ndarray) -> None:
-        pass
+    def _setup(self, domain):
+        self.center = domain.project(np.zeros(self.n))
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         b = self.bounds
@@ -226,5 +216,4 @@ def make_predictor(kind: str, bounds: ProblemBounds, domain, dimension: int,
     if kind not in PREDICTOR_KINDS:
         raise ConfigurationError(
             f"unknown predictor kind {kind!r}; expected one of {sorted(PREDICTOR_KINDS)}")
-    cls = PREDICTOR_KINDS[kind]
-    return cls(bounds, domain, dimension, constraints, level=level, seed=seed)
+    return PREDICTOR_KINDS[kind](bounds, domain, dimension, constraints, level=level, seed=seed)

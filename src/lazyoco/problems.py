@@ -77,11 +77,6 @@ class ProblemBounds:
                 raise ConfigurationError(f"bound {name} must be nonnegative, got {v}")
             object.__setattr__(self, name, v)
 
-    def replace(self, **kwargs) -> "ProblemBounds":
-        data = {k: getattr(self, k) for k in ("L_f", "L_g", "G", "D", "F", "E_m", "Delta_m")}
-        data.update(kwargs)
-        return ProblemBounds(**data)
-
 
 @dataclass
 class RoundOracle:
@@ -124,10 +119,6 @@ class RoundOracle:
     def constraint(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W, u = self.constraint_affine
         return W @ x + u, W
-
-    def constraint_value(self, x: np.ndarray) -> np.ndarray:
-        W, u = self.constraint_affine
-        return W @ x + u
 
 
 def finite_number(v) -> bool:
@@ -283,14 +274,9 @@ class ImpossibilityAdversary(_Scenario):
         self._j_left = 0
         self.block_ends: list[int] = []
 
-    def _mean(self) -> float:
-        # empty history counts as mean >= 3/4, so play opens in I_1
-        if self._n_seen == 0:
-            return 1.0
-        return self._sum_x / self._n_seen
-
     def _next_branch(self, t: int) -> str:
-        if self._mode == "I" and t > self._block_start and self._mean() < 0.75:
+        # t > block start >= 1, so actions 1..t-1 are recorded and the mean is defined
+        if self._mode == "I" and t > self._block_start and self._sum_x / self._n_seen < 0.75:
             # I_n ended at t-1; mirror its length with p-rounds
             self._mode = "J"
             self._j_left = (t - 1) - self._block_start + 1

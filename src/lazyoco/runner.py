@@ -188,8 +188,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         sigma=_field(ln, "sigma", "learner", float, required=True),
         a=_field(ln, "a", "learner", float, required=True),
         beta=_field(ln, "beta", "learner", float, required=True),
-        bounds=probe.bounds.replace(
-            **{key: _field(bd, key, "learner.bounds", float) for key in sorted(bd)}),
+        bounds=replace(probe.bounds,
+                       **{key: _field(bd, key, "learner.bounds", float) for key in sorted(bd)}),
         x0=x0,
         solver=SolverSettings(
             tolerance=_field(sv, "tolerance", "learner.solver", float, SolverSettings.tolerance),
@@ -299,6 +299,12 @@ def _sanitize(v):
     return v
 
 
+def _scenario_for(config: RunConfig):
+    return make_scenario(config.scenario_kind, horizon=config.horizon,
+                         dimension=config.dimension, constraints=config.constraints,
+                         seed=config.seed, params=config.params)
+
+
 def _predictor_for(config: RunConfig, scenario):
     return make_predictor(config.predictor_kind, bounds=config.learner.bounds,
                           domain=scenario.domain, dimension=scenario.dimension,
@@ -332,9 +338,7 @@ def play_rounds(scenario, predictor, learner,
 
 
 def execute_run(config: RunConfig) -> RunResult:
-    scenario = make_scenario(config.scenario_kind, horizon=config.horizon,
-                             dimension=config.dimension, constraints=config.constraints,
-                             seed=config.seed, params=config.params)
+    scenario = _scenario_for(config)
     T = config.horizon
     predictor = _predictor_for(config, scenario)
     learner = _learner_for(config, scenario)
@@ -353,32 +357,34 @@ def execute_run(config: RunConfig) -> RunResult:
     # the learner's other B_t inputs at each row: sum of a_{t-1} xi_t^2, mu
     # and sum of xi_t^2 (the greedy baseline's stay 0)
     bound_inputs = np.empty((n_rows, len(_BOUND_INPUTS)))
-    for truth, _ in play_rounds(scenario, predictor, learner, T):
-        fold.add(truth)
-        t = learner.t
-        if block_ends and block_ends[-1] == t:
-            fold.mark()
-        if t % record_every == 0 or t == T:  # the last round's totals feed the summary
-            i = len(flags)
-            fold.copy_cost_sums(cost_sums[i])
-            bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
-            table[i] = (t, learner.f_value, learner.cum_cost, math.nan,
-                        norm(positive_part(learner.cum_gx)), norm(learner.lam), learner.a_t,
-                        learner.prox_S, learner.h_cum, learner.xi_t, math.nan,
-                        learner.solver_residual)
-            flags.append(learner.flags)
-
-    totals = learner.stats()
     c = config.learner
     variant = c.variant
     lazy = variant != "greedy_baseline"
-    if lazy:
-        table[:, _BOUND] = analysis.regret_certificate(
-            variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
-            mu=bound_inputs[:, 1], xi_sq_sum=bound_inputs[:, 2], horizon=table[:, _T],
-            a=c.a, beta=c.beta)
-    else:
-        table[:, _BOUND] = 0.0
+    # a total that overflows is named by the finite check below, so numpy's
+    # own warnings about it would only come first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for truth, _ in play_rounds(scenario, predictor, learner, T):
+            fold.add(truth)
+            t = learner.t
+            if block_ends and block_ends[-1] == t:
+                fold.mark()
+            if t % record_every == 0 or t == T:  # the last round's totals feed the summary
+                i = len(flags)
+                fold.copy_cost_sums(cost_sums[i])
+                bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
+                table[i] = (t, learner.f_value, learner.cum_cost, math.nan,
+                            norm(positive_part(learner.cum_gx)), norm(learner.lam),
+                            learner.a_t, learner.prox_S, learner.h_cum, learner.xi_t,
+                            math.nan, learner.solver_residual)
+                flags.append(learner.flags)
+        totals = learner.stats()
+        if lazy:
+            table[:, _BOUND] = analysis.regret_certificate(
+                variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
+                mu=bound_inputs[:, 1], xi_sq_sum=bound_inputs[:, 2], horizon=table[:, _T],
+                a=c.a, beta=c.beta)
+        else:
+            table[:, _BOUND] = 0.0
     # a step size or level that overflows only after some rounds gets past the
     # parser, so the run stops at its first non-finite total, checked a column
     # at a time to copy no table; regret is left out, as it is NaN by design
@@ -723,9 +729,7 @@ def bench(config: RunConfig) -> dict:
     if SCENARIO_KINDS[config.scenario_kind].adaptive:
         raise ConfigurationError(
             "benchmarking an adaptive scenario requires a completed run")
-    scenario = make_scenario(config.scenario_kind, horizon=config.horizon,
-                             dimension=config.dimension, constraints=config.constraints,
-                             seed=config.seed, params=config.params)
+    scenario = _scenario_for(config)
     fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
     for t in range(1, config.horizon + 1):
         fold.add(scenario.round(t))

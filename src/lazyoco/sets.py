@@ -3,12 +3,14 @@
 Every scenario plays on a box, and the offline comparator's exact
 solution needs one.  A box knows its dimension, the norm bound D of its
 farthest corner (||x|| <= D for every member), an exact projection
-(per-coordinate clipping), and an exact minimizer of a linear function
-(the vertex rule, for an objective with no curvature).  Both check the
-shape and finiteness of what they are given, for the callers at the
-boundaries (start points, `solver.minimize`); the learners' round loops
-take the same formulas on arrays they already hold, the lazy learner
-through `solver.exact_step` and the greedy baseline by one `clip`.
+(per-coordinate clipping), and an exact minimizer of a linear function.
+`exact_step` is the one formula of the closed-form step on a box: the
+clip of a prox point, or the vertex rule for an objective with no
+curvature.  The box's own methods check the shape and finiteness of what
+they are given, for the callers at the boundaries (start points,
+`solver.minimize`); the learners' round loops take the same formulas on
+arrays they already hold, the lazy learner through `exact_step` and the
+greedy baseline by one `clip`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "positive_part",
     "norm",
     "Box",
+    "exact_step",
 ]
 
 _FLOAT = np.dtype(float)
@@ -94,10 +97,23 @@ class Box:
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         """Exact minimizer of <w, x>; zero coordinates fall back to `fallback`."""
         w = _vector(w, self.dimension, "weights")
-        out = np.where(w > 0.0, self.lower, self.upper)
         if fallback is not None:
-            fb = self.project(fallback)
-            out = np.where(w == 0.0, fb, out)
-        else:
-            out = np.where(w == 0.0, 0.5 * (self.lower + self.upper), out)
-        return out.astype(float)
+            fallback = _vector(fallback, self.dimension, "point")
+        return exact_step(self, 0.0, None, w, fallback)
+
+
+def exact_step(domain: Box, S: float, center: np.ndarray | None, linear: np.ndarray,
+               fallback: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of S/2 ||x - center||^2 + <linear, x> over the box `domain`.
+
+    With S > 0, the clip of center - linear / S to the box.  With S = 0,
+    the vertex rule: each coordinate goes to the end its slope points away
+    from, and a zero-slope coordinate keeps `fallback` (clipped to the box),
+    or the box midpoint without one.  The arrays are taken as they are:
+    their shape and finiteness are the caller's to have checked.
+    """
+    lo, hi = domain.lower, domain.upper
+    if S > 0.0:
+        return (center - linear / S).clip(lo, hi)
+    tie = 0.5 * (lo + hi) if fallback is None else fallback.clip(lo, hi)
+    return np.where(linear > 0.0, lo, np.where(linear == 0.0, tie, hi))

@@ -2,23 +2,24 @@
 
 The aggregate objective always has the shape
 
-    S/2 ||x - center||^2 + <linear, x> + sum_i <w_i, g_i(x)>
+    S/2 ||x - center||^2 + <linear, x> + sum_i f_i(x)
 
-over a box.  With no terms the minimizer is exact, and `exact_step` is
-its one formula: a prox projection when S > 0, a vertex rule when S = 0.
-The learners fold every round, whose constraint is affine, into `linear`,
-so their steps call `exact_step` directly on arrays they already hold.
-`minimize` checks its inputs and handles terms: the penalty of a
+over a box.  With no terms the minimizer is exact: `sets.exact_step`, a
+prox projection when S > 0, a vertex rule when S = 0.  The learners fold
+every round, whose constraint is affine, into `linear`, so their steps
+call `exact_step` directly on arrays they already hold.  `minimize`
+checks its inputs once, at entry, and handles terms: the penalty of a
 learner's fixed point for a deferred value forecast, where the exact
 scalar step does not apply, and the general convex objectives criterion
-06 checks.  Terms are handled iteratively: projected gradient with a
-fixed step 1 / (S + sum_i ||w_i|| L_i) when every term declares a
-smoothness constant L_i, projected subgradient with step ~ 1/sqrt(k) and
-best-iterate tracking otherwise.  Convergence is judged by the norm of
-the gradient map x - project(x - grad(x) / max(S, 1)).  The `fallback`
-argument breaks ties of the vertex rule (coordinates with zero slope)
-and is where the iterations start; without it they start at the prox
-center.
+06 checks.  A term is a pair (f, L): f(x) returns the term's value and
+gradient, and L is the Lipschitz constant of that gradient, or None for
+a nonsmooth term.  Terms are handled iteratively: projected gradient with
+a fixed step 1 / (S + sum_i L_i) when every term is smooth, projected
+subgradient with step ~ 1/sqrt(k) and best-iterate tracking otherwise.
+Convergence is judged by the norm of the gradient map
+x - project(x - grad(x) / max(S, 1)).  The `fallback` argument breaks
+ties of the vertex rule (coordinates with zero slope) and is where the
+iterations start; without it they start at the prox center.
 
 The dual maximization is never iterative: with a quadratic dual
 regularizer the maximizer over the nonnegative orthant is the closed
@@ -33,21 +34,20 @@ from typing import Callable
 
 import numpy as np
 
-from .sets import ConfigurationError, _vector, norm
+from .sets import ConfigurationError, _vector, exact_step, norm
 
 __all__ = [
     "SolverSettings",
     "FtrlObjective",
     "SolveResult",
-    "exact_step",
     "minimize",
     "dual_closed_form",
     "dual_step",
 ]
 
-# (weights, oracle, smoothness): oracle(x) -> (values, jacobian); the term
-# contributes <weights, values> to the objective.
-Term = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], float | None]
+# (f, L): f(x) -> (value, gradient); L bounds the gradient's Lipschitz
+# constant, or is None for a nonsmooth term
+Term = tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], float | None]
 
 
 @dataclass
@@ -74,16 +74,14 @@ class FtrlObjective:
     def value(self, x: np.ndarray) -> float:
         diff = x - self.quad_center
         v = 0.5 * self.quad_weight * float(diff @ diff) + float(self.linear @ x)
-        for w, oracle, _ in self.constraint_terms:
-            vals = oracle(x)[0]
-            v += float(np.dot(w, vals))
+        for f, _ in self.constraint_terms:
+            v += f(x)[0]
         return v
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = self.quad_weight * (x - self.quad_center) + self.linear
-        for w, oracle, _ in self.constraint_terms:
-            jac = oracle(x)[1]
-            g = g + jac.T @ w
+        for f, _ in self.constraint_terms:
+            g = g + f(x)[1]
         return g
 
 
@@ -97,30 +95,15 @@ class SolveResult:
 
 def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> float:
     scale = max(obj.quad_weight, 1.0)
-    step = obj.domain.project(x - grad / scale)
-    return norm(x - step)
-
-
-def exact_step(domain, S: float, center: np.ndarray, linear: np.ndarray,
-               fallback: np.ndarray | None = None) -> np.ndarray:
-    """Exact minimizer of S/2 ||x - center||^2 + <linear, x> over the box `domain`.
-
-    With S > 0, the clip of center - linear / S to the box.  With S = 0,
-    the vertex rule: each coordinate goes to the end its slope points away
-    from, and a zero-slope coordinate keeps `fallback` (clipped to the box),
-    or the box midpoint without one.  The arrays are taken as they are:
-    their shape and finiteness are the caller's to have checked.
-    """
-    lo, hi = domain.lower, domain.upper
-    if S > 0.0:
-        return (center - linear / S).clip(lo, hi)
-    tie = 0.5 * (lo + hi) if fallback is None else fallback.clip(lo, hi)
-    return np.where(linear > 0.0, lo, np.where(linear == 0.0, tie, hi))
+    return norm(x - (x - grad / scale).clip(obj.domain.lower, obj.domain.upper))
 
 
 def minimize(obj: FtrlObjective, settings: SolverSettings,
              fallback: np.ndarray | None = None) -> SolveResult:
-    """Minimize an aggregate objective over its feasible set."""
+    """Minimize an aggregate objective over its feasible set.
+
+    Inputs are checked at entry; the iterates then stay in the box, so each step is a clip.
+    """
     S = float(obj.quad_weight)
     if S < 0.0:
         raise ConfigurationError("quadratic weight must be nonnegative")
@@ -134,22 +117,21 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
         x = exact_step(obj.domain, S, center, _vector(obj.linear, n, "linear"), fallback)
         return SolveResult(x=x, residual=0.0, converged=True)
 
-    smooth = all(L is not None for _, _, L in obj.constraint_terms)
+    smooth = all(L is not None for _, L in obj.constraint_terms)
     if smooth:
-        curvature = S + sum(norm(w) * L for w, _, L in obj.constraint_terms)
+        curvature = S + sum(L for _, L in obj.constraint_terms)
         if curvature <= 0.0:
             # every term is affine after all; evaluate once and fold
             folded = obj.linear.copy()
-            for w, oracle, _ in obj.constraint_terms:
-                folded = folded + oracle(obj.quad_center)[1].T @ w
+            for f, _ in obj.constraint_terms:
+                folded = folded + f(obj.quad_center)[1]
             x = obj.domain.argmin_linear(folded, fallback=fallback)
             return SolveResult(x=x, residual=0.0, converged=True)
 
     start = fallback if fallback is not None else obj.quad_center
     x = obj.domain.project(np.asarray(start, dtype=float))
-    best_x = x
-    best_val = obj.value(x)
-    best_res = math.inf
+    lo, hi = obj.domain.lower, obj.domain.upper
+    best_x, best_val, best_res = x, obj.value(x), math.inf
 
     for k in range(1, settings.max_iterations + 1):
         grad = obj.gradient(x)
@@ -159,11 +141,11 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
         if res <= settings.tolerance:
             return SolveResult(x=x, residual=res, converged=True, iterations=k)
         if smooth:
-            x = obj.domain.project(x - grad / curvature)
+            x = (x - grad / curvature).clip(lo, hi)
         else:
             ng = norm(grad)
             step = (1.0 + obj.domain.norm_bound) / ((1.0 + ng) * math.sqrt(k))
-            x = obj.domain.project(x - step * grad)
+            x = (x - step * grad).clip(lo, hi)
             val = obj.value(x)
             if val < best_val:
                 best_val, best_x = val, x

@@ -177,7 +177,7 @@ class Played(NamedTuple):
 
 def _snapshot(learner, truth, x) -> Played:
     return Played(x, learner.lam, learner.f_value, learner.xi_t, learner.a_t, learner.h_cum,
-                  learner.prox_S, learner.max_xz, learner.drift_gap, truth.constraint_value(x),
+                  learner.prox_S, learner.max_xz, learner.drift_gap, truth.constraint(x)[0],
                   getattr(learner, "cum_gz", None))
 
 

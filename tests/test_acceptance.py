@@ -179,7 +179,7 @@ def test_criterion_06_primal_solver_against_grid():
     for i in range(100):
         n = 1 if i % 2 == 0 else 2
         obj, values = random_instance(rng, n)
-        if obj.constraint_terms[0][2] is None:
+        if obj.constraint_terms[0][1] is None:
             nonsmooth_seen += 1
         res = minimize(obj, SolverSettings())
         if n == 1:

@@ -169,7 +169,7 @@ def totals_at(rounds, x):
     total, worst, agg = 0.0, -math.inf, 0.0
     for oracle in rounds:
         total += oracle.cost(x)[0]
-        g = oracle.constraint_value(x)
+        g = oracle.constraint(x)[0]
         worst = max(worst, float(np.max(g)))
         agg = agg + g
     return total, worst, float(np.max(agg))

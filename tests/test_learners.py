@@ -203,7 +203,7 @@ LAZY_VARIANTS = ("llp", "llp2", "llp_perturbed")
 
 
 def primal_case(rng, variant, n, d, S, zero_jacobian):
-    """A learner mid-run with a pending multiplier and an exact affine bundle.
+    """A learner mid-run, after a dual step, with an exact affine bundle.
 
     Returns (learner, bundle, J, fixed) where the variant's primal puts the
     multiplier on J and adds fixed to it (the perturbed variant's folded
@@ -218,7 +218,8 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     learner.prox_S = S
     learner.prox_b = S * rng.uniform(-1.5, 1.5, size=n)
     learner.last_x = rng.uniform(-1.0, 1.0, size=n)
-    learner.pending = (float(rng.uniform(0.2, 2.0)), rng.uniform(-1.0, 1.5, size=d))
+    learner.a_t = float(rng.uniform(0.2, 2.0))
+    learner.cum_gz = rng.uniform(-1.0, 1.5, size=d)
     if perturbed:
         learner.lam_sum = rng.uniform(0.0, 2.0, size=d)
         # forecast rows are nonnegative multiples of the base rows
@@ -244,8 +245,9 @@ def test_primal_fixed_point_against_grid(variant, n, d):
     for case in range(6):
         S = 0.0 if case % 2 == 0 else float(rng.uniform(0.5, 3.0))
         learner, bundle, J, fixed = primal_case(rng, variant, n, d, S, case >= 4)
-        a_dual, cum = learner.pending
-        x, lam, _, vt, _ = learner._primal(bundle)
+        a_dual, cum = learner.a_t, learner.cum_gz
+        x, vt = learner._primal(bundle)
+        lam = learner.lam
         assert learner.flags == ""
         W, u = bundle.constraint_affine
         assert np.array_equal(vt, W @ x + u)
@@ -285,12 +287,13 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
     learner = LlpLearner(cfg(beta=0.0, bounds=sc.bounds), sc.domain, 1, 1)
     interior = 0
     for t in range(1, 201):
-        pending = learner.pending
+        # the latest dual step's a_t and sum of g(z); none before round 1
+        dual = (learner.a_t, learner.cum_gz) if learner.t else None
         truth = sc.round(t)
         r = play(learner, truth, p.bundle_for(truth))
         assert learner.flags == "" and r.prox_S == 0.0
-        if pending is not None:
-            want = positive_part(pending[0] * (pending[1] + r.g_values))
+        if dual is not None:
+            want = positive_part(dual[0] * (dual[1] + r.g_values))
             assert np.array_equal(r.lam, want)
             interior += bool(-1.0 < r.x[0] < 1.0 and r.lam[0] > 0.0)
     assert interior > 50

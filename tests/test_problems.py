@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,10 @@ def test_problem_bounds_validation():
     with pytest.raises(ConfigurationError):
         ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=-0.1, Delta_m=1.0)
     b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
-    assert b.replace(G=2.0).G == 2.0
+    assert dataclasses.replace(b, G=2.0).G == 2.0
+    # replace runs the same checks as the constructor
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(b, G=-1.0)
 
 
 def test_make_scenario_validation():

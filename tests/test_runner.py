@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lazyoco
 from lazyoco import analysis, cli, learners, runner
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
@@ -558,6 +562,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     emitted = json.loads(capsys.readouterr().out)
     assert emitted["horizon"] == 10 and "regret" in emitted
     assert (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "t.csv.svg").exists()
+    assert cli.main(["run", path, "--plot"]) == 0
+    assert json.loads(capsys.readouterr().out) == emitted
+    body = (tmp_path / "t.csv.svg").read_text(encoding="utf-8")
+    assert body.startswith("<svg") and "polyline" in body
+    ET.fromstring(body)
 
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
@@ -633,15 +643,27 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys, kind, section, seed, messa
     assert not list(tmp_path.glob("t.csv*"))
 
 
-def test_cli_names_the_first_total_that_overflows(tmp_path, capsys):
+def run_cli(*args, env=None):
+    """`python -m lazyoco ARGS` in a fresh interpreter, so stderr holds whatever numpy
+    would print there (pytest records warnings raised in-process instead)."""
+    src = str(Path(lazyoco.__file__).resolve().parent.parent)
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "lazyoco", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_names_the_first_total_that_overflows(tmp_path):
     # a = 1e300 passes the parser; its step sizes overflow the multiplier in
-    # round 2, and the run used to end with exit 0 and null summary fields
+    # round 2, and the run used to end with exit 0 and null summary fields,
+    # then with numpy's RuntimeWarnings printed before the failure line
     doc = base_doc(scenario={"kind": "alternating_linear", "horizon": 50},
                    predictor={"kind": "noisy", "level": 0.3},
                    output={"path": str(tmp_path / "t.csv")})
     doc["learner"]["a"] = 1e300
-    assert cli.main(["run", write_config(tmp_path, "a.json", doc)]) == 3
-    assert "FloatingPointError: round 2: lambda_norm is inf" in capsys.readouterr().err
+    proc = run_cli("run", write_config(tmp_path, "a.json", doc))
+    assert proc.returncode == 3
+    assert proc.stderr == ("failure: FloatingPointError: round 2: lambda_norm is inf, "
+                           "not a finite number\n")
     assert not list(tmp_path.glob("t.csv*"))
 
 
@@ -710,6 +732,14 @@ def test_cli_bench_and_compare(tmp_path, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["labels"] == ["llp+none",
                                                              "greedy_baseline+none"]
+    # without -o the comparison goes next to the first config's trace
+    traced = copy.deepcopy(doc)
+    traced["output"]["path"] = str(tmp_path / "first.csv")
+    assert cli.main(["compare", write_config(tmp_path, "traced.json", traced),
+                     write_config(tmp_path, "g.json", other)]) == 0
+    default = tmp_path / "first.csv.compare.csv"
+    assert json.loads(capsys.readouterr().out)["path"] == str(default)
+    assert default.read_bytes() == Path(out).read_bytes()
 
     mismatch = copy.deepcopy(doc)
     mismatch["scenario"]["horizon"] = 11
@@ -749,3 +779,30 @@ def test_cli_rejects_configs_the_run_refuses(tmp_path, capsys, monkeypatch, comm
     assert cli.main([command, write_config(tmp_path, "cfg.json", doc)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("t.csv*"))
+
+
+def test_cli_sweep_reports_failed_cells(tmp_path):
+    """A sweep whose longer cells overflow exits 3 and names them; the others still
+    run as they would alone, and no numpy warning comes before the report."""
+    base = base_doc(predictor={"kind": "adversarial"},
+                    output={"path": str(tmp_path / "sw")})
+    base["learner"]["a"] = 1e300
+    path = write_config(tmp_path, "sweep.json",
+                        {"base": base, "horizons": [1, 2, 50, 60], "betas": [0.5]})
+    proc = run_cli("sweep", path, env={"LAZYOCO_WORKERS": "1"})
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["failed_cells"] == ["beta=0.5,T=50,rep=0",
+                                                       "beta=0.5,T=60,rep=0"]
+    cells = json.loads((tmp_path / "sw.sweep.json").read_text(encoding="utf-8"))["cells"]
+    for horizon in (50, 60):
+        assert cells[f"beta=0.5,T={horizon},rep=0"] == {
+            "error": "FloatingPointError: round 3: lambda_norm is inf, not a finite number"}
+    for horizon in (1, 2):
+        config = runner.parse_run_config(runner._derive_cell(base, 0.5, horizon, 0))
+        alone = runner.execute_run(config)
+        assert cells[f"beta=0.5,T={horizon},rep=0"] == json.loads(json.dumps(alone.summary))
+        runner.write_trace(alone, str(tmp_path / "alone.csv"))
+        assert (Path(config.output.path).read_bytes()
+                == (tmp_path / "alone.csv").read_bytes())
+

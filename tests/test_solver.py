@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lazyoco.sets import Box, ConfigurationError
-from lazyoco.solver import (FtrlObjective, SolveResult, SolverSettings, dual_closed_form,
-                            exact_step, minimize)
+from lazyoco.sets import Box, ConfigurationError, exact_step
+from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
 
 from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec, sample
 
@@ -24,10 +23,9 @@ def test_prox_projection_closed_form():
 def test_smooth_constraint_term_stationary_point():
     # x^2/2 + x + x^2 has its minimum at -1/3, interior to [-1, 1]
     def sq(x):
-        return np.array([float(x[0]) ** 2]), np.array([[2.0 * x[0]]])
+        return float(x[0]) ** 2, 2.0 * x
 
-    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]),
-                        [(np.array([1.0]), sq, 2.0)])
+    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(sq, 2.0)])
     res = minimize(obj, SolverSettings())
     assert res.converged
     assert res.x[0] == pytest.approx(-1.0 / 3.0, abs=1e-8)
@@ -39,10 +37,9 @@ def test_nonsmooth_absolute_value_term():
     assert expected == pytest.approx(0.0, abs=1e-5)
 
     def absval(x):
-        return np.array([abs(float(x[0]))]), np.array([[math.copysign(1.0, x[0])]])
+        return abs(float(x[0])), np.array([math.copysign(1.0, x[0])])
 
-    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]),
-                        [(np.array([1.0]), absval, None)])
+    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(absval, None)])
     res = minimize(obj, SolverSettings())
     assert abs(res.x[0] - expected) <= 1e-3
 
@@ -92,7 +89,8 @@ def test_closed_form_agrees_with_iterative_path():
     rng = np.random.default_rng(21)
 
     def zero_term(x):
-        return np.array([float(x @ x)]), 2.0 * x[None, :]
+        # ||x||^2 at weight 0
+        return 0.0 * float(x @ x), 0.0 * (2.0 * x)
 
     for _ in range(200):
         S = rng.uniform(0.5, 3.0)
@@ -100,13 +98,17 @@ def test_closed_form_agrees_with_iterative_path():
         linear = rng.uniform(-2.0, 2.0, size=2)
         direct = minimize(FtrlObjective(BOX2, S, center, linear), SolverSettings())
         iterative = minimize(
-            FtrlObjective(BOX2, S, center, linear, [(np.zeros(1), zero_term, 2.0)]),
+            FtrlObjective(BOX2, S, center, linear, [(zero_term, 0.0 * 2.0)]),
             SolverSettings())
         assert np.linalg.norm(direct.x - iterative.x) <= 1e-8
 
 
 def random_instance(rng, n):
-    """Random FtrlObjective plus an independent vectorized evaluator."""
+    """Random FtrlObjective plus an independent vectorized evaluator.
+
+    Its one term is w times an affine, quadratic or l1 function; the weight
+    scales the term's value, gradient and smoothness constant.
+    """
     S = rng.uniform(0.3, 3.0)
     center = rng.uniform(-0.8, 0.8, size=n)
     linear = rng.uniform(-2.0, 2.0, size=n)
@@ -120,7 +122,7 @@ def random_instance(rng, n):
         off = rng.uniform(-0.5, 0.5)
 
         def term(x, row=row, off=off):
-            return np.array([float(row @ x) + off]), row[None, :]
+            return w * (float(row @ x) + off), w * row
 
         smooth = 0.0
 
@@ -130,7 +132,7 @@ def random_instance(rng, n):
         # shifted quadratic
         def term(x, anchor=anchor):
             d = x - anchor
-            return np.array([float(d @ d)]), 2.0 * d[None, :]
+            return w * float(d @ d), w * (2.0 * d)
 
         smooth = 2.0
 
@@ -140,7 +142,7 @@ def random_instance(rng, n):
         # non-smooth l1 distance from the anchor
         def term(x, anchor=anchor):
             d = x - anchor
-            return np.array([float(np.sum(np.abs(d)))]), np.sign(d)[None, :]
+            return w * float(np.sum(np.abs(d))), w * np.sign(d)
 
         smooth = None
 
@@ -148,7 +150,8 @@ def random_instance(rng, n):
             return np.sum(np.abs(pts - anchor), axis=1)
 
     domain = BOX1 if n == 1 else BOX2
-    obj = FtrlObjective(domain, S, center, linear, [(np.array([w]), term, smooth)])
+    obj = FtrlObjective(domain, S, center, linear,
+                        [(term, None if smooth is None else w * smooth)])
 
     def values(pts):
         pts2 = np.atleast_2d(pts)
@@ -190,10 +193,9 @@ def test_solver_residual_certifies_near_optimality():
 
 def test_max_iterations_reports_best_iterate():
     def absval(x):
-        return np.array([abs(float(x[0]))]), np.array([[math.copysign(1.0, x[0])]])
+        return abs(float(x[0])), np.array([math.copysign(1.0, x[0])])
 
-    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]),
-                        [(np.array([1.0]), absval, None)])
+    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(absval, None)])
     res = minimize(obj, SolverSettings(max_iterations=3))
     assert isinstance(res, SolveResult)
     assert not res.converged

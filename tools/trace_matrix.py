@@ -38,6 +38,9 @@ The matrix:
 - `comparator_max_1d`: `llp` on `alternating_linear` with no forecasts,
   T = 400, `X_T_max`, the one cell whose comparator folds its summed rows
   to an interval (every other `X_T_max` cell is n = 2);
+- `quadratic_1d`: `llp` with perfect forecasts on `random_quadratic` at
+  n = 1, d = 2, seed 3, T = 400, `X_T`, the one cell whose 1-D comparator
+  folds a row with a negative slope and solves a quadratic cost;
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
@@ -124,6 +127,13 @@ def cells() -> dict[str, dict]:
         "scenario": {"kind": "alternating_linear", "horizon": 400, "seed": 3},
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "benchmark": {"kind": "X_T_max"},
+    }
+    out["quadratic_1d"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 1,
+                     "constraints": 2, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "perfect"},
+        "benchmark": {"kind": "X_T"},
     }
     out["bounds_override"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
