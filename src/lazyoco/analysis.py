@@ -40,7 +40,6 @@ from .sets import ConfigurationError
 
 __all__ = [
     "BENCHMARK_KINDS",
-    "PrefixOptimum",
     "BenchmarkResult",
     "ComparatorFold",
     "compute_benchmark",
@@ -60,21 +59,12 @@ _MAX_ACTIVE_SET_STEPS = 10_000
 
 
 @dataclass
-class PrefixOptimum:
-    t: int
-    x_star: np.ndarray | None
-    total_cost: float
-    feasible: bool
-
-
-@dataclass
 class BenchmarkResult:
     kind: str
     x_star: np.ndarray | None
     optimal_total_cost: float
     feasible: bool
     gap: float
-    prefix: tuple = ()
 
 
 class _CostAccumulator:
@@ -162,23 +152,17 @@ class _RowSums:
         self.W = self.W + W
         self.u = self.u + u
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if np.ndim(self.u) == 0:  # no round yet
-            return np.empty((0, self.domain.dimension)), np.empty(0)
-        return self.W, self.u
-
     def interval(self) -> tuple[float, float, bool]:
         folded = _Interval(self.domain)
-        folded.add(*self._rows())
+        folded.add(self.W, self.u)
         return folded.interval()
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
         """The summed rows, then the box rows, as G x <= h."""
-        W, u = self._rows()
-        d, n = W.shape
+        d, n = self.W.shape
         G, h = np.empty((d + 2 * n, n)), np.empty(d + 2 * n)
-        G[:d] = W
-        np.negative(u, out=h[:d])
+        G[:d] = self.W
+        np.negative(self.u, out=h[:d])
         _box_rows(G[d:], h[d:], self.domain)
         return G, h
 
@@ -305,7 +289,8 @@ def _solve_projection(cost: _CostAccumulator, G: np.ndarray,
 class ComparatorFold:
     """The played rounds, added once each in play order, folded for the comparator.
 
-    `mark` keeps the comparator over the rounds so far as a prefix optimum.
+    `solve` reads the fold as it stands, so it gives the comparator of the
+    rounds so far at any round, without replaying one.
     """
 
     def __init__(self, domain, kind: str):
@@ -321,7 +306,6 @@ class ComparatorFold:
             self.cons = _Interval(domain)
         else:
             self.cons = _PlayedRows(domain)
-        self.prefix: list[PrefixOptimum] = []
         self.cost_sums_size = 2 * n + 2
 
     def add(self, oracle) -> None:
@@ -344,10 +328,6 @@ class ComparatorFold:
         x, v, ok = _solve_exact_1d(self.cost, *self.cons.interval())
         return x, v, ok, 0.0 if ok else math.nan
 
-    def mark(self) -> None:
-        x, v, ok, _ = self.solve()
-        self.prefix.append(PrefixOptimum(t=self.t, x_star=x, total_cost=v, feasible=ok))
-
 
 def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
     """Minimize the folded total cost over the fold's comparator set."""
@@ -355,7 +335,7 @@ def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
         raise ConfigurationError("the comparator needs at least one played round")
     x_star, total, feasible, gap = fold.solve()
     return BenchmarkResult(kind=fold.kind, x_star=x_star, optimal_total_cost=total,
-                           feasible=feasible, gap=gap, prefix=tuple(fold.prefix))
+                           feasible=feasible, gap=gap)
 
 
 def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarray:

@@ -110,7 +110,7 @@ class LearnerTotals(NamedTuple):
     a_prev: float
     flag_counts: dict
     xi_sq_cum: float = 0.0
-    sum_prev_a_xi_sq: float = 0.0
+    sum_a_prev_xi_sq: float = 0.0
     mu: float = 0.0
     max_xz: float = 0.0
     drift_gap: float = -math.inf
@@ -424,7 +424,7 @@ class LlpLearner:
             a_prev=self.a_prev,
             flag_counts=self.flag_counts,
             xi_sq_cum=self.xi_sq_cum,
-            sum_prev_a_xi_sq=self.sum_a_prev_xi_sq,
+            sum_a_prev_xi_sq=self.sum_a_prev_xi_sq,
             mu=self.mu,
             max_xz=self.max_xz,
             drift_gap=self.drift_gap,

@@ -48,7 +48,6 @@ class ProblemBounds:
     L_f, L_g   Lipschitz constants of the costs and of each constraint row.
     G          uniform bound on ||g_t(x)|| over the feasible set.
     D          norm bound on the feasible set.
-    F          uniform bound on |f_t(x)|.
     E_m        worst-case cost-gradient prediction error.
     Delta_m    worst-case constraint-Jacobian prediction error.
     """
@@ -57,12 +56,11 @@ class ProblemBounds:
     L_g: float
     G: float
     D: float
-    F: float
     E_m: float
     Delta_m: float
 
     def __post_init__(self):
-        for name in ("L_f", "L_g", "G", "D", "F"):
+        for name in ("L_f", "L_g", "G", "D"):
             v = float(getattr(self, name))
             if not (np.isfinite(v) and v > 0.0):
                 raise ConfigurationError(f"bound {name} must be positive, got {v}")
@@ -209,7 +207,7 @@ class AlternatingLinear(_Scenario):
 
     def _setup(self):
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
-        self.bounds = ProblemBounds(L_f=4.0, L_g=0.79, G=1.05, D=1.0, F=4.0,
+        self.bounds = ProblemBounds(L_f=4.0, L_g=0.79, G=1.05, D=1.0,
                                     E_m=8.0, Delta_m=1.58)
         self._even = affine_round([-4.0], 0.0, [[0.79]], [0.26])
         self._odd = affine_round([-1.0], 0.0, [[0.64]], [-0.135])
@@ -233,7 +231,7 @@ class StochasticConstraint(_Scenario):
 
     def _setup(self):
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
-        self.bounds = ProblemBounds(L_f=2.0, L_g=1.0, G=1.0, D=1.0, F=2.0,
+        self.bounds = ProblemBounds(L_f=2.0, L_g=1.0, G=1.0, D=1.0,
                                     E_m=4.0, Delta_m=2.0)
         self._rng = np.random.default_rng(self.seed)
         self._active = affine_round([-2.0], 0.0, [[1.0]], [0.0])
@@ -263,7 +261,7 @@ class ImpossibilityAdversary(_Scenario):
 
     def _setup(self):
         self.domain = Box(np.array([0.0]), np.array([1.0]))
-        self.bounds = ProblemBounds(L_f=2.0, L_g=2.0, G=1.0, D=1.0, F=2.0,
+        self.bounds = ProblemBounds(L_f=2.0, L_g=2.0, G=1.0, D=1.0,
                                     E_m=4.0, Delta_m=4.0)
         self._p = affine_round([-1.0], 0.0, [[0.0]], [-1.0])
         self._q = affine_round([-2.0], 0.0, [[2.0]], [-1.0])
@@ -323,7 +321,7 @@ class PerturbedLinear(_Scenario):
         self.domain = Box(np.array([-1.0]), np.array([1.0]))
         lf = max(abs(self.cost_slope), 1e-12)
         self.bounds = ProblemBounds(L_f=lf, L_g=1.0, G=1.0 + self.amplitude, D=1.0,
-                                    F=lf, E_m=2.0 * lf, Delta_m=2.0)
+                                    E_m=2.0 * lf, Delta_m=2.0)
         self.base_affine = (np.array([[1.0]]), np.array([0.0]))
         self._rng = np.random.default_rng(self.seed)
 
@@ -361,7 +359,7 @@ class RandomQuadratic(_Scenario):
         D = self.domain.norm_bound
         lf = D + self.center_scale * math.sqrt(n)
         G = math.sqrt(self.n_constraints) * (self.matrix_scale * D + self.offset_scale)
-        # the dual step size divides by sqrt(4 G^2 + ...); F = L_f^2 / 2 is a bound too
+        # the dual step size divides by sqrt(4 G^2 + ...), and a cost is at most L_f^2 / 2
         if not math.isfinite(4.0 * G * G):
             raise ConfigurationError(
                 "random_quadratic matrix_scale and offset_scale are too large: "
@@ -374,7 +372,6 @@ class RandomQuadratic(_Scenario):
             L_g=self.matrix_scale,
             G=G,
             D=D,
-            F=0.5 * lf * lf,
             E_m=2.0 * lf,
             # Jacobian mismatch is measured in the matrix norm, which for d
             # stacked rows of norm <= matrix_scale can reach sqrt(d) times it

@@ -15,8 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "play_rounds",
     "execute_run",
     "RunResult",
-    "TraceRow",
     "write_trace",
     "write_plot",
     "run_command",
@@ -46,25 +44,10 @@ __all__ = [
 ]
 
 
-class TraceRow(NamedTuple):
-    """One trace line: the round's own values and the learner's totals after it."""
-
-    t: int
-    f_value: float
-    cum_cost: float
-    regret: float
-    violation_norm: float
-    lambda_norm: float
-    a_t: float
-    sigma_cum: float
-    h_cum: float
-    xi_t: float
-    bound_B_t: float
-    solver_residual: float
-    flags: str
-
-
-TRACE_COLUMNS = TraceRow._fields
+# one trace line: the round's own values, the learner's totals after it, its flags
+TRACE_COLUMNS = ("t", "f_value", "cum_cost", "regret", "violation_norm", "lambda_norm",
+                 "a_t", "sigma_cum", "h_cum", "xi_t", "bound_B_t", "solver_residual",
+                 "flags")
 # columns of RunResult.table, which holds every TRACE_COLUMNS column but flags
 _T, _COST, _REGRET, _VIOLATION, _H, _BOUND = (
     TRACE_COLUMNS.index(c)
@@ -86,7 +69,7 @@ _JSON_ROW = "  [\n   %d,\n" + "   %s,\n" * (len(TRACE_COLUMNS) - 2) + "   %s\n  
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
 _LEARNER_KEYS = {"variant", "sigma", "a", "beta", "bounds", "x0", "solver"}
-_BOUNDS_KEYS = {"L_f", "L_g", "G", "D", "F", "E_m", "Delta_m"}
+_BOUNDS_KEYS = {"L_f", "L_g", "G", "D", "E_m", "Delta_m"}
 _SOLVER_KEYS = {"tolerance", "max_iterations"}
 _PREDICTOR_KEYS = {"kind", "level", "seed"}
 _BENCHMARK_KEYS = {"kind"}
@@ -266,35 +249,25 @@ class RunResult:
 
     `table` is an (n_rows, 12) float64 array with one row per recorded
     round: t and the eleven numeric trace columns, in `TRACE_COLUMNS`
-    order.  `flags` holds each row's last column.  `rows` builds the
-    `TraceRow`s from the two on first use.
+    order.  `flags` holds each row's last column.
     """
 
     config: RunConfig
     table: np.ndarray
     flags: list[str]
     summary: dict
-    benchmark: analysis.BenchmarkResult | None
     totals: LearnerTotals
-
-    @cached_property
-    def rows(self) -> list[TraceRow]:
-        return [TraceRow(int(v[0]), *v[1:], fl)
-                for v, fl in zip(self.table.tolist(), self.flags)]
 
 
 def _sanitize(v):
+    """v with every non-finite float as None and every array as a list, for JSON."""
     if isinstance(v, float):
         return None if not math.isfinite(v) else v
-    if isinstance(v, np.floating):
-        return _sanitize(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
     if isinstance(v, np.ndarray):
         return [_sanitize(x) for x in v.tolist()]
     if isinstance(v, dict):
         return {k: _sanitize(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return [_sanitize(x) for x in v]
     return v
 
@@ -343,9 +316,6 @@ def execute_run(config: RunConfig) -> RunResult:
     predictor = _predictor_for(config, scenario)
     learner = _learner_for(config, scenario)
     fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
-    # criterion 07 reads the comparator at each adversary block end, taken
-    # as the block end is emitted
-    block_ends = getattr(scenario, "block_ends", None)
 
     record_every = config.output.record_every
     n_rows = (T + record_every - 1) // record_every
@@ -366,8 +336,6 @@ def execute_run(config: RunConfig) -> RunResult:
         for truth, _ in play_rounds(scenario, predictor, learner, T):
             fold.add(truth)
             t = learner.t
-            if block_ends and block_ends[-1] == t:
-                fold.mark()
             if t % record_every == 0 or t == T:  # the last round's totals feed the summary
                 i = len(flags)
                 fold.copy_cost_sums(cost_sums[i])
@@ -423,7 +391,7 @@ def execute_run(config: RunConfig) -> RunResult:
         "beta": config.learner.beta,
         "benchmark_kind": config.benchmark_kind,
         "benchmark_feasible": benchmark.feasible,
-        "x_star": None if benchmark.x_star is None else benchmark.x_star,
+        "x_star": benchmark.x_star,
         "optimal_total_cost": benchmark.optimal_total_cost,
         "benchmark_gap": benchmark.gap,
         "cum_cost": last["cum_cost"],
@@ -445,13 +413,12 @@ def execute_run(config: RunConfig) -> RunResult:
         # a round raises at most one flag
         "warning_count": sum(totals.flag_counts.values()),
         "flag_counts": totals.flag_counts,
-        "block_ends": [] if block_ends is None else list(block_ends),
+        "block_ends": list(getattr(scenario, "block_ends", ())),
         "record_every": record_every,
         "rows_written": n_rows,
     }
     summary = _sanitize(summary)
-    return RunResult(config=config, table=table, flags=flags, summary=summary,
-                     benchmark=benchmark, totals=totals)
+    return RunResult(config=config, table=table, flags=flags, summary=summary, totals=totals)
 
 
 # -- persistence -----------------------------------------------------------------
@@ -736,7 +703,7 @@ def bench(config: RunConfig) -> dict:
     result = analysis.compute_benchmark(fold)
     return _sanitize({
         "benchmark_kind": result.kind,
-        "x_star": None if result.x_star is None else result.x_star,
+        "x_star": result.x_star,
         "optimal_total_cost": result.optimal_total_cost,
         "feasible": result.feasible,
         "gap": result.gap,

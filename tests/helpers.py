@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lazyoco.analysis import regret_certificate, violation_certificate
-from lazyoco.runner import play_rounds
+from lazyoco.runner import TRACE_COLUMNS, play_rounds
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -190,6 +190,11 @@ def play_run(scenario, predictor, learner, horizon) -> list[tuple]:
     """`runner.play_rounds` over rounds 1..horizon: each truth with its snapshot."""
     return [(truth, _snapshot(learner, truth, x))
             for truth, x in play_rounds(scenario, predictor, learner, horizon)]
+
+
+def trace_row(result, i) -> dict:
+    """Row i of a run's trace as {column: value}: the table's floats, then the flags."""
+    return dict(zip(TRACE_COLUMNS, [*result.table[i].tolist(), result.flags[i]]))
 
 
 def _bound_inputs(rounds, config):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lazyoco import runner
-from lazyoco.analysis import fit_growth_exponent, regret_certificate
+from lazyoco.analysis import ComparatorFold, fit_growth_exponent, regret_certificate
 from lazyoco.solver import dual_closed_form, minimize
 from lazyoco.solver import SolverSettings
 
@@ -202,16 +202,26 @@ def test_criterion_07_linear_lower_bound_without_predictions():
                      record_every=1)
     res = runner.execute_run(cfg)
     block_ends = res.summary["block_ends"]
-    prefix = {p.t: p for p in res.benchmark.prefix}
+    # the comparator at each block end: the run played again, its fold solved
+    # as the scenario emits each block end
+    sc = runner._scenario_for(cfg)
+    fold = ComparatorFold(sc.domain, cfg.benchmark_kind)
+    prefix = {}
+    for truth, _ in runner.play_rounds(sc, runner._predictor_for(cfg, sc),
+                                       runner._learner_for(cfg, sc), cfg.horizon):
+        fold.add(truth)
+        if sc.block_ends and sc.block_ends[-1] == fold.t:
+            prefix[fold.t] = fold.solve()
+    assert list(prefix) == block_ends
 
     failures = []
     best_ratio = 0.0
     for t in block_ends:
-        p = prefix[t]
-        assert p.feasible
-        row = res.rows[t - 1]
-        r_t = row.cum_cost - p.total_cost
-        v_t = row.violation_norm  # one constraint: max(sum g, 0)
+        _, total_cost, feasible, _ = prefix[t]
+        assert feasible
+        row = helpers.trace_row(res, t - 1)
+        r_t = row["cum_cost"] - total_cost
+        v_t = row["violation_norm"]  # one constraint: max(sum g, 0)
         if max(r_t, v_t) < t / 8.0 - 10.0:
             failures.append((t, r_t, v_t))
         best_ratio = max(best_ratio, r_t / t, v_t / t)
@@ -255,7 +265,7 @@ def test_criterion_09_nonproximal_variant(llp_sweep, llp2_sweep):
         s = res.summary
         plain = regret_certificate("llp", s["h_cum"], res.config.learner.sigma,
                                    res.config.learner.bounds,
-                                   sum_a_prev_xi_sq=res.totals.sum_prev_a_xi_sq)
+                                   sum_a_prev_xi_sq=res.totals.sum_a_prev_xi_sq)
         if not s["bound_B_T"] >= plain:
             dominated = False
 

@@ -33,14 +33,24 @@ from helpers import (
 )
 
 
-def benchmark_of(rounds, domain, kind, marks=()):
-    """The comparator over a list of rounds, with prefix optima after rounds `marks`."""
+def benchmark_of(rounds, domain, kind):
+    """The comparator over a list of rounds."""
     fold = ComparatorFold(domain, kind)
     for oracle in rounds:
         fold.add(oracle)
-        if fold.t in marks:
-            fold.mark()
     return compute_benchmark(fold)
+
+
+def prefix_optima(rounds, domain, kind, marks):
+    """(t, x, total cost, feasible) of the comparator over rounds 1..t, solved on
+    one fold as round t is added, for each t in `marks`."""
+    fold = ComparatorFold(domain, kind)
+    optima = []
+    for oracle in rounds:
+        fold.add(oracle)
+        if fold.t in marks:
+            optima.append((fold.t, *fold.solve()[:3]))
+    return optima
 
 
 def grid_feasible_argmin(sc, rounds, resolution=1e-6):
@@ -100,13 +110,14 @@ def test_benchmark_adversary_blocks_and_prefix():
     sc = make_scenario("impossibility_adversary", horizon=6)
     rounds = play_adversary(sc, [0.0] * 6)
     assert sc.block_ends == [2, 4, 6]
-    res = benchmark_of(rounds, sc.domain, "X_T_max", marks=(2, 4, 6))
+    res = benchmark_of(rounds, sc.domain, "X_T_max")
     # q,p alternation: sum g = 6x - 6 <= 0 frees the whole box, cost slope -9
     assert res.x_star[0] == 1.0
     assert res.optimal_total_cost == pytest.approx(-9.0, abs=1e-9)
-    assert [p.t for p in res.prefix] == [2, 4, 6]
-    assert [p.total_cost for p in res.prefix] == pytest.approx([-3.0, -6.0, -9.0])
-    assert all(p.feasible for p in res.prefix)
+    prefix = prefix_optima(rounds, sc.domain, "X_T_max", sc.block_ends)
+    assert [t for t, *_ in prefix] == [2, 4, 6]
+    assert [v for *_, v, _ in prefix] == pytest.approx([-3.0, -6.0, -9.0])
+    assert all(ok for *_, ok in prefix)
 
     strict = benchmark_of(rounds, sc.domain, "X_T")
     # every q round demands 2x - 1 <= 0
@@ -370,23 +381,23 @@ def test_folded_interval_is_the_row_scan(seed):
 @pytest.mark.parametrize("kind", ["X_T", "X_T_max"])
 @pytest.mark.parametrize("n, d", [(1, 1), (3, 2)])
 def test_mark_is_the_prefix_comparator(n, d, kind):
-    """A prefix optimum marked after every round is the comparator of a fresh
-    fold of that prefix."""
+    """The fold solved after every round gives the comparator of a fresh fold
+    of that prefix."""
     if n == 1:
         sc = make_scenario("perturbed_linear", horizon=80, seed=3)
         rounds = draw_rounds(sc, 80)
     else:
-        # 290 rows: the buffers grow between marks, and no view a
-        # mark's solve took may stay live across the realloc
+        # 290 rows: the buffers grow between solves, and no view a
+        # solve took may stay live across the realloc
         rounds = rounds_with_repeats(n, d, 70, seed=7)
     dom = Box(-np.ones(n), np.ones(n))
-    res = benchmark_of(rounds, dom, kind, marks=range(1, len(rounds) + 1))
-    assert len(res.prefix) == len(rounds)
-    for t, mark in enumerate(res.prefix, start=1):
+    prefix = prefix_optima(rounds, dom, kind, range(1, len(rounds) + 1))
+    assert len(prefix) == len(rounds)
+    for t, (mark_t, x, total, feasible) in enumerate(prefix, start=1):
         fresh = benchmark_of(rounds[:t], dom, kind)
-        assert mark.t == t and mark.feasible == fresh.feasible
-        assert mark.x_star.tobytes() == fresh.x_star.tobytes()
-        assert mark.total_cost == fresh.optimal_total_cost
+        assert mark_t == t and feasible == fresh.feasible
+        assert x.tobytes() == fresh.x_star.tobytes()
+        assert total == fresh.optimal_total_cost
 
 
 def test_metrics_hand_example():
@@ -420,7 +431,7 @@ def test_metrics_match_learner_stream():
 
 
 def test_llp_certificates_hand_arithmetic():
-    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
+    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=0.0, Delta_m=0.0)
     B = regret_certificate("llp", 4.0, 1.0, b, sum_a_prev_xi_sq=4.0)
     # 2(1 + 1) sqrt(4) + 4 = 12; V = sqrt(2 * 8 / 1) + 2 sqrt(4) = 8
     assert B == pytest.approx(12.0)
@@ -434,7 +445,7 @@ def test_llp_certificates_hand_arithmetic():
 
 
 def test_llp2_bound_dominates_llp_bound():
-    b = ProblemBounds(L_f=2.0, L_g=1.5, G=1.0, D=1.0, F=2.0, E_m=1.0, Delta_m=0.5)
+    b = ProblemBounds(L_f=2.0, L_g=1.5, G=1.0, D=1.0, E_m=1.0, Delta_m=0.5)
     rng = np.random.default_rng(11)
     for _ in range(50):
         h, s_axi, mu = rng.uniform(0.0, 20.0, size=3)
@@ -450,7 +461,7 @@ def test_llp2_bound_dominates_llp_bound():
 
 
 def test_perturbed_report_unit_constants():
-    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=2.0, Delta_m=2.0)
+    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=2.0, Delta_m=2.0)
     # A_1 = 2 sigma D^2 + 2 L_f / sigma = 4, A_2 = 4 a G^2 / (1 - beta) = 8,
     # A_3 = 2 / a = 2, A_4 = 2 L_g / sigma = 2, K_T = sqrt(G^2 + sum xi^2)
     kw = dict(sigma=1.0, bounds=b, a=1.0, beta=0.5)
@@ -497,7 +508,7 @@ def test_evaluate_bounds_reconstruct_step_sizes():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_size_sum_certificates(beta, seed):
     """sum_t a_{t-1} xi_t^2 <= min{2a sqrt(sum xi^2), 4aG^2 T^(1-b)/(1-b)}."""
-    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
+    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=0.0, Delta_m=0.0)
     config = LearnerConfig(variant="llp", sigma=1.0, a=1.0, beta=beta, bounds=b)
     dom = Box(np.array([-1.0]), np.array([1.0]))
     learner = LlpLearner(config, dom, 1, 1)

@@ -44,7 +44,7 @@ def run_docs(draw, faults=_FAULTS):
                "beta": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))}
     # optional sections; a null one reads as absent
     for section, fields in (
-            ("bounds", {key: positive for key in ("L_f", "L_g", "G", "D", "F", "E_m", "Delta_m")}),
+            ("bounds", {key: positive for key in ("L_f", "L_g", "G", "D", "E_m", "Delta_m")}),
             ("solver", {"tolerance": st.sampled_from([1e-9, 1e-6]),
                         "max_iterations": st.sampled_from([3, 50, 10000])})):
         if draw(st.booleans()):

@@ -15,7 +15,7 @@ BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
 
 def bounds1(**over):
-    base = dict(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
+    base = dict(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=0.0, Delta_m=0.0)
     base.update(over)
     return ProblemBounds(**base)
 

@@ -32,7 +32,7 @@ def test_alternating_round_values():
 def test_alternating_declared_bounds():
     sc = make_scenario("alternating_linear", horizon=4)
     b = sc.bounds
-    assert (b.L_f, b.L_g, b.G, b.F, b.D) == (4.0, 0.79, 1.05, 4.0, 1.0)
+    assert (b.L_f, b.L_g, b.G, b.D) == (4.0, 0.79, 1.05, 1.0)
 
 
 def test_stochastic_branch_rule_matches_rng_stream():
@@ -224,7 +224,7 @@ def test_subgradient_inequality(sc, rounds):
 
 @pytest.mark.parametrize("sc, rounds", scenario_instances())
 def test_bound_consistency(sc, rounds):
-    """Sampled |f|, ||g||, ||grad f|| stay within the declared constants.
+    """Sampled ||g|| and ||grad f|| stay within the declared constants.
 
     Every round also carries the closed forms that the forecasts and the
     comparator read: an affine constraint, and an affine or a quadratic cost.
@@ -238,9 +238,8 @@ def test_bound_consistency(sc, rounds):
         t = int(rng.integers(1, 41))
         x = sample(sc.domain, rng)
         oracle = rounds[t - 1]
-        f, c = oracle.cost(x)
+        _, c = oracle.cost(x)
         g, _ = oracle.constraint(x)
-        assert abs(f) <= b.F + 1e-9
         assert np.linalg.norm(g) <= b.G + 1e-9
         assert np.linalg.norm(c) <= b.L_f + 1e-9
 
@@ -279,10 +278,10 @@ def test_random_quadratic_origin_feasible_and_reproducible():
 
 def test_problem_bounds_validation():
     with pytest.raises(ConfigurationError):
-        ProblemBounds(L_f=0.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=1.0, Delta_m=1.0)
+        ProblemBounds(L_f=0.0, L_g=1.0, G=1.0, D=1.0, E_m=1.0, Delta_m=1.0)
     with pytest.raises(ConfigurationError):
-        ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=-0.1, Delta_m=1.0)
-    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, F=1.0, E_m=0.0, Delta_m=0.0)
+        ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=-0.1, Delta_m=1.0)
+    b = ProblemBounds(L_f=1.0, L_g=1.0, G=1.0, D=1.0, E_m=0.0, Delta_m=0.0)
     assert dataclasses.replace(b, G=2.0).G == 2.0
     # replace runs the same checks as the constructor
     with pytest.raises(ConfigurationError):
