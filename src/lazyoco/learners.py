@@ -19,9 +19,9 @@ and leaves no record: the learner's attributes after it (the round's
 totals) are what a trace row reads.
 
 Every round is in closed form (see `problems`): its constraint is
-W x + u, so the round's Lagrangian part W^T lam folds into one linear
-vector, and the aggregate the learner carries stays a constant-size
-prox plus linear term whatever the horizon.  The constraint value at the
+W x + u, so the round's Lagrangian part J^T lam (J below) folds into
+one linear vector, and the aggregate the learner carries stays a
+constant-size prox plus linear term whatever the horizon.  The constraint value at the
 played point, W x + u, is what every variant observes.
 
 Forecasts arrive in closed form (see `predictors`).  A quadratic cost
@@ -29,9 +29,14 @@ forecast (w, u) folds into the prox: S/2 ||x - b/S||^2 + w/2 ||x - u||^2
 is one prox at weight S + w and centre (b + w u) / (S + w), and the cost
 gradient it stands for at the played point is w (x - u).  A deferred
 value forecast is W~ x + u~ at the action x being chosen, so the
-multiplier lam = [a (cum + W~ x + u~)]_+ depends on x.  The primal puts
-lam on J = W~ (on the fixed base rows for `llp_perturbed`); with J = W~,
-J^T lam is the gradient of the convex penalty
+multiplier lam = [a (cum + W~ x + u~)]_+ depends on x.
+
+The multiplier sits on rows J, chosen once per round: the fixed base
+rows of g for `llp_perturbed` (rounds g(x) + b_t), else the round's own
+rows, J~ = W~ in the primal step and J = W once the round is revealed.
+The primal adds J~^T lam to its fold, the prescient step folds J^T lam
+into the aggregate, and the mismatch is ||eps + (J - J~)^T lam||.  With
+J~ = W~, J~^T lam is the gradient of the convex penalty
 ||[a (cum + W~ x + u~)]_+||^2 / (2a), so the pair is one convex problem.
 The primal step takes one exact step, at the fixed multiplier or at
 lam = 0; with a deferred v~ it keeps that point if the multiplier stays
@@ -142,10 +147,9 @@ class LlpLearner:
         self.n = int(dimension)
         self.d = int(constraints)
         self.variant = config.variant
-        self.base_affine = base_affine
-        if base_affine is not None:
-            self.base_affine = (np.asarray(base_affine[0], dtype=float),
-                                np.asarray(base_affine[1], dtype=float))
+        # the rows J every round's multiplier sits on, or None for the round's own
+        self.fixed_rows = (np.asarray(base_affine[0], dtype=float)
+                           if self.variant == "llp_perturbed" else None)
 
         x0 = _start_point(config, domain, self.n)
 
@@ -156,7 +160,6 @@ class LlpLearner:
         # folded aggregate state
         self.ccum = np.zeros(self.n)
         self.lag_lin = np.zeros(self.n)
-        self.lam_sum = np.zeros(self.d)
         self.prox_S = 0.0
         self.prox_b = np.zeros(self.n)
 
@@ -194,8 +197,12 @@ class LlpLearner:
         if bundle is None:
             bundle = self._zero_bundle
         self.flags = ""
+        W, u = truth.constraint_affine
+        # J~ and J; only J~ is read before x is played
+        jp, j = ((bundle.constraint_affine[0], W) if self.fixed_rows is None
+                 else (self.fixed_rows,) * 2)
 
-        x, vt = self._primal(bundle)
+        x, vt = self._primal(bundle, jp)
         lam = self.lam
         ct = bundle.cost_gradient
         if ct is None:
@@ -203,14 +210,13 @@ class LlpLearner:
             ct = w * (x - c)
 
         self.f_value, c_t = truth.cost(x)
-        W, u = truth.constraint_affine
         gvals = W @ x + u
-        h = self._mismatch_norm(c_t - ct, W, bundle.constraint_affine[0], lam)
+        h = norm(c_t - ct + (j - jp).T @ lam)
 
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
 
-        z, gz = self._prescient(W, u, x, c_t, gvals, lam)
+        z, gz = self._prescient(W, u, j, x, c_t, gvals, lam)
 
         dxz = norm(x - z)
         self.max_xz = max(self.max_xz, dxz)
@@ -238,9 +244,9 @@ class LlpLearner:
             return self.prox_b / self.prox_S
         return np.zeros(self.n)
 
-    def _objective(self, lam: np.ndarray, bundle: PredictionBundle):
+    def _objective(self, lam: np.ndarray, bundle: PredictionBundle, jp: np.ndarray):
         """(S, centre, linear) of the primal aggregate with the round's multiplier
-        fixed at lam: S/2 ||x - centre||^2 + <linear, x> over the box."""
+        fixed at lam on rows jp: S/2 ||x - centre||^2 + <linear, x> over the box."""
         linear = self.ccum
         S, center = self.prox_S, self._center()
         if bundle.cost_gradient is None:
@@ -250,17 +256,14 @@ class LlpLearner:
             S = S + w
         else:
             linear = linear + bundle.cost_gradient
-        if self.variant == "llp_perturbed":
-            linear = linear + self.base_affine[0].T @ (self.lam_sum + lam)
-        else:
-            linear = linear + self.lag_lin
-            # the builtin any over the few entries of the 1-D lam: ndarray.any
-            # runs a Python-level wrapper before its reduction
-            if any(lam):
-                linear = linear + bundle.constraint_affine[0].T @ lam
+        linear = linear + self.lag_lin
+        # the builtin any over the few entries of the 1-D lam: ndarray.any
+        # runs a Python-level wrapper before its reduction
+        if any(lam):
+            linear = linear + jp.T @ lam
         return S, center, linear
 
-    def _primal(self, bundle: PredictionBundle):
+    def _primal(self, bundle: PredictionBundle, jp: np.ndarray):
         """(x_t, the value forecast v~ it used); sets the round's lam and solver residual.
 
         One exact step at lam = [a_t (sum g(z) + v~)]_+, or at lam = 0 in
@@ -270,7 +273,7 @@ class LlpLearner:
         vt = bundle.predicted_value
         lam = (np.zeros(self.d) if self.t == 1 or vt is None
                else dual_step(self.a_t, self.cum_gz, vt))
-        S, center, linear = self._objective(lam, bundle)
+        S, center, linear = self._objective(lam, bundle, jp)
         x = exact_step(self.domain, S, center, linear, self.last_x)
         self.solver_residual = 0.0
         if vt is None:
@@ -279,22 +282,20 @@ class LlpLearner:
             if self.t > 1:
                 lam = dual_step(self.a_t, self.cum_gz, vt)
                 if (lam > 0.0).any():
-                    x = self._fixed_point(S, center, linear, bundle)
+                    x = self._fixed_point(S, center, linear, bundle, jp)
                     vt = W @ x + u
                     lam = dual_step(self.a_t, self.cum_gz, vt)
         self.lam = lam
         return x, vt
 
     def _fixed_point(self, S: float, center: np.ndarray, linear: np.ndarray,
-                     bundle: PredictionBundle) -> np.ndarray:
-        """x with lam = [a_t (sum g(z) + W~ x + u~)]_+ on; sets the solver residual.
+                     bundle: PredictionBundle, jp: np.ndarray) -> np.ndarray:
+        """x with lam = [a_t (sum g(z) + W~ x + u~)]_+ on rows jp; sets the solver residual.
 
         (S, centre, linear) is the aggregate at lam = 0.
         """
         a_dual, cum = self.a_t, self.cum_gz
         W, u = bundle.constraint_affine
-        # J, the rows the primal puts the multiplier on
-        jp = self.base_affine[0] if self.variant == "llp_perturbed" else W
         x = self._scalar_zero(S, center, linear, bundle, jp)
         if x is not None:
             return x
@@ -354,11 +355,6 @@ class LlpLearner:
 
     # -- observation and regularizers ------------------------------------------
 
-    def _mismatch_norm(self, eps, W, pred_W, lam) -> float:
-        if self.variant == "llp_perturbed":
-            return norm(eps)
-        return norm(eps + (W - pred_W).T @ lam)
-
     def _advance_regularizer(self, h: float, x: np.ndarray | None, mu: float) -> None:
         """Raise the prox weight to sigma sqrt(h_cum + mu); llp2 passes no x to centre it at."""
         self.h_cum += h
@@ -371,22 +367,14 @@ class LlpLearner:
 
     # -- prescient -------------------------------------------------------------
 
-    def _prescient(self, W, u, x, c_t, gvals, lam):
-        """(z, g(z) = W z + u); folds the round's cost gradient and multiplier into the state."""
-        folded = [self.ccum, c_t]  # the summands of linear, for the tie scale
+    def _prescient(self, W, u, j, x, c_t, gvals, lam):
+        """(z, g(z) = W z + u); folds the round's cost gradient and j^T lam into the state."""
+        folded = [self.ccum, c_t, self.lag_lin]  # the summands of linear, for the tie scale
         self.ccum = linear = self.ccum + c_t
-        lin = None
-        if self.variant == "llp_perturbed":
-            # the fixed row's fold W^T lam_sum is redone from lam_sum each round
-            self.lam_sum = self.lam_sum + lam
-            lin = self.base_affine[0].T @ self.lam_sum
-        else:
-            linear = linear + self.lag_lin
-            folded.append(self.lag_lin)
-            if any(lam):
-                lin = W.T @ lam
-                self.lag_lin = self.lag_lin + lin
-        if lin is not None:
+        linear = linear + self.lag_lin
+        if any(lam):
+            lin = j.T @ lam
+            self.lag_lin = self.lag_lin + lin
             linear = linear + lin
             folded.append(lin)
         if self.prox_S == 0.0:

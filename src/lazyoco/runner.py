@@ -230,6 +230,14 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     hs, bs = grid["horizons"], grid["betas"]
     if any(b <= a for a, b in zip(hs, hs[1:])):
         raise ConfigurationError("sweep.horizons must be strictly increasing")
+    # a beta's cells, trace paths and exponent entry are keyed by its :g form
+    keys: dict[str, float] = {}
+    for beta in bs:
+        key = f"{beta:g}"
+        if key in keys:
+            raise ConfigurationError(f"sweep.betas {keys[key]!r} and {beta!r} both print as "
+                                     f"{key}, so their cells would share keys")
+        keys[key] = beta
     reps = _field(doc, "repetitions", "sweep", int, 1)
     if reps < 1:
         raise ConfigurationError("sweep.repetitions must be a positive integer")

@@ -41,7 +41,6 @@ __all__ = [
     "FtrlObjective",
     "SolveResult",
     "minimize",
-    "dual_closed_form",
     "dual_step",
 ]
 
@@ -158,14 +157,7 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
                        iterations=settings.max_iterations)
 
 
-def dual_closed_form(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Maximizer of <lam, cumulative + predicted> - ||lam||^2 / (2 a_t) over lam >= 0."""
-    if not (a_t > 0.0 and math.isfinite(a_t)):
-        raise ConfigurationError(f"dual step size must be positive, got {a_t}")
-    return dual_step(a_t, np.asarray(cumulative, dtype=float), np.asarray(predicted, dtype=float))
-
-
 def dual_step(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """[a_t (cumulative + predicted)]_+, the formula of `dual_closed_form` without
-    its checks: for float arrays and a step size the caller knows is positive."""
+    """Maximizer of <lam, cumulative + predicted> - ||lam||^2 / (2 a_t) over lam >= 0,
+    [a_t (cumulative + predicted)]_+, for float arrays and a positive a_t."""
     return np.maximum(a_t * (cumulative + predicted), 0.0)

@@ -15,7 +15,7 @@ import pytest
 
 from lazyoco import runner
 from lazyoco.analysis import ComparatorFold, fit_growth_exponent, regret_certificate
-from lazyoco.solver import dual_closed_form, minimize
+from lazyoco.solver import dual_step, minimize
 from lazyoco.solver import SolverSettings
 
 import helpers
@@ -163,7 +163,7 @@ def test_criterion_05_dual_update_closed_form():
         a_t = float(rng.uniform(0.05, 1.0))
         cumulative = rng.uniform(-1.5, 1.5, size=d)
         predicted = rng.uniform(-1.5, 1.5, size=d)
-        lam = dual_closed_form(a_t, cumulative, predicted)
+        lam = dual_step(a_t, cumulative, predicted)
         ref = dual_grid_argmax(a_t, cumulative + predicted, resolution=1e-3)
         worst = max(worst, float(np.linalg.norm(lam - ref)))
     elapsed = time.monotonic() - start

@@ -9,7 +9,7 @@ from lazyoco.predictors import PredictionBundle, make_predictor
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
 from lazyoco.sets import Box, ConfigurationError, positive_part
 
-from helpers import grid_min_1d, play, play_run, refine_min_box_vec, saddle_point_grid
+from helpers import grid_min_1d, play, play_run, refine_min_box_vec, saddle_point_grid, sample
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -51,6 +51,17 @@ def test_round_one_perfect_forecast_plays_vertex():
     assert r.x[0] == expected
 
 
+def round_mismatch(learner, eps, W, pred_W, lam):
+    """h of one mid-run round played at multiplier lam, with cost-gradient
+    error eps, true rows W and forecast rows pred_W."""
+    learner.t, learner.a_t, learner.cum_gz = 1, 1.0, np.zeros(len(lam))
+    zeros = np.zeros(len(lam))
+    bundle = affine_bundle(np.zeros(learner.n), pred_W, zeros, value=lam)
+    play(learner, affine_round(eps, 0.0, W, zeros), bundle)
+    assert np.array_equal(learner.lam, lam)
+    return learner.h_cum
+
+
 def test_mismatch_norm_formula():
     """eps=(1,0), delta row=(0.5,0.5), lam=(2) -> h = ||(2,1)|| = sqrt(5)."""
     learner = LlpLearner(cfg(), Box(-np.ones(2), np.ones(2)), 2, 1)
@@ -58,13 +69,12 @@ def test_mismatch_norm_formula():
     jac_x = np.array([[1.0, 1.0]])
     bundle = affine_bundle([0.0, 0.0], [[0.5, 0.5]], [0.0], value=[0.0])
     lam = np.array([2.0])
-    x = np.zeros(2)
-    h = learner._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
+    h = round_mismatch(learner, eps, jac_x, bundle.constraint_affine[0], lam)
     assert h == pytest.approx(math.sqrt(5.0), abs=1e-15)
 
     pert = LlpLearner(cfg("llp_perturbed"), Box(-np.ones(2), np.ones(2)), 2, 1,
                       base_affine=(np.array([[1.0, 0.0]]), np.array([0.0])))
-    h = pert._mismatch_norm(eps, jac_x, bundle.constraint_affine[0], lam)
+    h = round_mismatch(pert, eps, jac_x, bundle.constraint_affine[0], lam)
     assert h == 1.0  # perturbed variant only sees the cost-gradient error
 
 
@@ -205,9 +215,9 @@ LAZY_VARIANTS = ("llp", "llp2", "llp_perturbed")
 def primal_case(rng, variant, n, d, S, zero_jacobian):
     """A learner mid-run, after a dual step, with an exact affine bundle.
 
-    Returns (learner, bundle, J, fixed) where the variant's primal puts the
-    multiplier on J and adds fixed to it (the perturbed variant's folded
-    multiplier sum).
+    Returns (learner, bundle, J) where the variant's primal puts the
+    multiplier on J: the base rows for the perturbed variant, whose folded
+    multipliers seed lag_lin, else the forecast rows.
     """
     perturbed = variant == "llp_perturbed"
     base_W = rng.uniform(-1.0, 1.0, size=(d, n))
@@ -221,7 +231,7 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     learner.a_t = float(rng.uniform(0.2, 2.0))
     learner.cum_gz = rng.uniform(-1.0, 1.5, size=d)
     if perturbed:
-        learner.lam_sum = rng.uniform(0.0, 2.0, size=d)
+        learner.lag_lin = base_W.T @ rng.uniform(0.0, 2.0, size=d)
         # forecast rows are nonnegative multiples of the base rows
         W = rng.uniform(0.0, 1.5, size=(d, 1)) * base_W
     else:
@@ -230,9 +240,7 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     if zero_jacobian:
         W = np.zeros((d, n))
     bundle = affine_bundle(rng.normal(size=n), W, rng.uniform(-0.5, 0.5, size=d))
-    if perturbed:
-        return learner, bundle, base_W, learner.lam_sum
-    return learner, bundle, W, np.zeros(d)
+    return learner, bundle, base_W if perturbed else W
 
 
 @pytest.mark.parametrize("variant", LAZY_VARIANTS)
@@ -244,9 +252,9 @@ def test_primal_fixed_point_against_grid(variant, n, d):
     active = 0
     for case in range(6):
         S = 0.0 if case % 2 == 0 else float(rng.uniform(0.5, 3.0))
-        learner, bundle, J, fixed = primal_case(rng, variant, n, d, S, case >= 4)
+        learner, bundle, J = primal_case(rng, variant, n, d, S, case >= 4)
         a_dual, cum = learner.a_t, learner.cum_gz
-        x, vt = learner._primal(bundle)
+        x, vt = learner._primal(bundle, J)
         lam = learner.lam
         assert learner.flags == ""
         W, u = bundle.constraint_affine
@@ -254,9 +262,7 @@ def test_primal_fixed_point_against_grid(variant, n, d):
         assert np.array_equal(lam, positive_part(a_dual * (cum + vt)))
         active += bool(np.any(lam > 0.0))
 
-        linear = learner.ccum + bundle.cost_gradient + J.T @ (fixed + lam)
-        if variant != "llp_perturbed":
-            linear = linear + learner.lag_lin
+        linear = learner.ccum + bundle.cost_gradient + learner.lag_lin + J.T @ lam
         center = learner.prox_b / S if S > 0.0 else np.zeros(n)
 
         def subproblem(pts):
@@ -337,6 +343,30 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     assert all(perfect)
     if n == 1:
         assert perfect == []
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2)])
+def test_llp_perturbed_is_llp_when_rows_are_base(n, d):
+    """With forecast and true rows equal to the base rows, J is the same for
+    both variants, so they play the same rounds bit for bit."""
+    rng = np.random.default_rng(10 * n + d)
+    base_W = rng.uniform(-1.0, 1.0, size=(d, n))
+    box = Box(-np.ones(n), np.ones(n))
+    llp = LlpLearner(cfg(), box, n, d)
+    pert = LlpLearner(cfg("llp_perturbed"), box, n, d, base_affine=(base_W, np.zeros(d)))
+    active = 0
+    for t in range(1, 61):
+        c, u = rng.normal(size=n), rng.uniform(-0.2, 0.6, size=d)
+        truth = affine_round(c, 0.0, base_W, u)
+        # a noisy cost forecast, the exact rows, and v~ deferred or given
+        value = None if t % 3 else base_W @ sample(box, rng) + u
+        bundle = affine_bundle(c + 0.3 * rng.normal(size=n), base_W, u, value=value)
+        a, b = play(llp, truth, bundle), play(pert, truth, bundle)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.lam, b.lam), t
+        assert np.array_equal(a.cum_gz, b.cum_gz), t
+        assert (a.h_cum, a.prox_S) == (b.h_cum, b.prox_S), t
+        active += bool(np.any(a.lam > 0.0))
+    assert active > 10 and llp.prox_S > 0.0
 
 
 def test_llp_perturbed_requires_base_constraint():

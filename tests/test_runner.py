@@ -521,6 +521,17 @@ def test_cli_rejects_sweep_grid_types(tmp_path, capsys, monkeypatch, key, values
     assert not list(tmp_path.glob("sw*"))
 
 
+def test_cli_rejects_betas_that_print_alike(tmp_path, capsys, monkeypatch):
+    # cells, trace paths and exponents are keyed by beta's :g form, so these
+    # betas used to collapse 12 cells into 4 and exit 0
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
+           "horizons": [10, 20, 40, 80], "betas": [0.5, 0.5000001, 0.5]}
+    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
+    assert "sweep.betas 0.5 and 0.5000001 both print as 0.5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw*"))
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAZYOCO_WORKERS", "3")
     assert runner.worker_count() == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lazyoco.sets import Box, ConfigurationError, exact_step
-from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_closed_form, minimize
+from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_step, minimize
 
 from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec, sample
 
@@ -203,11 +203,11 @@ def test_max_iterations_reports_best_iterate():
 
 
 def test_dual_closed_form_examples():
-    out = dual_closed_form(0.5, np.array([3.0, -2.0]), np.array([1.0, 0.0]))
+    out = dual_step(0.5, np.array([3.0, -2.0]), np.array([1.0, 0.0]))
     assert np.array_equal(out, [2.0, 0.0])
-    out = dual_closed_form(1.0, np.array([-1.0, -3.0]), np.array([0.5, 1.0]))
+    out = dual_step(1.0, np.array([-1.0, -3.0]), np.array([0.5, 1.0]))
     assert np.array_equal(out, [0.0, 0.0])
-    out = dual_closed_form(1.0, np.array([4.0]), np.array([1.0]))
+    out = dual_step(1.0, np.array([4.0]), np.array([1.0]))
     assert np.array_equal(out, [5.0])
     # brute agreement on the same instance
     grid = dual_grid_argmax(1.0, np.array([5.0]), resolution=1e-4, pad=5.0)
@@ -222,16 +222,9 @@ def test_dual_closed_form_matches_grid_argmax():
         a_t = rng.uniform(0.05, 1.2)
         cum = rng.uniform(-1.5, 1.5, size=d)
         pred = rng.uniform(-1.0, 1.0, size=d)
-        lam = dual_closed_form(a_t, cum, pred)
+        lam = dual_step(a_t, cum, pred)
         grid = dual_grid_argmax(a_t, cum + pred)
         assert np.linalg.norm(lam - grid) <= 1e-3, f"instance {i}"
-
-
-def test_dual_step_size_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        dual_closed_form(0.0, np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ConfigurationError):
-        dual_closed_form(-1.0, np.array([1.0]), np.array([0.0]))
 
 
 def test_solver_settings_validation():

@@ -7,7 +7,9 @@ The first form plays every cell of the matrix with the `lazyoco` package
 under SRC_DIR (default: the `src/` next to this script) and writes, per
 cell, its trace `<cell>.csv` (`<cell>.json` for a JSON cell) and the
 trace's `.summary.json`, or `<cell>.error` with the message of the
-ConfigurationError or exception that stopped it.  To check a change for
+ConfigurationError or exception that stopped it.  A sweep cell writes
+each of its runs' traces and summaries, `<cell>_beta<b>_T<T>_rep<r>.csv`,
+and its report `<cell>.sweep.json`.  To check a change for
 byte-identity, run it once per checkout (pointing --src at each tree, or
 copying this script into the older one) and compare the two directories.
 
@@ -50,7 +52,10 @@ The matrix:
   limit and its row carries the `primal_solver` flag;
 - the T = 173 cells and the two criterion-11 configs again with
   `output.format = "json"`, as `<cell>__json`, so both trace writers are
-  checked.
+  checked;
+- `sweep_noisy`: a sweep of `llp` with the noisy predictor (level 0.3,
+  seed 4) on `alternating_linear` (seed 3), betas 0 and 0.5, horizons 50,
+  100, 200 and 400, 2 repetitions.
 """
 
 from __future__ import annotations
@@ -155,20 +160,37 @@ def cells() -> dict[str, dict]:
     return out
 
 
+def sweep_cells() -> dict[str, dict]:
+    """Sweep cell name -> sweep config document (its base without an output path)."""
+    return {"sweep_noisy": {
+        "base": {"scenario": {"kind": "alternating_linear", "horizon": 50, "seed": 3},
+                 "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+                 "predictor": {"kind": "noisy", "level": 0.3, "seed": 4}},
+        "betas": [0.0, 0.5], "horizons": [50, 100, 200, 400], "repetitions": 2,
+    }}
+
+
 def write_matrix(out_dir: str, src: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from lazyoco import runner
+
+    def play(name, write):
+        try:
+            write()
+        except Exception as exc:  # noqa: BLE001 - the failure is the cell's output
+            with open(os.path.join(out_dir, name + ".error"), "w", encoding="utf-8") as fh:
+                fh.write(f"{type(exc).__name__}: {exc}\n")
 
     os.makedirs(out_dir, exist_ok=True)
     for name, doc in cells().items():
         output = doc.get("output", {})
         path = os.path.join(out_dir, f"{name}.{output.get('format', 'csv')}")
         doc = dict(doc, output={**output, "path": path})
-        try:
-            runner.write_trace(runner.execute_run(runner.parse_run_config(doc)))
-        except Exception as exc:  # noqa: BLE001 - the failure is the cell's output
-            with open(os.path.join(out_dir, name + ".error"), "w", encoding="utf-8") as fh:
-                fh.write(f"{type(exc).__name__}: {exc}\n")
+        play(name, lambda: runner.write_trace(
+            runner.execute_run(runner.parse_run_config(doc))))
+    for name, doc in sweep_cells().items():
+        doc = dict(doc, base={**doc["base"], "output": {"path": os.path.join(out_dir, name)}})
+        play(name, lambda: runner.sweep(runner.parse_sweep_config(doc)))
 
 
 def _read_trace(path: str) -> tuple[list[str], list[list[str]]]:
