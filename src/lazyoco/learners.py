@@ -40,16 +40,19 @@ J~ = W~, J~^T lam is the gradient of the convex penalty
 ||[a (cum + W~ x + u~)]_+||^2 / (2a), so the pair is one convex problem.
 The primal step takes one exact step, at the fixed multiplier or at
 lam = 0; with a deferred v~ it keeps that point if the multiplier stays
-0 there, and otherwise makes one solve with the penalty term, exact over
-the breakpoints in the scalar case.  The multiplier is read off the
-chosen action, so the recorded mismatch sequence is always the one
-actually used by the updates.
+0 there, and otherwise solves the fixed point: exactly over the
+breakpoints when n = 1; by one exact step at lam = [a (cum + u~)]_+ when
+the penalty has no curvature (W~ = 0, so lam does not depend on x, or
+J~ = 0, so lam does not move x); and only otherwise by `solver.minimize`
+on the penalty term.  The multiplier is read off the chosen action, so
+the recorded mismatch sequence is always the one actually used by the
+updates.
 
-Every step without the penalty term (the primal step at a fixed
-multiplier, the lam = 0 step and the prescient step) is one prox
-projection or vertex rule, and calls `sets.exact_step` directly on the
-arrays the learner holds; `solver.minimize` is the penalty's path.  The
-start point is checked against the set once, at construction.
+Every step but that last one (the primal step at a fixed multiplier,
+the lam = 0 step, the zero-curvature fixed point and the prescient step)
+is one prox projection or vertex rule, and calls `sets.exact_step`
+directly on the arrays the learner holds.  The start point is checked
+against the set once, at construction.
 """
 
 from __future__ import annotations
@@ -294,11 +297,15 @@ class LlpLearner:
 
         (S, centre, linear) is the aggregate at lam = 0.
         """
+        if self.n == 1:
+            return self._scalar_zero(S, center, linear, bundle, jp)
         a_dual, cum = self.a_t, self.cum_gz
         W, u = bundle.constraint_affine
-        x = self._scalar_zero(S, center, linear, bundle, jp)
-        if x is not None:
-            return x
+        smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
+        if smoothness == 0.0:
+            # W~ = 0 fixes lam at [a (cum + u~)]_+, and J~ = 0 keeps it from moving x
+            return exact_step(self.domain, S, center, linear + jp.T @ dual_step(a_dual, cum, u),
+                              self.last_x)
 
         # one term with gradient J^T lam(x); with J = W~ that is the
         # convex penalty ||lam(x)||^2 / (2a) it reports
@@ -306,7 +313,6 @@ class LlpLearner:
             lam = dual_step(a_dual, cum, W @ x + u)
             return 0.5 * float(lam @ lam) / a_dual, jp.T @ lam
 
-        smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
         obj = FtrlObjective(self.domain, S, center, linear, [(penalty, smoothness)])
         res = minimize(obj, self.cfg.solver, fallback=self.last_x)
         if not res.converged:
@@ -316,20 +322,17 @@ class LlpLearner:
         return res.x
 
     def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
-                     bundle: PredictionBundle, jp):
-        """Exact primal point for n = 1, or None.
+                     bundle: PredictionBundle, jp) -> np.ndarray:
+        """Exact primal point for n = 1.
 
         The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
-        linear, and nondecreasing when every p_i f_i >= 0; its zero is found
-        over the sorted breakpoints and clipped to the set.
+        linear, and nondecreasing since every p_i f_i >= 0 (p = f, or for
+        `llp_perturbed` f is a nonnegative multiple of the base row p); its
+        zero is found over the sorted breakpoints and clipped to the set.
         """
-        if self.n != 1:
-            return None
         a_dual = self.a_t
         rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
                         (self.cum_gz + bundle.constraint_affine[1]).tolist()))
-        if any(p * f < 0.0 for p, f, _ in rows):
-            return None
         offset = float(linear[0]) - S * float(center[0])
 
         def deriv(x: float) -> float:

@@ -537,6 +537,8 @@ def write_plot(result: RunResult, path: str) -> str:
 
 def run_command(config_path: str, plot: bool = False) -> dict:
     config = parse_run_config(load_json(config_path))
+    if plot and config.output.path is None:
+        raise ConfigurationError("--plot writes its chart next to the trace: set output.path")
     result = execute_run(config)
     if config.output.path is not None:
         write_trace(result)

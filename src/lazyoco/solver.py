@@ -4,22 +4,22 @@ The aggregate objective always has the shape
 
     S/2 ||x - center||^2 + <linear, x> + sum_i f_i(x)
 
-over a box.  With no terms the minimizer is exact: `sets.exact_step`, a
-prox projection when S > 0, a vertex rule when S = 0.  The learners fold
-every round, whose constraint is affine, into `linear`, so their steps
-call `exact_step` directly on arrays they already hold.  `minimize`
-checks its inputs once, at entry, and handles terms: the penalty of a
-learner's fixed point for a deferred value forecast, where the exact
-scalar step does not apply, and the general convex objectives criterion
-06 checks.  A term is a pair (f, L): f(x) returns the term's value and
+over a box.  `minimize` is the iterative method for objectives with
+curved terms and nothing else: the closed-form step, a prox projection
+when S > 0 and a vertex rule when S = 0, is `sets.exact_step`, which the
+learners call directly on the arrays they hold.  An objective without
+terms, or a smooth one with no curvature at all (S + sum_i L_i = 0), is
+refused with a `ConfigurationError` that points there.  `minimize`
+checks its inputs once, at entry, and serves the penalty of a learner's
+fixed point for a deferred value forecast (n >= 2, with nonzero W~ and
+J~) and the general convex objectives criterion 06 checks.  A term is a pair (f, L): f(x) returns the term's value and
 gradient, and L is the Lipschitz constant of that gradient, or None for
-a nonsmooth term.  Terms are handled iteratively: projected gradient with
-a fixed step 1 / (S + sum_i L_i) when every term is smooth, projected
-subgradient with step ~ 1/sqrt(k) and best-iterate tracking otherwise.
+a nonsmooth term.  When every term is smooth the method is projected
+gradient with a fixed step 1 / (S + sum_i L_i); otherwise it is
+projected subgradient with step ~ 1/sqrt(k) and best-iterate tracking.
 Convergence is judged by the norm of the gradient map
-x - project(x - grad(x) / max(S, 1)).  The `fallback` argument breaks
-ties of the vertex rule (coordinates with zero slope) and is where the
-iterations start; without it they start at the prox center.
+x - project(x - grad(x) / max(S, 1)).  The iterations start at
+`fallback`, or at the prox center without one.
 
 The dual maximization is never iterative: with a quadratic dual
 regularizer the maximizer over the nonnegative orthant is the closed
@@ -29,12 +29,12 @@ form [a_t (cumulative + predicted)]_+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sets import ConfigurationError, _vector, exact_step, norm
+from .sets import ConfigurationError, norm
 
 __all__ = [
     "SolverSettings",
@@ -68,7 +68,7 @@ class FtrlObjective:
     quad_weight: float
     quad_center: np.ndarray
     linear: np.ndarray
-    constraint_terms: list[Term] = field(default_factory=list)
+    constraint_terms: list[Term]
 
     def value(self, x: np.ndarray) -> float:
         diff = x - self.quad_center
@@ -99,38 +99,29 @@ def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> f
 
 def minimize(obj: FtrlObjective, settings: SolverSettings,
              fallback: np.ndarray | None = None) -> SolveResult:
-    """Minimize an aggregate objective over its feasible set.
+    """Minimize an aggregate objective with at least one term over its feasible set.
 
     Inputs are checked at entry; the iterates then stay in the box, so each step is a clip.
     """
     S = float(obj.quad_weight)
     if S < 0.0:
         raise ConfigurationError("quadratic weight must be nonnegative")
-
     if not obj.constraint_terms:
-        # the checks the learners' direct calls leave to their own boundaries
-        n = obj.domain.dimension
-        center = _vector(obj.quad_center, n, "center") if S > 0.0 else obj.quad_center
-        if fallback is not None:
-            fallback = _vector(fallback, n, "fallback")
-        x = exact_step(obj.domain, S, center, _vector(obj.linear, n, "linear"), fallback)
-        return SolveResult(x=x, residual=0.0, converged=True)
-
+        raise ConfigurationError("an objective without terms is one closed-form step: "
+                                 "use sets.exact_step")
     smooth = all(L is not None for _, L in obj.constraint_terms)
     if smooth:
         curvature = S + sum(L for _, L in obj.constraint_terms)
         if curvature <= 0.0:
-            # every term is affine after all; evaluate once and fold
-            folded = obj.linear.copy()
-            for f, _ in obj.constraint_terms:
-                folded = folded + f(obj.quad_center)[1]
-            x = obj.domain.argmin_linear(folded, fallback=fallback)
-            return SolveResult(x=x, residual=0.0, converged=True)
+            raise ConfigurationError("a smooth objective with zero curvature is linear, "
+                                     "one closed-form step: use sets.exact_step")
 
     start = fallback if fallback is not None else obj.quad_center
     x = obj.domain.project(np.asarray(start, dtype=float))
     lo, hi = obj.domain.lower, obj.domain.upper
-    best_x, best_val, best_res = x, obj.value(x), math.inf
+    best_res = math.inf
+    if not smooth:
+        best_x, best_val = x, obj.value(x)
 
     for k in range(1, settings.max_iterations + 1):
         grad = obj.gradient(x)

@@ -280,7 +280,8 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
 
     Every round ties: the primal objective is linear and its slope vanishes
     at the fixed point, so iterating lam -> x(lam) jumps between the ends of
-    the interval.  The exact scalar step needs no solve beyond lam = 0.
+    the interval.  The exact scalar step needs no solve beyond lam = 0, and
+    at n = 1 `minimize` never runs.
     """
     calls = []
     real_minimize = learners.minimize
@@ -303,7 +304,7 @@ def test_exact_forecasts_scalar_fixed_point(monkeypatch):
             assert np.array_equal(r.lam, want)
             interior += bool(-1.0 < r.x[0] < 1.0 and r.lam[0] > 0.0)
     assert interior > 50
-    assert len(calls) <= 2 * 200
+    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ("llp", "llp2"))
@@ -314,7 +315,7 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     `perfect_gradients` gives the value forecast outright, so every step is
     one exact projection and `minimize` never runs.  `perfect` defers it, and
     `minimize` runs only for a solve that carries the fixed-point penalty
-    term (n >= 2 with the multiplier on).
+    term with a positive smoothness (n >= 2 with the multiplier on).
     """
     steps, calls = [], []
     real_step, real_minimize = learners.exact_step, learners.minimize
@@ -325,7 +326,7 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
 
     def counted(obj, settings, **kw):
         res = real_minimize(obj, settings, **kw)
-        calls[-1].append(bool(obj.constraint_terms))
+        calls[-1].append(any(L > 0.0 for _, L in obj.constraint_terms))
         return res
 
     monkeypatch.setattr(learners, "exact_step", counted_step)
@@ -343,6 +344,28 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     assert all(perfect)
     if n == 1:
         assert perfect == []
+
+
+@pytest.mark.parametrize("variant", ("llp", "llp2"))
+def test_blind_constraint_forecast_fixed_point_is_one_exact_step(monkeypatch, variant):
+    """`noisy` at level 1 forecasts the rows as W~ = 0, so the multiplier of a
+    deferred v~ is [a (cum + u~)]_+ whatever x is: the n >= 2 fixed point is
+    one exact step at that multiplier, and `minimize` never runs."""
+    entered, calls = [], []
+    real_fixed_point, real_minimize = LlpLearner._fixed_point, learners.minimize
+
+    def counted_fixed_point(self, *args):
+        entered.append(1)
+        return real_fixed_point(self, *args)
+
+    monkeypatch.setattr(LlpLearner, "_fixed_point", counted_fixed_point)
+    monkeypatch.setattr(learners, "minimize",
+                        lambda *args, **kw: calls.append(1) or real_minimize(*args, **kw))
+    sc = make_scenario("random_quadratic", horizon=400, dimension=3, constraints=2, seed=3)
+    learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, 3, 2)
+    run_rounds(learner, sc, "noisy", 400, level=1.0, seed=4)
+    assert entered and calls == []
+    assert learner.flag_counts == {}
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 2)])

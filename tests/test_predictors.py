@@ -135,6 +135,28 @@ def test_perfect_gradients_predicts_zero_value():
     assert W[0, 0] == 0.79
 
 
+def test_deferred_rows_on_perturbed_linear_are_nonnegative_base_multiples():
+    """Every forecast that defers v~ on `perturbed_linear` has rows W~ = c B with
+    c >= 0 and B the base rows, so the `llp_perturbed` scalar fixed point, whose
+    multiplier sits on B, has a nondecreasing derivative and its breakpoint rule
+    is exact."""
+    deferring = set()
+    for kind in PREDICTOR_KINDS:
+        for level in (0.3, 1.0, 2.5):
+            sc = make_scenario("perturbed_linear", horizon=100, seed=3)
+            B = sc.base_affine[0]
+            p = predictor_for(sc, kind, level=level, seed=4)
+            for truth in draw_rounds(sc, 100):
+                bundle = p.bundle_for(truth)
+                if bundle.predicted_value is not None:
+                    continue
+                deferring.add(kind)
+                W = bundle.constraint_affine[0]
+                c = float(np.sum(W * B) / np.sum(B * B))
+                assert c >= 0.0 and np.array_equal(W, c * B), (kind, level)
+    assert deferring == {"perfect", "noisy"}
+
+
 def test_predictor_kind_registry():
     assert set(PREDICTOR_KINDS) == {"none", "perfect", "perfect_gradients",
                                     "noisy", "adversarial"}

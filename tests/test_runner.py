@@ -627,6 +627,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, "doomed.json", doomed)]) == 3
 
 
+def test_cli_plot_without_output_path_is_refused(tmp_path, capsys, monkeypatch):
+    """`--plot` draws next to the trace, so a config without `output.path` is
+    refused before the run starts instead of exiting 0 with nothing written."""
+    doc = base_doc()
+    doc["scenario"]["horizon"] = 20
+    path = write_config(tmp_path, "run.json", doc)
+    monkeypatch.setattr(runner, "execute_run", lambda config: pytest.fail("the run started"))
+    assert cli.main(["run", path, "--plot"]) == 2
+    assert "output.path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 def test_retired_linearized_variant_is_refused(tmp_path, capsys):
     """`llp_linearized` was `llp` on affine constraints; the refusal names `llp`."""
     doc = base_doc(output={"path": str(tmp_path / "t.csv")})

@@ -14,10 +14,8 @@ BOX2 = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
 def test_prox_projection_closed_form():
     # S=2, center 0, linear (3,-1): prox point (-1.5, 0.5) clamps to the box
-    obj = FtrlObjective(BOX2, 2.0, np.zeros(2), np.array([3.0, -1.0]))
-    res = minimize(obj, SolverSettings())
-    assert np.array_equal(res.x, [-1.0, 0.5])
-    assert res.residual == 0.0 and res.converged
+    x = exact_step(BOX2, 2.0, np.zeros(2), np.array([3.0, -1.0]))
+    assert np.array_equal(x, [-1.0, 0.5])
 
 
 def test_smooth_constraint_term_stationary_point():
@@ -45,20 +43,17 @@ def test_nonsmooth_absolute_value_term():
 
 
 def test_linear_objective_vertex_and_fallback():
-    obj = FtrlObjective(BOX2, 0.0, np.zeros(2), np.array([0.5, -2.0]))
-    res = minimize(obj, SolverSettings())
-    assert np.array_equal(res.x, [-1.0, 1.0])
-    flat = FtrlObjective(BOX2, 0.0, np.zeros(2), np.zeros(2))
-    res = minimize(flat, SolverSettings(), fallback=np.array([0.3, -0.2]))
-    assert np.array_equal(res.x, [0.3, -0.2])
+    x = exact_step(BOX2, 0.0, np.zeros(2), np.array([0.5, -2.0]))
+    assert np.array_equal(x, [-1.0, 1.0])
+    x = exact_step(BOX2, 0.0, np.zeros(2), np.zeros(2), np.array([0.3, -0.2]))
+    assert np.array_equal(x, [0.3, -0.2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_exact_step_is_minimize_without_terms(n):
-    """The learners' direct step is, bit for bit, the checked `minimize` and the
-    box's own projection or vertex rule, on 500 random box problems."""
+def test_exact_step_is_the_checked_box_step(n):
+    """The learners' direct step is, bit for bit, the box's own checked
+    projection or vertex rule, on 500 random box problems."""
     rng = np.random.default_rng(40 + n)
-    settings = SolverSettings()
     zero_slopes = 0
     for k in range(500):
         lo = rng.uniform(-2.0, 0.0, size=n)
@@ -69,17 +64,15 @@ def test_exact_step_is_minimize_without_terms(n):
         fallback = rng.uniform(-3.0, 3.0, size=n) if k % 4 < 2 else None
         zero_slopes += int(S == 0.0 and fallback is not None and (linear == 0.0).any())
         got = exact_step(box, S, center, linear, fallback)
-        res = minimize(FtrlObjective(box, S, center, linear), settings, fallback=fallback)
         ref = box.project(center - linear / S) if S > 0.0 else \
             box.argmin_linear(linear, fallback=fallback)
         assert got.dtype == ref.dtype and got.shape == (n,)
-        assert got.tobytes() == res.x.tobytes() == ref.tobytes()
-        assert res.residual == 0.0 and res.converged
+        assert got.tobytes() == ref.tobytes()
     assert zero_slopes > 25
 
 
 def test_negative_quad_weight_rejected():
-    obj = FtrlObjective(BOX1, -1.0, np.zeros(1), np.zeros(1))
+    obj = FtrlObjective(BOX1, -1.0, np.zeros(1), np.zeros(1), [])
     with pytest.raises(ConfigurationError):
         minimize(obj, SolverSettings())
 
@@ -96,11 +89,25 @@ def test_closed_form_agrees_with_iterative_path():
         S = rng.uniform(0.5, 3.0)
         center = rng.uniform(-0.5, 0.5, size=2)
         linear = rng.uniform(-2.0, 2.0, size=2)
-        direct = minimize(FtrlObjective(BOX2, S, center, linear), SolverSettings())
+        direct = exact_step(BOX2, S, center, linear)
         iterative = minimize(
             FtrlObjective(BOX2, S, center, linear, [(zero_term, 0.0 * 2.0)]),
             SolverSettings())
-        assert np.linalg.norm(direct.x - iterative.x) <= 1e-8
+        assert np.linalg.norm(direct - iterative.x) <= 1e-8
+
+
+def affine_term(x):
+    return float(x[0]), np.ones(1)
+
+
+@pytest.mark.parametrize("S, terms", [(1.0, []), (0.0, [(affine_term, 0.0)])],
+                         ids=["no_terms", "zero_curvature"])
+def test_closed_form_objectives_are_refused(S, terms):
+    """`minimize` only iterates: an objective without terms, or a smooth one with
+    no curvature at all, is one closed-form step, and the refusal says where."""
+    obj = FtrlObjective(BOX1, S, np.zeros(1), np.array([0.5]), terms)
+    with pytest.raises(ConfigurationError, match="sets.exact_step"):
+        minimize(obj, SolverSettings())
 
 
 def random_instance(rng, n):

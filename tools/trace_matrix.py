@@ -43,6 +43,10 @@ The matrix:
 - `quadratic_1d`: `llp` with perfect forecasts on `random_quadratic` at
   n = 1, d = 2, seed 3, T = 400, `X_T`, the one cell whose 1-D comparator
   folds a row with a negative slope and solves a quadratic cost;
+- `quadratic_blind_rows`: `llp` with the noisy predictor at level 1.0
+  (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
+  forecast rows are all zero: the one cell whose n >= 2 fixed point takes
+  the zero-curvature exact step;
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
@@ -139,6 +143,12 @@ def cells() -> dict[str, dict]:
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "perfect"},
         "benchmark": {"kind": "X_T"},
+    }
+    out["quadratic_blind_rows"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
+                     "constraints": 2, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "noisy", "level": 1.0, "seed": 4},
     }
     out["bounds_override"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
