@@ -89,7 +89,7 @@ class _CostAccumulator:
             w, u, b = oracle.cost_quadratic
             self.qw += w
             self.ql += np.multiply(u, w, out=self._wu)
-            self.const += 0.5 * w * float(u @ u) + b
+            self.const += 0.5 * w * float(u.dot(u)) + b
 
     def value(self, x: np.ndarray) -> float:
         return _cost_value(self.lin, self.const, self.qw, self.ql, x)

@@ -214,7 +214,9 @@ class LlpLearner:
 
         self.f_value, c_t = truth.cost(x)
         gvals = W @ x + u
-        h = norm(c_t - ct + (j - jp).T @ lam)
+        # at lam = 0 the rows' term is a zero vector, and the norm squares
+        # away the sign of a zero
+        h = norm(c_t - ct + (j - jp).T @ lam) if any(lam) else norm(c_t - ct)
 
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
@@ -284,7 +286,7 @@ class LlpLearner:
             vt = W @ x + u
             if self.t > 1:
                 lam = dual_step(self.a_t, self.cum_gz, vt)
-                if (lam > 0.0).any():
+                if any(lam > 0.0):
                     x = self._fixed_point(S, center, linear, bundle, jp)
                     vt = W @ x + u
                     lam = dual_step(self.a_t, self.cum_gz, vt)

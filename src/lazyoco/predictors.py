@@ -158,14 +158,15 @@ class NoisyPredictor(_Predictor):
         self.last_x = np.asarray(x, dtype=float).copy()
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        # all randomness is drawn here, in the same order every round
-        e = self.rng.normal(size=self.n)
-        e = _unit(e) * self.level * self.bounds.L_f * self.rng.uniform()
-        c_guess = truth.cost(self.last_x)[1]
-        c_tilde = _clip_ball(c_guess + e, self.bounds.L_f)
+        # all randomness is drawn here, in the same order every round;
+        # standard_normal and random take the doubles normal() and uniform()
+        # would, and skip their loc/scale arithmetic
+        e = self.rng.standard_normal(self.n)
+        e = _unit(e) * self.level * self.bounds.L_f * self.rng.random()
+        c_tilde = _clip_ball(truth.cost_gradient(self.last_x) + e, self.bounds.L_f)
 
-        shift = self.rng.normal(size=self.d)
-        shift = _unit(shift) * self.bounds.G * self.rng.uniform()
+        shift = self.rng.standard_normal(self.d)
+        shift = _unit(shift) * self.bounds.G * self.rng.random()
         gamma = self.gamma
         W, u = truth.constraint_affine
         return PredictionBundle(
@@ -183,7 +184,7 @@ class AdversarialPredictor(_Predictor):
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
         b = self.bounds
-        c_true = truth.cost(self.center)[1]
+        c_true = truth.cost_gradient(self.center)
         c_tilde = -b.L_f * _unit(c_true)
 
         g_vals, J = truth.constraint(self.center)

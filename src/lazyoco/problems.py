@@ -7,12 +7,12 @@ problems whose offline comparator is solved exactly.  The oracle holds
 these descriptors and nothing else; its `cost` and `constraint` methods
 evaluate them.
 
-Rounds are drawn once, in order, and nothing is kept behind them:
-`round(t)` returns the current round when t names it and draws the next
-one when t is one past it.  Any other t is refused with
-ConfigurationError, so memory stays flat in the horizon and whoever needs
-a round again (the offline comparator, a test) keeps what it needs
-itself.
+Rounds are drawn once, in order, and never replayed: `round(t)` returns
+the current round when t names it and gives the next one when t is one
+past it.  Any other t is refused with ConfigurationError, so memory stays
+flat in the horizon and whoever needs a round again (the offline
+comparator, a test) keeps what it needs itself.  `random_quadratic` draws
+ahead in blocks of up to 256 rounds, bit-equal to drawing each round alone.
 
 Adaptive scenarios (the regret/violation lower-bound opponent) consume
 the player's actions through :meth:`record_action` before emitting the
@@ -84,7 +84,8 @@ class RoundOracle:
     cost_affine       (c, b)    with f(x) = <c, x> + b
     cost_quadratic    (w, u, b) with f(x) = w/2 ||x - u||^2 + b
 
-    cost(x) -> (f(x), grad f(x)); constraint(x) -> (g(x), W).
+    cost(x) -> (f(x), grad f(x)); cost_gradient(x) -> grad f(x);
+    constraint(x) -> (g(x), W).
     """
 
     constraint_affine: tuple[np.ndarray, np.ndarray]
@@ -109,10 +110,17 @@ class RoundOracle:
     def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.cost_affine is not None:
             c, b = self.cost_affine
-            return float(c @ x) + b, c
+            return float(c.dot(x)) + b, c
         w, u, b = self.cost_quadratic
         diff = x - u
-        return 0.5 * w * float(diff @ diff) + b, w * diff
+        return 0.5 * w * float(diff.dot(diff)) + b, w * diff
+
+    def cost_gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad f(x), the second entry of cost(x), without the cost value."""
+        if self.cost_affine is not None:
+            return self.cost_affine[0]
+        w, u, _ = self.cost_quadratic
+        return w * (x - u)
 
     def constraint(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W, u = self.constraint_affine
@@ -147,6 +155,11 @@ def _scenario_params(kind: str, params: dict | None, defaults: dict) -> dict:
 
 def affine_round(c, cb, W, u) -> RoundOracle:
     return RoundOracle(cost_affine=(c, cb), constraint_affine=(W, u))
+
+
+def _uniform(r: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """What `Generator.uniform(lo, hi)` returns from the doubles r it draws."""
+    return lo + (hi - lo) * r
 
 
 class _Scenario:
@@ -343,6 +356,9 @@ class RandomQuadratic(_Scenario):
 
     kind = "random_quadratic"
     one_dimensional = False
+    _BLOCK = 256
+    # so a large n d does not multiply a round's memory by _BLOCK
+    _BLOCK_DOUBLES = 1 << 16
     defaults = {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5}
 
     def _setup(self):
@@ -378,19 +394,32 @@ class RandomQuadratic(_Scenario):
             Delta_m=2.0 * math.sqrt(self.n_constraints) * self.matrix_scale,
         )
         self._rng = np.random.default_rng(self.seed)
+        self._width = n + self.n_constraints * n + self.n_constraints  # doubles per round
+        self._rows = max(1, min(self._BLOCK, self._BLOCK_DOUBLES // self._width))
 
-    def _draw(self) -> RoundOracle:
-        n, d = self.dimension, self.n_constraints
-        u = self._rng.uniform(-self.center_scale, self.center_scale, size=n)
-        A = self._rng.uniform(-1.0, 1.0, size=(d, n))
-        norms = np.linalg.norm(A, axis=1, keepdims=True)
-        A = A * (self.matrix_scale / np.maximum(norms, 1.0))
-        b = self._rng.uniform(0.0, self.offset_scale, size=d)
-        return RoundOracle(constraint_affine=(A, -b), cost_quadratic=(1.0, u, 0.0))
+    def _refill(self) -> None:
+        """Draw the next `_rows` rounds with one generator call, bit-equal to
+        three `uniform` calls per round.
+
+        A row holds one round's doubles in the order those calls take them
+        (u, then A row by row, then b).  The arrays are new each time, so
+        an oracle a caller kept still reads its own round.
+        """
+        n, d, k = self.dimension, self.n_constraints, self._rows
+        r = self._rng.random((k, self._width))
+        self._u = _uniform(r[:, :n], -self.center_scale, self.center_scale)
+        A = _uniform(r[:, n:n + d * n], -1.0, 1.0).reshape(k, d, n)
+        norms = np.linalg.norm(A, axis=2, keepdims=True)
+        self._A = A * (self.matrix_scale / np.maximum(norms, 1.0))
+        self._neg_b = -_uniform(r[:, n + d * n:], 0.0, self.offset_scale)
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):
-            self._current = self._draw()
+            i = (t - 1) % self._rows
+            if i == 0:
+                self._refill()
+            self._current = RoundOracle(constraint_affine=(self._A[i], self._neg_b[i]),
+                                        cost_quadratic=(1.0, self._u[i], 0.0))
         return self._current
 
 

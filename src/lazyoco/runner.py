@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -601,6 +600,10 @@ def sweep(sweep_config: SweepConfig) -> dict:
             key, summary = _run_cell(cell)
             results[key] = summary
     else:
+        # imported here: the pool loads multiprocessing and socket, which
+        # nothing else in the package needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, summary in pool.map(_run_cell, cells):
                 results[key] = summary

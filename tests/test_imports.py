@@ -1,11 +1,14 @@
 """Every name a module under src/ or tests/ imports is used in that module,
-each module of the package imports only the layers below it, and every name
-the benchmark tracer rebinds still exists."""
+each module of the package imports only the layers below it, importing the
+package loads no process pool, and every name the benchmark tracer rebinds
+still exists."""
 
 import ast
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,18 @@ def test_module_imports_only_lower_layers(layer):
     source = (PACKAGE / f"{layer}.py").read_text(encoding="utf-8")
     below = set(LAYERS[:LAYERS.index(layer)])
     assert package_imports(source) - below == set()
+
+
+def test_import_loads_no_process_pool():
+    """Only a sweep with more than one worker needs the pool, so importing the
+    package leaves multiprocessing (and the socket module it pulls in) unloaded."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lazyoco; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    src = str(pathlib.Path(lazyoco.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_tracer_names_resolve():

@@ -125,6 +125,37 @@ def test_noisy_predictor_deterministic_per_seed():
         assert np.array_equal(Wa @ x + ua, Wb @ x + ub)
 
 
+@pytest.mark.parametrize("level", [0.3, 1.5])
+def test_noisy_bundle_equals_normal_and_uniform_draws(level):
+    """The noisy forecast, bit for bit, as drawn with `normal` and `uniform` and
+    with the guessed gradient read off `cost`, at the last noted action."""
+    n, d = 5, 3
+    sc = make_scenario("random_quadratic", horizon=300, dimension=n, constraints=d, seed=6)
+    p = predictor_for(sc, "noisy", level=level, seed=9)
+    b = sc.bounds
+    rng, gamma, last_x = np.random.default_rng(9), min(level, 1.0), np.zeros(n)
+    actions = np.random.default_rng(10).uniform(-1.0, 1.0, size=(300, n))
+    for t in range(1, 301):
+        truth = sc.round(t)
+        e = rng.normal(size=n)
+        e = e / np.linalg.norm(e) * level * b.L_f * rng.uniform()
+        c = truth.cost(last_x)[1] + e
+        if np.linalg.norm(c) > b.L_f:
+            c = c * (b.L_f / np.linalg.norm(c))
+        shift = rng.normal(size=d)
+        shift = shift / np.linalg.norm(shift) * b.G * rng.uniform()
+        W, u = truth.constraint_affine
+
+        bundle = p.bundle_for(truth)
+        assert np.array_equal(bundle.cost_gradient, c), t
+        Wp, up = bundle.constraint_affine
+        assert np.array_equal(Wp, (1.0 - gamma) * W), t
+        assert np.array_equal(up, (1.0 - gamma) * u + gamma * shift), t
+        assert bundle.predicted_value is None
+        last_x = actions[t - 1]
+        p.note_action(last_x)
+
+
 def test_perfect_gradients_predicts_zero_value():
     sc = alternating()
     p = predictor_for(sc, "perfect_gradients")

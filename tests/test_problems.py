@@ -6,6 +6,8 @@ import pytest
 from lazyoco.problems import (
     SCENARIO_KINDS,
     ProblemBounds,
+    RandomQuadratic,
+    RoundOracle,
     affine_round,
     make_scenario,
 )
@@ -274,6 +276,69 @@ def test_random_quadratic_origin_feasible_and_reproducible():
         gb = b.round(t).constraint(x0)[0]
         assert np.array_equal(ga, gb)
         assert np.all(ga <= 1e-12)  # offsets keep the origin feasible
+
+
+def random_quadratic_reference(n, d, seed, params):
+    """random_quadratic's rounds drawn one at a time: three `uniform` calls and a row norm."""
+    rng = np.random.default_rng(seed)
+    cs, ms, os_ = params["center_scale"], params["matrix_scale"], params["offset_scale"]
+    while True:
+        u = rng.uniform(-cs, cs, size=n)
+        A = rng.uniform(-1.0, 1.0, size=(d, n))
+        norms = np.linalg.norm(A, axis=1, keepdims=True)
+        A = A * (ms / np.maximum(norms, 1.0))
+        b = rng.uniform(0.0, os_, size=d)
+        yield u, A, -b
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("params", [
+    None,
+    {"center_scale": 1.7, "matrix_scale": 0.35, "offset_scale": 2.5},
+    {"center_scale": 0.0, "offset_scale": 0.0},
+])
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 2), (5, 3), (16, 16)])
+def test_random_quadratic_blocks_equal_one_round_draws(n, d, params):
+    """Rounds drawn in blocks are bit-equal to drawing each round alone, across
+    block ends (n = d = 16 caps a block below 256 rounds), and a kept oracle
+    still reads its own round after later blocks are drawn."""
+    sc = make_scenario("random_quadratic", horizon=600, dimension=n, constraints=d,
+                       seed=5, params=params)
+    reference = random_quadratic_reference(n, d, 5, sc.params)
+    horizon = 2 * RandomQuadratic._BLOCK + 3
+    kept = None
+    for t in range(1, horizon + 1):
+        oracle = sc.round(t)
+        u, A, neg_b = next(reference)
+        W, v = oracle.constraint_affine
+        w, c, b = oracle.cost_quadratic
+        assert (w, b) == (1.0, 0.0)
+        assert same_bits(c, u) and same_bits(W, A) and same_bits(v, neg_b), t
+        if t == 1:
+            kept, first = oracle, (u, A, neg_b)
+        if t == 300:
+            u, A, neg_b = first
+            assert same_bits(kept.cost_quadratic[1], u)
+            assert same_bits(kept.constraint_affine[0], A)
+            assert same_bits(kept.constraint_affine[1], neg_b)
+
+
+@pytest.mark.parametrize("oracle", [
+    affine_round([-4.0], 0.5, [[0.79]], [0.26]),
+    affine_round([1.5, -2.0, 0.25], 0.0, [[1.0, 0.0, 0.0]], [0.0]),
+    RoundOracle(constraint_affine=([[1.0, 2.0, 3.0]], [0.5]),
+                cost_quadratic=(1.0, [0.3, -0.8, 0.0], 0.0)),
+    RoundOracle(constraint_affine=([[1.0, 2.0, 3.0]], [0.5]),
+                cost_quadratic=(2.5, [-1.7, 0.2, 0.9], -3.0)),
+], ids=["affine_1d", "affine_3d", "quadratic", "quadratic_weighted"])
+def test_cost_gradient_is_the_gradient_cost_returns(oracle):
+    n = len(oracle.constraint_affine[0][0])
+    rng = np.random.default_rng(1)
+    for x in [np.zeros(n), -np.ones(n), *rng.uniform(-1.0, 1.0, size=(20, n))]:
+        assert same_bits(oracle.cost_gradient(x), oracle.cost(x)[1])
 
 
 def test_problem_bounds_validation():

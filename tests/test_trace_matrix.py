@@ -90,3 +90,21 @@ def test_compare_sizes_a_changed_summary_key(tmp_path, capsys):
         "  summary benchmark_gap: largest change 0.25 absolute, 1 relative",
         f"  summary x_star[0]: largest change {abs(x0):.3g} absolute, 0.5 relative",
     ]
+
+
+def test_compare_sizes_a_changed_sweep_report_key(tmp_path, capsys):
+    """A sweep report is compared key by key, as a summary is, not read as a trace."""
+    tool = load_tool()
+    key = "beta=0.5,T=50,rep=0"
+    for side, regret in (("a", 2.0), ("b", 3.0)):
+        (tmp_path / side).mkdir()
+        report = {"betas": [0.5], "cells": {key: {"regret": regret, "violation_norm": 0.25}}}
+        (tmp_path / side / "sweep.sweep.json").write_text(
+            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: sweep.sweep.json: keys cells.{key}.regret (1 absolute, 0.333 relative)",
+        "1 files differ, 0 identical",
+        f"  summary cells.{key}.regret: largest change 1 absolute, 0.333 relative",
+    ]

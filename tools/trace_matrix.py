@@ -15,9 +15,10 @@ copying this script into the older one) and compare the two directories.
 
 The second form lists the files that differ between the two directories
 and, for every differing trace, the columns that changed; for a differing
-summary, each changed key with its absolute and relative change (a list
-entry as key[i], a nested entry as key.name; a change that is not between
-two numbers reads inf).  It closes with the largest absolute and relative
+summary or sweep report, each changed key with its absolute and relative
+change (a list entry as key[i], a nested entry as key.name, so a sweep
+run's regret reads cells.<key>.regret; a change that is not between two
+numbers reads inf).  It closes with the largest absolute and relative
 change per trace column and per summary key.  It exits 1 when anything
 differs.
 
@@ -261,7 +262,7 @@ def _leaves(value, key: str = ""):
 
 
 def _summary_changes(a: str, b: str) -> dict[str, tuple[float, float]]:
-    """Key -> (absolute, relative change) for each summary entry that changed."""
+    """Key -> (absolute, relative change) for each summary or sweep report entry that changed."""
     with open(a, encoding="utf-8") as fh:
         la = dict(_leaves(json.load(fh)))
     with open(b, encoding="utf-8") as fh:
@@ -291,7 +292,7 @@ def compare(a_dir: str, b_dir: str) -> int:
                 identical += 1
                 continue
         differ += 1
-        if name.endswith(".summary.json"):
+        if name.endswith((".summary.json", ".sweep.json")):
             changes = _summary_changes(pa, pb)
             print(f"differs: {name}: keys " + ", ".join(
                 f"{key} ({dabs:.3g} absolute, {drel:.3g} relative)"
