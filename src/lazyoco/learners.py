@@ -53,6 +53,24 @@ the lam = 0 step, the zero-curvature fixed point and the prescient step)
 is one prox projection or vertex rule, and calls `sets.exact_step`
 directly on the arrays the learner holds.  The start point is checked
 against the set once, at construction.
+
+The shape alone picks the body that plays a round, at construction.  At
+n = d = 1 a numpy call on a 1-element array costs more than the
+arithmetic it does, so the round is played on Python floats, and every
+vector of the state (`lam`, `cum_gz`, `cum_gx`, `last_x` and the folded
+aggregate) is a float; `play_round` still returns an (n,) array, and
+`lambda_norm` and `violation_norm` read the trace's norms off either
+body.  The float body takes the array body's steps in the same order,
+and keeps numpy's signed zeros so that its traces are the array body's,
+bit for bit:
+- a matrix product starts its sum at +0.0, so W @ x is 0.0 + W x
+  (`[[1.]] @ [-0.]` is 0.0), while a 1-D `.dot` keeps -0.0;
+- np.maximum(v, 0.0) is +0.0 at either zero, where Python's max(-0.0,
+  0.0) is -0.0 (`_plus`);
+- `clip` returns the bound when v equals it (`_clip`).
+NaN passes through each of these as it does through numpy.  The
+breakpoint fixed point is one float function, `_breakpoint_zero`, which
+both bodies call.
 """
 
 from __future__ import annotations
@@ -135,8 +153,94 @@ def _start_point(config: LearnerConfig, domain, n: int) -> np.ndarray:
     return x0
 
 
+# -- the round at n = d = 1 on floats (see the module docstring) ------------------
+
+
+def _plus(v: float) -> float:
+    """np.maximum(v, 0.0) on a float: +0.0 at either zero, and NaN kept."""
+    return 0.0 if v <= 0.0 else v
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """ndarray.clip on a float: a bound wherever v reaches it, and NaN kept."""
+    v = lo if v <= lo else v
+    return hi if v >= hi else v
+
+
+def _float_step(S: float, center: float, linear: float, fallback: float,
+                lo: float, hi: float) -> float:
+    """`sets.exact_step` on the interval [lo, hi], in floats."""
+    if S > 0.0:
+        return _clip(center - linear / S, lo, hi)
+    if linear > 0.0:
+        return lo
+    return _clip(fallback, lo, hi) if linear == 0.0 else hi
+
+
+def _float_forecast(bundle: PredictionBundle | None):
+    """(w~, c~, W~, u~, v~), an n = d = 1 forecast in floats; None is the zero forecast.
+
+    c~ is the cost gradient when w~ is None, else the centre of the
+    quadratic forecast w~/2 (x - c~)^2; v~ is None when deferred.
+    """
+    if bundle is None:
+        return None, 0.0, 0.0, 0.0, 0.0
+    W, u = bundle.constraint_affine
+    v = bundle.predicted_value
+    v = None if v is None else v.item()
+    if bundle.cost_gradient is None:
+        w, c = bundle.cost_quadratic
+        return float(w), c.item(), W.item(), u.item(), v
+    return None, bundle.cost_gradient.item(), W.item(), u.item(), v
+
+
+def _breakpoint_zero(S: float, center: float, linear: float, a_dual: float, rows,
+                     lo: float, hi: float) -> float:
+    """Exact primal point for n = 1 with a deferred value forecast.
+
+    rows holds (p, f, r) per constraint: the multiplier's row p, the
+    forecast row f and r = sum g(z) + u~.  The derivative S (x - c) + l +
+    a sum_i p_i [r_i + f_i x]_+ is piecewise linear, and nondecreasing
+    since every p_i f_i >= 0 (p = f, or for `llp_perturbed` f is a
+    nonnegative multiple of the base row p); its zero is found over the
+    sorted breakpoints and clipped to [lo, hi].
+    """
+    offset = linear - S * center
+
+    def deriv(x: float) -> float:
+        acc = 0.0
+        for p, f, r in rows:
+            if r + f * x > 0.0:
+                acc += p * (r + f * x)
+        return S * x + offset + a_dual * acc
+
+    knots = sorted([lo, hi] + [-r / f for _, f, r in rows if f != 0.0 and lo < -r / f < hi])
+    vals = [deriv(k) for k in knots]
+    j = next((i for i, val in enumerate(vals) if val >= 0.0), len(knots) - 1)
+    x = knots[j]
+    if j > 0 and vals[j] > 0.0:
+        # the derivative is affine between knots j-1 and j
+        left = knots[j - 1]
+        mid = 0.5 * (left + x)
+        active = [(p, f, r) for p, f, r in rows if r + f * mid > 0.0]
+        slope = S + a_dual * sum(p * f for p, f, _ in active)
+        x = min(max(-(offset + a_dual * sum(p * r for p, _, r in active)) / slope, left), x)
+    return x
+
+
+def _norm(v) -> float:
+    """||v|| of a vector of the state: a float array, or a float at n = d = 1,
+    whose norm is the 1-element array's, sqrt(v * v)."""
+    return math.sqrt(v * v) if isinstance(v, float) else norm(v)
+
+
+def _positive(v):
+    """[v]_+ of a vector of the state, a float array or a float."""
+    return _plus(v) if isinstance(v, float) else positive_part(v)
+
+
 class LlpLearner:
-    """All four lazy variants behind one round loop."""
+    """The lazy variants; the shape picks the round body, floats at n = d = 1, else arrays."""
 
     def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int,
                  base_affine=None):
@@ -158,13 +262,7 @@ class LlpLearner:
 
         b = config.bounds
         self.t = 0
-        self._zero_bundle = zero_bundle(self.n, self.d)
-
-        # folded aggregate state
-        self.ccum = np.zeros(self.n)
-        self.lag_lin = np.zeros(self.n)
         self.prox_S = 0.0
-        self.prox_b = np.zeros(self.n)
 
         # dual-rate state, a_t and a_{t-1}; 0**0 == 1 makes the beta = 0 case come out right
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
@@ -175,18 +273,38 @@ class LlpLearner:
         self.mu = b.E_m + a0 * b.G * 1.0 * b.Delta_m if self.variant == "llp2" else 0.0
 
         # cumulative diagnostics
-        self.cum_gz = np.zeros(self.d)
-        self.cum_gx = np.zeros(self.d)
         self.cum_cost = 0.0
-        self.last_x = x0
         self.max_xz = 0.0
         self.drift_gap = -math.inf
         self.flag_counts: dict[str, int] = {}
 
         # the latest round's own values
-        self.lam = np.zeros(self.d)
         self.f_value = self.xi_t = self.solver_residual = 0.0
         self.flags = ""
+
+        # the state's vectors (the folded aggregate ccum, lag_lin and prox_b,
+        # cum_gz, cum_gx, last_x and lam) and the body that plays, by shape
+        if self.n == self.d == 1:
+            self._start_floats(x0)
+        else:
+            self._start_arrays(x0)
+
+    def _start_arrays(self, x0: np.ndarray) -> None:
+        """Hold the state's vectors as arrays, and play rounds with the array body."""
+        n, d = self.n, self.d
+        self.ccum, self.lag_lin, self.prox_b = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.cum_gz, self.cum_gx, self.lam = np.zeros(d), np.zeros(d), np.zeros(d)
+        self.last_x = x0
+        self._zero_bundle = zero_bundle(n, d)
+        self._play = self._play_arrays
+
+    def _start_floats(self, x0: np.ndarray) -> None:
+        """Hold the state's vectors as floats (n = d = 1), and play rounds with the float body."""
+        self.ccum = self.lag_lin = self.prox_b = self.cum_gz = self.cum_gx = self.lam = 0.0
+        self.last_x = x0.item()
+        (self._lo,), (self._hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
+        self._fixed_row = None if self.fixed_rows is None else self.fixed_rows.item()
+        self._play = self._play_floats
 
     # -- round loop ----------------------------------------------------------
 
@@ -194,8 +312,13 @@ class LlpLearner:
         """Play one round against the revealed oracle, given that round's forecast; return x_t.
 
         bundle is the forecast for this round (None means the zero forecast);
-        the learner sees it before it picks x_t.
+        the learner sees it before it picks x_t.  The body its shape picked
+        plays the round.
         """
+        return self._play(truth, bundle)
+
+    def _play_arrays(self, truth: RoundOracle, bundle: PredictionBundle | None) -> np.ndarray:
+        """The round on arrays, for every shape but n = d = 1."""
         self.t += 1
         if bundle is None:
             bundle = self._zero_bundle
@@ -223,24 +346,107 @@ class LlpLearner:
 
         z, gz = self._prescient(W, u, j, x, c_t, gvals, lam)
 
-        dxz = norm(x - z)
+        self.cum_gz = self.cum_gz + gz
+        self.cum_gx = self.cum_gx + gvals
+        self._close(h, norm(x - z), norm(gz - vt))
+        self.last_x = x
+        return x
+
+    def _play_floats(self, truth: RoundOracle, bundle: PredictionBundle | None) -> np.ndarray:
+        """`_play_arrays` at n = d = 1 on Python floats, step for step and bit for bit.
+
+        At n = 1 no step iterates, so the round's flags and solver residual
+        stay "" and 0.0, as the array body leaves them.
+        """
+        self.t += 1
+        t, a_t, lo, hi = self.t, self.a_t, self._lo, self._hi
+        W, u = truth.constraint_affine
+        W, u = W.item(), u.item()
+        wf, cf, Wf, uf, vt = _float_forecast(bundle)
+        jp, j = (Wf, W) if self._fixed_row is None else (self._fixed_row,) * 2
+
+        # primal: `_primal` with `_objective`, and `_breakpoint_zero` as the fixed point
+        lam = 0.0 if t == 1 or vt is None else _plus(a_t * (self.cum_gz + vt))
+        S, linear = self.prox_S, self.ccum
+        if wf is None:
+            center = self.prox_b / S if S > 0.0 else 0.0
+            linear = linear + cf
+        else:
+            center = (self.prox_b + wf * cf) / (S + wf)
+            S = S + wf
+        linear = linear + self.lag_lin
+        if lam:
+            linear = linear + (0.0 + jp * lam)
+        x = _float_step(S, center, linear, self.last_x, lo, hi)
+        if vt is None:
+            vt = 0.0 + Wf * x + uf
+            if t > 1:
+                lam = _plus(a_t * (self.cum_gz + vt))
+                if lam > 0.0:
+                    x = _breakpoint_zero(S, center, linear, a_t,
+                                         ((jp, Wf, self.cum_gz + uf),), lo, hi)
+                    vt = 0.0 + Wf * x + uf
+                    lam = _plus(a_t * (self.cum_gz + vt))
+        self.lam = lam
+
+        # the losses revealed: `RoundOracle.cost` and the mismatch h
+        ct = cf if wf is None else wf * (x - cf)
+        if truth.cost_affine is not None:
+            c, b = truth.cost_affine
+            c_t = c.item()
+            self.f_value = c_t * x + b
+        else:
+            w, c, b = truth.cost_quadratic
+            diff = x - c.item()
+            self.f_value = 0.5 * w * (diff * diff) + b
+            c_t = w * diff
+        gx = 0.0 + W * x + u
+        e = c_t - ct
+        if lam:
+            e = e + (0.0 + (j - jp) * lam)
+        h = math.sqrt(e * e)
+
+        if self.variant != "llp2":
+            self._advance_regularizer(h, x, 0.0)
+
+        # prescient: `_prescient`
+        ccum, lag = self.ccum, self.lag_lin
+        self.ccum = linear = ccum + c_t
+        linear = linear + lag
+        if lam:
+            lin = 0.0 + j * lam
+            self.lag_lin = lag + lin
+            linear = linear + lin
+        S, tie = self.prox_S, False
+        if S == 0.0:
+            mag = 0.0 + math.sqrt(ccum * ccum) + math.sqrt(c_t * c_t) + math.sqrt(lag * lag)
+            if lam:
+                mag = mag + math.sqrt(lin * lin)
+            tie = abs(linear) <= self.cfg.solver.tolerance * (1.0 + mag)
+        z = x if tie else _float_step(S, self.prox_b / S if S > 0.0 else 0.0, linear, x, lo, hi)
+        gz = 0.0 + W * z + u
+
+        self.cum_gz = self.cum_gz + gz
+        self.cum_gx = self.cum_gx + gx
+        dxz, xi = x - z, gz - vt
+        self._close(h, math.sqrt(dxz * dxz), math.sqrt(xi * xi))
+        self.last_x = x
+        return np.array((x,))
+
+    def _close(self, h: float, dxz: float, xi: float) -> None:
+        """End a round in either body, given h, ||x - z|| and xi = ||g(z) - v~||:
+        the drift record, the cost total, the dual step and llp2's regularizer."""
         self.max_xz = max(self.max_xz, dxz)
         if self.prox_S > 0.0:
             self.drift_gap = max(self.drift_gap, dxz - h / self.prox_S)
-
-        self.cum_gz = self.cum_gz + gz
-        self.cum_gx = self.cum_gx + gvals
         self.cum_cost += self.f_value
 
-        self._dual(gz, vt)
+        self._dual(xi)
 
         if self.variant == "llp2":
             b = self.cfg.bounds
             self.mu = b.E_m + self.a_t * b.G * (self.t + 1) * b.Delta_m
             self._advance_regularizer(h, None, self.mu)
-
-        self.last_x = x
-        return x
 
     # -- primal --------------------------------------------------------------
 
@@ -325,38 +531,12 @@ class LlpLearner:
 
     def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
                      bundle: PredictionBundle, jp) -> np.ndarray:
-        """Exact primal point for n = 1.
-
-        The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+ is piecewise
-        linear, and nondecreasing since every p_i f_i >= 0 (p = f, or for
-        `llp_perturbed` f is a nonnegative multiple of the base row p); its
-        zero is found over the sorted breakpoints and clipped to the set.
-        """
-        a_dual = self.a_t
+        """Exact primal point for n = 1: `_breakpoint_zero` over the rows' floats."""
         rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
                         (self.cum_gz + bundle.constraint_affine[1]).tolist()))
-        offset = float(linear[0]) - S * float(center[0])
-
-        def deriv(x: float) -> float:
-            acc = 0.0
-            for p, f, r in rows:
-                if r + f * x > 0.0:
-                    acc += p * (r + f * x)
-            return S * x + offset + a_dual * acc
-
         (lo,), (hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
-        knots = sorted([lo, hi] + [-r / f for _, f, r in rows if f != 0.0 and lo < -r / f < hi])
-        vals = [deriv(k) for k in knots]
-        j = next((i for i, val in enumerate(vals) if val >= 0.0), len(knots) - 1)
-        x = knots[j]
-        if j > 0 and vals[j] > 0.0:
-            # the derivative is affine between knots j-1 and j
-            left = knots[j - 1]
-            mid = 0.5 * (left + x)
-            active = [(p, f, r) for p, f, r in rows if r + f * mid > 0.0]
-            slope = S + a_dual * sum(p * f for p, f, _ in active)
-            x = min(max(-(offset + a_dual * sum(p * r for p, _, r in active)) / slope, left), x)
-        return np.array([x])
+        return np.array([_breakpoint_zero(S, float(center[0]), float(linear[0]), self.a_t,
+                                          rows, lo, hi)])
 
     # -- observation and regularizers ------------------------------------------
 
@@ -400,9 +580,10 @@ class LlpLearner:
 
     # -- dual --------------------------------------------------------------------
 
-    def _dual(self, gz, vt) -> None:
+    def _dual(self, xi: float) -> None:
+        """The step size a_t after a round with xi = ||g(z) - v~||."""
         b = self.cfg.bounds
-        self.xi_t = xi = norm(gz - vt)
+        self.xi_t = xi
         self.a_prev = self.a_t
         self.sum_a_prev_xi_sq += self.a_prev * xi * xi
         self.xi_sq_cum += xi * xi
@@ -411,9 +592,19 @@ class LlpLearner:
 
     # -- reporting ----------------------------------------------------------------
 
+    @property
+    def lambda_norm(self) -> float:
+        """||lam||, the trace's lambda_norm."""
+        return _norm(self.lam)
+
+    @property
+    def violation_norm(self) -> float:
+        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
+        return _norm(_positive(self.cum_gx))
+
     def stats(self) -> LearnerTotals:
         return LearnerTotals(
-            violation_z_norm=norm(positive_part(self.cum_gz)),
+            violation_z_norm=_norm(_positive(self.cum_gz)),
             a_prev=self.a_prev,
             flag_counts=self.flag_counts,
             xi_sq_cum=self.xi_sq_cum,
@@ -465,6 +656,16 @@ class GreedyLearner:
         self.cum_cost += self.f_value
         self.cum_gx = self.cum_gx + gvals
         return x
+
+    @property
+    def lambda_norm(self) -> float:
+        """||lam||, the trace's lambda_norm."""
+        return norm(self.lam)
+
+    @property
+    def violation_norm(self) -> float:
+        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
+        return norm(positive_part(self.cum_gx))
 
     def stats(self) -> LearnerTotals:
         return LearnerTotals(

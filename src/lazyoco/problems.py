@@ -11,8 +11,10 @@ Rounds are drawn once, in order, and never replayed: `round(t)` returns
 the current round when t names it and gives the next one when t is one
 past it.  Any other t is refused with ConfigurationError, so memory stays
 flat in the horizon and whoever needs a round again (the offline
-comparator, a test) keeps what it needs itself.  `random_quadratic` draws
-ahead in blocks of up to 256 rounds, bit-equal to drawing each round alone.
+comparator, a test) keeps what it needs itself.  The kinds that draw
+(`stochastic_constraint`, `perturbed_linear`, `random_quadratic`) draw
+ahead in blocks of up to 256 rounds with one `Generator.random` call,
+bit-equal to drawing each round alone.
 
 Adaptive scenarios (the regret/violation lower-bound opponent) consume
 the player's actions through :meth:`record_action` before emitting the
@@ -175,6 +177,7 @@ class _Scenario:
     adaptive = False
     one_dimensional = True
     defaults: dict = {}
+    _BLOCK = 256  # rounds drawn per generator call, by a kind that draws
     _t = 0  # the current round; 0 before the first draw
     _current = None
 
@@ -237,7 +240,7 @@ class StochasticConstraint(_Scenario):
     constraint is g_t(x) = x, otherwise g_t(x) = -0.01 (always satisfied).
     Each round consumes exactly one uniform variate, in round order, so
     runs with the same seed see the same branch sequence regardless of
-    how far they go.
+    how far they go; they are drawn `_BLOCK` at a time.
     """
 
     kind = "stochastic_constraint"
@@ -252,8 +255,12 @@ class StochasticConstraint(_Scenario):
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):
+            i = (t - 1) % self._BLOCK
+            if i == 0:
+                # what `uniform()` returns on [0, 1): the double it draws
+                self._draws = self._rng.random(self._BLOCK).tolist()
             p = 0.1 / (t + 1.0) ** 0.05
-            self._current = self._active if self._rng.uniform() < p else self._slack
+            self._current = self._active if self._draws[i] < p else self._slack
         return self._current
 
 
@@ -318,9 +325,9 @@ class PerturbedLinear(_Scenario):
     """Fixed constraint g(x) = x plus a bounded per-round perturbation b_t.
 
     f_t(x) = slope * x on [-1, 1]; g_t(x) = x + b_t with b_t drawn
-    i.i.d. uniform from [-amplitude, amplitude].  The fixed part and the
-    perturbation are exposed separately so learners may aggregate
-    multipliers against the fixed part alone.
+    i.i.d. uniform from [-amplitude, amplitude], `_BLOCK` rounds at a time.
+    The fixed part and the perturbation are exposed separately so learners
+    may aggregate multipliers against the fixed part alone.
     """
 
     kind = "perturbed_linear"
@@ -337,11 +344,16 @@ class PerturbedLinear(_Scenario):
                                     E_m=2.0 * lf, Delta_m=2.0)
         self.base_affine = (np.array([[1.0]]), np.array([0.0]))
         self._rng = np.random.default_rng(self.seed)
+        self._slope, self._row = np.array([self.cost_slope]), np.array([[1.0]])
 
     def round(self, t: int) -> RoundOracle:
         if self._advance(t):
-            b_t = float(self._rng.uniform(-self.amplitude, self.amplitude))
-            self._current = affine_round([self.cost_slope], 0.0, [[1.0]], [b_t])
+            i = (t - 1) % self._BLOCK
+            if i == 0:
+                # a new array each time, so an oracle a caller kept still reads its own b_t
+                self._shifts = _uniform(self._rng.random((self._BLOCK, 1)),
+                                        -self.amplitude, self.amplitude)
+            self._current = affine_round(self._slope, 0.0, self._row, self._shifts[i])
         return self._current
 
 
@@ -356,7 +368,6 @@ class RandomQuadratic(_Scenario):
 
     kind = "random_quadratic"
     one_dimensional = False
-    _BLOCK = 256
     # so a large n d does not multiply a round's memory by _BLOCK
     _BLOCK_DOUBLES = 1 << 16
     defaults = {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5}

@@ -22,7 +22,7 @@ from . import analysis
 from .learners import LearnerConfig, LearnerTotals, make_learner
 from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
-from .sets import ConfigurationError, norm, positive_part
+from .sets import ConfigurationError
 from .solver import SolverSettings
 
 __all__ = [
@@ -348,7 +348,7 @@ def execute_run(config: RunConfig) -> RunResult:
                 fold.copy_cost_sums(cost_sums[i])
                 bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
                 table[i] = (t, learner.f_value, learner.cum_cost, math.nan,
-                            norm(positive_part(learner.cum_gx)), norm(learner.lam),
+                            learner.violation_norm, learner.lambda_norm,
                             learner.a_t, learner.prox_S, learner.h_cum, learner.xi_t,
                             math.nan, learner.solver_residual)
                 flags.append(learner.flags)

@@ -315,21 +315,25 @@ def test_quadratic_cost_forecast_is_one_projection(monkeypatch, variant, n, d):
     `perfect_gradients` gives the value forecast outright, so every step is
     one exact projection and `minimize` never runs.  `perfect` defers it, and
     `minimize` runs only for a solve that carries the fixed-point penalty
-    term with a positive smoothness (n >= 2 with the multiplier on).
+    term with a positive smoothness (n >= 2 with the multiplier on).  The
+    exact steps are `sets.exact_step`, or its float form at n = d = 1.
     """
     steps, calls = [], []
-    real_step, real_minimize = learners.exact_step, learners.minimize
+    real_minimize = learners.minimize
 
-    def counted_step(*args):
-        steps[-1] += 1
-        return real_step(*args)
+    def counted_step(real_step):
+        def step(*args):
+            steps[-1] += 1
+            return real_step(*args)
+        return step
 
     def counted(obj, settings, **kw):
         res = real_minimize(obj, settings, **kw)
         calls[-1].append(any(L > 0.0 for _, L in obj.constraint_terms))
         return res
 
-    monkeypatch.setattr(learners, "exact_step", counted_step)
+    for name in ("exact_step", "_float_step"):
+        monkeypatch.setattr(learners, name, counted_step(getattr(learners, name)))
     monkeypatch.setattr(learners, "minimize", counted)
     for kind in ("perfect_gradients", "perfect"):
         steps.append(0)

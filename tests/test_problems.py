@@ -326,6 +326,45 @@ def test_random_quadratic_blocks_equal_one_round_draws(n, d, params):
             assert same_bits(kept.constraint_affine[1], neg_b)
 
 
+def one_dimensional_reference(kind, seed, amplitude):
+    """(W, u) of each round of a 1-D kind that draws, one scalar `uniform` call a round."""
+    rng = np.random.default_rng(seed)
+    t = 0
+    while True:
+        t += 1
+        if kind == "stochastic_constraint":
+            active = rng.uniform() < 0.1 / (t + 1.0) ** 0.05
+            yield ([[1.0]], [0.0]) if active else ([[0.0]], [-0.01])
+        else:
+            yield [[1.0]], [float(rng.uniform(-amplitude, amplitude))]
+
+
+@pytest.mark.parametrize("kind, amplitude", [("stochastic_constraint", None),
+                                             ("perturbed_linear", 0.1),
+                                             ("perturbed_linear", 0.0),
+                                             ("perturbed_linear", 2.5)])
+def test_one_dimensional_blocks_equal_one_round_draws(kind, amplitude):
+    """The 1-D kinds that draw, drawn in blocks, are bit-equal over 515 rounds
+    (two block refills) to drawing each round alone, and a kept oracle still
+    reads its own round after later blocks are drawn."""
+    params = None if amplitude is None else {"amplitude": amplitude}
+    sc = make_scenario(kind, horizon=600, seed=11, params=params)
+    reference = one_dimensional_reference(kind, 11, amplitude)
+    assert 2 * sc._BLOCK + 3 == 515
+    kept = None
+    for t in range(1, 516):
+        oracle = sc.round(t)
+        W, u = next(reference)
+        assert same_bits(oracle.constraint_affine[0], W), t
+        assert same_bits(oracle.constraint_affine[1], u), t
+        c, b = oracle.cost_affine
+        assert np.array_equal(c, [sc.cost_slope if params else -2.0]) and b == 0.0
+        if t == 1:
+            kept, first = oracle, u
+        if t == 300:
+            assert same_bits(kept.constraint_affine[1], first)
+
+
 @pytest.mark.parametrize("oracle", [
     affine_round([-4.0], 0.5, [[0.79]], [0.26]),
     affine_round([1.5, -2.0, 0.25], 0.0, [[1.0, 0.0, 0.0]], [0.0]),

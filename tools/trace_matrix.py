@@ -48,6 +48,10 @@ The matrix:
   (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
   forecast rows are all zero: the one cell whose n >= 2 fixed point takes
   the zero-curvature exact step;
+- `quadratic_scalar__<variant>__<predictor>`: `llp` and `llp2` with the
+  perfect and noisy predictors (level 0.3, seed 4) on `random_quadratic`
+  at n = d = 1, seed 3, T = 400, `X_T`: the cells whose n = d = 1 rounds
+  carry a quadratic cost forecast;
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
@@ -151,6 +155,15 @@ def cells() -> dict[str, dict]:
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "noisy", "level": 1.0, "seed": 4},
     }
+    for variant in ("llp", "llp2"):
+        for predictor in ("perfect", "noisy"):
+            out[f"quadratic_scalar__{variant}__{predictor}"] = {
+                "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 1,
+                             "constraints": 1, "seed": 3},
+                "learner": {"variant": variant, "sigma": 1.0, "a": 1.0, "beta": 0.5},
+                "predictor": {"kind": predictor, "level": 0.3, "seed": 4},
+                "benchmark": {"kind": "X_T"},
+            }
     out["bounds_override"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
                      "constraints": 2, "seed": 3},
