@@ -1,23 +1,24 @@
 """Offline benchmarks, bound evaluation, and rate fitting.
 
-The benchmark routines fold the rounds of a run, as it plays them, into
-closed forms and minimize the total cost over one of two comparator sets:
-the per-round-feasible set (every g_t(x) <= 0) or the aggregate-feasible
-set (sum_t g_t(x) <= 0) within the box domain.  Every round has an affine
-constraint and an affine or shifted-quadratic cost (`problems.RoundOracle`
-admits nothing else), and the minimizer is exact.  The fold keeps of the
-constraints only what its set needs: in one dimension the per-round set is
-an interval, three numbers folded as the rounds arrive; the aggregate set
-is one summed row per constraint; and the per-round set in more
-dimensions is every round's rows, appended in play order to the system
-G x <= h that the solve reads.
+The benchmark routines fold the rounds of a run, a block at a time as it
+plays them, into closed forms and minimize the total cost over one of two
+comparator sets: the per-round-feasible set (every g_t(x) <= 0) or the
+aggregate-feasible set (sum_t g_t(x) <= 0) within the box domain.  Every
+round has an affine constraint and an affine or shifted-quadratic cost
+(`problems.RoundOracle` admits nothing else), and the minimizer is exact.
+The fold keeps of the constraints only what its set needs: in one
+dimension the per-round set is an interval, three numbers folded as the
+blocks arrive; the aggregate set is one summed row per constraint; and
+the per-round set in more dimensions is every round's rows, appended in
+play order to the system G x <= h that the solve reads.
 In one dimension the minimizer is a clipped stationary point or an
 interval end.  In more dimensions the total cost is qw/2 ||x - p||^2 plus
 a constant, so the comparator is the projection of p onto the box cut by
 the rows, solved by a dual active-set method whose multipliers certify
 the result: `BenchmarkResult.gap` is the duality gap in cost units.  A
-trace row's comparator cost is read from the cost sums copied at that
-row, so no round is kept or drawn twice.
+block's fold returns the cost sums after each of its rounds, and a trace
+row's comparator cost is read from its round's sums, so no round is kept
+past its block or drawn twice.
 
 The certificates are two formulas.  `regret_certificate` is B_t, over
 numbers or over a trace's running-sum columns; a run evaluates it once,
@@ -53,6 +54,8 @@ __all__ = [
 BENCHMARK_KINDS = ("X_T", "X_T_max")
 
 _FEAS_TOL = 1e-9
+# trace rows per vector pass of `benchmark_round_costs`
+_PASS_ROWS = 256
 # a degenerate cycle of the active-set method would otherwise never end;
 # each step adds or drops one of at most n linearly independent rows
 _MAX_ACTIVE_SET_STEPS = 10_000
@@ -68,28 +71,59 @@ class BenchmarkResult:
 
 
 class _CostAccumulator:
-    """Running closed form lin.x + const + qw/2 ||x||^2 - ql.x of sum_t f_t."""
+    """Running closed form lin.x + const + qw/2 ||x||^2 - ql.x of sum_t f_t.
+
+    The sums are one vector (lin, const, qw, ql) of length 2n + 2, started
+    at +0.0.  A block of rounds is added as one cumulative sum of its
+    per-round terms, which adds them in play order, as a `+=` a round
+    would.  A round adds +0.0 to the sums it does not touch (qw and ql at
+    an affine round, lin at a quadratic one), which changes no bit: a sum
+    started at +0.0 is never -0.0.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.lin = np.zeros(n)
-        self.const = 0.0
-        self.qw = 0.0
-        self.ql = np.zeros(n)
-        self._wu = np.empty(n)          # w u of the round being added
+        self.sums = np.zeros(2 * n + 2)
 
-    def add(self, oracle) -> None:
-        if oracle.cost_affine is not None:
-            c, b = oracle.cost_affine
-            # affine costs are 1-D in every scenario, and numpy adds two
-            # 1-element arrays in place at twice the time of out of place
-            self.lin = self.lin + c
-            self.const += b
-        else:
-            w, u, b = oracle.cost_quadratic
-            self.qw += w
-            self.ql += np.multiply(u, w, out=self._wu)
-            self.const += 0.5 * w * float(u.dot(u)) + b
+    @property
+    def lin(self) -> np.ndarray:
+        return self.sums[:self.n]
+
+    @property
+    def const(self) -> float:
+        return float(self.sums[self.n])
+
+    @property
+    def qw(self) -> float:
+        return float(self.sums[self.n + 1])
+
+    @property
+    def ql(self) -> np.ndarray:
+        return self.sums[self.n + 2:]
+
+    def add(self, rounds) -> np.ndarray:
+        """Add rounds in play order; return the sums after each, one row a round."""
+        n = self.n
+        steps = np.zeros((len(rounds) + 1, 2 * n + 2))
+        steps[0] = self.sums
+        affine = [i for i, o in enumerate(rounds, 1) if o.cost_affine is not None]
+        if affine:
+            c, b = zip(*[rounds[i - 1].cost_affine for i in affine])
+            steps[affine, :n] = np.concatenate(c).reshape(-1, n)
+            steps[affine, n] = b
+        if len(affine) < len(rounds):
+            quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
+            w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
+            w, U = np.array(w), np.concatenate(u).reshape(-1, n)
+            # at n >= 2 each round keeps its own u.dot(u): no vector op
+            # repeats the order in which that dot adds
+            uu = U[:, 0] * U[:, 0] if n == 1 else np.array([float(v.dot(v)) for v in u])
+            steps[quadratic, n] = 0.5 * w * uu + b
+            steps[quadratic, n + 1] = w
+            steps[quadratic, n + 2:] = U * w[:, None]
+        np.cumsum(steps, axis=0, out=steps)
+        self.sums = steps[-1].copy()
+        return steps[1:]
 
     def value(self, x: np.ndarray) -> float:
         return _cost_value(self.lin, self.const, self.qw, self.ql, x)
@@ -113,8 +147,11 @@ def _box_rows(G: np.ndarray, h: np.ndarray, domain) -> None:
 class _Interval:
     """X_T in one dimension: the interval of the box every round's rows leave.
 
-    min and max are exact and independent of order, so folding the rows as
-    they arrive gives the ends a scan of the distinct rows would.
+    min and max are exact and independent of order, so folding a block's
+    rows at once gives the ends a scan of the rows one at a time would: an
+    end moves only to a strictly tighter one, the first of equal ends is
+    kept (so the sign of a zero end is the scan's), and a NaN end, which no
+    comparison admits, is skipped.
     """
 
     def __init__(self, domain):
@@ -122,21 +159,33 @@ class _Interval:
         self.hi = float(domain.upper[0])
         self.infeasible = False
 
-    def add(self, W: np.ndarray, u: np.ndarray) -> None:
-        for (w,), v in zip(W.tolist(), u.tolist()):
-            if w > 0.0:
-                end = (-v + _FEAS_TOL) / w
-                if end < self.hi:
-                    self.hi = end
-            elif w < 0.0:
-                end = (-v + _FEAS_TOL) / w
-                if end > self.lo:
-                    self.lo = end
-            elif v > _FEAS_TOL:
-                self.infeasible = True
+    def add(self, Ws, us) -> None:
+        """Fold the rows of each pair (W, u) of Ws and us."""
+        w, v = np.concatenate(Ws)[:, 0], np.concatenate(us)
+        up, down = w > 0.0, w < 0.0
+        if (v[~(up | down)] > _FEAS_TOL).any():
+            self.infeasible = True
+        ends = (-v[up] + _FEAS_TOL) / w[up]
+        ends = ends[ends < self.hi]
+        if len(ends):
+            self.hi = float(ends[ends.argmin()])
+        ends = (-v[down] + _FEAS_TOL) / w[down]
+        ends = ends[ends > self.lo]
+        if len(ends):
+            self.lo = float(ends[ends.argmax()])
 
     def interval(self) -> tuple[float, float, bool]:
         return self.lo, self.hi, self.infeasible
+
+
+def _sum_in_order(start, terms) -> np.ndarray:
+    """start + terms[0] + terms[1] + ..., added in that order: a cumulative sum
+    adds in sequence, where a reduction may add pairwise."""
+    shape = terms[0].shape
+    acc = np.empty((len(terms) + 1, *shape))
+    acc[0] = start
+    np.concatenate(terms, out=acc[1:].reshape(-1, *shape[1:]))
+    return np.cumsum(acc, axis=0)[-1]
 
 
 class _RowSums:
@@ -147,14 +196,13 @@ class _RowSums:
         # -0.0 is the identity of +, so the first round's rows are kept bit for bit
         self.W = self.u = -0.0
 
-    def add(self, W: np.ndarray, u: np.ndarray) -> None:
-        # out of place: numpy runs an in-place ufunc on arrays this small about twice as slowly
-        self.W = self.W + W
-        self.u = self.u + u
+    def add(self, Ws, us) -> None:
+        self.W = _sum_in_order(self.W, Ws)
+        self.u = _sum_in_order(self.u, us)
 
     def interval(self) -> tuple[float, float, bool]:
         folded = _Interval(self.domain)
-        folded.add(self.W, self.u)
+        folded.add([self.W], [self.u])
         return folded.interval()
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +218,7 @@ class _RowSums:
 class _PlayedRows:
     """X_T for n >= 2: every round's rows, in play order, as the system G x <= h.
 
-    Round t's W goes into the next rows of G and -u into the next entries
+    Each round's W goes into the next rows of G and -u into the next entries
     of h; both buffers double when full.  `system` writes the box rows
     I, -I and bounds upper, -lower after the last round's rows and returns
     the C-contiguous prefixes, which the next `add` overwrites.  A repeated
@@ -188,16 +236,19 @@ class _PlayedRows:
         self.m = 0
 
     def _reserve(self, rows: int) -> None:
-        if rows > len(self.h):
-            size = max(rows, 2 * len(self.h))
+        size = len(self.h)
+        while size < rows:
+            size *= 2
+        if size > len(self.h):
             # realloc: no second buffer; no view of the buffers outlives a solve
             self.G.resize((size, self.n), refcheck=False)
             self.h.resize(size, refcheck=False)
 
-    def add(self, W: np.ndarray, u: np.ndarray) -> None:
+    def add(self, Ws, us) -> None:
+        u = np.concatenate(us)
         end = self.m + len(u)
         self._reserve(end)
-        self.G[self.m:end] = W
+        np.concatenate(Ws, out=self.G[self.m:end])
         np.negative(u, out=self.h[self.m:end])
         self.m = end
 
@@ -308,18 +359,14 @@ class ComparatorFold:
             self.cons = _PlayedRows(domain)
         self.cost_sums_size = 2 * n + 2
 
-    def add(self, oracle) -> None:
-        self.cost.add(oracle)
-        self.cons.add(*oracle.constraint_affine)
-        self.t += 1
-
-    def copy_cost_sums(self, out: np.ndarray) -> None:
-        """Write the cost sums lin, const, qw, ql into out, of length 2n + 2."""
-        c = self.cost
-        out[:c.n] = c.lin
-        out[c.n] = c.const
-        out[c.n + 1] = c.qw
-        out[c.n + 2:] = c.ql
+    def add(self, rounds) -> np.ndarray:
+        """Fold played rounds, in play order; return the cost sums (lin, const,
+        qw, ql) after each of them, one row of `cost_sums_size` per round."""
+        sums = self.cost.add(rounds)
+        self.cons.add([o.constraint_affine[0] for o in rounds],
+                      [o.constraint_affine[1] for o in rounds])
+        self.t += len(rounds)
+        return sums
 
     def solve(self) -> tuple[np.ndarray | None, float, bool, float]:
         """(x, total cost, feasible, duality gap) over the rounds so far."""
@@ -340,12 +387,27 @@ def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
 
 def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """The comparator's total cost up to each trace row, from the cost sums
-    `ComparatorFold.copy_cost_sums` wrote there (one row each)."""
+    `ComparatorFold.add` returned for that row's round (one row each).
+
+    `_cost_value` on every row, bit for bit, in vector passes of up to
+    `_PASS_ROWS` rows, so no temporary grows with the trace: at n = 1 a
+    dot is one product, and at n >= 2 each row keeps its own `.dot`, whose
+    order of adding no vector op repeats.
+    """
     x = np.asarray(x_star, dtype=float)
     n = len(x)
-    columns = (cost_sums[:, :n], cost_sums[:, n], cost_sums[:, n + 1], cost_sums[:, n + 2:])
-    return np.fromiter((_cost_value(*row, x) for row in zip(*columns)), dtype=float,
-                       count=len(cost_sums))
+    xx = float(x.dot(x))
+    costs = np.empty(len(cost_sums))
+    for a in range(0, len(costs), _PASS_ROWS):
+        rows = cost_sums[a:a + _PASS_ROWS]
+        lin, const, qw, ql = rows[:, :n], rows[:, n], rows[:, n + 1], rows[:, n + 2:]
+        if n == 1:
+            lin_x, ql_x = lin[:, 0] * x[0], ql[:, 0] * x[0]
+        else:
+            lin_x = np.array([row.dot(x) for row in lin])
+            ql_x = np.array([row.dot(x) for row in ql])
+        costs[a:a + _PASS_ROWS] = lin_x + const + 0.5 * qw * xx - ql_x
+    return costs
 
 
 # -- theoretical bounds --------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -55,7 +56,8 @@ _T, _COST, _REGRET, _VIOLATION, _H, _BOUND = (
 _BOUND_INPUTS = ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
-# rows formatted per write, so no payload holds the whole trace
+# rounds folded per comparator call, and rows formatted per trace write, so
+# no buffer holds more than this many rounds or the whole trace
 _BLOCK_ROWS = 256
 # the JSON trace up to its first row, as json.dump(..., sort_keys=True,
 # indent=1) writes it
@@ -328,6 +330,7 @@ def execute_run(config: RunConfig) -> RunResult:
     n_rows = (T + record_every - 1) // record_every
     # regret and bound_B_t are filled in at the end
     table = np.empty((n_rows, len(TRACE_COLUMNS) - 1))
+    width = table.shape[1]
     flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
     cost_sums = np.empty((n_rows, fold.cost_sums_size))
@@ -337,21 +340,32 @@ def execute_run(config: RunConfig) -> RunResult:
     c = config.learner
     variant = c.variant
     lazy = variant != "greedy_baseline"
+    rounds = play_rounds(scenario, predictor, learner, T)
     # a total that overflows is named by the finite check below, so numpy's
     # own warnings about it would only come first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for truth, _ in play_rounds(scenario, predictor, learner, T):
-            fold.add(truth)
-            t = learner.t
-            if t % record_every == 0 or t == T:  # the last round's totals feed the summary
-                i = len(flags)
-                fold.copy_cost_sums(cost_sums[i])
-                bound_inputs[i] = (learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum)
-                table[i] = (t, learner.f_value, learner.cum_cost, math.nan,
-                            learner.violation_norm, learner.lambda_norm,
-                            learner.a_t, learner.prox_S, learner.h_cum, learner.xi_t,
-                            math.nan, learner.solver_residual)
-                flags.append(learner.flags)
+        # a block of rounds at a time: their truths go to the fold in one
+        # call, and the rows recorded among them to the arrays in one slice
+        for start in range(0, T, _BLOCK_ROWS):
+            block, at, rows = [], [], []
+            for truth, _ in islice(rounds, _BLOCK_ROWS):
+                block.append(truth)
+                t = learner.t
+                if t % record_every == 0 or t == T:  # the last round's totals feed the summary
+                    at.append(t - start - 1)
+                    rows.append((t, learner.f_value, learner.cum_cost, math.nan,
+                                 learner.violation_norm, learner.lambda_norm,
+                                 learner.a_t, learner.prox_S, learner.h_cum, learner.xi_t,
+                                 math.nan, learner.solver_residual, learner.sum_a_prev_xi_sq,
+                                 learner.mu, learner.xi_sq_cum))
+                    flags.append(learner.flags)
+            sums = fold.add(block)
+            if rows:
+                rows = np.array(rows)
+                written = slice(len(flags) - len(rows), len(flags))
+                table[written] = rows[:, :width]
+                bound_inputs[written] = rows[:, width:]
+                cost_sums[written] = sums[at]
         totals = learner.stats()
         if lazy:
             table[:, _BOUND] = analysis.regret_certificate(
@@ -711,8 +725,11 @@ def bench(config: RunConfig) -> dict:
             "benchmarking an adaptive scenario requires a completed run")
     scenario = _scenario_for(config)
     fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
-    for t in range(1, config.horizon + 1):
-        fold.add(scenario.round(t))
+    end = config.horizon + 1
+    # the blocks and the errstate of `execute_run`'s fold
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(1, end, _BLOCK_ROWS):
+            fold.add([scenario.round(t) for t in range(start, min(start + _BLOCK_ROWS, end))])
     result = analysis.compute_benchmark(fold)
     return _sanitize({
         "benchmark_kind": result.kind,

@@ -209,7 +209,7 @@ def test_criterion_07_linear_lower_bound_without_predictions():
     prefix = {}
     for truth, _ in runner.play_rounds(sc, runner._predictor_for(cfg, sc),
                                        runner._learner_for(cfg, sc), cfg.horizon):
-        fold.add(truth)
+        fold.add([truth])
         if sc.block_ends and sc.block_ends[-1] == fold.t:
             prefix[fold.t] = fold.solve()
     assert list(prefix) == block_ends

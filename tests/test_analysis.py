@@ -34,22 +34,20 @@ from helpers import (
 
 
 def benchmark_of(rounds, domain, kind):
-    """The comparator over a list of rounds."""
+    """The comparator over a list of rounds, folded as one block."""
     fold = ComparatorFold(domain, kind)
-    for oracle in rounds:
-        fold.add(oracle)
+    fold.add(rounds)
     return compute_benchmark(fold)
 
 
 def prefix_optima(rounds, domain, kind, marks):
     """(t, x, total cost, feasible) of the comparator over rounds 1..t, solved on
-    one fold as round t is added, for each t in `marks`."""
+    one fold as the block that ends at round t is added, for each t in `marks`."""
     fold = ComparatorFold(domain, kind)
     optima = []
-    for oracle in rounds:
-        fold.add(oracle)
-        if fold.t in marks:
-            optima.append((fold.t, *fold.solve()[:3]))
+    for t in sorted(marks):
+        fold.add(rounds[fold.t:t])
+        optima.append((fold.t, *fold.solve()[:3]))
     return optima
 
 
@@ -236,32 +234,191 @@ def test_projection_comparator_against_slsqp(n, d, kind, params):
     assert res.optimal_total_cost == pytest.approx(ref.fun * horizon, rel=1e-8)
 
 
+class FoldOneAtATime:
+    """The comparator fold a round at a time, in the arithmetic it had before
+    it took blocks: the reference the block fold must equal bit for bit."""
+
+    def __init__(self, domain, kind):
+        self.n = n = domain.dimension
+        self.kind = kind
+        self.lin, self.const, self.qw, self.ql = np.zeros(n), 0.0, 0.0, np.zeros(n)
+        self.lo, self.hi, self.infeasible = float(domain.lower[0]), float(domain.upper[0]), False
+        self.W = self.u = -0.0
+        self.G, self.h = [], []
+
+    def add(self, oracle) -> np.ndarray:
+        if oracle.cost_affine is not None:
+            c, b = oracle.cost_affine
+            self.lin = self.lin + c
+            self.const += b
+        else:
+            w, u, b = oracle.cost_quadratic
+            self.qw += w
+            self.ql += np.multiply(u, w)
+            self.const += 0.5 * w * float(u.dot(u)) + b
+        W, u = oracle.constraint_affine
+        if self.kind == "X_T_max":
+            self.W = self.W + W
+            self.u = self.u + u
+        elif self.n == 1:
+            for (w,), v in zip(W.tolist(), u.tolist()):
+                if w > 0.0:
+                    end = (-v + analysis._FEAS_TOL) / w
+                    if end < self.hi:
+                        self.hi = end
+                elif w < 0.0:
+                    end = (-v + analysis._FEAS_TOL) / w
+                    if end > self.lo:
+                        self.lo = end
+                elif v > analysis._FEAS_TOL:
+                    self.infeasible = True
+        else:
+            self.G.append(W)
+            self.h.append(-u)
+        return np.concatenate([self.lin, [self.const, self.qw], self.ql])
+
+
+def mixed_rounds(n, d, count, seed):
+    """Affine and quadratic rounds at random, led by a round of -0.0 rows and
+    costs, with zero slopes at the tolerance, a NaN interval end and a zero
+    end of either sign among them."""
+    rng = np.random.default_rng(seed)
+    tol = analysis._FEAS_TOL
+    rounds = [RoundOracle(constraint_affine=(np.full((d, n), -0.0), np.full(d, -0.0)),
+                          cost_affine=(np.full(n, -0.0), -0.0))]
+    for t in range(1, count):
+        W = rng.normal(size=(d, n)) * rng.choice([0.0, 1.0], size=(d, n), p=[0.2, 0.8])
+        u = rng.normal(size=d)
+        u[W[:, 0] == 0.0] = rng.choice([-tol, tol, 2.0 * tol])
+        if t % 97 == 5:
+            u[0], W[0, 0] = math.nan, 1.0        # a NaN end, which the scan skips
+        if t % 89 == 7:
+            u[-1], W[-1, 0] = tol, -2.0          # an end at -0.0
+        if t % 83 == 3:
+            u[0], W[0, 0] = tol, 3.0             # an end at +0.0
+        if rng.random() < 0.5:
+            cost = {"cost_affine": (rng.normal(size=n), 1e-3 * float(rng.normal()))}
+        else:
+            # b cancels all but the last digits of w/2 |u|^2, so const stays
+            # small and keeps the low bits of each round's u.u
+            w, p = float(rng.uniform(0.1, 2.0)), rng.normal(size=n)
+            cost = {"cost_quadratic": (w, p, -round(0.5 * w * float(np.sum(p * p)), 2))}
+        rounds.append(RoundOracle(constraint_affine=(W, u), **cost))
+    return rounds
+
+
+def row_costs_one_at_a_time(sums, x):
+    """`_cost_value` at x on each row of cost sums, one row at a time."""
+    n = len(x)
+    return np.array([analysis._cost_value(row[:n], float(row[n]), float(row[n + 1]),
+                                          row[n + 2:], x) for row in sums])
+
+
 def test_benchmark_round_costs_values():
     """Each row's comparator cost is the running total of its round costs."""
     sc = make_scenario("alternating_linear", horizon=4)
     fold = ComparatorFold(sc.domain, "X_T")
-    sums = np.empty((4, fold.cost_sums_size))
-    for t in range(1, 5):
-        fold.add(sc.round(t))
-        fold.copy_cost_sums(sums[t - 1])
+    sums = fold.add(draw_rounds(sc, 4))
     costs = benchmark_round_costs(sums, np.array([0.5]))
     np.testing.assert_allclose(costs, [-0.5, -2.5, -3.0, -5.0])
+    # the vector pass is the one-row formula, bit for bit, at a signed zero too
+    for x in (np.array([0.5]), np.array([-0.0]), np.array([-0.7])):
+        assert (benchmark_round_costs(sums, x).tobytes()
+                == row_costs_one_at_a_time(sums, x).tobytes())
 
     # quadratic rounds, with the last row equal to the solved total bit for bit
     sc = make_scenario("random_quadratic", horizon=30, dimension=3, constraints=2, seed=2)
     rounds = draw_rounds(sc, 30)
     fold = ComparatorFold(sc.domain, "X_T")
-    sums = np.empty((3, fold.cost_sums_size))
-    for oracle in rounds:
-        fold.add(oracle)
-        if fold.t % 10 == 0:
-            fold.copy_cost_sums(sums[fold.t // 10 - 1])
+    sums = np.vstack([fold.add(rounds[t - 10:t])[-1] for t in (10, 20, 30)])
     res = compute_benchmark(fold)
     costs = benchmark_round_costs(sums, res.x_star)
     for i, upto in enumerate((10, 20, 30)):
         want = sum(o.cost(res.x_star)[0] for o in rounds[:upto])
         assert costs[i] == pytest.approx(want, rel=1e-12)
     assert costs[-1] == res.optimal_total_cost
+    assert costs.tobytes() == row_costs_one_at_a_time(sums, res.x_star).tobytes()
+
+    # many rows, across the 256-row passes, at n = 1 and n = 3
+    for n, x in ((1, np.array([0.3])), (1, np.array([-0.0])), (3, np.array([0.31, 0.47, -0.83]))):
+        rounds = mixed_rounds(n, 2, 600, seed=n)
+        sums = ComparatorFold(Box(-np.ones(n), np.ones(n)), "X_T").add(rounds)
+        assert (benchmark_round_costs(sums, x).tobytes()
+                == row_costs_one_at_a_time(sums, x).tobytes())
+
+
+@pytest.mark.parametrize("block", [1, 255, 256, 257])
+@pytest.mark.parametrize("n, d, kind", [(1, 2, "X_T"), (1, 2, "X_T_max"), (3, 2, "X_T"),
+                                        (3, 2, "X_T_max"), (1, 1, "X_T"), (1, 1, "X_T_max")])
+def test_block_fold_is_the_round_fold(block, n, d, kind):
+    """Folding blocks of any size gives each round's cost sums and the fold's
+    constraint state of a fold a round at a time, bit for bit."""
+    rounds = mixed_rounds(n, d, 600, seed=10 * n + d)
+    domain = Box(-np.ones(n), np.ones(n))
+    ref = FoldOneAtATime(domain, kind)
+    want = np.vstack([ref.add(o) for o in rounds])
+    fold = ComparatorFold(domain, kind)
+    got = np.vstack([fold.add(rounds[a:a + block]) for a in range(0, len(rounds), block)])
+    assert fold.t == len(rounds)
+    assert got.tobytes() == want.tobytes()
+    assert fold.cost.sums.tobytes() == want[-1].tobytes()
+    if kind == "X_T_max":
+        assert fold.cons.W.tobytes() == ref.W.tobytes()
+        assert fold.cons.u.tobytes() == ref.u.tobytes()
+    elif n == 1:
+        lo, hi, infeasible = fold.cons.interval()
+        assert (infeasible, float(lo).hex(), float(hi).hex()) == (
+            ref.infeasible, ref.lo.hex(), ref.hi.hex())
+    else:
+        G, h = fold.cons.system()
+        assert G[:-2 * n].tobytes() == np.vstack(ref.G).tobytes()
+        assert h[:-2 * n].tobytes() == np.concatenate(ref.h).tobytes()
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_interval_keeps_the_first_of_equal_ends(flip):
+    """Two rows whose interval ends are +0.0 and -0.0 (one by an end that
+    underflows) in one block: the end is the first one, as in a scan."""
+    tol = analysis._FEAS_TOL
+    above = math.nextafter(tol, math.inf)
+    for rows in (([[-2.0], [-1e300]], [tol, above]),     # lo: -0.0, then +0.0
+                 ([[3.0], [1e300]], [tol, above])):      # hi: +0.0, then -0.0
+        W, u = (np.array(a[::-1] if flip else a) for a in rows)
+        oracle = affine_round([1.0], 0.0, W, u)
+        ref = FoldOneAtATime(Box(np.array([-1.0]), np.array([1.0])), "X_T")
+        ref.add(oracle)
+        fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
+        fold.add([oracle])
+        lo, hi, _ = fold.cons.interval()
+        assert (lo.hex(), hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+        assert 0.0 in (lo, hi)
+
+
+@pytest.mark.parametrize("v, emptied", [(2.0 * analysis._FEAS_TOL, True), (0.0, False)])
+def test_interval_takes_a_nan_slope_as_flat(v, emptied):
+    """A row with a NaN slope fails both slope tests, so the scan reads it as
+    a flat row: it empties the interval when its offset passes the tolerance."""
+    oracle = affine_round([1.0], 0.0, [[math.nan], [1.0]], [v, -0.5])
+    ref = FoldOneAtATime(Box(np.array([-1.0]), np.array([1.0])), "X_T")
+    ref.add(oracle)
+    fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
+    fold.add([oracle])
+    assert fold.cons.interval() == (ref.lo, ref.hi, ref.infeasible)
+    assert ref.infeasible is emptied
+
+
+def test_block_fold_edge_rounds():
+    """The rounds `mixed_rounds` plants do reach the fold: the first round's
+    -0.0 rows start X_T_max, and the 1-D scan meets a NaN end and zero ends."""
+    rounds = mixed_rounds(1, 2, 600, seed=12)
+    fold = ComparatorFold(Box(-np.ones(1), np.ones(1)), "X_T_max")
+    fold.add(rounds[:1])
+    assert np.signbit(fold.cons.W).all() and np.signbit(fold.cons.u).all()
+    ends = [(-v + analysis._FEAS_TOL) / w for o in rounds
+            for (w,), v in zip(*(a.tolist() for a in o.constraint_affine)) if w != 0.0]
+    assert any(math.isnan(e) for e in ends)
+    assert any(e == 0.0 and math.copysign(1.0, e) < 0.0 for e in ends)
+    assert any(e == 0.0 and math.copysign(1.0, e) > 0.0 for e in ends)
 
 
 def distinct_rows_before(rounds):
@@ -310,10 +467,10 @@ def test_distinct_rows_are_the_unique_rows(n, d, start_rows, monkeypatch):
     monkeypatch.setattr(analysis._PlayedRows, "_START_ROWS", start_rows)
     rounds = rounds_with_repeats(n, d, 150, seed=n + d)
     fold = ComparatorFold(Box(-np.ones(n), np.ones(n)), "X_T")
-    for t, oracle in enumerate(rounds, start=1):
-        fold.add(oracle)
-        if t == len(rounds) // 2:
-            fold.solve()        # the next round overwrites the box rows
+    half = len(rounds) // 2
+    fold.add(rounds[:half])
+    fold.solve()        # the next block overwrites the box rows
+    fold.add(rounds[half:])
     G, h = fold.cons.system()
     assert G.flags.c_contiguous and h.flags.c_contiguous
     box = [np.eye(n), -np.eye(n)]
@@ -366,8 +523,7 @@ def test_folded_interval_is_the_row_scan(seed):
     feasible_at = []
     for t in range(1, len(rounds) + 1):
         fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
-        for oracle in rounds[:t]:
-            fold.add(oracle)
+        fold.add(rounds[:t])
         lo, hi, infeasible = fold.cons.interval()
         feasible = not infeasible and lo <= hi
         want = interval_before(rounds[:t], -1.0, 1.0)

@@ -253,6 +253,45 @@ def test_record_every_subsampling():
     assert result.summary["rows_written"] == 4
 
 
+@pytest.mark.parametrize("short, long, record_every", [(257, 513, 1), (257, 513, 7),
+                                                      (700, 1400, 300)])
+@pytest.mark.parametrize("scenario, predictor, comparator", [
+    ({"kind": "alternating_linear"}, {"kind": "none"}, "X_T"),
+    ({"kind": "random_quadratic", "dimension": 3, "constraints": 2},
+     {"kind": "noisy", "level": 0.3, "seed": 4}, "X_T"),
+    ({"kind": "stochastic_constraint"}, {"kind": "perfect"}, "X_T_max"),
+    ({"kind": "random_quadratic", "dimension": 2, "constraints": 1}, {"kind": "perfect"},
+     "X_T_max"),
+], ids=["alternating_none", "quadratic_noisy", "stochastic_perfect", "quadratic_max"])
+def test_rows_survive_block_edges(scenario, predictor, comparator, short, long, record_every):
+    """The run folds and writes its rounds 256 at a time, and a row lands where
+    its round puts it: a shorter run's rows and flags are the longer run's,
+    bit for bit, but for regret (its comparator sees fewer rounds) and for a
+    last row that only round T records; and each row's regret is its own
+    round's."""
+    runs = [runner.execute_run(runner.parse_run_config(base_doc(
+        scenario=dict(scenario, horizon=T, seed=3), predictor=predictor,
+        benchmark={"kind": comparator}, output={"record_every": record_every})))
+        for T in (short, long)]
+    m = len(runs[0].flags) - (short % record_every != 0)
+    assert m == short // record_every
+    a, b = (np.delete(r.table[:m], runner._REGRET, axis=1) for r in runs)
+    assert a.tobytes() == b.tobytes()
+    assert runs[0].flags[:m] == runs[1].flags[:m]
+
+    # each row's regret is read at its own round: the cumulative cost less the
+    # comparator's cost over the rounds up to it, replayed
+    for run in runs:
+        x = np.asarray(run.summary["x_star"])
+        sc = runner._scenario_for(run.config)
+        comparator = np.cumsum([sc.round(t).cost(x)[0]
+                                for t in range(1, run.config.horizon + 1)])
+        t = run.table[:, runner._T].astype(int)
+        np.testing.assert_allclose(run.table[:, runner._REGRET],
+                                   run.table[:, runner._COST] - comparator[t - 1],
+                                   rtol=1e-9, atol=1e-9)
+
+
 @pytest.mark.parametrize("scenario, predictor", [
     ({"kind": "alternating_linear", "seed": 0}, {"kind": "none"}),
     # the noisy predictor guesses the gradient at the last noted point, so a
@@ -744,15 +783,20 @@ def test_cli_rejects_bad_scenario_params(tmp_path, capsys, kind, param, value):
     assert param in capsys.readouterr().err
 
 
+# horizons within, at and past the 256-round blocks both commands fold
 @pytest.mark.parametrize("scenario, comparator", [
     ({"kind": "alternating_linear", "horizon": 50}, "X_T"),
-    ({"kind": "stochastic_constraint", "horizon": 80, "seed": 3}, "X_T"),
-    ({"kind": "perturbed_linear", "horizon": 60, "seed": 2}, "X_T_max"),
-    ({"kind": "random_quadratic", "horizon": 60, "dimension": 3, "constraints": 2,
+    ({"kind": "stochastic_constraint", "horizon": 513, "seed": 3}, "X_T"),
+    ({"kind": "perturbed_linear", "horizon": 600, "seed": 2}, "X_T_max"),
+    ({"kind": "random_quadratic", "horizon": 600, "dimension": 3, "constraints": 2,
       "seed": 4}, "X_T"),
-    ({"kind": "random_quadratic", "horizon": 70, "dimension": 2, "constraints": 3,
+    ({"kind": "random_quadratic", "horizon": 600, "dimension": 2, "constraints": 3,
       "seed": 1}, "X_T_max"),
-], ids=["alternating", "stochastic", "perturbed_max", "quadratic", "quadratic_max"])
+    ({"kind": "alternating_linear", "horizon": 600}, "X_T_max"),
+    ({"kind": "random_quadratic", "horizon": 256, "dimension": 2, "constraints": 3,
+      "seed": 1}, "X_T_max"),
+], ids=["alternating", "stochastic", "perturbed_max", "quadratic", "quadratic_max",
+        "alternating_max", "quadratic_max_one_block"])
 def test_cli_bench_matches_run_summary(tmp_path, capsys, scenario, comparator):
     """`bench` folds a fresh scenario and gets the comparator `run` reports, bit for bit."""
     doc = base_doc(scenario=scenario, benchmark={"kind": comparator},

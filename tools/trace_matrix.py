@@ -52,6 +52,12 @@ The matrix:
   perfect and noisy predictors (level 0.3, seed 4) on `random_quadratic`
   at n = d = 1, seed 3, T = 400, `X_T`: the cells whose n = d = 1 rounds
   carry a quadratic cost forecast;
+- `sparse_rows_1d` and `sparse_rows_3d`: `llp` with the noisy predictor
+  (level 0.3, seed 4), T = 1 400 and a row every 600th round, on
+  `stochastic_constraint` (seed 3) under `X_T` and on `random_quadratic`
+  at n = 3, d = 2 (seed 3) under `X_T_max`: the run folds its rounds
+  256 at a time, so these are the cells with blocks that record no row
+  and a last, partial block;
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
@@ -164,6 +170,17 @@ def cells() -> dict[str, dict]:
                 "predictor": {"kind": predictor, "level": 0.3, "seed": 4},
                 "benchmark": {"kind": "X_T"},
             }
+    for name, scenario, comparator in (
+            ("sparse_rows_1d", {"kind": "stochastic_constraint"}, "X_T"),
+            ("sparse_rows_3d", {"kind": "random_quadratic", "dimension": 3, "constraints": 2},
+             "X_T_max")):
+        out[name] = {
+            "scenario": {**scenario, "horizon": 1400, "seed": 3},
+            "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+            "predictor": {"kind": "noisy", "level": 0.3, "seed": 4},
+            "benchmark": {"kind": comparator},
+            "output": {"record_every": 600},
+        }
     out["bounds_override"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
                      "constraints": 2, "seed": 3},
