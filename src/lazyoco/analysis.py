@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _Scenario
 from .sets import ConfigurationError
 
 __all__ = [
@@ -54,8 +55,8 @@ __all__ = [
 BENCHMARK_KINDS = ("X_T", "X_T_max")
 
 _FEAS_TOL = 1e-9
-# trace rows per vector pass of `benchmark_round_costs`
-_PASS_ROWS = 256
+# trace rows per vector pass of `benchmark_round_costs`: the scenarios' draw block
+_PASS_ROWS = _Scenario._BLOCK
 # a degenerate cycle of the active-set method would otherwise never end;
 # each step adds or drops one of at most n linearly independent rows
 _MAX_ACTIVE_SET_STEPS = 10_000
@@ -115,9 +116,9 @@ class _CostAccumulator:
             quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
             w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
             w, U = np.array(w), np.concatenate(u).reshape(-1, n)
-            # at n >= 2 each round keeps its own u.dot(u): no vector op
-            # repeats the order in which that dot adds
-            uu = U[:, 0] * U[:, 0] if n == 1 else np.array([float(v.dot(v)) for v in u])
+            # each round keeps its own u.dot(u): no vector op repeats the
+            # order in which that dot adds
+            uu = np.array([float(v.dot(v)) for v in u])
             steps[quadratic, n] = 0.5 * w * uu + b
             steps[quadratic, n + 1] = w
             steps[quadratic, n + 2:] = U * w[:, None]
@@ -362,6 +363,8 @@ class ComparatorFold:
     def add(self, rounds) -> np.ndarray:
         """Fold played rounds, in play order; return the cost sums (lin, const,
         qw, ql) after each of them, one row of `cost_sums_size` per round."""
+        if not rounds:
+            return np.empty((0, self.cost_sums_size))
         sums = self.cost.add(rounds)
         self.cons.add([o.constraint_affine[0] for o in rounds],
                       [o.constraint_affine[1] for o in rounds])

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .learners import LearnerConfig, LearnerTotals, make_learner
 from .predictors import make_predictor
-from .problems import SCENARIO_KINDS, RoundOracle, finite_number, make_scenario
+from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
 from .sets import ConfigurationError
 from .solver import SolverSettings
 
@@ -57,8 +57,9 @@ _BOUND_INPUTS = ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
 # rounds folded per comparator call, and rows formatted per trace write, so
-# no buffer holds more than this many rounds or the whole trace
-_BLOCK_ROWS = 256
+# no buffer holds more than this many rounds or the whole trace: the
+# scenarios' draw block
+_BLOCK_ROWS = _Scenario._BLOCK
 # the JSON trace up to its first row, as json.dump(..., sort_keys=True,
 # indent=1) writes it
 _JSON_HEAD = ('{\n "columns": ' + json.dumps(list(TRACE_COLUMNS), indent=1).replace("\n", "\n ")

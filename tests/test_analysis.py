@@ -421,6 +421,36 @@ def test_block_fold_edge_rounds():
     assert any(e == 0.0 and math.copysign(1.0, e) > 0.0 for e in ends)
 
 
+@pytest.mark.parametrize("n, kind", [(1, "X_T"), (3, "X_T"), (1, "X_T_max"), (3, "X_T_max")])
+def test_empty_block_changes_nothing(n, kind):
+    """A fold of no rounds returns no rows of cost sums and leaves t, the sums
+    and the constraint state as they were, before and after other rounds."""
+    rounds = mixed_rounds(n, 2, 20, seed=n)
+    domain = Box(-np.ones(n), np.ones(n))
+
+    def state(fold):
+        if kind == "X_T_max":
+            cons = (np.asarray(fold.cons.W).tobytes(), np.asarray(fold.cons.u).tobytes())
+        elif n == 1:
+            cons = tuple(float(v).hex() if not isinstance(v, bool) else v
+                         for v in fold.cons.interval())
+        else:
+            cons = tuple(a.tobytes() for a in fold.cons.system())
+        return fold.t, fold.cost.sums.tobytes(), cons
+
+    fold, plain = ComparatorFold(domain, kind), ComparatorFold(domain, kind)
+    before = state(fold)
+    empty = fold.add([])
+    assert empty.shape == (0, fold.cost_sums_size)
+    assert state(fold) == before
+    assert fold.add(rounds[:7]).tobytes() == plain.add(rounds[:7]).tobytes()
+    before = state(fold)
+    assert fold.add([]).shape == (0, fold.cost_sums_size)
+    assert state(fold) == before
+    assert fold.add(rounds[7:]).tobytes() == plain.add(rounds[7:]).tobytes()
+    assert state(fold) == state(plain)
+
+
 def distinct_rows_before(rounds):
     """The X_T rows as the comparator built them before it kept a row buffer:
     one bytes key per distinct round, then np.unique(axis=0) of the stacked rows."""
