@@ -36,7 +36,7 @@ from .runner import (
     write_trace,
 )
 from .sets import Box, ConfigurationError, positive_part
-from .solver import FtrlObjective, SolveResult, SolverSettings, minimize
+from .solver import FtrlObjective, SolveResult, minimize
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "Box", "positive_part", "ConfigurationError",
     "ProblemBounds", "RoundOracle", "SCENARIO_KINDS", "make_scenario",
     "PredictionBundle", "PREDICTOR_KINDS", "make_predictor", "zero_bundle",
-    "SolverSettings", "SolveResult", "FtrlObjective", "minimize",
+    "SolveResult", "FtrlObjective", "minimize",
     "LearnerConfig", "VARIANTS", "make_learner",
     "BENCHMARK_KINDS", "BenchmarkResult", "ExponentFit",
     "ComparatorFold", "compute_benchmark", "fit_growth_exponent",

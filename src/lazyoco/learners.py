@@ -51,8 +51,12 @@ updates.
 Every step but that last one (the primal step at a fixed multiplier,
 the lam = 0 step, the zero-curvature fixed point and the prescient step)
 is one prox projection or vertex rule, and calls `sets.exact_step`
-directly on the arrays the learner holds.  The start point is checked
-against the set once, at construction.
+directly on the arrays the learner holds.  The prescient step is z = x
+when the round's mismatch h is exactly 0 and its primal step did not
+stop unconverged: the regularizer did not advance, and the prescient
+aggregate's gradient at x is the primal one's, so x minimizes both.  No
+step reads a tolerance.  The start point is checked against the set
+once, at construction.
 
 The shape alone picks the body that plays a round, at construction.  At
 n = d = 1 a numpy call on a 1-element array costs more than the
@@ -76,7 +80,7 @@ both bodies call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +88,7 @@ import numpy as np
 from .predictors import PredictionBundle, zero_bundle
 from .problems import ProblemBounds, RoundOracle
 from .sets import ConfigurationError, exact_step, norm, positive_part
-from .solver import FtrlObjective, SolverSettings, dual_step, minimize
+from .solver import FtrlObjective, dual_step, minimize
 
 __all__ = [
     "VARIANTS",
@@ -106,7 +110,6 @@ class LearnerConfig:
     beta: float
     bounds: ProblemBounds
     x0: np.ndarray | None = None
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         if self.variant == "llp_linearized":
@@ -344,7 +347,7 @@ class LlpLearner:
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
 
-        z, gz = self._prescient(W, u, j, x, c_t, gvals, lam)
+        z, gz = self._prescient(W, u, j, x, c_t, gvals, lam, h)
 
         self.cum_gz = self.cum_gz + gz
         self.cum_gx = self.cum_gx + gvals
@@ -410,21 +413,18 @@ class LlpLearner:
             self._advance_regularizer(h, x, 0.0)
 
         # prescient: `_prescient`
-        ccum, lag = self.ccum, self.lag_lin
-        self.ccum = linear = ccum + c_t
-        linear = linear + lag
+        self.ccum = linear = self.ccum + c_t
+        linear = linear + self.lag_lin
         if lam:
             lin = 0.0 + j * lam
-            self.lag_lin = lag + lin
+            self.lag_lin = self.lag_lin + lin
             linear = linear + lin
-        S, tie = self.prox_S, False
-        if S == 0.0:
-            mag = 0.0 + math.sqrt(ccum * ccum) + math.sqrt(c_t * c_t) + math.sqrt(lag * lag)
-            if lam:
-                mag = mag + math.sqrt(lin * lin)
-            tie = abs(linear) <= self.cfg.solver.tolerance * (1.0 + mag)
-        z = x if tie else _float_step(S, self.prox_b / S if S > 0.0 else 0.0, linear, x, lo, hi)
-        gz = 0.0 + W * z + u
+        if h == 0.0:
+            z, gz = x, gx
+        else:
+            S = self.prox_S
+            z = _float_step(S, self.prox_b / S if S > 0.0 else 0.0, linear, x, lo, hi)
+            gz = 0.0 + W * z + u
 
         self.cum_gz = self.cum_gz + gz
         self.cum_gx = self.cum_gx + gx
@@ -522,7 +522,7 @@ class LlpLearner:
             return 0.5 * float(lam @ lam) / a_dual, jp.T @ lam
 
         obj = FtrlObjective(self.domain, S, center, linear, [(penalty, smoothness)])
-        res = minimize(obj, self.cfg.solver, fallback=self.last_x)
+        res = minimize(obj, fallback=self.last_x)
         if not res.converged:
             self.flags = "primal_solver"
             self.flag_counts[self.flags] = self.flag_counts.get(self.flags, 0) + 1
@@ -552,29 +552,19 @@ class LlpLearner:
 
     # -- prescient -------------------------------------------------------------
 
-    def _prescient(self, W, u, j, x, c_t, gvals, lam):
-        """(z, g(z) = W z + u); folds the round's cost gradient and j^T lam into the state."""
-        folded = [self.ccum, c_t, self.lag_lin]  # the summands of linear, for the tie scale
+    def _prescient(self, W, u, j, x, c_t, gvals, lam, h):
+        """(z, g(z) = W z + u); folds the round's cost gradient and j^T lam into the state.
+
+        z is x when h = 0 and the primal step did not stop unconverged (see the module docstring).
+        """
         self.ccum = linear = self.ccum + c_t
         linear = linear + self.lag_lin
         if any(lam):
             lin = j.T @ lam
             self.lag_lin = self.lag_lin + lin
             linear = linear + lin
-            folded.append(lin)
-        if self.prox_S == 0.0:
-            # With no regularizer the aggregate is a bare linear functional, and
-            # when the round's forecasts were exact x already satisfies its
-            # first-order conditions; a coordinate whose slope is at rounding
-            # scale relative to the folded magnitudes is a tie, resolved at the
-            # played point, and only the others take the vertex rule.
-            mag = 0.0
-            for part in folded:
-                mag += norm(part)
-            tie = np.abs(linear) <= self.cfg.solver.tolerance * (1.0 + mag)
-            if tie.all():
-                return x, gvals
-            linear = np.where(tie, 0.0, linear)
+        if h == 0.0 and not self.flags:
+            return x, gvals
         z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
         return z, W @ z + u
 

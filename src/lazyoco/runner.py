@@ -24,7 +24,6 @@ from .learners import LearnerConfig, LearnerTotals, make_learner
 from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
 from .sets import ConfigurationError
-from .solver import SolverSettings
 
 __all__ = [
     "RunConfig",
@@ -70,9 +69,8 @@ _JSON_ROW = "  [\n   %d,\n" + "   %s,\n" * (len(TRACE_COLUMNS) - 2) + "   %s\n  
 
 _TOP_KEYS = {"scenario", "learner", "predictor", "benchmark", "output"}
 _SCENARIO_KEYS = {"kind", "horizon", "dimension", "constraints", "seed", "params"}
-_LEARNER_KEYS = {"variant", "sigma", "a", "beta", "bounds", "x0", "solver"}
+_LEARNER_KEYS = {"variant", "sigma", "a", "beta", "bounds", "x0"}
 _BOUNDS_KEYS = {"L_f", "L_g", "G", "D", "E_m", "Delta_m"}
-_SOLVER_KEYS = {"tolerance", "max_iterations"}
 _PREDICTOR_KEYS = {"kind", "level", "seed"}
 _BENCHMARK_KEYS = {"kind"}
 _OUTPUT_KEYS = {"path", "format", "record_every"}
@@ -164,7 +162,6 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     ln = _mapping(doc["learner"], "learner", _LEARNER_KEYS)
     bd = _mapping(ln.get("bounds"), "learner.bounds", _BOUNDS_KEYS)
-    sv = _mapping(ln.get("solver"), "learner.solver", _SOLVER_KEYS)
     x0 = ln.get("x0")
     if x0 is not None and not (isinstance(x0, list) and all(finite_number(v) for v in x0)):
         raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
@@ -175,11 +172,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         beta=_field(ln, "beta", "learner", float, required=True),
         bounds=replace(probe.bounds,
                        **{key: _field(bd, key, "learner.bounds", float) for key in sorted(bd)}),
-        x0=x0,
-        solver=SolverSettings(
-            tolerance=_field(sv, "tolerance", "learner.solver", float, SolverSettings.tolerance),
-            max_iterations=_field(sv, "max_iterations", "learner.solver", int,
-                                  SolverSettings.max_iterations)))
+        x0=x0)
 
     pr = _mapping(doc.get("predictor"), "predictor", _PREDICTOR_KEYS)
     bm = _mapping(doc.get("benchmark"), "benchmark", _BENCHMARK_KEYS)

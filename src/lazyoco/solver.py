@@ -12,14 +12,16 @@ terms, or a smooth one with no curvature at all (S + sum_i L_i = 0), is
 refused with a `ConfigurationError` that points there.  `minimize`
 checks its inputs once, at entry, and serves the penalty of a learner's
 fixed point for a deferred value forecast (n >= 2, with nonzero W~ and
-J~) and the general convex objectives criterion 06 checks.  A term is a pair (f, L): f(x) returns the term's value and
-gradient, and L is the Lipschitz constant of that gradient, or None for
-a nonsmooth term.  When every term is smooth the method is projected
-gradient with a fixed step 1 / (S + sum_i L_i); otherwise it is
-projected subgradient with step ~ 1/sqrt(k) and best-iterate tracking.
-Convergence is judged by the norm of the gradient map
-x - project(x - grad(x) / max(S, 1)).  The iterations start at
-`fallback`, or at the prox center without one.
+J~) and the general convex objectives criterion 06 checks.  A term is a
+pair (f, L): f(x) returns the term's value and gradient, and L is the
+Lipschitz constant of that gradient, or None for a nonsmooth term.
+When every term is smooth the method is projected gradient with a fixed
+step 1 / (S + sum_i L_i); otherwise it is projected subgradient with
+step ~ 1/sqrt(k) and best-iterate tracking.  Convergence is judged by
+the norm of the gradient map x - project(x - grad(x) / max(S, 1))
+against the keyword `tolerance` (default 1e-9), within `max_iterations`
+steps (default 10 000); no run config sets either.  The iterations
+start at `fallback`, or at the prox center without one.
 
 The dual maximization is never iterative: with a quadratic dual
 regularizer the maximizer over the nonnegative orthant is the closed
@@ -37,7 +39,6 @@ import numpy as np
 from .sets import ConfigurationError, norm
 
 __all__ = [
-    "SolverSettings",
     "FtrlObjective",
     "SolveResult",
     "minimize",
@@ -47,19 +48,6 @@ __all__ = [
 # (f, L): f(x) -> (value, gradient); L bounds the gradient's Lipschitz
 # constant, or is None for a nonsmooth term
 Term = tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], float | None]
-
-
-@dataclass
-class SolverSettings:
-    tolerance: float = 1e-9
-    max_iterations: int = 10000
-
-    def __post_init__(self):
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ConfigurationError("solver tolerance must be positive")
-        if int(self.max_iterations) < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
-        self.max_iterations = int(self.max_iterations)
 
 
 @dataclass
@@ -97,12 +85,18 @@ def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> f
     return norm(x - (x - grad / scale).clip(obj.domain.lower, obj.domain.upper))
 
 
-def minimize(obj: FtrlObjective, settings: SolverSettings,
-             fallback: np.ndarray | None = None) -> SolveResult:
+def minimize(obj: FtrlObjective, fallback: np.ndarray | None = None, *,
+             tolerance: float = 1e-9, max_iterations: int = 10_000) -> SolveResult:
     """Minimize an aggregate objective with at least one term over its feasible set.
 
-    Inputs are checked at entry; the iterates then stay in the box, so each step is a clip.
+    It stops once the gradient map's norm is at most `tolerance`, or after
+    `max_iterations` steps unconverged.  Inputs are checked at entry; the
+    iterates then stay in the box, so each step is a clip.
     """
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise ConfigurationError("solver tolerance must be positive")
+    if max_iterations < 1:
+        raise ConfigurationError("max_iterations must be >= 1")
     S = float(obj.quad_weight)
     if S < 0.0:
         raise ConfigurationError("quadratic weight must be nonnegative")
@@ -123,12 +117,12 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
     if not smooth:
         best_x, best_val = x, obj.value(x)
 
-    for k in range(1, settings.max_iterations + 1):
+    for k in range(1, max_iterations + 1):
         grad = obj.gradient(x)
         res = _gradient_map_norm(obj, x, grad)
         if res < best_res:
             best_res = res
-        if res <= settings.tolerance:
+        if res <= tolerance:
             return SolveResult(x=x, residual=res, converged=True, iterations=k)
         if smooth:
             x = (x - grad / curvature).clip(lo, hi)
@@ -145,7 +139,7 @@ def minimize(obj: FtrlObjective, settings: SolverSettings,
         grad = obj.gradient(x)
         best_res = min(best_res, _gradient_map_norm(obj, x, grad))
     return SolveResult(x=x, residual=best_res, converged=False,
-                       iterations=settings.max_iterations)
+                       iterations=max_iterations)
 
 
 def dual_step(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) -> np.ndarray:

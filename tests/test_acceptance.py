@@ -16,7 +16,6 @@ import pytest
 from lazyoco import runner
 from lazyoco.analysis import ComparatorFold, fit_growth_exponent, regret_certificate
 from lazyoco.solver import dual_step, minimize
-from lazyoco.solver import SolverSettings
 
 import helpers
 from helpers import dual_grid_argmax, grid_min_1d_vec, refine_min_2d_vec
@@ -181,7 +180,7 @@ def test_criterion_06_primal_solver_against_grid():
         obj, values = random_instance(rng, n)
         if obj.constraint_terms[0][1] is None:
             nonsmooth_seen += 1
-        res = minimize(obj, SolverSettings())
+        res = minimize(obj)
         if n == 1:
             ref = np.array([grid_min_1d_vec(lambda xs: values(xs[:, None]),
                                             -1.0, 1.0, 1e-4)])

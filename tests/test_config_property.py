@@ -18,7 +18,8 @@ from lazyoco.sets import ConfigurationError
 
 # one deliberate fault per document, or none; each must be refused at parse
 _FAULTS = (None, None, None, None, None, "sigma", "a", "beta", "x0 shape", "x0 outside",
-           "noise level", "dimension", "param", "bound overflow", "negative seed")
+           "noise level", "dimension", "param", "bound overflow", "negative seed",
+           "solver section")
 
 
 @st.composite
@@ -42,13 +43,10 @@ def run_docs(draw, faults=_FAULTS):
     learner = {"variant": draw(st.sampled_from(VARIANTS)),
                "sigma": draw(positive), "a": draw(positive),
                "beta": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))}
-    # optional sections; a null one reads as absent
-    for section, fields in (
-            ("bounds", {key: positive for key in ("L_f", "L_g", "G", "D", "E_m", "Delta_m")}),
-            ("solver", {"tolerance": st.sampled_from([1e-9, 1e-6]),
-                        "max_iterations": st.sampled_from([3, 50, 10000])})):
-        if draw(st.booleans()):
-            learner[section] = draw(st.none() | st.fixed_dictionaries({}, optional=fields))
+    # the optional bounds section; a null one reads as absent
+    if draw(st.booleans()):
+        learner["bounds"] = draw(st.none() | st.fixed_dictionaries({}, optional={
+            key: positive for key in ("L_f", "L_g", "G", "D", "E_m", "Delta_m")}))
     if draw(st.booleans()):
         learner["x0"] = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
                                       min_size=n, max_size=n))
@@ -74,6 +72,11 @@ def run_docs(draw, faults=_FAULTS):
             scenario["seed"] = -1
         else:
             predictor.update(kind="noisy", seed=-3)
+    elif fault == "solver section":
+        # retired: the learner reads no tolerance or iteration limit
+        learner["solver"] = draw(st.none() | st.fixed_dictionaries({}, optional={
+            "tolerance": st.sampled_from([1e-9, 1e-6]),
+            "max_iterations": st.sampled_from([3, 50, 10000])}))
     elif fault == "param":
         scenario["params"] = {"amplitude" if kind == "perturbed_linear" else "offset_scale": -1.0}
     return fault, {

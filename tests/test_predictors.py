@@ -72,7 +72,7 @@ def test_perfect_errors_vanish_through_learner():
     # exact forecasts make W~ = W, so h_t = ||eps_t||: h_{1:t} stays 0 iff every eps_t = 0
     assert all(r.h_cum == 0.0 for r in rounds)
     assert all(r.xi_t == 0.0 for r in rounds)
-    assert learner.max_xz <= 10.0 * learner.cfg.solver.tolerance
+    assert learner.max_xz == 0.0
 
 
 @pytest.mark.parametrize("kind,level", [("noisy", 0.3), ("noisy", 1.5), ("adversarial", 0.0)])
@@ -194,10 +194,10 @@ def test_predictor_kind_registry():
 
 
 def test_perfect_collapse_on_learner_runs():
-    """x_t = z_t within solver tolerance under perfect forecasts."""
+    """x_t = z_t exactly under perfect forecasts."""
     for scenario_kind in ("alternating_linear", "stochastic_constraint"):
         sc = make_scenario(scenario_kind, horizon=150, seed=6)
         p = predictor_for(sc, "perfect")
         learner, _ = run_learner(sc, p, 150)
-        assert learner.max_xz <= 10.0 * learner.cfg.solver.tolerance
+        assert learner.max_xz == 0.0
         assert learner.xi_sq_cum == 0.0

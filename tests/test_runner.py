@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import os
@@ -353,7 +354,7 @@ def test_run_solves_the_comparator_once(monkeypatch):
     assert calls == [400]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the penalty fixed point of "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the penalty fixed point of "
                    "LlpLearner._fixed_point stops at max_iterations far from solved at "
                    "large learner.a, until the exact QP step replaces it")
 @pytest.mark.parametrize("a", [1e6, 1e10])
@@ -367,16 +368,37 @@ def test_deferred_fixed_point_is_solved_at_large_step_sizes(a):
     assert result.table[:, runner.TRACE_COLUMNS.index("solver_residual")].max() <= 1e-8
 
 
-def test_unconverged_primal_solve_is_flagged_in_row_and_summary():
-    """A solver capped at 3 iterations stops one penalty solve short of converging."""
+def test_unconverged_primal_solve_is_flagged_in_row_and_summary(monkeypatch):
+    """A solver capped at 3 iterations stops one penalty solve short of converging,
+    and that round's prescient step still solves for z instead of keeping x."""
+    monkeypatch.setattr(learners, "minimize",
+                        functools.partial(learners.minimize, max_iterations=3))
     doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 400, "dimension": 5,
                              "constraints": 3, "seed": 3},
                    predictor={"kind": "perfect"})
-    doc["learner"]["solver"] = {"max_iterations": 3}
     result = runner.execute_run(runner.parse_run_config(doc))
     assert [fl for fl in result.flags if fl] == ["primal_solver"]
     assert result.summary["flag_counts"] == {"primal_solver": 1}
     assert result.summary["warning_count"] == 1
+    assert result.summary["max_xz"] == 2.1226788355865738
+
+
+@pytest.mark.parametrize("horizon, beta, every", [(400, 0.5, 1), (173, 0.0, 7)])
+@pytest.mark.parametrize("variant, kind", [
+    (variant, kind) for variant in ("llp", "llp2", "llp_perturbed")
+    for kind in ("alternating_linear", "stochastic_constraint", "impossibility_adversary",
+                 "perturbed_linear", "random_quadratic")
+    if variant != "llp_perturbed" or kind == "perturbed_linear"])
+def test_perfect_forecasts_play_z_at_x(variant, kind, horizon, beta, every):
+    """Exact forecasts make every round's mismatch h exactly 0, so each prescient
+    point is the played one: max ||x_t - z_t|| is 0, not rounding noise."""
+    shape = {"dimension": 3, "constraints": 2} if kind == "random_quadratic" else {}
+    doc = base_doc(scenario={"kind": kind, "horizon": horizon, "seed": 3, **shape},
+                   predictor={"kind": "perfect"}, output={"record_every": every})
+    doc["learner"].update(variant=variant, beta=beta)
+    s = runner.execute_run(runner.parse_run_config(doc)).summary
+    assert s["h_cum"] == 0.0
+    assert s["max_xz"] == 0.0
 
 
 def test_perfect_prediction_summary():

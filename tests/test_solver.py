@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lazyoco.sets import Box, ConfigurationError, exact_step
-from lazyoco.solver import FtrlObjective, SolveResult, SolverSettings, dual_step, minimize
+from lazyoco.solver import FtrlObjective, SolveResult, dual_step, minimize
 
 from helpers import dual_grid_argmax, grid_min_1d, grid_min_1d_vec, refine_min_2d_vec, sample
 
@@ -24,7 +24,7 @@ def test_smooth_constraint_term_stationary_point():
         return float(x[0]) ** 2, 2.0 * x
 
     obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(sq, 2.0)])
-    res = minimize(obj, SolverSettings())
+    res = minimize(obj)
     assert res.converged
     assert res.x[0] == pytest.approx(-1.0 / 3.0, abs=1e-8)
 
@@ -38,7 +38,7 @@ def test_nonsmooth_absolute_value_term():
         return abs(float(x[0])), np.array([math.copysign(1.0, x[0])])
 
     obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(absval, None)])
-    res = minimize(obj, SolverSettings())
+    res = minimize(obj)
     assert abs(res.x[0] - expected) <= 1e-3
 
 
@@ -74,7 +74,7 @@ def test_exact_step_is_the_checked_box_step(n):
 def test_negative_quad_weight_rejected():
     obj = FtrlObjective(BOX1, -1.0, np.zeros(1), np.zeros(1), [])
     with pytest.raises(ConfigurationError):
-        minimize(obj, SolverSettings())
+        minimize(obj)
 
 
 def test_closed_form_agrees_with_iterative_path():
@@ -91,8 +91,7 @@ def test_closed_form_agrees_with_iterative_path():
         linear = rng.uniform(-2.0, 2.0, size=2)
         direct = exact_step(BOX2, S, center, linear)
         iterative = minimize(
-            FtrlObjective(BOX2, S, center, linear, [(zero_term, 0.0 * 2.0)]),
-            SolverSettings())
+            FtrlObjective(BOX2, S, center, linear, [(zero_term, 0.0 * 2.0)]))
         assert np.linalg.norm(direct - iterative.x) <= 1e-8
 
 
@@ -107,7 +106,7 @@ def test_closed_form_objectives_are_refused(S, terms):
     no curvature at all, is one closed-form step, and the refusal says where."""
     obj = FtrlObjective(BOX1, S, np.zeros(1), np.array([0.5]), terms)
     with pytest.raises(ConfigurationError, match="sets.exact_step"):
-        minimize(obj, SolverSettings())
+        minimize(obj)
 
 
 def random_instance(rng, n):
@@ -174,7 +173,7 @@ def test_solver_matches_grid_oracle_1d_and_2d():
     for i in range(100):
         n = 1 if i % 2 == 0 else 2
         obj, values = random_instance(rng, n)
-        res = minimize(obj, SolverSettings())
+        res = minimize(obj)
         if n == 1:
             x_grid = grid_min_1d_vec(lambda xs: values(xs[:, None]), -1.0, 1.0, 1e-4)
             assert abs(res.x[0] - x_grid) <= 1e-3, f"instance {i}"
@@ -190,7 +189,7 @@ def test_solver_residual_certifies_near_optimality():
     for i in range(100):
         n = 1 if i % 2 == 0 else 2
         obj, _ = random_instance(rng, n)
-        res = minimize(obj, SolverSettings(tolerance=1e-10))
+        res = minimize(obj, tolerance=1e-10)
         vx = obj.value(res.x)
         gn = float(np.linalg.norm(obj.gradient(res.x)))
         for _ in range(20):
@@ -203,7 +202,7 @@ def test_max_iterations_reports_best_iterate():
         return abs(float(x[0])), np.array([math.copysign(1.0, x[0])])
 
     obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(absval, None)])
-    res = minimize(obj, SolverSettings(max_iterations=3))
+    res = minimize(obj, max_iterations=3)
     assert isinstance(res, SolveResult)
     assert not res.converged
     assert math.isfinite(res.residual)
@@ -235,7 +234,9 @@ def test_dual_closed_form_matches_grid_argmax():
 
 
 def test_solver_settings_validation():
+    """`minimize` checks its tolerance and iteration limit at entry."""
+    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(affine_term, 0.0)])
     with pytest.raises(ConfigurationError):
-        SolverSettings(tolerance=0.0)
+        minimize(obj, tolerance=0.0)
     with pytest.raises(ConfigurationError):
-        SolverSettings(max_iterations=0)
+        minimize(obj, max_iterations=0)

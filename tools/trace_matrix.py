@@ -61,10 +61,11 @@ The matrix:
 - `bounds_override`: `llp2` on `random_quadratic` at n = 3, d = 2, T = 400,
   with the noisy predictor and `learner.bounds` {"G": 2, "D": 1.5} in
   place of the scenario's constants;
-- `solver_max_iterations`: `llp` with perfect forecasts on
-  `random_quadratic` at n = 5, d = 3, seed 3, T = 400, with
-  `learner.solver.max_iterations` 3, so one primal solve stops at its
-  limit and its row carries the `primal_solver` flag;
+- `primal_solver_large_a`: `llp` with perfect forecasts on
+  `random_quadratic` at n = 3, d = 2, seed 1, T = 60, with `learner.a`
+  1e6, so the penalty's smoothness stalls two primal solves at
+  `minimize`'s iteration limit and their rows carry the `primal_solver`
+  flag;
 - the T = 173 cells and the two criterion-11 configs again with
   `output.format = "json"`, as `<cell>__json`, so both trace writers are
   checked;
@@ -188,11 +189,10 @@ def cells() -> dict[str, dict]:
                     "bounds": {"G": 2.0, "D": 1.5}},
         "predictor": {"kind": "noisy", "level": 0.3, "seed": 4},
     }
-    out["solver_max_iterations"] = {
-        "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 5,
-                     "constraints": 3, "seed": 3},
-        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5,
-                    "solver": {"max_iterations": 3}},
+    out["primal_solver_large_a"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 60, "dimension": 3,
+                     "constraints": 2, "seed": 1},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1e6, "beta": 0.5},
         "predictor": {"kind": "perfect"},
     }
     for name in [n for n in out if n.endswith("__T173") or n.startswith("criterion11_")]:
