@@ -475,12 +475,11 @@ class ExponentFit:
     dropped: int = 0
 
 
-def fit_growth_exponent(samples, tail_fraction: float = 1.0) -> ExponentFit:
-    """Least-squares slope of log(value) against log(T).
+def fit_growth_exponent(samples) -> ExponentFit:
+    """Least-squares slope of log(value) against log(T), over every sample.
 
-    Pass tail_fraction < 1 to fit only the largest horizons, which
-    suppresses small-T transients.  Nonpositive values cannot be logged;
-    they are dropped and counted in the result.
+    Nonpositive values cannot be logged; they are dropped and counted in
+    the result.
     """
     samples = list(samples)
     if len(samples) < 4:
@@ -488,12 +487,8 @@ def fit_growth_exponent(samples, tail_fraction: float = 1.0) -> ExponentFit:
     ts = [float(t) for t, _ in samples]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConfigurationError("horizons must be strictly increasing")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ConfigurationError("tail_fraction must lie in (0, 1]")
-    keep = max(2, int(math.ceil(len(samples) * tail_fraction)))
-    tail = samples[-keep:]
-    pts = [(t, v) for t, v in tail if v > 0.0]
-    dropped = len(tail) - len(pts)
+    pts = [(t, v) for t, v in samples if v > 0.0]
+    dropped = len(samples) - len(pts)
     if len(pts) < 2:
         return ExponentFit(exponent=0.0, intercept=0.0, r_squared=0.0, dropped=dropped)
     lt = np.log([t for t, _ in pts])

@@ -2,8 +2,9 @@
 
 One learner instance drives one run, a strict state machine over rounds.
 Round t's forecast (c~_t, g~_t) arrives with round t itself, before the
-learner picks x_t, and each `play_round(truth, bundle)` follows the
-interaction order
+learner picks x_t, and it always arrives: a run without forecasts hands
+over the zero bundle (`predictors.NonePredictor`).  Each
+`play_round(truth, bundle)` follows the interaction order
 
     primal -> observe losses -> regularizer -> prescient -> dual
 
@@ -85,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .predictors import PredictionBundle, zero_bundle
+from .predictors import PredictionBundle
 from .problems import ProblemBounds, RoundOracle
 from .sets import ConfigurationError, exact_step, norm, positive_part
 from .solver import FtrlObjective, dual_step, minimize
@@ -180,14 +181,12 @@ def _float_step(S: float, center: float, linear: float, fallback: float,
     return _clip(fallback, lo, hi) if linear == 0.0 else hi
 
 
-def _float_forecast(bundle: PredictionBundle | None):
-    """(w~, c~, W~, u~, v~), an n = d = 1 forecast in floats; None is the zero forecast.
+def _float_forecast(bundle: PredictionBundle):
+    """(w~, c~, W~, u~, v~), an n = d = 1 forecast in floats.
 
     c~ is the cost gradient when w~ is None, else the centre of the
     quadratic forecast w~/2 (x - c~)^2; v~ is None when deferred.
     """
-    if bundle is None:
-        return None, 0.0, 0.0, 0.0, 0.0
     W, u = bundle.constraint_affine
     v = bundle.predicted_value
     v = None if v is None else v.item()
@@ -298,7 +297,6 @@ class LlpLearner:
         self.ccum, self.lag_lin, self.prox_b = np.zeros(n), np.zeros(n), np.zeros(n)
         self.cum_gz, self.cum_gx, self.lam = np.zeros(d), np.zeros(d), np.zeros(d)
         self.last_x = x0
-        self._zero_bundle = zero_bundle(n, d)
         self._play = self._play_arrays
 
     def _start_floats(self, x0: np.ndarray) -> None:
@@ -311,20 +309,18 @@ class LlpLearner:
 
     # -- round loop ----------------------------------------------------------
 
-    def play_round(self, truth: RoundOracle, bundle: PredictionBundle | None = None) -> np.ndarray:
+    def play_round(self, truth: RoundOracle, bundle: PredictionBundle) -> np.ndarray:
         """Play one round against the revealed oracle, given that round's forecast; return x_t.
 
-        bundle is the forecast for this round (None means the zero forecast);
-        the learner sees it before it picks x_t.  The body its shape picked
-        plays the round.
+        bundle is the forecast for this round, the zero bundle when there is
+        none; the learner sees it before it picks x_t.  The body its shape
+        picked plays the round.
         """
         return self._play(truth, bundle)
 
-    def _play_arrays(self, truth: RoundOracle, bundle: PredictionBundle | None) -> np.ndarray:
+    def _play_arrays(self, truth: RoundOracle, bundle: PredictionBundle) -> np.ndarray:
         """The round on arrays, for every shape but n = d = 1."""
         self.t += 1
-        if bundle is None:
-            bundle = self._zero_bundle
         self.flags = ""
         W, u = truth.constraint_affine
         # J~ and J; only J~ is read before x is played
@@ -355,7 +351,7 @@ class LlpLearner:
         self.last_x = x
         return x
 
-    def _play_floats(self, truth: RoundOracle, bundle: PredictionBundle | None) -> np.ndarray:
+    def _play_floats(self, truth: RoundOracle, bundle: PredictionBundle) -> np.ndarray:
         """`_play_arrays` at n = d = 1 on Python floats, step for step and bit for bit.
 
         At n = 1 no step iterates, so the round's flags and solver residual
@@ -632,7 +628,7 @@ class GreedyLearner:
         self.a_t = self.f_value = self.cum_cost = 0.0
         self.cum_gx = np.zeros(self.d)
 
-    def play_round(self, truth: RoundOracle, bundle=None) -> np.ndarray:
+    def play_round(self, truth: RoundOracle, bundle: PredictionBundle) -> np.ndarray:
         """One projected step from x_t, which it returns; the forecast is ignored."""
         self.t += 1
         x, lam = self.x, self.lam_next

@@ -63,11 +63,12 @@ def _clip_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / nv)
 
 
-def _unit(v: np.ndarray, fallback_axis: int = 0) -> np.ndarray:
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / ||v||, or the first axis for v = 0."""
     nv = norm(v)
     if nv == 0.0:
         e = np.zeros_like(v)
-        e[fallback_axis] = 1.0
+        e[0] = 1.0
         return e
     return v / nv
 

@@ -7,10 +7,10 @@ problems whose offline comparator is solved exactly.  The oracle holds
 these descriptors and nothing else; its `cost` and `constraint` methods
 evaluate them.
 
-Rounds are drawn once, in order, and never replayed: `round(t)` returns
-the current round when t names it and gives the next one when t is one
-past it.  Any other t is refused with ConfigurationError, so memory stays
-flat in the horizon and whoever needs a round again (the offline
+Rounds are drawn once, in order, and never replayed: `round(t)` gives
+the next round when t is one past the current one.  Any other t, the
+current round's included, is refused with ConfigurationError, so memory
+stays flat in the horizon and whoever needs a round again (the offline
 comparator, a test) keeps what it needs itself.  The kinds that draw
 (`stochastic_constraint`, `perturbed_linear`, `random_quadratic`) draw
 ahead in blocks of up to 256 rounds with one `Generator.random` call,
@@ -170,8 +170,8 @@ class _Scenario:
     A kind sets `kind`, the `defaults` of its params (floats a config may
     override), a `_setup()` that builds its `domain`, its `bounds` and its
     draw state from the shape and `self.params`, and its own `round(t)`,
-    which asks `_advance(t)` whether t is a new draw.  A kind that is not
-    `one_dimensional` takes any dimension and constraint count >= 1.
+    which first lets `_advance(t)` refuse any t but the next.  A kind that
+    is not `one_dimensional` takes any dimension and constraint count >= 1.
     """
 
     adaptive = False
@@ -179,7 +179,6 @@ class _Scenario:
     defaults: dict = {}
     _BLOCK = 256  # rounds drawn per generator call, by a kind that draws
     _t = 0  # the current round; 0 before the first draw
-    _current = None
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
                  seed: int = 0, params: dict | None = None):
@@ -198,15 +197,12 @@ class _Scenario:
         self.params = _scenario_params(self.kind, params, self.defaults)
         self._setup()
 
-    def _advance(self, t: int) -> bool:
-        """Whether round t is a new draw; the current round may be asked for again."""
-        if t == self._t + 1:
-            self._t = t
-            return True
-        if t == self._t and t >= 1:
-            return False
-        raise ConfigurationError(f"round {t} requested out of order: {self.kind} draws "
-                                 f"each round once, in order, and is at round {self._t}")
+    def _advance(self, t: int) -> None:
+        """Move to round t, which must be the next; any other t is refused."""
+        if t != self._t + 1:
+            raise ConfigurationError(f"round {t} requested out of order: {self.kind} draws "
+                                     f"each round once, in order, and is at round {self._t}")
+        self._t = t
 
     def record_action(self, t: int, x: np.ndarray) -> None:
         pass
@@ -254,14 +250,13 @@ class StochasticConstraint(_Scenario):
         self._slack = affine_round([-2.0], 0.0, [[0.0]], [-0.01])
 
     def round(self, t: int) -> RoundOracle:
-        if self._advance(t):
-            i = (t - 1) % self._BLOCK
-            if i == 0:
-                # what `uniform()` returns on [0, 1): the double it draws
-                self._draws = self._rng.random(self._BLOCK).tolist()
-            p = 0.1 / (t + 1.0) ** 0.05
-            self._current = self._active if self._draws[i] < p else self._slack
-        return self._current
+        self._advance(t)
+        i = (t - 1) % self._BLOCK
+        if i == 0:
+            # what `uniform()` returns on [0, 1): the double it draws
+            self._draws = self._rng.random(self._BLOCK).tolist()
+        p = 0.1 / (t + 1.0) ** 0.05
+        return self._active if self._draws[i] < p else self._slack
 
 
 class ImpossibilityAdversary(_Scenario):
@@ -310,9 +305,8 @@ class ImpossibilityAdversary(_Scenario):
     def round(self, t: int) -> RoundOracle:
         if t == self._t + 1 and self._n_seen < self._t:
             raise ConfigurationError(f"round {t} requested before action {t - 1} was recorded")
-        if self._advance(t):
-            self._current = self._q if self._next_branch(t) == "q" else self._p
-        return self._current
+        self._advance(t)
+        return self._q if self._next_branch(t) == "q" else self._p
 
     def record_action(self, t: int, x: np.ndarray) -> None:
         if t != self._n_seen + 1:
@@ -347,14 +341,13 @@ class PerturbedLinear(_Scenario):
         self._slope, self._row = np.array([self.cost_slope]), np.array([[1.0]])
 
     def round(self, t: int) -> RoundOracle:
-        if self._advance(t):
-            i = (t - 1) % self._BLOCK
-            if i == 0:
-                # a new array each time, so an oracle a caller kept still reads its own b_t
-                self._shifts = _uniform(self._rng.random((self._BLOCK, 1)),
-                                        -self.amplitude, self.amplitude)
-            self._current = affine_round(self._slope, 0.0, self._row, self._shifts[i])
-        return self._current
+        self._advance(t)
+        i = (t - 1) % self._BLOCK
+        if i == 0:
+            # a new array each time, so an oracle a caller kept still reads its own b_t
+            self._shifts = _uniform(self._rng.random((self._BLOCK, 1)),
+                                    -self.amplitude, self.amplitude)
+        return affine_round(self._slope, 0.0, self._row, self._shifts[i])
 
 
 class RandomQuadratic(_Scenario):
@@ -425,13 +418,12 @@ class RandomQuadratic(_Scenario):
         self._neg_b = -_uniform(r[:, n + d * n:], 0.0, self.offset_scale)
 
     def round(self, t: int) -> RoundOracle:
-        if self._advance(t):
-            i = (t - 1) % self._rows
-            if i == 0:
-                self._refill()
-            self._current = RoundOracle(constraint_affine=(self._A[i], self._neg_b[i]),
-                                        cost_quadratic=(1.0, self._u[i], 0.0))
-        return self._current
+        self._advance(t)
+        i = (t - 1) % self._rows
+        if i == 0:
+            self._refill()
+        return RoundOracle(constraint_affine=(self._A[i], self._neg_b[i]),
+                           cost_quadratic=(1.0, self._u[i], 0.0))
 
 
 SCENARIO_KINDS = {

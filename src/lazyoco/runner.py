@@ -298,12 +298,14 @@ def play_rounds(scenario, predictor, learner,
                 horizon: int) -> Iterator[tuple[RoundOracle, np.ndarray]]:
     """Play rounds 1..horizon and yield each round's truth with the point x_t played.
 
-    Round t's truth and its forecast are drawn together, the learner plays
-    the round, and only then is the played point shown to the scenario and
-    the predictor, so an adaptive scenario and a predictor that tracks the
-    learner see x_t before round t+1 is drawn.  Each round is drawn once:
-    whoever needs the truth again (the comparator, a test) keeps it from here.
-    The round's other values are on the learner until the next round.
+    The paper's single pass.  Round t's truth is drawn once, and its
+    forecast with it; the learner always gets that forecast (the zero
+    bundle under the `none` predictor) and plays the round, and only then
+    is the played point shown to the scenario and the predictor, so an
+    adaptive scenario and a predictor that tracks the learner see x_t
+    before round t+1 is drawn.  No round is asked for twice: whoever needs
+    the truth again (the comparator, a test) keeps it from here.  The
+    round's other values are on the learner until the next round.
     """
     for t in range(1, horizon + 1):
         truth = scenario.round(t)
@@ -601,9 +603,10 @@ def worker_count() -> int:
 def sweep(sweep_config: SweepConfig) -> dict:
     """One run per (beta, horizon, repetition) plus per-beta growth fits."""
     cells = list(sweep_config.cells.items())
-    workers = worker_count()
+    # no more workers than cells: a fork-started pool forks them all at once
+    workers = min(worker_count(), len(cells))
     results: dict[str, dict] = {}
-    if workers == 1 or len(cells) == 1:
+    if workers == 1:
         for cell in cells:
             key, summary = _run_cell(cell)
             results[key] = summary

@@ -28,8 +28,6 @@ __all__ = [
     "exact_step",
 ]
 
-_FLOAT = np.dtype(float)
-
 
 class ConfigurationError(ValueError):
     """Invalid set, solver, learner, or run configuration."""
@@ -50,12 +48,9 @@ def norm(v: np.ndarray) -> float:
 
 
 def _vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
-    if type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1:
-        v = x  # already the array the conversion below would make
-    else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.ndim != 1:
-            raise ConfigurationError(f"{name} must be one-dimensional, got shape {v.shape}")
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ConfigurationError(f"{name} must be one-dimensional, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ConfigurationError(f"{name} has dimension {v.shape[0]}, expected {n}")
     if not np.isfinite(v).all():
@@ -90,9 +85,10 @@ class Box:
         y = _vector(y, self.dimension, "point")
         return y.clip(self.lower, self.upper)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies in the box, up to 1e-9 in each coordinate."""
         x = _vector(x, self.dimension, "point")
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower - 1e-9) and np.all(x <= self.upper + 1e-9))
 
     def argmin_linear(self, w, fallback=None) -> np.ndarray:
         """Exact minimizer of <w, x>; zero coordinates fall back to `fallback`."""

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lazyoco.analysis import regret_certificate, violation_certificate
+from lazyoco.predictors import zero_bundle
 from lazyoco.runner import TRACE_COLUMNS, play_rounds
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
@@ -185,7 +186,9 @@ def _snapshot(learner, truth, x) -> Played:
 
 
 def play(learner, truth, bundle=None) -> Played:
-    """Play one round and snapshot it."""
+    """Play one round, given bundle or else the zero forecast, and snapshot it."""
+    if bundle is None:
+        bundle = zero_bundle(learner.n, learner.d)
     return _snapshot(learner, truth, learner.play_round(truth, bundle))
 
 

@@ -729,8 +729,6 @@ def test_exponent_fit_edge_cases():
         fit_growth_exponent([(10, 1.0), (100, 2.0), (1000, 3.0)])
     with pytest.raises(ConfigurationError):
         fit_growth_exponent([(10, 1.0), (10, 2.0), (100, 3.0), (1000, 4.0)])
-    with pytest.raises(ConfigurationError):
-        fit_growth_exponent([(1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)], tail_fraction=0.0)
 
     part = fit_growth_exponent([(10, 0.0), (100, 0.0), (1000, 8.0), (10000, 16.0)])
     assert part.dropped == 2
@@ -738,10 +736,6 @@ def test_exponent_fit_edge_cases():
 
     allz = fit_growth_exponent([(10, 0.0), (100, 0.0), (1000, 0.0), (10000, -1.0)])
     assert allz.exponent == 0.0 and allz.dropped == 4
-
-    tail = fit_growth_exponent([(10, 99.0), (100, 99.0), (1000, 8.0), (10000, 16.0)],
-                               tail_fraction=0.5)
-    assert tail.exponent == pytest.approx(math.log(2.0) / math.log(10.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("comparator", [np.array([0.0]), np.array([0.7]),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lazyoco import runner
 from lazyoco.learners import LearnerConfig, LlpLearner
-from lazyoco.predictors import PREDICTOR_KINDS, PredictionBundle, make_predictor
+from lazyoco.predictors import PREDICTOR_KINDS, PredictionBundle, make_predictor, zero_bundle
 from lazyoco.problems import ProblemBounds, RoundOracle, make_scenario
 from lazyoco.sets import Box
 
@@ -104,7 +104,7 @@ def edge_rounds(draw):
             truth = RoundOracle(constraint_affine=([[W]], [u]),
                                 cost_quadratic=(draw(st.sampled_from([0.5, 1.0, 2.5])), [c], b))
         kind = draw(st.sampled_from(["none", "affine", "quadratic"]))
-        bundle = None
+        bundle = zero_bundle(1, 1)
         if kind != "none":
             Wt, ut, ct = (draw(EDGE) for _ in range(3))
             value = draw(st.one_of(st.none(), EDGE))
@@ -164,7 +164,7 @@ def test_the_shape_picks_the_body(monkeypatch, n, d, body):
     config = LearnerConfig(variant="llp", sigma=1.0, a=1.0, beta=0.5, bounds=sc.bounds)
     learner = LlpLearner(config, sc.domain, n, d)
     for t in range(1, 4):
-        x = learner.play_round(sc.round(t))
+        x = learner.play_round(sc.round(t), zero_bundle(n, d))
         assert x.shape == (n,)
     assert played == [body] * 3
 

@@ -5,7 +5,7 @@ import pytest
 
 from lazyoco import learners
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
-from lazyoco.predictors import PredictionBundle, make_predictor
+from lazyoco.predictors import PredictionBundle, make_predictor, zero_bundle
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
 from lazyoco.sets import Box, ConfigurationError, positive_part
 
@@ -413,14 +413,14 @@ def test_learner_config_validation():
 
 def test_greedy_single_gradient_step():
     learner = GreedyLearner(cfg("greedy_baseline", a=1.0), BOX1, 1, 1)
-    learner.play_round(affine_round([-1.0], 0.0, [[0.0]], [0.0]))
+    learner.play_round(affine_round([-1.0], 0.0, [[0.0]], [0.0]), zero_bundle(1, 1))
     assert np.array_equal(learner.x, [1.0])
 
 
 def test_greedy_multiplier_positive_part():
     learner = GreedyLearner(cfg("greedy_baseline", a=1.0), BOX1, 1, 1)
     learner.lam_next = np.array([0.2])
-    learner.play_round(affine_round([0.0], 0.0, [[0.0]], [-0.5]))
+    learner.play_round(affine_round([0.0], 0.0, [[0.0]], [-0.5]), zero_bundle(1, 1))
     assert np.array_equal(learner.lam, [0.2])  # the multiplier it played
     assert np.array_equal(learner.lam_next, [0.0])
 

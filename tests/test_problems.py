@@ -246,25 +246,41 @@ def test_bound_consistency(sc, rounds):
         assert np.linalg.norm(c) <= b.L_f + 1e-9
 
 
-@pytest.mark.parametrize("kind", sorted(k for k, cls in SCENARIO_KINDS.items()
-                                         if not cls.adaptive))
+@pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
 def test_rounds_are_drawn_in_order(kind):
-    """round(t) gives the current round again or draws the next; nothing else."""
-    sc = make_scenario(kind, horizon=10, seed=3)
+    """round(t) draws the next round and refuses every other t, the current one's included."""
+    sc, twin = (make_scenario(kind, horizon=10, seed=3) for _ in range(2))
+
+    def draw(scenario, t):
+        oracle = scenario.round(t)
+        # the adversary reads round t's action before it draws round t+1
+        scenario.record_action(t, np.array([0.5]))
+        return oracle
+
     with pytest.raises(ConfigurationError, match="out of order"):
         sc.round(0)
     with pytest.raises(ConfigurationError, match="out of order"):
         sc.round(2)  # skips round 1
-    first = sc.round(1)
-    assert sc.round(1) is first
-    second = sc.round(2)
-    assert sc.round(2) is second
-    for t in (1, 4, -1):  # an earlier round, a skip, nonsense
+    draw(sc, 1)
+    with pytest.raises(ConfigurationError, match="out of order"):
+        sc.round(1)  # the current round
+    draw(sc, 2)
+    for t in (2, 1, 4, -1):  # the current round, an earlier one, a skip, nonsense
         with pytest.raises(ConfigurationError, match="out of order"):
             sc.round(t)
-    # a refused request leaves the scenario where it was: round 3 comes next
-    assert sc.round(2) is second
-    assert sc.round(3) is sc.round(3)
+    # a refused request leaves the scenario where it was: round 3 comes next,
+    # the round a twin that was refused nothing draws
+    third = draw(sc, 3)
+    for t in (1, 2):
+        draw(twin, t)
+    expected = draw(twin, 3)
+
+    def parts(oracle):
+        return [np.asarray(v).tobytes() for part in (oracle.constraint_affine,
+                                                     oracle.cost_affine, oracle.cost_quadratic)
+                if part is not None for v in part]
+
+    assert parts(third) == parts(expected)
 
 
 def test_random_quadratic_origin_feasible_and_reproducible():

@@ -570,6 +570,39 @@ def test_sweep_pool_matches_one_worker(tmp_path, monkeypatch):
     assert written[0] == written[1] and len(written[0]) == 17
 
 
+def test_sweep_pool_opens_no_more_workers_than_cells(monkeypatch):
+    """A fork-started pool forks every worker at its first submit, so a sweep
+    asks for at most one worker per cell, and one cell plays without a pool.
+    The pool here records its size and maps serially: it starts no process."""
+    import concurrent.futures
+
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("LAZYOCO_WORKERS", "64")
+    base = base_doc()
+    base["scenario"]["horizon"] = 10
+    for horizons, cells in (([10, 20], 2), ([10], 1)):
+        report = runner.sweep(runner.parse_sweep_config(
+            {"base": base, "horizons": horizons, "betas": [0.5]}))
+        assert len(report["cells"]) == cells
+        assert all("error" not in summary for summary in report["cells"].values())
+    assert opened == [2]
+
+
 @pytest.mark.parametrize("key, values", [("betas", [0.5, "0.7"]), ("horizons", [10, "20"])])
 def test_cli_rejects_sweep_grid_types(tmp_path, capsys, monkeypatch, key, values):
     # a cell formats beta into its output path, so the types are checked before

@@ -44,6 +44,11 @@ The matrix:
 - `quadratic_1d`: `llp` with perfect forecasts on `random_quadratic` at
   n = 1, d = 2, seed 3, T = 400, `X_T`, the one cell whose 1-D comparator
   folds a row with a negative slope and solves a quadratic cost;
+- `quadratic_1d_binding`: the same with `center_scale` 2 and
+  `offset_scale` 0, so every row passes through the origin and the cost
+  centres reach past the box: the one cell whose deferred multiplier
+  turns on at n = 1, d >= 2, where the array body solves the breakpoint
+  fixed point (`LlpLearner._scalar_zero`);
 - `quadratic_blind_rows`: `llp` with the noisy predictor at level 1.0
   (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
   forecast rows are all zero: the one cell whose n >= 2 fixed point takes
@@ -152,6 +157,14 @@ def cells() -> dict[str, dict]:
     out["quadratic_1d"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 1,
                      "constraints": 2, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "perfect"},
+        "benchmark": {"kind": "X_T"},
+    }
+    out["quadratic_1d_binding"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 1,
+                     "constraints": 2, "seed": 3,
+                     "params": {"center_scale": 2.0, "offset_scale": 0.0}},
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "perfect"},
         "benchmark": {"kind": "X_T"},
