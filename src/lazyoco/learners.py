@@ -69,7 +69,9 @@ body.  The float body takes the array body's steps in the same order,
 and keeps numpy's signed zeros so that its traces are the array body's,
 bit for bit:
 - a matrix product starts its sum at +0.0, so W @ x is 0.0 + W x
-  (`[[1.]] @ [-0.]` is 0.0), while a 1-D `.dot` keeps -0.0;
+  (`[[1.]] @ [-0.]` is 0.0), while a 1-D `.dot` keeps -0.0; the array
+  body's `W.dot(x)` is W @ x at every shape but 1 x 1, where it keeps
+  -0.0, which each sum it enters (from +0.0) or norm then drops;
 - np.maximum(v, 0.0) is +0.0 at either zero, where Python's max(-0.0,
   0.0) is -0.0 (`_plus`);
 - `clip` returns the bound when v equals it (`_clip`).
@@ -264,7 +266,6 @@ class LlpLearner:
 
         b = config.bounds
         self.t = 0
-        self.prox_S = 0.0
 
         # dual-rate state, a_t and a_{t-1}; 0**0 == 1 makes the beta = 0 case come out right
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
@@ -294,14 +295,18 @@ class LlpLearner:
     def _start_arrays(self, x0: np.ndarray) -> None:
         """Hold the state's vectors as arrays, and play rounds with the array body."""
         n, d = self.n, self.d
-        self.ccum, self.lag_lin, self.prox_b = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.ccum, self.lag_lin = np.zeros(n), np.zeros(n)
         self.cum_gz, self.cum_gx, self.lam = np.zeros(d), np.zeros(d), np.zeros(d)
+        # the multiplier of round 1 and of a deferred v~'s first step; no step writes into it
+        self._zero_lam = np.zeros(d)
+        self._set_prox(0.0, np.zeros(n))
         self.last_x = x0
         self._play = self._play_arrays
 
     def _start_floats(self, x0: np.ndarray) -> None:
         """Hold the state's vectors as floats (n = d = 1), and play rounds with the float body."""
-        self.ccum = self.lag_lin = self.prox_b = self.cum_gz = self.cum_gx = self.lam = 0.0
+        self.ccum = self.lag_lin = self.cum_gz = self.cum_gx = self.lam = 0.0
+        self._set_prox(0.0, 0.0)
         self.last_x = x0.item()
         (self._lo,), (self._hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
         self._fixed_row = None if self.fixed_rows is None else self.fixed_rows.item()
@@ -335,7 +340,7 @@ class LlpLearner:
             ct = w * (x - c)
 
         self.f_value, c_t = truth.cost(x)
-        gvals = W @ x + u
+        gvals = W.dot(x) + u
         # at lam = 0 the rows' term is a zero vector, and the norm squares
         # away the sign of a zero
         h = norm(c_t - ct + (j - jp).T @ lam) if any(lam) else norm(c_t - ct)
@@ -368,7 +373,7 @@ class LlpLearner:
         lam = 0.0 if t == 1 or vt is None else _plus(a_t * (self.cum_gz + vt))
         S, linear = self.prox_S, self.ccum
         if wf is None:
-            center = self.prox_b / S if S > 0.0 else 0.0
+            center = self.prox_center if S > 0.0 else 0.0
             linear = linear + cf
         else:
             center = (self.prox_b + wf * cf) / (S + wf)
@@ -419,7 +424,7 @@ class LlpLearner:
             z, gz = x, gx
         else:
             S = self.prox_S
-            z = _float_step(S, self.prox_b / S if S > 0.0 else 0.0, linear, x, lo, hi)
+            z = _float_step(S, self.prox_center if S > 0.0 else 0.0, linear, x, lo, hi)
             gz = 0.0 + W * z + u
 
         self.cum_gz = self.cum_gz + gz
@@ -446,16 +451,11 @@ class LlpLearner:
 
     # -- primal --------------------------------------------------------------
 
-    def _center(self) -> np.ndarray:
-        if self.prox_S > 0.0:
-            return self.prox_b / self.prox_S
-        return np.zeros(self.n)
-
     def _objective(self, lam: np.ndarray, bundle: PredictionBundle, jp: np.ndarray):
         """(S, centre, linear) of the primal aggregate with the round's multiplier
         fixed at lam on rows jp: S/2 ||x - centre||^2 + <linear, x> over the box."""
         linear = self.ccum
-        S, center = self.prox_S, self._center()
+        S, center = self.prox_S, self.prox_center
         if bundle.cost_gradient is None:
             # S/2 |x - b/S|^2 + w/2 |x - u|^2 is one prox at weight S + w
             w, u = bundle.cost_quadratic
@@ -478,19 +478,19 @@ class LlpLearner:
         step's x; if that turns the multiplier on, the fixed point moves x.
         """
         vt = bundle.predicted_value
-        lam = (np.zeros(self.d) if self.t == 1 or vt is None
+        lam = (self._zero_lam if self.t == 1 or vt is None
                else dual_step(self.a_t, self.cum_gz, vt))
         S, center, linear = self._objective(lam, bundle, jp)
         x = exact_step(self.domain, S, center, linear, self.last_x)
         self.solver_residual = 0.0
         if vt is None:
             W, u = bundle.constraint_affine
-            vt = W @ x + u
+            vt = W.dot(x) + u
             if self.t > 1:
                 lam = dual_step(self.a_t, self.cum_gz, vt)
                 if any(lam > 0.0):
                     x = self._fixed_point(S, center, linear, bundle, jp)
-                    vt = W @ x + u
+                    vt = W.dot(x) + u
                     lam = dual_step(self.a_t, self.cum_gz, vt)
         self.lam = lam
         return x, vt
@@ -542,9 +542,13 @@ class LlpLearner:
         target = self.cfg.sigma * math.sqrt(self.h_cum + mu)
         sigma_t = target - self.prox_S
         if sigma_t > 0.0:
-            if x is not None:
-                self.prox_b = self.prox_b + sigma_t * x
-            self.prox_S = target
+            self._set_prox(target, self.prox_b if x is None else self.prox_b + sigma_t * x)
+
+    def _set_prox(self, S: float, b) -> None:
+        """Set the prox weight S, its numerator b and the centre b / S (zeros while S = 0)
+        that both bodies' steps read: the one writer of the three."""
+        self.prox_S, self.prox_b = S, b
+        self.prox_center = b / S if S > 0.0 else np.zeros(self.n)
 
     # -- prescient -------------------------------------------------------------
 
@@ -561,8 +565,8 @@ class LlpLearner:
             linear = linear + lin
         if h == 0.0 and not self.flags:
             return x, gvals
-        z = exact_step(self.domain, self.prox_S, self._center(), linear, x)
-        return z, W @ z + u
+        z = exact_step(self.domain, self.prox_S, self.prox_center, linear, x)
+        return z, W.dot(z) + u
 
     # -- dual --------------------------------------------------------------------
 

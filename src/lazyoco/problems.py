@@ -109,6 +109,14 @@ class RoundOracle:
             w, c, b = self.cost_quadratic
             self.cost_quadratic = (float(w), np.asarray(c, dtype=float), float(b))
 
+    @classmethod
+    def _drawn(cls, constraint_affine, cost_quadratic) -> RoundOracle:
+        """A quadratic round from float64 arrays and floats a scenario drew itself,
+        taken as they are; every other caller goes through the checks above."""
+        oracle = object.__new__(cls)
+        oracle.constraint_affine, oracle.cost_quadratic = constraint_affine, cost_quadratic
+        return oracle
+
     def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.cost_affine is not None:
             c, b = self.cost_affine
@@ -422,8 +430,7 @@ class RandomQuadratic(_Scenario):
         i = (t - 1) % self._rows
         if i == 0:
             self._refill()
-        return RoundOracle(constraint_affine=(self._A[i], self._neg_b[i]),
-                           cost_quadratic=(1.0, self._u[i], 0.0))
+        return RoundOracle._drawn((self._A[i], self._neg_b[i]), (1.0, self._u[i], 0.0))
 
 
 SCENARIO_KINDS = {

@@ -215,6 +215,8 @@ LAZY_VARIANTS = ("llp", "llp2", "llp_perturbed")
 def primal_case(rng, variant, n, d, S, zero_jacobian):
     """A learner mid-run, after a dual step, with an exact affine bundle.
 
+    The learner holds the array body's state, at n = d = 1 too, and its
+    regularizer is set through its one setter, which keeps the centre.
     Returns (learner, bundle, J) where the variant's primal puts the
     multiplier on J: the base rows for the perturbed variant, whose folded
     multipliers seed lag_lin, else the forecast rows.
@@ -223,10 +225,10 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     base_W = rng.uniform(-1.0, 1.0, size=(d, n))
     learner = LlpLearner(cfg(variant), Box(-np.ones(n), np.ones(n)), n, d,
                          base_affine=(base_W, np.zeros(d)) if perturbed else None)
+    learner._start_arrays(np.zeros(n))
     learner.t = 5
     learner.ccum = rng.normal(size=n)
-    learner.prox_S = S
-    learner.prox_b = S * rng.uniform(-1.5, 1.5, size=n)
+    learner._set_prox(S, S * rng.uniform(-1.5, 1.5, size=n))
     learner.last_x = rng.uniform(-1.0, 1.0, size=n)
     learner.a_t = float(rng.uniform(0.2, 2.0))
     learner.cum_gz = rng.uniform(-1.0, 1.5, size=d)
@@ -393,6 +395,28 @@ def test_llp_perturbed_is_llp_when_rows_are_base(n, d):
         assert (a.h_cum, a.prox_S) == (b.h_cum, b.prox_S), t
         active += bool(np.any(a.lam > 0.0))
     assert active > 10 and llp.prox_S > 0.0
+
+
+@pytest.mark.parametrize("variant", LAZY_VARIANTS)
+def test_cached_center_is_the_regularizer_centre(variant):
+    """After every round at n >= 2, the centre the array body reads is
+    prox_b / prox_S bit for bit, and zeros while prox_S = 0; llp2's advance
+    passes no x, and exact forecasts keep llp's prox_S at 0."""
+    n, d = 3, 2
+    base = (np.random.default_rng(8).uniform(-1.0, 1.0, size=(d, n)), np.zeros(d))
+    seen = {"zero": 0, "positive": 0}
+    for kind in ("perfect", "noisy"):
+        sc = make_scenario("random_quadratic", horizon=300, dimension=n, constraints=d, seed=7)
+        learner = LlpLearner(cfg(variant, bounds=sc.bounds), sc.domain, n, d,
+                             base_affine=base if variant == "llp_perturbed" else None)
+        p = make_predictor(kind, bounds=sc.bounds, domain=sc.domain, dimension=n,
+                           constraints=d, level=0.3, seed=9)
+        for t, _ in enumerate(play_run(sc, p, learner, 300), 1):
+            S = learner.prox_S
+            want = learner.prox_b / S if S > 0.0 else np.zeros(n)
+            assert learner.prox_center.tobytes() == want.tobytes(), (kind, t)
+            seen["positive" if S > 0.0 else "zero"] += 1
+    assert seen["positive"] > 0 and (seen["zero"] > 0) == (variant != "llp2")
 
 
 def test_llp_perturbed_requires_base_constraint():

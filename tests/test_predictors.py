@@ -4,6 +4,8 @@ import pytest
 from lazyoco.learners import LearnerConfig, LlpLearner
 from lazyoco.predictors import (
     PREDICTOR_KINDS,
+    _unit,
+    _unit_rows,
     make_predictor,
     zero_bundle,
 )
@@ -128,32 +130,47 @@ def test_noisy_predictor_deterministic_per_seed():
 @pytest.mark.parametrize("level", [0.3, 1.5])
 def test_noisy_bundle_equals_normal_and_uniform_draws(level):
     """The noisy forecast, bit for bit, as drawn with `normal` and `uniform` and
-    with the guessed gradient read off `cost`, at the last noted action."""
-    n, d = 5, 3
-    sc = make_scenario("random_quadratic", horizon=300, dimension=n, constraints=d, seed=6)
-    p = predictor_for(sc, "noisy", level=level, seed=9)
-    b = sc.bounds
-    rng, gamma, last_x = np.random.default_rng(9), min(level, 1.0), np.zeros(n)
-    actions = np.random.default_rng(10).uniform(-1.0, 1.0, size=(300, n))
-    for t in range(1, 301):
-        truth = sc.round(t)
-        e = rng.normal(size=n)
-        e = e / np.linalg.norm(e) * level * b.L_f * rng.uniform()
-        c = truth.cost(last_x)[1] + e
-        if np.linalg.norm(c) > b.L_f:
-            c = c * (b.L_f / np.linalg.norm(c))
-        shift = rng.normal(size=d)
-        shift = shift / np.linalg.norm(shift) * b.G * rng.uniform()
-        W, u = truth.constraint_affine
+    with the guessed gradient read off `cost`, at the last noted action; at
+    T = 515 across two edges of the blocks the noise is drawn in."""
+    for n, d, horizon in ((5, 3, 300), (5, 3, 515), (3, 2, 515), (1, 1, 515)):
+        sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
+                           seed=6)
+        p = predictor_for(sc, "noisy", level=level, seed=9)
+        b = sc.bounds
+        rng, gamma, last_x = np.random.default_rng(9), min(level, 1.0), np.zeros(n)
+        actions = np.random.default_rng(10).uniform(-1.0, 1.0, size=(horizon, n))
+        for t in range(1, horizon + 1):
+            truth = sc.round(t)
+            e = rng.normal(size=n)
+            e = e / np.linalg.norm(e) * level * b.L_f * rng.uniform()
+            c = truth.cost(last_x)[1] + e
+            if np.linalg.norm(c) > b.L_f:
+                c = c * (b.L_f / np.linalg.norm(c))
+            shift = rng.normal(size=d)
+            shift = shift / np.linalg.norm(shift) * b.G * rng.uniform()
+            W, u = truth.constraint_affine
 
-        bundle = p.bundle_for(truth)
-        assert np.array_equal(bundle.cost_gradient, c), t
-        Wp, up = bundle.constraint_affine
-        assert np.array_equal(Wp, (1.0 - gamma) * W), t
-        assert np.array_equal(up, (1.0 - gamma) * u + gamma * shift), t
-        assert bundle.predicted_value is None
-        last_x = actions[t - 1]
-        p.note_action(last_x)
+            bundle = p.bundle_for(truth)
+            assert np.array_equal(bundle.cost_gradient, c), (n, d, t)
+            Wp, up = bundle.constraint_affine
+            assert np.array_equal(Wp, (1.0 - gamma) * W), (n, d, t)
+            assert np.array_equal(up, (1.0 - gamma) * u + gamma * shift), (n, d, t)
+            assert bundle.predicted_value is None
+            last_x = actions[t - 1]
+            p.note_action(last_x)
+
+
+def test_unit_rows_is_unit_of_each_row():
+    """The block's row-unit helper gives `_unit` of each row bit for bit, and
+    `_unit`'s first axis on a zero row, signed zeros included."""
+    rows = np.random.default_rng(3).standard_normal((300, 4))
+    rows[[0, 7]] = 0.0
+    rows[9] = -0.0
+    out = _unit_rows(rows)
+    for row, got in zip(rows, out):
+        want = _unit(row)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(out[[0, 7, 9]], np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
 
 
 def test_perfect_gradients_predicts_zero_value():

@@ -778,6 +778,24 @@ def test_cli_rejects_overflowing_bound_overrides(tmp_path, capsys, kind, variant
     assert not list(tmp_path.glob("t.csv*"))
 
 
+@pytest.mark.parametrize("level, code", [(1e150, 0), (1e154, 2), (1e308, 2)])
+def test_cli_refuses_a_noisy_level_whose_forecast_overflows(tmp_path, capsys, level, code):
+    # from about 1e154 / L_f the forecast's norm overflowed in its clip and the cost
+    # forecast became 0 without a word; at 1e308 the run exited 3 on a NaN h_cum
+    doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 10, "dimension": 3,
+                             "constraints": 2, "seed": 3},
+                   predictor={"kind": "noisy", "level": level, "seed": 4},
+                   output={"path": str(tmp_path / "t.csv")})
+    assert cli.main(["run", write_config(tmp_path, "level.json", doc)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "predictor.level" in err and not list(tmp_path.glob("t.csv*"))
+    else:
+        summary = json.loads(out)
+        assert err == "" and all(math.isfinite(summary[key]) for key in (
+            "cum_cost", "regret", "h_cum", "violation_norm"))
+
+
 @pytest.mark.parametrize("kind, section, seed, message", [
     ("random_quadratic", "scenario", -1, "scenario seed"),
     ("alternating_linear", "predictor", -3, "predictor seed"),

@@ -53,6 +53,10 @@ The matrix:
   (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
   forecast rows are all zero: the one cell whose n >= 2 fixed point takes
   the zero-curvature exact step;
+- `noisy_level0_quadratic`: `llp` with the noisy predictor at level 0
+  (seed 4) on `random_quadratic` at n = 5, d = 3, seed 3, T = 600, whose
+  perturbations are all signed zeros and gamma 0: the cell whose noise
+  blocks, drawn 256 rounds ahead, take the zero path across two block edges;
 - `quadratic_scalar__<variant>__<predictor>`: `llp` and `llp2` with the
   perfect and noisy predictors (level 0.3, seed 4) on `random_quadratic`
   at n = d = 1, seed 3, T = 400, `X_T`: the cells whose n = d = 1 rounds
@@ -174,6 +178,12 @@ def cells() -> dict[str, dict]:
                      "constraints": 2, "seed": 3},
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "noisy", "level": 1.0, "seed": 4},
+    }
+    out["noisy_level0_quadratic"] = {
+        "scenario": {"kind": "random_quadratic", "horizon": 600, "dimension": 5,
+                     "constraints": 3, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
+        "predictor": {"kind": "noisy", "level": 0.0, "seed": 4},
     }
     for variant in ("llp", "llp2"):
         for predictor in ("perfect", "noisy"):
