@@ -343,7 +343,7 @@ class LlpLearner:
         gvals = W.dot(x) + u
         # at lam = 0 the rows' term is a zero vector, and the norm squares
         # away the sign of a zero
-        h = norm(c_t - ct + (j - jp).T @ lam) if any(lam) else norm(c_t - ct)
+        h = norm(c_t - ct + (j - jp).T @ lam) if any(lam.tolist()) else norm(c_t - ct)
 
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
@@ -464,9 +464,10 @@ class LlpLearner:
         else:
             linear = linear + bundle.cost_gradient
         linear = linear + self.lag_lin
-        # the builtin any over the few entries of the 1-D lam: ndarray.any
-        # runs a Python-level wrapper before its reduction
-        if any(lam):
+        # the builtin any over the few entries of the 1-D lam as a list:
+        # ndarray.any runs a Python-level wrapper before its reduction, and
+        # any over the array makes a numpy scalar per entry
+        if any(lam.tolist()):
             linear = linear + jp.T @ lam
         return S, center, linear
 
@@ -488,7 +489,7 @@ class LlpLearner:
             vt = W.dot(x) + u
             if self.t > 1:
                 lam = dual_step(self.a_t, self.cum_gz, vt)
-                if any(lam > 0.0):
+                if any((lam > 0.0).tolist()):
                     x = self._fixed_point(S, center, linear, bundle, jp)
                     vt = W.dot(x) + u
                     lam = dual_step(self.a_t, self.cum_gz, vt)
@@ -559,7 +560,7 @@ class LlpLearner:
         """
         self.ccum = linear = self.ccum + c_t
         linear = linear + self.lag_lin
-        if any(lam):
+        if any(lam.tolist()):
             lin = j.T @ lam
             self.lag_lin = self.lag_lin + lin
             linear = linear + lin
