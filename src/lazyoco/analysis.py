@@ -86,22 +86,6 @@ class _CostAccumulator:
         self.n = n
         self.sums = np.zeros(2 * n + 2)
 
-    @property
-    def lin(self) -> np.ndarray:
-        return self.sums[:self.n]
-
-    @property
-    def const(self) -> float:
-        return float(self.sums[self.n])
-
-    @property
-    def qw(self) -> float:
-        return float(self.sums[self.n + 1])
-
-    @property
-    def ql(self) -> np.ndarray:
-        return self.sums[self.n + 2:]
-
     def add(self, rounds) -> np.ndarray:
         """Add rounds in play order; return the sums after each, one row a round."""
         n = self.n
@@ -126,14 +110,10 @@ class _CostAccumulator:
         self.sums = steps[-1].copy()
         return steps[1:]
 
-    def value(self, x: np.ndarray) -> float:
-        return _cost_value(self.lin, self.const, self.qw, self.ql, x)
 
-
-def _cost_value(lin, const, qw, ql, x: np.ndarray) -> float:
-    # the one formula for a folded total cost, so a row's comparator cost and
-    # the comparator's own total agree bit for bit
-    return float(lin.dot(x)) + const + 0.5 * qw * float(x.dot(x)) - float(ql.dot(x))
+def _split(sums: np.ndarray, n: int):
+    """(lin, const, qw, ql) of one vector of cost sums, or columns of a block of rows."""
+    return sums[..., :n], sums[..., n], sums[..., n + 1], sums[..., n + 2:]
 
 
 def _box_rows(G: np.ndarray, h: np.ndarray, domain) -> None:
@@ -260,17 +240,15 @@ class _PlayedRows:
         return self.G[:size], self.h[:size]
 
 
-def _solve_exact_1d(cost: _CostAccumulator, lo: float, hi: float,
-                    infeasible: bool) -> tuple[np.ndarray | None, float, bool]:
+def _solve_exact_1d(sums: np.ndarray, lo: float, hi: float,
+                    infeasible: bool) -> np.ndarray | None:
     if infeasible or lo > hi:
-        return None, math.nan, False
-    slope = float(cost.lin[0] - cost.ql[0])
-    if cost.qw > 0.0:
-        x = min(max(-slope / cost.qw, lo), hi)
-    else:
-        x = hi if slope < 0.0 else lo
-    xv = np.array([x])
-    return xv, cost.value(xv), True
+        return None
+    lin, _, qw, ql = _split(sums, 1)
+    slope, qw = float(lin[0] - ql[0]), float(qw)
+    if qw > 0.0:
+        return np.array([min(max(-slope / qw, lo), hi)])
+    return np.array([hi if slope < 0.0 else lo])
 
 
 def _project_polytope(p: np.ndarray, G: np.ndarray,
@@ -321,28 +299,31 @@ def _project_polytope(p: np.ndarray, G: np.ndarray,
             u[dropped] = 0.0
 
 
-def _solve_projection(cost: _CostAccumulator, G: np.ndarray,
-                      h: np.ndarray) -> tuple[np.ndarray | None, float, bool, float]:
-    if cost.qw <= 0.0:
+def _solve_projection(sums: np.ndarray, G: np.ndarray,
+                      h: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(x, duality gap in cost units), or (None, NaN) when the rows are inconsistent."""
+    lin, _, qw, ql = _split(sums, G.shape[1])
+    qw = float(qw)
+    if qw <= 0.0:
         raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
                                  "total cost; the played costs have no quadratic part")
-    p = (cost.ql - cost.lin) / cost.qw
+    p = (ql - lin) / qw
     x, mult = _project_polytope(p, G, h)
     if x is None:
-        return None, math.nan, False, math.nan
+        return None, math.nan
     Gu = G.T @ mult
     primal = 0.5 * float((x - p) @ (x - p))
     slack = G @ p
     slack -= h
     dual = float(mult @ slack) - 0.5 * float(Gu @ Gu)
-    return x, cost.value(x), True, cost.qw * (primal - dual)
+    return x, qw * (primal - dual)
 
 
 class ComparatorFold:
     """The played rounds, added once each in play order, folded for the comparator.
 
-    `solve` reads the fold as it stands, so it gives the comparator of the
-    rounds so far at any round, without replaying one.
+    `compute_benchmark` reads the fold as it stands, so it gives the
+    comparator of the rounds so far at any round, without replaying one.
     """
 
     def __init__(self, domain, kind: str):
@@ -371,28 +352,32 @@ class ComparatorFold:
         self.t += len(rounds)
         return sums
 
-    def solve(self) -> tuple[np.ndarray | None, float, bool, float]:
-        """(x, total cost, feasible, duality gap) over the rounds so far."""
-        if self.cost.n >= 2:
-            return _solve_projection(self.cost, *self.cons.system())
-        x, v, ok = _solve_exact_1d(self.cost, *self.cons.interval())
-        return x, v, ok, 0.0 if ok else math.nan
-
 
 def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
-    """Minimize the folded total cost over the fold's comparator set."""
+    """Minimize the folded total cost over the fold's comparator set, so far.
+
+    The one entry to the comparator: x* is priced by `benchmark_round_costs`
+    on the fold's sums, the formula every trace row's comparator cost takes.
+    """
     if fold.t < 1:
         raise ConfigurationError("the comparator needs at least one played round")
-    x_star, total, feasible, gap = fold.solve()
-    return BenchmarkResult(kind=fold.kind, x_star=x_star, optimal_total_cost=total,
-                           feasible=feasible, gap=gap)
+    sums = fold.cost.sums
+    if fold.cost.n >= 2:
+        x, gap = _solve_projection(sums, *fold.cons.system())
+    else:
+        x, gap = _solve_exact_1d(sums, *fold.cons.interval()), 0.0
+    if x is None:
+        return BenchmarkResult(kind=fold.kind, x_star=None, optimal_total_cost=math.nan,
+                               feasible=False, gap=math.nan)
+    return BenchmarkResult(kind=fold.kind, x_star=x, feasible=True, gap=gap,
+                           optimal_total_cost=float(benchmark_round_costs(sums[None], x)[0]))
 
 
 def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarray:
     """The comparator's total cost up to each trace row, from the cost sums
     `ComparatorFold.add` returned for that row's round (one row each).
 
-    `_cost_value` on every row, bit for bit, in vector passes of up to
+    lin.x + const + qw/2 x.x - ql.x on every row, in vector passes of up to
     `_PASS_ROWS` rows, so no temporary grows with the trace: at n = 1 a
     dot is one product, and at n >= 2 each row keeps its own `.dot`, whose
     order of adding no vector op repeats.
@@ -402,8 +387,7 @@ def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarr
     xx = float(x.dot(x))
     costs = np.empty(len(cost_sums))
     for a in range(0, len(costs), _PASS_ROWS):
-        rows = cost_sums[a:a + _PASS_ROWS]
-        lin, const, qw, ql = rows[:, :n], rows[:, n], rows[:, n + 1], rows[:, n + 2:]
+        lin, const, qw, ql = _split(cost_sums[a:a + _PASS_ROWS], n)
         if n == 1:
             lin_x, ql_x = lin[:, 0] * x[0], ql[:, 0] * x[0]
         else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemBounds, RoundOracle
+from .problems import ProblemBounds, RoundOracle, _Scenario
 from .sets import ConfigurationError, norm
 
 __all__ = [
@@ -154,13 +154,14 @@ class NoisyPredictor(_Predictor):
     inside the declared bounds, which additive noise on a scenario quoted
     at its exact constants would not.  The value forecast is deferred.
 
-    The noise does not depend on the learner, so it is drawn up to 256
-    rounds ahead (`_refill`), bit-equal to drawing each round alone: the
-    same four generator calls per round in the same order, the same
-    products in the same order, and each row's norm still its own `.dot`
-    (einsum, (v*v).sum(1) and a sequential column sum each differ from
-    ddot on 16-55% of standard normal rows at n = 2 to 15).  A round then
-    adds the gradient at the last noted action, clips, and blends W, u.
+    The noise does not depend on the learner, so it is drawn ahead
+    (`_refill`), as many rounds as `_Scenario._block_rows` gives a round of
+    n + d doubles, bit-equal to drawing each round alone: the same four
+    generator calls per round in the same order, the same products in the
+    same order, and each row's norm still its own `.dot` (einsum,
+    (v*v).sum(1) and a sequential column sum each differ from ddot on
+    16-55% of standard normal rows at n = 2 to 15).  A round then adds
+    the gradient at the last noted action, clips, and blends W, u.
     """
 
     def _setup(self, domain):
@@ -176,8 +177,8 @@ class NoisyPredictor(_Predictor):
         self.gamma = min(self.level, 1.0)
         self.rng = np.random.default_rng(0 if self.seed is None else int(self.seed))
         self.last_x = domain.project(np.zeros(self.n))
-        # rounds drawn ahead, fewer when n + d is large; the first round draws
-        self._rows = self._next = max(1, min(256, (1 << 16) // (self.n + self.d)))
+        # the first round draws
+        self._rows = self._next = _Scenario._block_rows(self.n + self.d)
 
     def note_action(self, x: np.ndarray) -> None:
         self.last_x = np.asarray(x, dtype=float).copy()
@@ -215,6 +216,11 @@ class AdversarialPredictor(_Predictor):
     """Forecasts at the declared bounds with signs opposing the truth."""
 
     def _setup(self, domain):
+        # the cost forecast has norm L_f, which the learner squares
+        L_f = self.bounds.L_f
+        if not math.isfinite(L_f * L_f):
+            raise ConfigurationError(f"learner.bounds.L_f {L_f:.3g} is too large for the "
+                                     "adversarial predictor: L_f^2 overflows")
         self.center = domain.project(np.zeros(self.n))
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:

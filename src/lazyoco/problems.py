@@ -186,6 +186,8 @@ class _Scenario:
     one_dimensional = True
     defaults: dict = {}
     _BLOCK = 256  # rounds drawn per generator call, by a kind that draws
+    # so a wide round does not multiply a block's memory by _BLOCK
+    _BLOCK_DOUBLES = 1 << 16
     _t = 0  # the current round; 0 before the first draw
 
     def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
@@ -204,6 +206,11 @@ class _Scenario:
         self.seed = int(seed)
         self.params = _scenario_params(self.kind, params, self.defaults)
         self._setup()
+
+    @classmethod
+    def _block_rows(cls, width: int) -> int:
+        """Rounds drawn per block when a round takes `width` doubles."""
+        return max(1, min(cls._BLOCK, cls._BLOCK_DOUBLES // width))
 
     def _advance(self, t: int) -> None:
         """Move to round t, which must be the next; any other t is refused."""
@@ -369,8 +376,6 @@ class RandomQuadratic(_Scenario):
 
     kind = "random_quadratic"
     one_dimensional = False
-    # so a large n d does not multiply a round's memory by _BLOCK
-    _BLOCK_DOUBLES = 1 << 16
     defaults = {"center_scale": 0.8, "matrix_scale": 1.0, "offset_scale": 0.5}
 
     def _setup(self):
@@ -407,7 +412,7 @@ class RandomQuadratic(_Scenario):
         )
         self._rng = np.random.default_rng(self.seed)
         self._width = n + self.n_constraints * n + self.n_constraints  # doubles per round
-        self._rows = max(1, min(self._BLOCK, self._BLOCK_DOUBLES // self._width))
+        self._rows = self._block_rows(self._width)
 
     def _refill(self) -> None:
         """Draw the next `_rows` rounds with one generator call, bit-equal to

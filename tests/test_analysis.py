@@ -47,7 +47,8 @@ def prefix_optima(rounds, domain, kind, marks):
     optima = []
     for t in sorted(marks):
         fold.add(rounds[fold.t:t])
-        optima.append((fold.t, *fold.solve()[:3]))
+        res = compute_benchmark(fold)
+        optima.append((fold.t, res.x_star, res.optimal_total_cost, res.feasible))
     return optima
 
 
@@ -307,11 +308,16 @@ def mixed_rounds(n, d, count, seed):
     return rounds
 
 
+def _cost_value(lin, const, qw, ql, x):
+    """A folded total cost lin.x + const + qw/2 x.x - ql.x at x, in Python floats."""
+    return float(lin.dot(x)) + const + 0.5 * qw * float(x.dot(x)) - float(ql.dot(x))
+
+
 def row_costs_one_at_a_time(sums, x):
     """`_cost_value` at x on each row of cost sums, one row at a time."""
     n = len(x)
-    return np.array([analysis._cost_value(row[:n], float(row[n]), float(row[n + 1]),
-                                          row[n + 2:], x) for row in sums])
+    return np.array([_cost_value(row[:n], float(row[n]), float(row[n + 1]), row[n + 2:], x)
+                     for row in sums])
 
 
 def test_benchmark_round_costs_values():
@@ -499,7 +505,7 @@ def test_distinct_rows_are_the_unique_rows(n, d, start_rows, monkeypatch):
     fold = ComparatorFold(Box(-np.ones(n), np.ones(n)), "X_T")
     half = len(rounds) // 2
     fold.add(rounds[:half])
-    fold.solve()        # the next block overwrites the box rows
+    compute_benchmark(fold)     # the next block overwrites the box rows
     fold.add(rounds[half:])
     G, h = fold.cons.system()
     assert G.flags.c_contiguous and h.flags.c_contiguous
@@ -513,11 +519,13 @@ def test_distinct_rows_are_the_unique_rows(n, d, start_rows, monkeypatch):
     assert len(ref) < len(rounds) * d
     G_old = np.vstack([ref[:, :-1]] + box)
     h_old = np.concatenate([-ref[:, -1], np.ones(2 * n)])
-    x_old, cost_old, ok_old, gap_old = analysis._solve_projection(fold.cost, G_old, h_old)
-    x, cost, ok, gap = fold.solve()
-    assert ok and ok_old
-    assert x.tobytes() == x_old.tobytes() and cost == cost_old
-    assert abs(gap - gap_old) <= 1e-12
+    res = compute_benchmark(fold)
+    monkeypatch.setattr(fold.cons, "system", lambda: (G_old, h_old))
+    old = compute_benchmark(fold)
+    assert res.feasible and old.feasible
+    assert (res.x_star.tobytes() == old.x_star.tobytes()
+            and res.optimal_total_cost == old.optimal_total_cost)
+    assert abs(res.gap - old.gap) <= 1e-12
 
 
 def interval_before(rounds, lo, hi):

@@ -131,11 +131,14 @@ def test_noisy_predictor_deterministic_per_seed():
 def test_noisy_bundle_equals_normal_and_uniform_draws(level):
     """The noisy forecast, bit for bit, as drawn with `normal` and `uniform` and
     with the guessed gradient read off `cost`, at the last noted action; at
-    T = 515 across two edges of the blocks the noise is drawn in."""
-    for n, d, horizon in ((5, 3, 300), (5, 3, 515), (3, 2, 515), (1, 1, 515)):
+    T = 515 across two edges of the blocks the noise is drawn in, and at
+    n + d > 256 across the edges of blocks shorter than 256 rounds."""
+    for n, d, horizon in ((5, 3, 300), (5, 3, 515), (3, 2, 515), (1, 1, 515),
+                          (200, 60, 515)):
         sc = make_scenario("random_quadratic", horizon=horizon, dimension=n, constraints=d,
                            seed=6)
         p = predictor_for(sc, "noisy", level=level, seed=9)
+        assert p._rows == (256 if n + d <= 256 else (1 << 16) // (n + d))
         b = sc.bounds
         rng, gamma, last_x = np.random.default_rng(9), min(level, 1.0), np.zeros(n)
         actions = np.random.default_rng(10).uniform(-1.0, 1.0, size=(horizon, n))

@@ -340,13 +340,13 @@ def test_run_solves_the_comparator_once(monkeypatch):
     """The adversary's run solves its comparator at the end only, not at each of
     its block ends, which the summary lists."""
     calls = []
-    real_solve = analysis.ComparatorFold.solve
+    real_solve = analysis.compute_benchmark
 
     def counted(fold):
         calls.append(fold.t)
         return real_solve(fold)
 
-    monkeypatch.setattr(analysis.ComparatorFold, "solve", counted)
+    monkeypatch.setattr(analysis, "compute_benchmark", counted)
     doc = base_doc(scenario={"kind": "impossibility_adversary", "horizon": 400},
                    benchmark={"kind": "X_T_max"})
     result = runner.execute_run(runner.parse_run_config(doc))
@@ -790,6 +790,29 @@ def test_cli_refuses_a_noisy_level_whose_forecast_overflows(tmp_path, capsys, le
     out, err = capsys.readouterr()
     if code == 2:
         assert "predictor.level" in err and not list(tmp_path.glob("t.csv*"))
+    else:
+        summary = json.loads(out)
+        assert err == "" and all(math.isfinite(summary[key]) for key in (
+            "cum_cost", "regret", "h_cum", "violation_norm"))
+
+
+@pytest.mark.parametrize("L_f, code", [(1.34e154, 0), (1.35e154, 2), (1e160, 2)])
+@pytest.mark.parametrize("kind", ["alternating_linear", "stochastic_constraint",
+                                  "impossibility_adversary", "perturbed_linear",
+                                  "random_quadratic"])
+def test_cli_refuses_an_adversarial_L_f_whose_square_overflows(tmp_path, capsys, kind, L_f,
+                                                                code):
+    # the adversarial cost forecast has norm L_f; from 1.35e154 its square
+    # overflowed in round 1 and the run exited 3 on a NaN a_t, not naming L_f
+    shape = {"dimension": 3, "constraints": 2} if kind == "random_quadratic" else {}
+    doc = base_doc(scenario={"kind": kind, "horizon": 60, "seed": 3, **shape},
+                   predictor={"kind": "adversarial"},
+                   output={"path": str(tmp_path / "t.csv")})
+    doc["learner"]["bounds"] = {"L_f": L_f}
+    assert cli.main(["run", write_config(tmp_path, "lf.json", doc)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert "learner.bounds.L_f" in err and not list(tmp_path.glob("t.csv*"))
     else:
         summary = json.loads(out)
         assert err == "" and all(math.isfinite(summary[key]) for key in (

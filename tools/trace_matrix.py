@@ -57,6 +57,9 @@ The matrix:
   (seed 4) on `random_quadratic` at n = 5, d = 3, seed 3, T = 600, whose
   perturbations are all signed zeros and gamma 0: the cell whose noise
   blocks, drawn 256 rounds ahead, take the zero path across two block edges;
+- `adversarial_large_lf`: `llp` with the adversarial predictor on
+  `alternating_linear` (seed 3), T = 60, with `learner.bounds` {"L_f":
+  1.34e154}, the largest L_f whose square the predictor accepts;
 - `quadratic_scalar__<variant>__<predictor>`: `llp` and `llp2` with the
   perfect and noisy predictors (level 0.3, seed 4) on `random_quadratic`
   at n = d = 1, seed 3, T = 400, `X_T`: the cells whose n = d = 1 rounds
@@ -184,6 +187,12 @@ def cells() -> dict[str, dict]:
                      "constraints": 3, "seed": 3},
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "noisy", "level": 0.0, "seed": 4},
+    }
+    out["adversarial_large_lf"] = {
+        "scenario": {"kind": "alternating_linear", "horizon": 60, "seed": 3},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5,
+                    "bounds": {"L_f": 1.34e154}},
+        "predictor": {"kind": "adversarial"},
     }
     for variant in ("llp", "llp2"):
         for predictor in ("perfect", "noisy"):
