@@ -10,7 +10,9 @@ The fold keeps of the constraints only what its set needs: in one
 dimension the per-round set is an interval, three numbers folded as the
 blocks arrive; the aggregate set is one summed row per constraint; and
 the per-round set in more dimensions is every round's rows, appended in
-play order to the system G x <= h that the solve reads.
+play order to the system G x <= h that the solve reads.  In more
+dimensions the aggregate set's system comes from that same row builder,
+handed the summed rows as one round.
 In one dimension the minimizer is a clipped stationary point or an
 interval end.  In more dimensions the total cost is qw/2 ||x - p||^2 plus
 a constant, so the comparator is the projection of p onto the box cut by
@@ -89,7 +91,7 @@ class _CostAccumulator:
     def add(self, rounds) -> np.ndarray:
         """Add rounds in play order; return the sums after each, one row a round."""
         n = self.n
-        steps = np.zeros((len(rounds) + 1, 2 * n + 2))
+        steps = np.zeros((len(rounds) + 1, len(self.sums)))
         steps[0] = self.sums
         affine = [i for i, o in enumerate(rounds, 1) if o.cost_affine is not None]
         if affine:
@@ -114,15 +116,6 @@ class _CostAccumulator:
 def _split(sums: np.ndarray, n: int):
     """(lin, const, qw, ql) of one vector of cost sums, or columns of a block of rows."""
     return sums[..., :n], sums[..., n], sums[..., n + 1], sums[..., n + 2:]
-
-
-def _box_rows(G: np.ndarray, h: np.ndarray, domain) -> None:
-    """Write the box as the 2n rows x <= upper, -x <= -lower of G x <= h."""
-    n = G.shape[1]
-    G[:n] = np.eye(n)
-    G[n:] = -np.eye(n)
-    h[:n] = domain.upper
-    h[n:] = -domain.lower
 
 
 class _Interval:
@@ -187,13 +180,10 @@ class _RowSums:
         return folded.interval()
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
-        """The summed rows, then the box rows, as G x <= h."""
-        d, n = self.W.shape
-        G, h = np.empty((d + 2 * n, n)), np.empty(d + 2 * n)
-        G[:d] = self.W
-        np.negative(self.u, out=h[:d])
-        _box_rows(G[d:], h[d:], self.domain)
-        return G, h
+        """The summed rows as one round of `_PlayedRows`, then the box rows, as G x <= h."""
+        rows = _PlayedRows(self.domain)
+        rows.add([self.W], [self.u])
+        return rows.system()
 
 
 class _PlayedRows:
@@ -234,10 +224,14 @@ class _PlayedRows:
         self.m = end
 
     def system(self) -> tuple[np.ndarray, np.ndarray]:
-        size = self.m + 2 * self.n
-        self._reserve(size)
-        _box_rows(self.G[self.m:size], self.h[self.m:size], self.domain)
-        return self.G[:size], self.h[:size]
+        m, n = self.m, self.n
+        self._reserve(m + 2 * n)
+        G, h = self.G[:m + 2 * n], self.h[:m + 2 * n]
+        G[m:m + n] = np.eye(n)
+        G[m + n:] = -np.eye(n)
+        h[m:m + n] = self.domain.upper
+        h[m + n:] = -self.domain.lower
+        return G, h
 
 
 def _solve_exact_1d(sums: np.ndarray, lo: float, hi: float,
@@ -339,7 +333,7 @@ class ComparatorFold:
             self.cons = _Interval(domain)
         else:
             self.cons = _PlayedRows(domain)
-        self.cost_sums_size = 2 * n + 2
+        self.cost_sums_size = len(self.cost.sums)
 
     def add(self, rounds) -> np.ndarray:
         """Fold played rounds, in play order; return the cost sums (lin, const,

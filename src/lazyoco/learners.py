@@ -373,7 +373,7 @@ class LlpLearner:
         lam = 0.0 if t == 1 or vt is None else _plus(a_t * (self.cum_gz + vt))
         S, linear = self.prox_S, self.ccum
         if wf is None:
-            center = self.prox_center if S > 0.0 else 0.0
+            center = self.prox_center
             linear = linear + cf
         else:
             center = (self.prox_b + wf * cf) / (S + wf)
@@ -423,8 +423,7 @@ class LlpLearner:
         if h == 0.0:
             z, gz = x, gx
         else:
-            S = self.prox_S
-            z = _float_step(S, self.prox_center if S > 0.0 else 0.0, linear, x, lo, hi)
+            z = _float_step(self.prox_S, self.prox_center, linear, x, lo, hi)
             gz = 0.0 + W * z + u
 
         self.cum_gz = self.cum_gz + gz
@@ -546,10 +545,11 @@ class LlpLearner:
             self._set_prox(target, self.prox_b if x is None else self.prox_b + sigma_t * x)
 
     def _set_prox(self, S: float, b) -> None:
-        """Set the prox weight S, its numerator b and the centre b / S (zeros while S = 0)
-        that both bodies' steps read: the one writer of the three."""
+        """Set the prox weight S, its numerator b and the centre b / S that both bodies'
+        steps read: the one writer of the three.  While S = 0 the centre is the zero
+        of the state's type, 0.0 on the float body and zeros on the array body."""
         self.prox_S, self.prox_b = S, b
-        self.prox_center = b / S if S > 0.0 else np.zeros(self.n)
+        self.prox_center = b / S if S > 0.0 else 0.0 * b
 
     # -- prescient -------------------------------------------------------------
 

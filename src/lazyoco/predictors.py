@@ -90,7 +90,7 @@ class _Predictor:
     """
 
     def __init__(self, bounds: ProblemBounds, domain, dimension: int, constraints: int,
-                 level: float = 0.0, seed: int | None = None):
+                 level: float, seed: int):
         self.bounds = bounds
         self.n = dimension
         self.d = constraints
@@ -172,10 +172,10 @@ class NoisyPredictor(_Predictor):
         if not math.isfinite(reach * reach):
             raise ConfigurationError(f"predictor.level {self.level:.3g} is too large: ((1 + level)"
                                      f" L_f)^2 overflows at L_f = {self.bounds.L_f:.3g}")
-        if self.seed is not None and self.seed < 0:
+        if self.seed < 0:
             raise ConfigurationError("predictor seed must be >= 0")
         self.gamma = min(self.level, 1.0)
-        self.rng = np.random.default_rng(0 if self.seed is None else int(self.seed))
+        self.rng = np.random.default_rng(int(self.seed))
         self.last_x = domain.project(np.zeros(self.n))
         # the first round draws
         self._rows = self._next = _Scenario._block_rows(self.n + self.d)
@@ -254,7 +254,7 @@ PREDICTOR_KINDS = {
 
 
 def make_predictor(kind: str, bounds: ProblemBounds, domain, dimension: int,
-                   constraints: int, level: float = 0.1, seed: int | None = 0):
+                   constraints: int, level: float = 0.1, seed: int = 0):
     if kind not in PREDICTOR_KINDS:
         raise ConfigurationError(
             f"unknown predictor kind {kind!r}; expected one of {sorted(PREDICTOR_KINDS)}")

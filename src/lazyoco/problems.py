@@ -190,8 +190,8 @@ class _Scenario:
     _BLOCK_DOUBLES = 1 << 16
     _t = 0  # the current round; 0 before the first draw
 
-    def __init__(self, horizon: int, dimension: int = 1, constraints: int = 1,
-                 seed: int = 0, params: dict | None = None):
+    def __init__(self, horizon: int, dimension: int, constraints: int, seed: int,
+                 params: dict | None):
         if self.one_dimensional and (dimension != 1 or constraints != 1):
             raise ConfigurationError(f"{self.kind} is one-dimensional with one constraint")
         if dimension < 1 or constraints < 1:

@@ -110,9 +110,9 @@ def _field(doc: dict, key, name: str, kind: type, default=None, required=False):
 
 @dataclass
 class OutputSpec:
-    path: str | None = None
-    format: str = "csv"
-    record_every: int = 1
+    path: str | None
+    format: str
+    record_every: int
 
 
 @dataclass

@@ -26,6 +26,9 @@ ONE_DIMENSIONAL = ("alternating_linear", "stochastic_constraint", "impossibility
 # the values a round leaves on the learner, compared bit for bit
 COMPARED = ("lam", "f_value", "xi_t", "a_t", "h_cum", "prox_S", "cum_gz", "cum_gx",
             "max_xz", "drift_gap")
+# every value of the learner's state, which the float body holds as Python floats
+STATE = COMPARED + ("ccum", "lag_lin", "prox_b", "prox_center", "last_x", "sum_a_prev_xi_sq",
+                    "xi_sq_cum", "a_prev", "mu", "cum_cost", "solver_residual")
 
 
 def bits(v) -> bytes:
@@ -41,6 +44,12 @@ def one_run(kind, variant, predictor, level, sigma, a, beta, horizon, seed):
     p = make_predictor(predictor, bounds=sc.bounds, domain=sc.domain, dimension=1,
                        constraints=1, level=level, seed=seed + 1)
     return sc, p, learner
+
+
+def assert_float_state(learner):
+    """Every value of the state is a Python float, the prox centre too while S = 0."""
+    for name in STATE:
+        assert type(getattr(learner, name)) is float, (learner.t, learner.prox_S, name)
 
 
 @st.composite
@@ -61,6 +70,7 @@ def test_float_body_is_the_array_body_bit_for_bit(run):
     floats, arrays = one_run(**run), one_run(**run)
     # the second learner restarted on the array body, whose round is called directly
     arrays[2]._start_arrays(np.array([arrays[2].last_x]))
+    assert_float_state(floats[2])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(1, run["horizon"] + 1):
             xs = []
@@ -75,7 +85,8 @@ def test_float_body_is_the_array_body_bit_for_bit(run):
             assert bits(xs[0]) == bits(xs[1]), t
             for name in COMPARED:
                 assert bits(getattr(floats[2], name)) == bits(getattr(arrays[2], name)), (t, name)
-    assert isinstance(floats[2].lam, float) and isinstance(arrays[2].lam, np.ndarray)
+            assert_float_state(floats[2])
+    assert isinstance(arrays[2].lam, np.ndarray)
     for name in ("lambda_norm", "violation_norm"):
         assert bits(getattr(floats[2], name)) == bits(getattr(arrays[2], name)), name
     assert bits(floats[2].stats().violation_z_norm) == bits(arrays[2].stats().violation_z_norm)
