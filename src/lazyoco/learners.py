@@ -17,7 +17,8 @@ the learner's own a_t and sum_s g_s(z_s) and that round's forecast value
 v~ (lam = 0 in round 1, before any dual step).  `play_round` returns x_t
 and leaves no record: the learner's attributes after it (the round's
 `lam`, `f_value`, `xi_t`, `solver_residual` and `flags`, and the running
-totals) are what a trace row reads.
+totals) are what a run's row reads, and `stats()` returns, as summary
+entries, the few end-of-run values that no row holds.
 
 Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part J^T lam (J below) folds into
@@ -84,7 +85,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,7 +96,6 @@ from .solver import FtrlObjective, dual_step, minimize
 __all__ = [
     "VARIANTS",
     "LearnerConfig",
-    "LearnerTotals",
     "LlpLearner",
     "GreedyLearner",
     "make_learner",
@@ -128,24 +127,6 @@ class LearnerConfig:
             raise ConfigurationError("beta must lie in [0, 1)")
         if self.x0 is not None:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-
-
-class LearnerTotals(NamedTuple):
-    """The end-of-run values no trace row holds; the greedy baseline fills the first three.
-
-    The run's other totals (cumulative cost, violation, a_T, the
-    regularizer sums and B_T) are its trace's last row.  `flag_counts`
-    counts the rounds that raised each flag; a round raises at most one.
-    """
-
-    violation_z_norm: float
-    a_prev: float
-    flag_counts: dict
-    xi_sq_cum: float = 0.0
-    sum_a_prev_xi_sq: float = 0.0
-    mu: float = 0.0
-    max_xz: float = 0.0
-    drift_gap: float = -math.inf
 
 
 def _start_point(config: LearnerConfig, domain, n: int) -> np.ndarray:
@@ -593,17 +574,11 @@ class LlpLearner:
         """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
         return _norm(_positive(self.cum_gx))
 
-    def stats(self) -> LearnerTotals:
-        return LearnerTotals(
-            violation_z_norm=_norm(_positive(self.cum_gz)),
-            a_prev=self.a_prev,
-            flag_counts=self.flag_counts,
-            xi_sq_cum=self.xi_sq_cum,
-            sum_a_prev_xi_sq=self.sum_a_prev_xi_sq,
-            mu=self.mu,
-            max_xz=self.max_xz,
-            drift_gap=self.drift_gap,
-        )
+    def stats(self) -> dict:
+        """The summary entries no trace row holds, read once after the last round."""
+        return {"violation_z_norm": _norm(_positive(self.cum_gz)), "a_prev": self.a_prev,
+                "flag_counts": self.flag_counts, "max_xz": self.max_xz,
+                "drift_gap": self.drift_gap}
 
 
 class GreedyLearner:
@@ -658,12 +633,11 @@ class GreedyLearner:
         """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
         return norm(positive_part(self.cum_gx))
 
-    def stats(self) -> LearnerTotals:
-        return LearnerTotals(
-            violation_z_norm=norm(positive_part(self.cum_gx)),
-            a_prev=self.cfg.a / math.sqrt(max(self.t - 1, 1)),
-            flag_counts={},
-        )
+    def stats(self) -> dict:
+        """`LlpLearner.stats`'s entries; z is x, and no step raises a flag."""
+        return {"violation_z_norm": self.violation_norm,
+                "a_prev": self.cfg.a / math.sqrt(max(self.t - 1, 1)), "flag_counts": {},
+                "max_xz": self.max_xz, "drift_gap": self.drift_gap}
 
 
 def make_learner(config: LearnerConfig, domain, dimension: int, constraints: int,

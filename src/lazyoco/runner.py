@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, LearnerTotals, make_learner
+from .learners import LearnerConfig, make_learner
 from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
 from .sets import ConfigurationError
@@ -47,12 +47,13 @@ __all__ = [
 TRACE_COLUMNS = ("t", "f_value", "cum_cost", "regret", "violation_norm", "lambda_norm",
                  "a_t", "sigma_cum", "h_cum", "xi_t", "bound_B_t", "solver_residual",
                  "flags")
-# columns of RunResult.table, which holds every TRACE_COLUMNS column but flags
-_T, _COST, _REGRET, _VIOLATION, _H, _BOUND = (
-    TRACE_COLUMNS.index(c)
-    for c in ("t", "cum_cost", "regret", "violation_norm", "h_cum", "bound_B_t"))
-# the learner's totals besides the table's that the B_t column is evaluated from
-_BOUND_INPUTS = ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
+# columns of RunResult.table: every TRACE_COLUMNS column but flags, then the
+# learner's totals besides those that the B_t column is evaluated from
+ROW_COLUMNS = TRACE_COLUMNS[:-1] + ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
+_T, _COST, _REGRET, _VIOLATION, _H, _BOUND, _A_XI_SQ, _MU, _XI_SQ = (
+    ROW_COLUMNS.index(c)
+    for c in ("t", "cum_cost", "regret", "violation_norm", "h_cum", "bound_B_t",
+              "sum_a_prev_xi_sq", "mu", "xi_sq_cum"))
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
 # rounds folded per comparator call, and rows formatted per trace write, so
@@ -180,6 +181,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     output = OutputSpec(path=_field(out, "path", "output", str),
                         format=_field(out, "format", "output", str, "csv"),
                         record_every=_field(out, "record_every", "output", int, 1))
+    if output.path == "":
+        raise ConfigurationError("output.path must name a file: it is empty")
     if output.format not in ("csv", "json"):
         raise ConfigurationError("output.format must be 'csv' or 'json'")
     if output.record_every < 1:
@@ -250,16 +253,16 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
 class RunResult:
     """A finished run.
 
-    `table` is an (n_rows, 12) float64 array with one row per recorded
-    round: t and the eleven numeric trace columns, in `TRACE_COLUMNS`
-    order.  `flags` holds each row's last column.
+    `table` is an (n_rows, 15) float64 array with one row per recorded
+    round, in `ROW_COLUMNS` order: t and the eleven numeric trace columns,
+    then the three B_t inputs no trace line holds.  `flags` holds each
+    row's last trace column.  The summary's totals are the last row's.
     """
 
     config: RunConfig
     table: np.ndarray
     flags: list[str]
     summary: dict
-    totals: LearnerTotals
 
 
 def _sanitize(v):
@@ -325,14 +328,10 @@ def execute_run(config: RunConfig) -> RunResult:
     record_every = config.output.record_every
     n_rows = (T + record_every - 1) // record_every
     # regret and bound_B_t are filled in at the end
-    table = np.empty((n_rows, len(TRACE_COLUMNS) - 1))
-    width = table.shape[1]
+    table = np.empty((n_rows, len(ROW_COLUMNS)))
     flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
     cost_sums = np.empty((n_rows, fold.cost_sums_size))
-    # the learner's other B_t inputs at each row: sum of a_{t-1} xi_t^2, mu
-    # and sum of xi_t^2 (the greedy baseline's stay 0)
-    bound_inputs = np.empty((n_rows, len(_BOUND_INPUTS)))
     c = config.learner
     variant = c.variant
     lazy = variant != "greedy_baseline"
@@ -357,16 +356,14 @@ def execute_run(config: RunConfig) -> RunResult:
                     flags.append(learner.flags)
             sums = fold.add(block)
             if rows:
-                rows = np.array(rows)
                 written = slice(len(flags) - len(rows), len(flags))
-                table[written] = rows[:, :width]
-                bound_inputs[written] = rows[:, width:]
+                table[written] = rows
                 cost_sums[written] = sums[at]
-        totals = learner.stats()
+        stats = learner.stats()
         if lazy:
             table[:, _BOUND] = analysis.regret_certificate(
-                variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=bound_inputs[:, 0],
-                mu=bound_inputs[:, 1], xi_sq_sum=bound_inputs[:, 2], horizon=table[:, _T],
+                variant, table[:, _H], c.sigma, c.bounds, sum_a_prev_xi_sq=table[:, _A_XI_SQ],
+                mu=table[:, _MU], xi_sq_sum=table[:, _XI_SQ], horizon=table[:, _T],
                 a=c.a, beta=c.beta)
         else:
             table[:, _BOUND] = 0.0
@@ -374,8 +371,7 @@ def execute_run(config: RunConfig) -> RunResult:
     # parser, so the run stops at its first non-finite total, checked a column
     # at a time to copy no table; regret is left out, as it is NaN by design
     # when the comparator set is empty
-    bad = [(np.isfinite(col).argmin(), name, col)
-           for name, col in zip(TRACE_COLUMNS[:-1] + _BOUND_INPUTS, [*table.T, *bound_inputs.T])
+    bad = [(np.isfinite(col).argmin(), name, col) for name, col in zip(ROW_COLUMNS, table.T)
            if name != "regret" and not np.isfinite(col).all()]
     if bad:
         i, name, col = min(bad, key=lambda b: b[0])  # the first column among a row's
@@ -388,13 +384,13 @@ def execute_run(config: RunConfig) -> RunResult:
             cost_sums, benchmark.x_star)
 
     # round T's totals, as Python floats: the summary reads them off the last row
-    last = dict(zip(TRACE_COLUMNS, table[-1].tolist()))
+    last = dict(zip(ROW_COLUMNS, table[-1].tolist()))
     bound_B_T = bound_V = bound_V_z = bound_clamped = None
     if benchmark.feasible and lazy:
         bound_B_T = last["bound_B_t"]
         bound_V, bound_V_z, bound_clamped = analysis.violation_certificate(
             variant, bound_B_T, last["regret"], c.sigma, c.bounds, h_sum=last["h_cum"],
-            a_prev=totals.a_prev, mu=totals.mu, xi_sq_sum=totals.xi_sq_cum, horizon=T,
+            a_prev=stats["a_prev"], mu=last["mu"], xi_sq_sum=last["xi_sq_cum"], horizon=T,
             a=c.a, beta=c.beta)
 
     summary = {
@@ -414,28 +410,23 @@ def execute_run(config: RunConfig) -> RunResult:
         "cum_cost": last["cum_cost"],
         "regret": last["regret"],
         "violation_norm": last["violation_norm"],
-        "violation_z_norm": totals.violation_z_norm,
         "bound_B_T": bound_B_T,
         "bound_V": bound_V,
         "bound_V_z": bound_V_z,
         "bound_clamped": bound_clamped,
         "h_cum": last["h_cum"],
-        "xi_sq_cum": totals.xi_sq_cum,
+        "xi_sq_cum": last["xi_sq_cum"],
         "sigma_cum": last["sigma_cum"],
         "a_T": last["a_t"],
-        "a_prev": totals.a_prev,
-        "mu": totals.mu,
-        "max_xz": totals.max_xz,
-        "drift_gap": totals.drift_gap,
+        "mu": last["mu"],
         # a round raises at most one flag
-        "warning_count": sum(totals.flag_counts.values()),
-        "flag_counts": totals.flag_counts,
+        "warning_count": sum(stats["flag_counts"].values()),
+        **stats,
         "block_ends": list(getattr(scenario, "block_ends", ())),
         "record_every": record_every,
         "rows_written": n_rows,
     }
-    summary = _sanitize(summary)
-    return RunResult(config=config, table=table, flags=flags, summary=summary, totals=totals)
+    return RunResult(config=config, table=table, flags=flags, summary=_sanitize(summary))
 
 
 # -- persistence -----------------------------------------------------------------
@@ -446,8 +437,9 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
     if out is None:
         raise ConfigurationError("no output path configured for the trace")
     fmt = fmt if fmt is not None else result.config.output.format
+    # the trace's numeric columns, a view of the table's first ones
+    table, flags = result.table[:, :len(TRACE_COLUMNS) - 1], result.flags
     if fmt == "csv":
-        table, flags = result.table, result.flags
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for a in range(0, len(flags), _BLOCK_ROWS):
@@ -455,7 +447,7 @@ def write_trace(result: RunResult, path: str | None = None, fmt: str | None = No
                 fh.write("".join([_CSV_ROW % (*v, fl)
                                   for v, fl in zip(table[a:b].tolist(), flags[a:b])]))
     else:
-        _write_json_trace(out, result.table, result.flags)
+        _write_json_trace(out, table, flags)
     with open(out + ".summary.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(result.summary, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")

@@ -15,7 +15,7 @@ import numpy as np
 
 from lazyoco.analysis import regret_certificate, violation_certificate
 from lazyoco.predictors import zero_bundle
-from lazyoco.runner import TRACE_COLUMNS, play_rounds
+from lazyoco.runner import ROW_COLUMNS, play_rounds
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -199,8 +199,8 @@ def play_run(scenario, predictor, learner, horizon) -> list[tuple]:
 
 
 def trace_row(result, i) -> dict:
-    """Row i of a run's trace as {column: value}: the table's floats, then the flags."""
-    return dict(zip(TRACE_COLUMNS, [*result.table[i].tolist(), result.flags[i]]))
+    """Row i of a run's table as {column: value}: the table's floats, then the flags."""
+    return dict(zip(ROW_COLUMNS, result.table[i].tolist()), flags=result.flags[i])
 
 
 def _bound_inputs(rounds, config):

@@ -264,7 +264,7 @@ def test_criterion_09_nonproximal_variant(llp_sweep, llp2_sweep):
         s = res.summary
         plain = regret_certificate("llp", s["h_cum"], res.config.learner.sigma,
                                    res.config.learner.bounds,
-                                   sum_a_prev_xi_sq=res.totals.sum_a_prev_xi_sq)
+                                   sum_a_prev_xi_sq=helpers.trace_row(res, -1)["sum_a_prev_xi_sq"])
         if not s["bound_B_T"] >= plain:
             dominated = False
 

@@ -1,7 +1,7 @@
 """Every name a module under src/ or tests/ imports is used in that module,
-each module of the package imports only the layers below it, importing the
-package loads no process pool, and every name the benchmark tracer rebinds
-still exists."""
+each module of the package imports only the layers below it, every name in
+a module's `__all__` exists, importing the package loads no process pool,
+and every name the benchmark tracer rebinds still exists."""
 
 import ast
 import importlib.util
@@ -99,6 +99,14 @@ def test_module_imports_only_lower_layers(layer):
     source = (PACKAGE / f"{layer}.py").read_text(encoding="utf-8")
     below = set(LAYERS[:LAYERS.index(layer)])
     assert package_imports(source) - below == set()
+
+
+@pytest.mark.parametrize("module", ["lazyoco", *(f"lazyoco.{layer}" for layer in LAYERS)])
+def test_every_name_in_all_resolves(module):
+    """`from <module> import *` raises on a name `__all__` lists but the module
+    no longer defines, and nothing else would notice such a stale entry."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_import_loads_no_process_pool():

@@ -89,7 +89,8 @@ def test_float_body_is_the_array_body_bit_for_bit(run):
     assert isinstance(arrays[2].lam, np.ndarray)
     for name in ("lambda_norm", "violation_norm"):
         assert bits(getattr(floats[2], name)) == bits(getattr(arrays[2], name)), name
-    assert bits(floats[2].stats().violation_z_norm) == bits(arrays[2].stats().violation_z_norm)
+    assert (bits(floats[2].stats()["violation_z_norm"])
+            == bits(arrays[2].stats()["violation_z_norm"]))
 
 
 # floats where numpy's signed zeros and rounding show: zeros of both signs,

@@ -225,9 +225,9 @@ def test_comparator_memory_per_round(scenario, predictor, per_round):
 def test_recorded_rows_cost_under_256_bytes_each(tmp_path, fmt):
     """Peak allocation of a run and its trace grows by under 256 B per recorded row.
 
-    A row's twelve numbers take 96 B in the run's float table; a row held as
-    Python objects, or a trace payload built as one string, costs several
-    times that.
+    A row's fifteen numbers (the trace's twelve and the three B_t inputs)
+    take 120 B in the run's one float table; a row held as Python objects,
+    or a trace payload built as one string, costs several times that.
     """
     def peak(horizon):
         cfg = runner.parse_run_config(base_doc(
@@ -509,6 +509,37 @@ def test_bound_dispatch_by_variant():
             assert s[key].hex() == last[column].hex(), (variant, key)
 
 
+# llp_perturbed needs a fixed base constraint, which only perturbed_linear has
+RECORD_RUNS = [(variant, scenario) for variant in ("llp", "llp2", "greedy_baseline")
+               for scenario in ({"kind": "alternating_linear"},
+                                {"kind": "random_quadratic", "dimension": 3, "constraints": 2})]
+RECORD_RUNS.append(("llp_perturbed", {"kind": "perturbed_linear"}))
+
+
+@pytest.mark.parametrize("comparator", ["X_T", "X_T_max"])
+@pytest.mark.parametrize("variant,scenario", RECORD_RUNS,
+                         ids=[f"{v}-{s['kind']}" for v, s in RECORD_RUNS])
+def test_summary_totals_are_the_last_row(variant, scenario, comparator):
+    """The table is the run's one record: it has every `ROW_COLUMNS` column, and
+    the summary's totals are its last row's values, bit for bit."""
+    doc = base_doc(scenario={**scenario, "horizon": 50, "seed": 3},
+                   predictor={"kind": "noisy", "level": 0.5, "seed": 4},
+                   benchmark={"kind": comparator}, output={"record_every": 7})
+    doc["learner"]["variant"] = variant
+    result = runner.execute_run(runner.parse_run_config(doc))
+    assert result.table.shape == (8, len(runner.ROW_COLUMNS))
+    s, last = result.summary, trace_row(result, -1)
+    assert last["t"] == 50.0 and s["benchmark_feasible"]
+    for key, column in (("cum_cost", "cum_cost"), ("regret", "regret"),
+                        ("violation_norm", "violation_norm"), ("h_cum", "h_cum"),
+                        ("xi_sq_cum", "xi_sq_cum"), ("mu", "mu"), ("sigma_cum", "sigma_cum"),
+                        ("a_T", "a_t"), ("bound_B_T", "bound_B_t")):
+        if key == "bound_B_T" and variant == "greedy_baseline":
+            assert s[key] is None and last[column] == 0.0  # the baseline has no certificate
+        else:
+            assert s[key].hex() == last[column].hex(), (key, s[key], last[column])
+
+
 def test_write_plot_svg(tmp_path):
     path = str(tmp_path / "chart.svg")
     doc = base_doc()
@@ -731,6 +762,23 @@ def test_cli_plot_without_output_path_is_refused(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", path, "--plot"]) == 2
     assert "output.path" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_cli_refuses_an_empty_output_path(tmp_path, capsys, monkeypatch, command):
+    """An empty `output.path` names no file, so it is refused at parse, before a
+    round is played: `run` and `sweep` used to play every round and then fail
+    to open '' (exit 3), and `compare` wrote no CSV and exited 0."""
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = base_doc(output={"path": ""})
+    doc["scenario"]["horizon"] = 10
+    if command == "sweep":
+        doc = {"base": doc, "horizons": [10, 20], "betas": [0.5]}
+    path = write_config(tmp_path, "config.json", doc)
+    monkeypatch.setattr(runner, "execute_run", lambda config: pytest.fail("a run started"))
+    assert cli.main([command, path] + ([path] if command == "compare" else [])) == 2
+    assert "output.path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_retired_linearized_variant_is_refused(tmp_path, capsys):
