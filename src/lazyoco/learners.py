@@ -18,7 +18,12 @@ v~ (lam = 0 in round 1, before any dual step).  `play_round` returns x_t
 and leaves no record: the learner's attributes after it (the round's
 `lam`, `f_value`, `xi_t`, `solver_residual` and `flags`, and the running
 totals) are what a run's row reads, and `stats()` returns, as summary
-entries, the few end-of-run values that no row holds.
+entries, the few end-of-run values that no row holds.  `_Learner`, the
+base of both learners, states those names once: the shared constructor
+state, a zero default for each total that a learner without a
+regularizer, forecast or prescient step leaves at zero, and the
+reporting read off `lam`, `cum_gx`, `cum_gz` and `a_prev`.  The greedy
+baseline is a step on that base; its z is x.
 
 Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part J^T lam (J below) folds into
@@ -129,17 +134,6 @@ class LearnerConfig:
             object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
-def _start_point(config: LearnerConfig, domain, n: int) -> np.ndarray:
-    """The configured x0, or the projection of the origin; checked against the set."""
-    x0 = domain.project(np.zeros(n)) if config.x0 is None else config.x0
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ConfigurationError(f"x0 must have shape ({n},)")
-    if not domain.contains(x0):
-        raise ConfigurationError("x0 lies outside the feasible set")
-    return x0
-
-
 # -- the round at n = d = 1 on floats (see the module docstring) ------------------
 
 
@@ -224,7 +218,54 @@ def _positive(v):
     return _plus(v) if isinstance(v, float) else positive_part(v)
 
 
-class LlpLearner:
+class _Learner:
+    """What a run reads off a learner, stated once for every learner.
+
+    A subclass adds `__init__` and `play_round`, which keep `lam`, `a_t`,
+    `a_prev`, `cum_gx` and `cum_gz` and the row values they move.  Each
+    row name below is a class-level zero, the value of a learner without
+    a regularizer, forecast or prescient step.
+    """
+
+    prox_S = h_cum = xi_t = xi_sq_cum = sum_a_prev_xi_sq = mu = 0.0
+    solver_residual = max_xz = 0.0
+    drift_gap = -math.inf
+    flags = ""
+
+    def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int):
+        self.cfg = config
+        self.domain = domain
+        self.n = n = int(dimension)
+        self.d = int(constraints)
+        self.t = 0
+        self.f_value = self.cum_cost = 0.0
+        self.flag_counts: dict[str, int] = {}
+        # the configured x0, or the projection of the origin; checked against the set
+        x0 = domain.project(np.zeros(n)) if config.x0 is None else config.x0
+        self.x0 = np.asarray(x0, dtype=float)
+        if self.x0.shape != (n,):
+            raise ConfigurationError(f"x0 must have shape ({n},)")
+        if not domain.contains(self.x0):
+            raise ConfigurationError("x0 lies outside the feasible set")
+
+    @property
+    def lambda_norm(self) -> float:
+        """||lam||, the trace's lambda_norm."""
+        return _norm(self.lam)
+
+    @property
+    def violation_norm(self) -> float:
+        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
+        return _norm(_positive(self.cum_gx))
+
+    def stats(self) -> dict:
+        """The summary entries no trace row holds, read once after the last round."""
+        return {"violation_z_norm": _norm(_positive(self.cum_gz)), "a_prev": self.a_prev,
+                "flag_counts": self.flag_counts, "max_xz": self.max_xz,
+                "drift_gap": self.drift_gap}
+
+
+class LlpLearner(_Learner):
     """The lazy variants; the shape picks the round body, floats at n = d = 1, else arrays."""
 
     def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int,
@@ -234,44 +275,25 @@ class LlpLearner:
         if config.variant == "llp_perturbed" and base_affine is None:
             raise ConfigurationError(
                 "llp_perturbed needs the scenario's fixed base constraint")
-        self.cfg = config
-        self.domain = domain
-        self.n = int(dimension)
-        self.d = int(constraints)
+        super().__init__(config, domain, dimension, constraints)
         self.variant = config.variant
         # the rows J every round's multiplier sits on, or None for the round's own
         self.fixed_rows = (np.asarray(base_affine[0], dtype=float)
                            if self.variant == "llp_perturbed" else None)
 
-        x0 = _start_point(config, domain, self.n)
-
-        b = config.bounds
-        self.t = 0
-
         # dual-rate state, a_t and a_{t-1}; 0**0 == 1 makes the beta = 0 case come out right
+        b = config.bounds
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
         self.a_t = self.a_prev = a0
-        self.h_cum = 0.0
-        self.xi_sq_cum = 0.0
-        self.sum_a_prev_xi_sq = 0.0
-        self.mu = b.E_m + a0 * b.G * 1.0 * b.Delta_m if self.variant == "llp2" else 0.0
-
-        # cumulative diagnostics
-        self.cum_cost = 0.0
-        self.max_xz = 0.0
-        self.drift_gap = -math.inf
-        self.flag_counts: dict[str, int] = {}
-
-        # the latest round's own values
-        self.f_value = self.xi_t = self.solver_residual = 0.0
-        self.flags = ""
+        if self.variant == "llp2":
+            self.mu = b.E_m + a0 * b.G * 1.0 * b.Delta_m
 
         # the state's vectors (the folded aggregate ccum, lag_lin and prox_b,
         # cum_gz, cum_gx, last_x and lam) and the body that plays, by shape
         if self.n == self.d == 1:
-            self._start_floats(x0)
+            self._start_floats(self.x0)
         else:
-            self._start_arrays(x0)
+            self._start_arrays(self.x0)
 
     def _start_arrays(self, x0: np.ndarray) -> None:
         """Hold the state's vectors as arrays, and play rounds with the array body."""
@@ -562,51 +584,23 @@ class LlpLearner:
         denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
         self.a_t = min(self.cfg.a / denom, self.a_prev)
 
-    # -- reporting ----------------------------------------------------------------
 
-    @property
-    def lambda_norm(self) -> float:
-        """||lam||, the trace's lambda_norm."""
-        return _norm(self.lam)
+class GreedyLearner(_Learner):
+    """Projected gradient on the instantaneous Lagrangian, step a/sqrt(t).
 
-    @property
-    def violation_norm(self) -> float:
-        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
-        return _norm(_positive(self.cum_gx))
-
-    def stats(self) -> dict:
-        """The summary entries no trace row holds, read once after the last round."""
-        return {"violation_z_norm": _norm(_positive(self.cum_gz)), "a_prev": self.a_prev,
-                "flag_counts": self.flag_counts, "max_xz": self.max_xz,
-                "drift_gap": self.drift_gap}
-
-
-class GreedyLearner:
-    """Projected gradient on the instantaneous Lagrangian, step eta/sqrt(t).
-
-    Stand-in competitor with the lazy learners' row names: `lam` and `a_t`
-    are the multiplier and step of the round just played (`lam_next` and
-    `x` are the next round's), and its regularizer, forecast and prescient
-    totals are the zeros below, since its z is x.
+    Stand-in competitor: `lam` and `a_t` are the multiplier and step of
+    the round just played (`lam_next` and `x` are the next round's), and
+    `a_prev` the step before it, a at round 1.  Its z is x.
     """
-
-    prox_S = h_cum = xi_t = xi_sq_cum = sum_a_prev_xi_sq = mu = 0.0
-    solver_residual = max_xz = 0.0
-    drift_gap = -math.inf
-    flags = ""
 
     def __init__(self, config: LearnerConfig, domain, dimension: int, constraints: int):
         if config.variant != "greedy_baseline":
             raise ConfigurationError("GreedyLearner requires variant 'greedy_baseline'")
-        self.cfg = config
-        self.domain = domain
-        self.n = int(dimension)
-        self.d = int(constraints)
-        self.x = _start_point(config, domain, self.n)
+        super().__init__(config, domain, dimension, constraints)
+        self.x = self.x0
         self.lam = self.lam_next = np.zeros(self.d)
-        self.t = 0
-        self.a_t = self.f_value = self.cum_cost = 0.0
         self.cum_gx = np.zeros(self.d)
+        self.a_t = self.a_prev = config.a
 
     def play_round(self, truth: RoundOracle, bundle: PredictionBundle) -> np.ndarray:
         """One projected step from x_t, which it returns; the forecast is ignored."""
@@ -615,7 +609,8 @@ class GreedyLearner:
         self.f_value, c_t = truth.cost(x)
         W, u = truth.constraint_affine
         gvals = W @ x + u
-        self.a_t = eta = self.cfg.a / math.sqrt(self.t)
+        eta = self.cfg.a / math.sqrt(self.t)
+        self.a_prev, self.a_t = self.a_t, eta
         # `Box.project`'s clip, without re-checking an array built here
         self.x = (x - eta * (c_t + W.T @ lam)).clip(self.domain.lower, self.domain.upper)
         self.lam, self.lam_next = lam, positive_part(lam + eta * gvals)
@@ -624,20 +619,9 @@ class GreedyLearner:
         return x
 
     @property
-    def lambda_norm(self) -> float:
-        """||lam||, the trace's lambda_norm."""
-        return norm(self.lam)
-
-    @property
-    def violation_norm(self) -> float:
-        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
-        return norm(positive_part(self.cum_gx))
-
-    def stats(self) -> dict:
-        """`LlpLearner.stats`'s entries; z is x, and no step raises a flag."""
-        return {"violation_z_norm": self.violation_norm,
-                "a_prev": self.cfg.a / math.sqrt(max(self.t - 1, 1)), "flag_counts": {},
-                "max_xz": self.max_xz, "drift_gap": self.drift_gap}
+    def cum_gz(self) -> np.ndarray:
+        """sum_s g_s(z_s), which is `cum_gx`: z is x."""
+        return self.cum_gx
 
 
 def make_learner(config: LearnerConfig, domain, dimension: int, constraints: int,

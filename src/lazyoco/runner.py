@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import analysis
-from .learners import LearnerConfig, make_learner
+from .learners import LearnerConfig, LlpLearner, make_learner
 from .predictors import make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
 from .sets import ConfigurationError
@@ -334,7 +334,8 @@ def execute_run(config: RunConfig) -> RunResult:
     cost_sums = np.empty((n_rows, fold.cost_sums_size))
     c = config.learner
     variant = c.variant
-    lazy = variant != "greedy_baseline"
+    # only the lazy learners carry a certificate
+    lazy = isinstance(learner, LlpLearner)
     rounds = play_rounds(scenario, predictor, learner, T)
     # a total that overflows is named by the finite check below, so numpy's
     # own warnings about it would only come first
@@ -652,6 +653,8 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
     """Aligned per-round comparison of several learners on one scenario."""
     if not configs:
         raise ConfigurationError("compare needs at least one config")
+    if output_path == "":
+        raise ConfigurationError("-o/--output must name a file: it is empty")
     first = configs[0]
     for cfg in configs[1:]:
         same = (cfg.scenario_kind == first.scenario_kind

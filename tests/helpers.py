@@ -173,16 +173,15 @@ class Played(NamedTuple):
     max_xz: float
     drift_gap: float
     g_values: np.ndarray
-    cum_gz: np.ndarray | None  # sum of g(z); the greedy baseline has no z
+    cum_gz: np.ndarray  # sum of g(z); the greedy baseline's z is x
 
 
 def _snapshot(learner, truth, x) -> Played:
     # at n = d = 1 the lazy learner holds lam and cum_gz as floats; a
     # snapshot holds them as 1-D arrays whatever the shape
-    cum_gz = getattr(learner, "cum_gz", None)
     return Played(x, np.atleast_1d(learner.lam), learner.f_value, learner.xi_t, learner.a_t,
                   learner.h_cum, learner.prox_S, learner.max_xz, learner.drift_gap,
-                  truth.constraint(x)[0], None if cum_gz is None else np.atleast_1d(cum_gz))
+                  truth.constraint(x)[0], np.atleast_1d(learner.cum_gz))
 
 
 def play(learner, truth, bundle=None) -> Played:

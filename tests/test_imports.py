@@ -1,7 +1,7 @@
-"""Every name a module under src/ or tests/ imports is used in that module,
-each module of the package imports only the layers below it, every name in
-a module's `__all__` exists, importing the package loads no process pool,
-and every name the benchmark tracer rebinds still exists."""
+"""Every name a module under src/, tests/ or tools/ imports is used in that
+module, each module of the package imports only the layers below it, every
+name in a module's `__all__` exists, importing the package loads no process
+pool, and every name the benchmark tracer rebinds still exists."""
 
 import ast
 import importlib.util
@@ -15,7 +15,8 @@ import pytest
 import lazyoco
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "tools").glob("*.py")])
 PACKAGE = ROOT / "src" / "lazyoco"
 # the layers in the order the package docstring lists them, lowest first
 LAYERS = re.findall(r"`(\w+)`", ast.get_docstring(ast.parse(

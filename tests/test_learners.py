@@ -474,6 +474,46 @@ def test_greedy_converges_to_static_saddle():
     assert np.mean(lams[2000:]) == pytest.approx(lam_hat, abs=0.05)
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 7])
+@pytest.mark.parametrize("kind, n, d", [("alternating_linear", 1, 1), ("random_quadratic", 3, 2)])
+def test_greedy_stats_are_its_summary_entries(kind, n, d, horizon):
+    """The summary entries no greedy row holds: a_prev is the step of round T - 1
+    (a at T = 1), its z is x, and no step raises a flag or leaves x."""
+    sc = make_scenario(kind, horizon=horizon, dimension=n, constraints=d, seed=2)
+    a = 0.7
+    learner = make_learner(cfg("greedy_baseline", a=a, bounds=sc.bounds), sc.domain, n, d)
+    run_rounds(learner, sc, "noisy", horizon)
+    stats = learner.stats()
+    assert stats["a_prev"] == a / math.sqrt(max(horizon - 1, 1))
+    assert stats["violation_z_norm"] == learner.violation_norm
+    assert stats["flag_counts"] == {}
+    assert stats["max_xz"] == 0.0
+    assert stats["drift_gap"] == -math.inf
+
+
+# what `runner.execute_run` reads off a learner for each row
+ROW_ATTRIBUTES = ("t", "f_value", "cum_cost", "violation_norm", "lambda_norm", "a_t", "prox_S",
+                  "h_cum", "xi_t", "solver_residual", "sum_a_prev_xi_sq", "mu", "xi_sq_cum",
+                  "flags")
+
+
+@pytest.mark.parametrize("variant, kind, n, d", [
+    *((v, kind, n, d) for v in ("llp", "llp2", "greedy_baseline")
+      for kind, n, d in (("alternating_linear", 1, 1), ("random_quadratic", 3, 2))),
+    ("llp_perturbed", "perturbed_linear", 1, 1)])
+def test_every_learner_has_the_row_attributes(variant, kind, n, d):
+    sc = make_scenario(kind, horizon=2, dimension=n, constraints=d, seed=1)
+    learner = make_learner(cfg(variant, bounds=sc.bounds), sc.domain, n, d,
+                           base_affine=getattr(sc, "base_affine", None))
+    for played in (0, 1):
+        if played:
+            run_rounds(learner, sc, "none", 1)
+        assert learner.t == played
+        assert [name for name in ROW_ATTRIBUTES if not hasattr(learner, name)] == []
+        assert sorted(learner.stats()) == ["a_prev", "drift_gap", "flag_counts", "max_xz",
+                                           "violation_z_norm"]
+
+
 def test_make_learner_dispatch():
     assert isinstance(make_learner(cfg("greedy_baseline"), BOX1, 1, 1), GreedyLearner)
     assert isinstance(make_learner(cfg("llp"), BOX1, 1, 1), LlpLearner)

@@ -781,6 +781,18 @@ def test_cli_refuses_an_empty_output_path(tmp_path, capsys, monkeypatch, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def test_cli_compare_refuses_an_empty_output_option(tmp_path, capsys, monkeypatch):
+    """`compare -o ""` names no file: it is refused before a config runs, where
+    it used to exit 0 with no CSV written and `"path": ""` reported."""
+    doc = base_doc(output={"path": str(tmp_path / "t.csv")})
+    doc["scenario"]["horizon"] = 10
+    path = write_config(tmp_path, "config.json", doc)
+    monkeypatch.setattr(runner, "execute_run", lambda config: pytest.fail("a run started"))
+    assert cli.main(["compare", path, path, "-o", ""]) == 2
+    assert "-o/--output" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_retired_linearized_variant_is_refused(tmp_path, capsys):
     """`llp_linearized` was `llp` on affine constraints; the refusal names `llp`."""
     doc = base_doc(output={"path": str(tmp_path / "t.csv")})
