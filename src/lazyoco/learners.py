@@ -330,20 +330,50 @@ class LlpLearner(_Learner):
         """The round on arrays, for every shape but n = d = 1."""
         self.t += 1
         self.flags = ""
+        self.solver_residual = 0.0
+        t, a_t = self.t, self.a_t
         W, u = truth.constraint_affine
+        Wf, uf = bundle.constraint_affine
+        vt = bundle.predicted_value
         # J~ and J; only J~ is read before x is played
-        jp, j = ((bundle.constraint_affine[0], W) if self.fixed_rows is None
-                 else (self.fixed_rows,) * 2)
+        jp, j = (Wf, W) if self.fixed_rows is None else (self.fixed_rows,) * 2
 
-        x, vt = self._primal(bundle, jp)
-        lam = self.lam
+        # primal: one exact step at lam = [a_t (sum g(z) + v~)]_+, or at lam = 0 in
+        # round 1 or when v~ is deferred; a deferred v~ is W~ x + u~ at the step's x,
+        # and if that turns the multiplier on, `_fixed_point` moves x
+        lam = self._zero_lam if t == 1 or vt is None else dual_step(a_t, self.cum_gz, vt)
         ct = bundle.cost_gradient
+        S, linear = self.prox_S, self.ccum
         if ct is None:
+            # S/2 |x - b/S|^2 + w/2 |x - c|^2 is one prox at weight S + w
             w, c = bundle.cost_quadratic
-            ct = w * (x - c)
+            center = (self.prox_b + w * c) / (S + w)
+            S = S + w
+        else:
+            center = self.prox_center
+            linear = linear + ct
+        linear = linear + self.lag_lin
+        # the builtin any over the few entries of the 1-D lam as a list:
+        # ndarray.any runs a Python-level wrapper before its reduction, and
+        # any over the array makes a numpy scalar per entry
+        if any(lam.tolist()):
+            linear = linear + jp.T @ lam
+        x = exact_step(self.domain, S, center, linear, self.last_x)
+        if vt is None:
+            vt = Wf.dot(x) + uf
+            if t > 1:
+                lam = dual_step(a_t, self.cum_gz, vt)
+                if any((lam > 0.0).tolist()):
+                    x = self._fixed_point(S, center, linear, Wf, uf, jp)
+                    vt = Wf.dot(x) + uf
+                    lam = dual_step(a_t, self.cum_gz, vt)
+        self.lam = lam
 
+        # the losses revealed: `RoundOracle.cost` and the mismatch h
+        if ct is None:
+            ct = w * (x - c)
         self.f_value, c_t = truth.cost(x)
-        gvals = W.dot(x) + u
+        gx = W.dot(x) + u
         # at lam = 0 the rows' term is a zero vector, and the norm squares
         # away the sign of a zero
         h = norm(c_t - ct + (j - jp).T @ lam) if any(lam.tolist()) else norm(c_t - ct)
@@ -351,10 +381,22 @@ class LlpLearner(_Learner):
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
 
-        z, gz = self._prescient(W, u, j, x, c_t, gvals, lam, h)
+        # prescient: z = x when h = 0 and the primal step did not stop
+        # unconverged (see the module docstring)
+        self.ccum = linear = self.ccum + c_t
+        linear = linear + self.lag_lin
+        if any(lam.tolist()):
+            lin = j.T @ lam
+            self.lag_lin = self.lag_lin + lin
+            linear = linear + lin
+        if h == 0.0 and not self.flags:
+            z, gz = x, gx
+        else:
+            z = exact_step(self.domain, self.prox_S, self.prox_center, linear, x)
+            gz = W.dot(z) + u
 
         self.cum_gz = self.cum_gz + gz
-        self.cum_gx = self.cum_gx + gvals
+        self.cum_gx = self.cum_gx + gx
         self._close(h, norm(x - z), norm(gz - vt))
         self.last_x = x
         return x
@@ -372,7 +414,7 @@ class LlpLearner(_Learner):
         wf, cf, Wf, uf, vt = _float_forecast(bundle)
         jp, j = (Wf, W) if self._fixed_row is None else (self._fixed_row,) * 2
 
-        # primal: `_primal` with `_objective`, and `_breakpoint_zero` as the fixed point
+        # primal, with `_breakpoint_zero` as the fixed point
         lam = 0.0 if t == 1 or vt is None else _plus(a_t * (self.cum_gz + vt))
         S, linear = self.prox_S, self.ccum
         if wf is None:
@@ -416,7 +458,7 @@ class LlpLearner(_Learner):
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
 
-        # prescient: `_prescient`
+        # prescient
         self.ccum = linear = self.ccum + c_t
         linear = linear + self.lag_lin
         if lam:
@@ -451,73 +493,30 @@ class LlpLearner(_Learner):
             self.mu = b.E_m + self.a_t * b.G * (self.t + 1) * b.Delta_m
             self._advance_regularizer(h, None, self.mu)
 
-    # -- primal --------------------------------------------------------------
-
-    def _objective(self, lam: np.ndarray, bundle: PredictionBundle, jp: np.ndarray):
-        """(S, centre, linear) of the primal aggregate with the round's multiplier
-        fixed at lam on rows jp: S/2 ||x - centre||^2 + <linear, x> over the box."""
-        linear = self.ccum
-        S, center = self.prox_S, self.prox_center
-        if bundle.cost_gradient is None:
-            # S/2 |x - b/S|^2 + w/2 |x - u|^2 is one prox at weight S + w
-            w, u = bundle.cost_quadratic
-            center = (self.prox_b + w * u) / (S + w)
-            S = S + w
-        else:
-            linear = linear + bundle.cost_gradient
-        linear = linear + self.lag_lin
-        # the builtin any over the few entries of the 1-D lam as a list:
-        # ndarray.any runs a Python-level wrapper before its reduction, and
-        # any over the array makes a numpy scalar per entry
-        if any(lam.tolist()):
-            linear = linear + jp.T @ lam
-        return S, center, linear
-
-    def _primal(self, bundle: PredictionBundle, jp: np.ndarray):
-        """(x_t, the value forecast v~ it used); sets the round's lam and solver residual.
-
-        One exact step at lam = [a_t (sum g(z) + v~)]_+, or at lam = 0 in
-        round 1 or when v~ is deferred.  A deferred v~ is W~ x + u~ at the
-        step's x; if that turns the multiplier on, the fixed point moves x.
-        """
-        vt = bundle.predicted_value
-        lam = (self._zero_lam if self.t == 1 or vt is None
-               else dual_step(self.a_t, self.cum_gz, vt))
-        S, center, linear = self._objective(lam, bundle, jp)
-        x = exact_step(self.domain, S, center, linear, self.last_x)
-        self.solver_residual = 0.0
-        if vt is None:
-            W, u = bundle.constraint_affine
-            vt = W.dot(x) + u
-            if self.t > 1:
-                lam = dual_step(self.a_t, self.cum_gz, vt)
-                if any((lam > 0.0).tolist()):
-                    x = self._fixed_point(S, center, linear, bundle, jp)
-                    vt = W.dot(x) + u
-                    lam = dual_step(self.a_t, self.cum_gz, vt)
-        self.lam = lam
-        return x, vt
-
-    def _fixed_point(self, S: float, center: np.ndarray, linear: np.ndarray,
-                     bundle: PredictionBundle, jp: np.ndarray) -> np.ndarray:
+    def _fixed_point(self, S: float, center: np.ndarray, linear: np.ndarray, Wf: np.ndarray,
+                     uf: np.ndarray, jp: np.ndarray) -> np.ndarray:
         """x with lam = [a_t (sum g(z) + W~ x + u~)]_+ on rows jp; sets the solver residual.
 
-        (S, centre, linear) is the aggregate at lam = 0.
+        (S, centre, linear) is the aggregate at lam = 0.  At n = 1 the point
+        is `_breakpoint_zero`'s; without curvature it is one exact step, and
+        otherwise `minimize`'s.
         """
-        if self.n == 1:
-            return self._scalar_zero(S, center, linear, bundle, jp)
         a_dual, cum = self.a_t, self.cum_gz
-        W, u = bundle.constraint_affine
-        smoothness = a_dual * float(np.linalg.norm(W)) * float(np.linalg.norm(jp))
+        if self.n == 1:
+            rows = list(zip(jp[:, 0].tolist(), Wf[:, 0].tolist(), (cum + uf).tolist()))
+            (lo,), (hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
+            return np.array([_breakpoint_zero(S, float(center[0]), float(linear[0]), a_dual,
+                                              rows, lo, hi)])
+        smoothness = a_dual * float(np.linalg.norm(Wf)) * float(np.linalg.norm(jp))
         if smoothness == 0.0:
             # W~ = 0 fixes lam at [a (cum + u~)]_+, and J~ = 0 keeps it from moving x
-            return exact_step(self.domain, S, center, linear + jp.T @ dual_step(a_dual, cum, u),
+            return exact_step(self.domain, S, center, linear + jp.T @ dual_step(a_dual, cum, uf),
                               self.last_x)
 
         # one term with gradient J^T lam(x); with J = W~ that is the
         # convex penalty ||lam(x)||^2 / (2a) it reports
         def penalty(x):
-            lam = dual_step(a_dual, cum, W @ x + u)
+            lam = dual_step(a_dual, cum, Wf @ x + uf)
             return 0.5 * float(lam @ lam) / a_dual, jp.T @ lam
 
         obj = FtrlObjective(self.domain, S, center, linear, [(penalty, smoothness)])
@@ -527,15 +526,6 @@ class LlpLearner(_Learner):
             self.flag_counts[self.flags] = self.flag_counts.get(self.flags, 0) + 1
         self.solver_residual = res.residual
         return res.x
-
-    def _scalar_zero(self, S: float, center: np.ndarray, linear: np.ndarray,
-                     bundle: PredictionBundle, jp) -> np.ndarray:
-        """Exact primal point for n = 1: `_breakpoint_zero` over the rows' floats."""
-        rows = list(zip(jp[:, 0].tolist(), bundle.constraint_affine[0][:, 0].tolist(),
-                        (self.cum_gz + bundle.constraint_affine[1]).tolist()))
-        (lo,), (hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
-        return np.array([_breakpoint_zero(S, float(center[0]), float(linear[0]), self.a_t,
-                                          rows, lo, hi)])
 
     # -- observation and regularizers ------------------------------------------
 
@@ -553,24 +543,6 @@ class LlpLearner(_Learner):
         of the state's type, 0.0 on the float body and zeros on the array body."""
         self.prox_S, self.prox_b = S, b
         self.prox_center = b / S if S > 0.0 else 0.0 * b
-
-    # -- prescient -------------------------------------------------------------
-
-    def _prescient(self, W, u, j, x, c_t, gvals, lam, h):
-        """(z, g(z) = W z + u); folds the round's cost gradient and j^T lam into the state.
-
-        z is x when h = 0 and the primal step did not stop unconverged (see the module docstring).
-        """
-        self.ccum = linear = self.ccum + c_t
-        linear = linear + self.lag_lin
-        if any(lam.tolist()):
-            lin = j.T @ lam
-            self.lag_lin = self.lag_lin + lin
-            linear = linear + lin
-        if h == 0.0 and not self.flags:
-            return x, gvals
-        z = exact_step(self.domain, self.prox_S, self.prox_center, linear, x)
-        return z, W.dot(z) + u
 
     # -- dual --------------------------------------------------------------------
 

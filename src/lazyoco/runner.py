@@ -217,7 +217,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     doc = _mapping(doc, "sweep", _SWEEP_KEYS)
     if "base" not in doc:
         raise ConfigurationError("sweep requires a 'base' run config")
-    base = parse_run_config(doc["base"])  # so every cell derives from a well-formed base
+    base = parse_run_config(doc["base"])
     grid = {}
     for key, kind in (("horizons", int), ("betas", float)):
         values = doc.get(key)
@@ -228,6 +228,8 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     hs, bs = grid["horizons"], grid["betas"]
     if any(b <= a for a, b in zip(hs, hs[1:])):
         raise ConfigurationError("sweep.horizons must be strictly increasing")
+    if hs[0] < 1:
+        raise ConfigurationError("sweep.horizons must be >= 1")
     # a beta's cells, trace paths and exponent entry are keyed by its :g form
     keys: dict[str, float] = {}
     for beta in bs:
@@ -239,9 +241,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     reps = _field(doc, "repetitions", "sweep", int, 1)
     if reps < 1:
         raise ConfigurationError("sweep.repetitions must be a positive integer")
-    # the cells' own checks (horizon >= 1, beta in [0, 1)) run here, at parse
-    cells = {_cell_key(beta, horizon, rep):
-             parse_run_config(_derive_cell(doc["base"], beta, horizon, rep))
+    cells = {_cell_key(beta, horizon, rep): _derive_cell(base, beta, horizon, rep)
              for beta in bs for horizon in hs for rep in range(reps)}
     return SweepConfig(base=base, horizons=hs, betas=bs, repetitions=reps, cells=cells)
 
@@ -553,20 +553,15 @@ def _cell_key(beta: float, horizon: int, rep: int) -> str:
     return f"beta={beta:g},T={horizon},rep={rep}"
 
 
-def _derive_cell(base: dict, beta: float, horizon: int, rep: int) -> dict:
-    doc = json.loads(json.dumps(base))
-    doc["scenario"]["horizon"] = horizon
-    doc["scenario"]["seed"] = int(doc["scenario"].get("seed", 0)) + rep
-    doc["learner"]["beta"] = beta
-    pred = doc.get("predictor")
-    if pred:
-        pred["seed"] = int(pred.get("seed", 0)) + rep
-    out = doc.get("output") or {}
-    if out.get("path"):
-        ext = "csv" if out.get("format", "csv") == "csv" else "json"
-        out["path"] = f"{out['path']}_beta{beta:g}_T{horizon}_rep{rep}.{ext}"
-        doc["output"] = out
-    return doc
+def _derive_cell(base: RunConfig, beta: float, horizon: int, rep: int) -> RunConfig:
+    """The sweep cell (beta, horizon, rep) of the parsed base: both seeds move by rep,
+    and a trace path gains the cell's suffix.  `LearnerConfig` checks beta."""
+    out = base.output
+    if out.path is not None:
+        out = replace(out, path=f"{out.path}_beta{beta:g}_T{horizon}_rep{rep}.{out.format}")
+    return replace(base, horizon=horizon, seed=base.seed + rep,
+                   learner=replace(base.learner, beta=beta),
+                   predictor_seed=base.predictor_seed + rep, output=out)
 
 
 def _run_cell(args):

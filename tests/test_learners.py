@@ -249,23 +249,30 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_primal_fixed_point_against_grid(variant, n, d):
-    """lam = [a (cum + v~(x))]_+ exactly, and x solves the subproblem at that lam."""
+    """lam = [a (cum + v~(x))]_+ exactly, and x solves the subproblem at that lam.
+
+    The round's truth is its forecast, so h = 0, z = x and xi = ||g(x) - v~||
+    is 0 exactly when the v~ the round used is W~ x + u~ at the x it played.
+    """
     rng = np.random.default_rng(100 * n + 10 * d + LAZY_VARIANTS.index(variant))
     active = 0
     for case in range(6):
         S = 0.0 if case % 2 == 0 else float(rng.uniform(0.5, 3.0))
         learner, bundle, J = primal_case(rng, variant, n, d, S, case >= 4)
-        a_dual, cum = learner.a_t, learner.cum_gz
-        x, vt = learner._primal(bundle, J)
+        # the state the primal step reads, which the rest of the round moves on
+        a_dual, cum, ccum, lag_lin, prox_b = (learner.a_t, learner.cum_gz, learner.ccum,
+                                              learner.lag_lin, learner.prox_b)
+        W, u = bundle.constraint_affine
+        x = learner._play_arrays(affine_round(bundle.cost_gradient, 0.0, W, u), bundle)
         lam = learner.lam
         assert learner.flags == ""
-        W, u = bundle.constraint_affine
-        assert np.array_equal(vt, W @ x + u)
+        vt = W @ x + u
+        assert learner.h_cum == 0.0 and learner.xi_t == 0.0
         assert np.array_equal(lam, positive_part(a_dual * (cum + vt)))
         active += bool(np.any(lam > 0.0))
 
-        linear = learner.ccum + bundle.cost_gradient + learner.lag_lin + J.T @ lam
-        center = learner.prox_b / S if S > 0.0 else np.zeros(n)
+        linear = ccum + bundle.cost_gradient + lag_lin + J.T @ lam
+        center = prox_b / S if S > 0.0 else np.zeros(n)
 
         def subproblem(pts):
             return pts @ linear + 0.5 * S * np.sum((pts - center) ** 2, axis=1)
@@ -519,3 +526,5 @@ def test_make_learner_dispatch():
     assert isinstance(make_learner(cfg("llp"), BOX1, 1, 1), LlpLearner)
     with pytest.raises(ConfigurationError):
         GreedyLearner(cfg("llp"), BOX1, 1, 1)
+    with pytest.raises(ConfigurationError, match="use GreedyLearner"):
+        LlpLearner(cfg("greedy_baseline"), BOX1, 1, 1)

@@ -140,6 +140,11 @@ def test_adversary_requires_recorded_actions():
     sc.round(1)
     with pytest.raises(ConfigurationError):
         sc.round(2)  # round 1's action was never recorded
+    with pytest.raises(ConfigurationError, match="in round order"):
+        sc.record_action(2, np.array([0.5]))  # round 1's action comes first
+    sc.record_action(1, np.array([0.5]))
+    with pytest.raises(ConfigurationError, match="in round order"):
+        sc.record_action(1, np.array([0.5]))  # recorded already
 
 
 def test_perturbed_additive_shift_and_jacobian():

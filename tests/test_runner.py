@@ -558,6 +558,7 @@ def test_sweep_validation():
         {**good, "horizons": []},
         {**good, "horizons": [10, 10, 20, 30]},
         {**good, "horizons": [10, -2]},
+        {**good, "horizons": [0, 10, 20, 30]},
         {**good, "betas": [1.0]},
         {**good, "betas": []},
         {**good, "repetitions": 0},
@@ -752,6 +753,20 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["run", write_config(tmp_path, "doomed.json", doomed)]) == 3
 
 
+def test_cli_plot_of_a_one_round_run(tmp_path, capsys):
+    """A T = 1 trace has one row, so the t axis gets a unit span: each series is
+    a one-point polyline at the axis' left end."""
+    doc = base_doc(output={"path": str(tmp_path / "t.csv")})
+    doc["scenario"]["horizon"] = 1
+    assert cli.main(["run", write_config(tmp_path, "one.json", doc), "--plot"]) == 0
+    svg = ET.fromstring((tmp_path / "t.csv.svg").read_text(encoding="utf-8"))
+    lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
+    assert [line.get("stroke") for line in lines] == ["#c0392b", "#2c6fbb"]
+    for line in lines:
+        (x, y), = (point.split(",") for point in line.get("points").split())
+        assert x == "56.00" and math.isfinite(float(y))
+
+
 def test_cli_plot_without_output_path_is_refused(tmp_path, capsys, monkeypatch):
     """`--plot` draws next to the trace, so a config without `output.path` is
     refused before the run starts instead of exiting 0 with nothing written."""
@@ -808,6 +823,10 @@ def test_retired_linearized_variant_is_refused(tmp_path, capsys):
     ("predictor.level", lambda d: d["predictor"].update(level=math.nan)),
     ("learner.sigma", lambda d: d["learner"].update(sigma=math.inf)),
     ("learner.x0", lambda d: d["learner"].update(x0=[-math.inf])),
+    # an integer beyond the float range, and a value or section that is missing or no number
+    pytest.param("learner.a", lambda d: d["learner"].update(a=10**400), id="learner.a-10**400"),
+    pytest.param("learner.sigma", lambda d: d["learner"].pop("sigma"), id="learner.sigma-missing"),
+    pytest.param("predictor", lambda d: d.update(predictor=[]), id="predictor-list"),
 ])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, mutate):
     # json.load accepts NaN and Infinity, so the parser has to refuse them
@@ -1023,6 +1042,12 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     ("learner", {"x0": [2.0]}, "x0 lies outside"),
     ("learner", {"variant": "greedy_baseline", "x0": [0.0, 0.0]}, "x0 must have shape"),
     ("predictor", {"kind": "noisy", "level": -0.5}, "noise level"),
+    ("scenario", {"params": [0.1]}, "params must be a JSON object"),
+    ("scenario", {"kind": "random_quadratic", "dimension": 0}, "dimension"),
+    ("scenario", {"kind": "perturbed_linear", "params": {"amplitude": -1.0}}, "amplitude"),
+    ("scenario", {"kind": "random_quadratic", "params": {"matrix_scale": 0.0}}, "matrix_scale"),
+    ("scenario", {"kind": "random_quadratic", "params": {"center_scale": 1e155}},
+     "center_scale"),
 ])
 def test_cli_rejects_configs_the_run_refuses(tmp_path, capsys, monkeypatch, command,
                                              section, value, message):
@@ -1056,7 +1081,7 @@ def test_cli_sweep_reports_failed_cells(tmp_path):
         assert cells[f"beta=0.5,T={horizon},rep=0"] == {
             "error": "FloatingPointError: round 3: lambda_norm is inf, not a finite number"}
     for horizon in (1, 2):
-        config = runner.parse_run_config(runner._derive_cell(base, 0.5, horizon, 0))
+        config = runner._derive_cell(runner.parse_run_config(base), 0.5, horizon, 0)
         alone = runner.execute_run(config)
         assert cells[f"beta=0.5,T={horizon},rep=0"] == json.loads(json.dumps(alone.summary))
         runner.write_trace(alone, str(tmp_path / "alone.csv"))

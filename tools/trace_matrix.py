@@ -48,7 +48,7 @@ The matrix:
   `offset_scale` 0, so every row passes through the origin and the cost
   centres reach past the box: the one cell whose deferred multiplier
   turns on at n = 1, d >= 2, where the array body solves the breakpoint
-  fixed point (`LlpLearner._scalar_zero`);
+  fixed point (`LlpLearner._fixed_point` at n = 1);
 - `quadratic_blind_rows`: `llp` with the noisy predictor at level 1.0
   (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
   forecast rows are all zero: the one cell whose n >= 2 fixed point takes
