@@ -6,13 +6,12 @@ comparator sets: the per-round-feasible set (every g_t(x) <= 0) or the
 aggregate-feasible set (sum_t g_t(x) <= 0) within the box domain.  Every
 round has an affine constraint and an affine or shifted-quadratic cost
 (`problems.RoundOracle` admits nothing else), and the minimizer is exact.
-The fold keeps of the constraints only what its set needs: in one
-dimension the per-round set is an interval, three numbers folded as the
-blocks arrive; the aggregate set is one summed row per constraint; and
-the per-round set in more dimensions is every round's rows, appended in
-play order to the system G x <= h that the solve reads.  In more
-dimensions the aggregate set's system comes from that same row builder,
-handed the summed rows as one round.
+The fold keeps the cost sums and, of the constraints, only what its set
+needs, and each set solves itself: in one dimension the per-round set is
+an interval, three numbers folded as the blocks arrive; in more it is
+every round's rows, appended in play order to the system G x <= h that
+the solve reads.  The aggregate set is one summed row per constraint,
+which it hands, as one round, to a fresh per-round set and solves there.
 In one dimension the minimizer is a clipped stationary point or an
 interval end.  In more dimensions the total cost is qw/2 ||x - p||^2 plus
 a constant, so the comparator is the projection of p onto the box cut by
@@ -73,46 +72,6 @@ class BenchmarkResult:
     gap: float
 
 
-class _CostAccumulator:
-    """Running closed form lin.x + const + qw/2 ||x||^2 - ql.x of sum_t f_t.
-
-    The sums are one vector (lin, const, qw, ql) of length 2n + 2, started
-    at +0.0.  A block of rounds is added as one cumulative sum of its
-    per-round terms, which adds them in play order, as a `+=` a round
-    would.  A round adds +0.0 to the sums it does not touch (qw and ql at
-    an affine round, lin at a quadratic one), which changes no bit: a sum
-    started at +0.0 is never -0.0.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.sums = np.zeros(2 * n + 2)
-
-    def add(self, rounds) -> np.ndarray:
-        """Add rounds in play order; return the sums after each, one row a round."""
-        n = self.n
-        steps = np.zeros((len(rounds) + 1, len(self.sums)))
-        steps[0] = self.sums
-        affine = [i for i, o in enumerate(rounds, 1) if o.cost_affine is not None]
-        if affine:
-            c, b = zip(*[rounds[i - 1].cost_affine for i in affine])
-            steps[affine, :n] = np.concatenate(c).reshape(-1, n)
-            steps[affine, n] = b
-        if len(affine) < len(rounds):
-            quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
-            w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
-            w, U = np.array(w), np.concatenate(u).reshape(-1, n)
-            # each round keeps its own u.dot(u): no vector op repeats the
-            # order in which that dot adds
-            uu = np.array([float(v.dot(v)) for v in u])
-            steps[quadratic, n] = 0.5 * w * uu + b
-            steps[quadratic, n + 1] = w
-            steps[quadratic, n + 2:] = U * w[:, None]
-        np.cumsum(steps, axis=0, out=steps)
-        self.sums = steps[-1].copy()
-        return steps[1:]
-
-
 def _split(sums: np.ndarray, n: int):
     """(lin, const, qw, ql) of one vector of cost sums, or columns of a block of rows."""
     return sums[..., :n], sums[..., n], sums[..., n + 1], sums[..., n + 2:]
@@ -148,8 +107,16 @@ class _Interval:
         if len(ends):
             self.lo = float(ends[ends.argmax()])
 
-    def interval(self) -> tuple[float, float, bool]:
-        return self.lo, self.hi, self.infeasible
+    def solve(self, sums: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """(x, 0.0): the clipped stationary point or an interval end, exact;
+        (None, 0.0) when the interval is empty."""
+        if self.infeasible or self.lo > self.hi:
+            return None, 0.0
+        lin, _, qw, ql = _split(sums, 1)
+        slope, qw = float(lin[0] - ql[0]), float(qw)
+        if qw > 0.0:
+            return np.array([min(max(-slope / qw, self.lo), self.hi)]), 0.0
+        return np.array([self.hi if slope < 0.0 else self.lo]), 0.0
 
 
 def _sum_in_order(start, terms) -> np.ndarray:
@@ -162,8 +129,14 @@ def _sum_in_order(start, terms) -> np.ndarray:
     return np.cumsum(acc, axis=0)[-1]
 
 
+def _per_round_set(domain):
+    """X_T's fold: the interval in one dimension, every round's rows otherwise."""
+    return _Interval(domain) if domain.dimension == 1 else _PlayedRows(domain)
+
+
 class _RowSums:
-    """X_T_max: the summed rows sum_t W_t x + sum_t u_t <= 0, one per constraint."""
+    """X_T_max: the summed rows sum_t W_t x + sum_t u_t <= 0, one per constraint,
+    which is X_T of one round whose rows are those sums."""
 
     def __init__(self, domain):
         self.domain = domain
@@ -174,16 +147,10 @@ class _RowSums:
         self.W = _sum_in_order(self.W, Ws)
         self.u = _sum_in_order(self.u, us)
 
-    def interval(self) -> tuple[float, float, bool]:
-        folded = _Interval(self.domain)
-        folded.add([self.W], [self.u])
-        return folded.interval()
-
-    def system(self) -> tuple[np.ndarray, np.ndarray]:
-        """The summed rows as one round of `_PlayedRows`, then the box rows, as G x <= h."""
-        rows = _PlayedRows(self.domain)
-        rows.add([self.W], [self.u])
-        return rows.system()
+    def solve(self, sums: np.ndarray) -> tuple[np.ndarray | None, float]:
+        summed = _per_round_set(self.domain)
+        summed.add([self.W], [self.u])
+        return summed.solve(sums)
 
 
 class _PlayedRows:
@@ -233,16 +200,24 @@ class _PlayedRows:
         h[m + n:] = -self.domain.lower
         return G, h
 
-
-def _solve_exact_1d(sums: np.ndarray, lo: float, hi: float,
-                    infeasible: bool) -> np.ndarray | None:
-    if infeasible or lo > hi:
-        return None
-    lin, _, qw, ql = _split(sums, 1)
-    slope, qw = float(lin[0] - ql[0]), float(qw)
-    if qw > 0.0:
-        return np.array([min(max(-slope / qw, lo), hi)])
-    return np.array([hi if slope < 0.0 else lo])
+    def solve(self, sums: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """(x, duality gap in cost units), or (None, NaN) when the rows are inconsistent."""
+        lin, _, qw, ql = _split(sums, self.n)
+        qw = float(qw)
+        if qw <= 0.0:
+            raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
+                                     "total cost; the played costs have no quadratic part")
+        p = (ql - lin) / qw
+        G, h = self.system()
+        x, mult = _project_polytope(p, G, h)
+        if x is None:
+            return None, math.nan
+        Gu = G.T @ mult
+        primal = 0.5 * float((x - p) @ (x - p))
+        slack = G @ p
+        slack -= h
+        dual = float(mult @ slack) - 0.5 * float(Gu @ Gu)
+        return x, qw * (primal - dual)
 
 
 def _project_polytope(p: np.ndarray, G: np.ndarray,
@@ -293,58 +268,59 @@ def _project_polytope(p: np.ndarray, G: np.ndarray,
             u[dropped] = 0.0
 
 
-def _solve_projection(sums: np.ndarray, G: np.ndarray,
-                      h: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """(x, duality gap in cost units), or (None, NaN) when the rows are inconsistent."""
-    lin, _, qw, ql = _split(sums, G.shape[1])
-    qw = float(qw)
-    if qw <= 0.0:
-        raise ConfigurationError("the comparator for n >= 2 needs a strictly convex "
-                                 "total cost; the played costs have no quadratic part")
-    p = (ql - lin) / qw
-    x, mult = _project_polytope(p, G, h)
-    if x is None:
-        return None, math.nan
-    Gu = G.T @ mult
-    primal = 0.5 * float((x - p) @ (x - p))
-    slack = G @ p
-    slack -= h
-    dual = float(mult @ slack) - 0.5 * float(Gu @ Gu)
-    return x, qw * (primal - dual)
-
-
 class ComparatorFold:
     """The played rounds, added once each in play order, folded for the comparator.
 
-    `compute_benchmark` reads the fold as it stands, so it gives the
-    comparator of the rounds so far at any round, without replaying one.
+    `sums` is the running closed form lin.x + const + qw/2 ||x||^2 - ql.x of
+    sum_t f_t, one vector (lin, const, qw, ql) of length 2n + 2 started at
+    +0.0, and `cons` is the comparator set's fold of the constraint rows.
+    A block of rounds is added to the sums as one cumulative sum of its
+    per-round terms, which adds them in play order, as a `+=` a round
+    would.  A round adds +0.0 to the sums it does not touch (qw and ql at
+    an affine round, lin at a quadratic one), which changes no bit: a sum
+    started at +0.0 is never -0.0.  `compute_benchmark` reads the fold as
+    it stands, so it gives the comparator of the rounds so far at any
+    round, without replaying one.
     """
 
     def __init__(self, domain, kind: str):
         if kind not in BENCHMARK_KINDS:
             raise ConfigurationError(f"unknown benchmark kind {kind!r}")
-        n = domain.dimension
         self.kind = kind
+        self.n = domain.dimension
         self.t = 0
-        self.cost = _CostAccumulator(n)
-        if kind == "X_T_max":
-            self.cons = _RowSums(domain)
-        elif n == 1:
-            self.cons = _Interval(domain)
-        else:
-            self.cons = _PlayedRows(domain)
-        self.cost_sums_size = len(self.cost.sums)
+        self.sums = np.zeros(2 * self.n + 2)
+        self.cons = _RowSums(domain) if kind == "X_T_max" else _per_round_set(domain)
 
     def add(self, rounds) -> np.ndarray:
-        """Fold played rounds, in play order; return the cost sums (lin, const,
-        qw, ql) after each of them, one row of `cost_sums_size` per round."""
+        """Fold played rounds, in play order; return the cost sums after each
+        of them, one row of `len(sums)` per round."""
         if not rounds:
-            return np.empty((0, self.cost_sums_size))
-        sums = self.cost.add(rounds)
+            return np.empty((0, len(self.sums)))
+        n = self.n
+        steps = np.zeros((len(rounds) + 1, len(self.sums)))
+        steps[0] = self.sums
+        affine = [i for i, o in enumerate(rounds, 1) if o.cost_affine is not None]
+        if affine:
+            c, b = zip(*[rounds[i - 1].cost_affine for i in affine])
+            steps[affine, :n] = np.concatenate(c).reshape(-1, n)
+            steps[affine, n] = b
+        if len(affine) < len(rounds):
+            quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
+            w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
+            w, U = np.array(w), np.concatenate(u).reshape(-1, n)
+            # each round keeps its own u.dot(u): no vector op repeats the
+            # order in which that dot adds
+            uu = np.array([float(v.dot(v)) for v in u])
+            steps[quadratic, n] = 0.5 * w * uu + b
+            steps[quadratic, n + 1] = w
+            steps[quadratic, n + 2:] = U * w[:, None]
+        np.cumsum(steps, axis=0, out=steps)
+        self.sums = steps[-1].copy()
         self.cons.add([o.constraint_affine[0] for o in rounds],
                       [o.constraint_affine[1] for o in rounds])
         self.t += len(rounds)
-        return sums
+        return steps[1:]
 
 
 def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
@@ -355,16 +331,12 @@ def compute_benchmark(fold: ComparatorFold) -> BenchmarkResult:
     """
     if fold.t < 1:
         raise ConfigurationError("the comparator needs at least one played round")
-    sums = fold.cost.sums
-    if fold.cost.n >= 2:
-        x, gap = _solve_projection(sums, *fold.cons.system())
-    else:
-        x, gap = _solve_exact_1d(sums, *fold.cons.interval()), 0.0
+    x, gap = fold.cons.solve(fold.sums)
     if x is None:
         return BenchmarkResult(kind=fold.kind, x_star=None, optimal_total_cost=math.nan,
                                feasible=False, gap=math.nan)
     return BenchmarkResult(kind=fold.kind, x_star=x, feasible=True, gap=gap,
-                           optimal_total_cost=float(benchmark_round_costs(sums[None], x)[0]))
+                           optimal_total_cost=float(benchmark_round_costs(fold.sums[None], x)[0]))
 
 
 def benchmark_round_costs(cost_sums: np.ndarray, x_star: np.ndarray) -> np.ndarray:

@@ -199,6 +199,19 @@ def parse_run_config(doc: dict) -> RunConfig:
     _predictor_for(config, probe)
     _learner_for(config, probe)
     analysis.ComparatorFold(probe.domain, config.benchmark_kind)
+    if learner.variant != "greedy_baseline":
+        # certificates that overflow at unit running sums (h = xi^2 = T = 1)
+        # and zero slack overflow in every run, whatever its data
+        c = learner
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            B = analysis.regret_certificate(c.variant, 1.0, c.sigma, c.bounds, xi_sq_sum=1.0,
+                                            horizon=1, a=c.a, beta=c.beta)
+            V, _, _ = analysis.violation_certificate(
+                c.variant, B, B, c.sigma, c.bounds, h_sum=1.0, a_prev=c.a, xi_sq_sum=1.0,
+                horizon=1, a=c.a, beta=c.beta)
+        if not (math.isfinite(B) and math.isfinite(V)):
+            raise ConfigurationError(f"learner.sigma = {c.sigma:g} and learner.a = {c.a:g} "
+                                     "overflow the regret or violation certificate")
     return config
 
 
@@ -331,7 +344,7 @@ def execute_run(config: RunConfig) -> RunResult:
     table = np.empty((n_rows, len(ROW_COLUMNS)))
     flags: list[str] = []
     # the fold's cost sums at each row, which that row's regret is read from
-    cost_sums = np.empty((n_rows, fold.cost_sums_size))
+    cost_sums = np.empty((n_rows, len(fold.sums)))
     c = config.learner
     variant = c.variant
     # only the lazy learners carry a certificate
@@ -519,10 +532,12 @@ def write_plot(result: RunResult, path: str) -> str:
         f'font-family="sans-serif">{vmin:.17g}</text>',
     ]
     for idx, (label, ys, color) in enumerate(series):
-        pts = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts, ys) if v is not None]
-        if pts:
+        pts = [(f"{sx(t):.2f}", f"{sy(v):.2f}") for t, v in zip(ts, ys) if v is not None]
+        if len(pts) == 1:  # a one-point polyline has no length, so nothing is painted
+            parts.append(f'<circle cx="{pts[0][0]}" cy="{pts[0][1]}" r="3" fill="{color}"/>')
+        elif pts:
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                         f'points="{" ".join(pts)}"/>')
+                         f'points="{" ".join(map(",".join, pts))}"/>')
         ly = pad + 16 * idx
         parts.append(f'<rect x="{width - pad - 130}" y="{ly - 9}" width="12" height="3" '
                      f'fill="{color}"/>')

@@ -367,12 +367,12 @@ def test_block_fold_is_the_round_fold(block, n, d, kind):
     got = np.vstack([fold.add(rounds[a:a + block]) for a in range(0, len(rounds), block)])
     assert fold.t == len(rounds)
     assert got.tobytes() == want.tobytes()
-    assert fold.cost.sums.tobytes() == want[-1].tobytes()
+    assert fold.sums.tobytes() == want[-1].tobytes()
     if kind == "X_T_max":
         assert fold.cons.W.tobytes() == ref.W.tobytes()
         assert fold.cons.u.tobytes() == ref.u.tobytes()
     elif n == 1:
-        lo, hi, infeasible = fold.cons.interval()
+        lo, hi, infeasible = fold.cons.lo, fold.cons.hi, fold.cons.infeasible
         assert (infeasible, float(lo).hex(), float(hi).hex()) == (
             ref.infeasible, ref.lo.hex(), ref.hi.hex())
     else:
@@ -395,7 +395,7 @@ def test_interval_keeps_the_first_of_equal_ends(flip):
         ref.add(oracle)
         fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
         fold.add([oracle])
-        lo, hi, _ = fold.cons.interval()
+        lo, hi = fold.cons.lo, fold.cons.hi
         assert (lo.hex(), hi.hex()) == (ref.lo.hex(), ref.hi.hex())
         assert 0.0 in (lo, hi)
 
@@ -409,7 +409,7 @@ def test_interval_takes_a_nan_slope_as_flat(v, emptied):
     ref.add(oracle)
     fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
     fold.add([oracle])
-    assert fold.cons.interval() == (ref.lo, ref.hi, ref.infeasible)
+    assert (fold.cons.lo, fold.cons.hi, fold.cons.infeasible) == (ref.lo, ref.hi, ref.infeasible)
     assert ref.infeasible is emptied
 
 
@@ -427,34 +427,62 @@ def test_block_fold_edge_rounds():
     assert any(e == 0.0 and math.copysign(1.0, e) > 0.0 for e in ends)
 
 
+def fold_state(fold):
+    """t, the cost sums and the comparator set's state of a fold, as bits."""
+    cons = fold.cons
+    if isinstance(cons, analysis._RowSums):
+        kept = (np.asarray(cons.W).tobytes(), np.asarray(cons.u).tobytes())
+    elif isinstance(cons, analysis._Interval):
+        kept = (cons.lo.hex(), cons.hi.hex(), cons.infeasible)
+    else:
+        kept = tuple(a.tobytes() for a in cons.system())
+    return fold.t, fold.sums.tobytes(), kept
+
+
+def result_bits(res):
+    """A comparator result with every float as its bits."""
+    x = None if res.x_star is None else res.x_star.tobytes()
+    return res.kind, res.feasible, x, res.optimal_total_cost.hex(), res.gap.hex()
+
+
 @pytest.mark.parametrize("n, kind", [(1, "X_T"), (3, "X_T"), (1, "X_T_max"), (3, "X_T_max")])
 def test_empty_block_changes_nothing(n, kind):
     """A fold of no rounds returns no rows of cost sums and leaves t, the sums
     and the constraint state as they were, before and after other rounds."""
     rounds = mixed_rounds(n, 2, 20, seed=n)
     domain = Box(-np.ones(n), np.ones(n))
-
-    def state(fold):
-        if kind == "X_T_max":
-            cons = (np.asarray(fold.cons.W).tobytes(), np.asarray(fold.cons.u).tobytes())
-        elif n == 1:
-            cons = tuple(float(v).hex() if not isinstance(v, bool) else v
-                         for v in fold.cons.interval())
-        else:
-            cons = tuple(a.tobytes() for a in fold.cons.system())
-        return fold.t, fold.cost.sums.tobytes(), cons
-
     fold, plain = ComparatorFold(domain, kind), ComparatorFold(domain, kind)
-    before = state(fold)
+    before = fold_state(fold)
     empty = fold.add([])
-    assert empty.shape == (0, fold.cost_sums_size)
-    assert state(fold) == before
+    assert empty.shape == (0, len(fold.sums))
+    assert fold_state(fold) == before
     assert fold.add(rounds[:7]).tobytes() == plain.add(rounds[:7]).tobytes()
-    before = state(fold)
-    assert fold.add([]).shape == (0, fold.cost_sums_size)
-    assert state(fold) == before
+    before = fold_state(fold)
+    assert fold.add([]).shape == (0, len(fold.sums))
+    assert fold_state(fold) == before
     assert fold.add(rounds[7:]).tobytes() == plain.add(rounds[7:]).tobytes()
-    assert state(fold) == state(plain)
+    assert fold_state(fold) == fold_state(plain)
+
+
+@pytest.mark.parametrize("kind", ["X_T", "X_T_max"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_solving_reads_the_fold_only(n, kind):
+    """`compute_benchmark` changes nothing it reads: solved twice midway it
+    gives the same bits both times and leaves the sums and the set's state as
+    they were, and the fold then ends where a fold never solved midway ends."""
+    sc = make_scenario("random_quadratic", horizon=600, dimension=n, constraints=2, seed=n)
+    rounds = draw_rounds(sc, 600)
+    fold, plain = ComparatorFold(sc.domain, kind), ComparatorFold(sc.domain, kind)
+    fold.add(rounds[:300])
+    plain.add(rounds[:300])
+    before = fold_state(fold)
+    first = result_bits(compute_benchmark(fold))
+    assert result_bits(compute_benchmark(fold)) == first
+    assert fold_state(fold) == before == fold_state(plain)
+    fold.add(rounds[300:])
+    plain.add(rounds[300:])
+    assert result_bits(compute_benchmark(fold)) == result_bits(compute_benchmark(plain))
+    assert fold_state(fold) == fold_state(plain)
 
 
 def distinct_rows_before(rounds):
@@ -562,7 +590,7 @@ def test_folded_interval_is_the_row_scan(seed):
     for t in range(1, len(rounds) + 1):
         fold = ComparatorFold(Box(np.array([-1.0]), np.array([1.0])), "X_T")
         fold.add(rounds[:t])
-        lo, hi, infeasible = fold.cons.interval()
+        lo, hi, infeasible = fold.cons.lo, fold.cons.hi, fold.cons.infeasible
         feasible = not infeasible and lo <= hi
         want = interval_before(rounds[:t], -1.0, 1.0)
         assert feasible == want[2]

@@ -755,16 +755,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 def test_cli_plot_of_a_one_round_run(tmp_path, capsys):
     """A T = 1 trace has one row, so the t axis gets a unit span: each series is
-    a one-point polyline at the axis' left end."""
+    one point at the axis' left end, drawn as a circle, since a one-point
+    polyline has no length and SVG paints nothing for it."""
     doc = base_doc(output={"path": str(tmp_path / "t.csv")})
     doc["scenario"]["horizon"] = 1
     assert cli.main(["run", write_config(tmp_path, "one.json", doc), "--plot"]) == 0
     svg = ET.fromstring((tmp_path / "t.csv.svg").read_text(encoding="utf-8"))
-    lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
-    assert [line.get("stroke") for line in lines] == ["#c0392b", "#2c6fbb"]
-    for line in lines:
-        (x, y), = (point.split(",") for point in line.get("points").split())
-        assert x == "56.00" and math.isfinite(float(y))
+    assert svg.findall("{http://www.w3.org/2000/svg}polyline") == []
+    dots = svg.findall("{http://www.w3.org/2000/svg}circle")
+    assert [dot.get("fill") for dot in dots] == ["#c0392b", "#2c6fbb"]
+    for dot in dots:
+        assert dot.get("cx") == "56.00" and dot.get("r") == "3"
+        assert math.isfinite(float(dot.get("cy")))
 
 
 def test_cli_plot_without_output_path_is_refused(tmp_path, capsys, monkeypatch):
@@ -1048,6 +1050,14 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     ("scenario", {"kind": "random_quadratic", "params": {"matrix_scale": 0.0}}, "matrix_scale"),
     ("scenario", {"kind": "random_quadratic", "params": {"center_scale": 1e155}},
      "center_scale"),
+    # certificate constants that overflow at round 1, whatever the data
+    ("learner", {"sigma": 1e-309}, "learner.sigma = 1e-309 and learner.a = 1"),
+    ("learner", {"sigma": 1e308}, "learner.sigma = 1e+308 and learner.a = 1"),
+    ("learner", {"variant": "llp2", "sigma": 1e308}, "learner.sigma = 1e+308"),
+    ("perturbed_linear learner", {"variant": "llp_perturbed", "sigma": 1e308},
+     "learner.sigma = 1e+308"),
+    ("perturbed_linear learner", {"variant": "llp_perturbed", "a": 1e308},
+     "learner.a = 1e+308"),
 ])
 def test_cli_rejects_configs_the_run_refuses(tmp_path, capsys, monkeypatch, command,
                                              section, value, message):
@@ -1055,6 +1065,8 @@ def test_cli_rejects_configs_the_run_refuses(tmp_path, capsys, monkeypatch, comm
     monkeypatch.setenv("LAZYOCO_WORKERS", "1")
     doc = base_doc(output={"path": str(tmp_path / "t.csv")})
     doc["scenario"]["horizon"] = 10
+    if section == "perturbed_linear learner":  # llp_perturbed needs its base constraint
+        section, doc["scenario"]["kind"] = "learner", "perturbed_linear"
     doc[section].update(value)
     if command == "sweep":
         doc = {"base": doc, "horizons": [10, 20], "betas": [0.0, 0.5]}
