@@ -83,7 +83,7 @@ bit for bit:
 - `clip` returns the bound when v equals it (`_clip`).
 NaN passes through each of these as it does through numpy.  The
 breakpoint fixed point is one float function, `_breakpoint_zero`, which
-both bodies call.
+both bodies call: one walk up the sorted knots, to the first that it needs.
 """
 
 from __future__ import annotations
@@ -175,36 +175,40 @@ def _float_forecast(bundle: PredictionBundle):
 
 def _breakpoint_zero(S: float, center: float, linear: float, a_dual: float, rows,
                      lo: float, hi: float) -> float:
-    """Exact primal point for n = 1 with a deferred value forecast.
+    """Exact primal point for n = 1 with a deferred value forecast, in one pass.
 
-    rows holds (p, f, r) per constraint: the multiplier's row p, the
-    forecast row f and r = sum g(z) + u~.  The derivative S (x - c) + l +
-    a sum_i p_i [r_i + f_i x]_+ is piecewise linear, and nondecreasing
-    since every p_i f_i >= 0 (p = f, or for `llp_perturbed` f is a
-    nonnegative multiple of the base row p); its zero is found over the
-    sorted breakpoints and clipped to [lo, hi].
+    rows holds (p, f, r) per constraint: the multiplier's row p, the forecast row f
+    and r = sum g(z) + u~.  The derivative S (x - c) + l + a sum_i p_i [r_i + f_i x]_+
+    is piecewise linear, and nondecreasing since every p_i f_i >= 0 (p = f, or for
+    `llp_perturbed` f is a nonnegative multiple of the base row p).  One walk up the
+    knots (lo, hi, then the breakpoints inside in row order, stably sorted) stops at
+    the first where it is >= 0, else at hi, and interpolates a zero after the one before.
     """
     offset = linear - S * center
-
-    def deriv(x: float) -> float:
+    knots = [lo, hi]
+    for _, f, r in rows:
+        if f != 0.0 and lo < -r / f < hi:
+            knots.append(-r / f)
+    knots.sort()
+    left = None
+    for x in knots:
         acc = 0.0
         for p, f, r in rows:
-            if r + f * x > 0.0:
-                acc += p * (r + f * x)
-        return S * x + offset + a_dual * acc
-
-    knots = sorted([lo, hi] + [-r / f for _, f, r in rows if f != 0.0 and lo < -r / f < hi])
-    vals = [deriv(k) for k in knots]
-    j = next((i for i, val in enumerate(vals) if val >= 0.0), len(knots) - 1)
-    x = knots[j]
-    if j > 0 and vals[j] > 0.0:
-        # the derivative is affine between knots j-1 and j
-        left = knots[j - 1]
-        mid = 0.5 * (left + x)
-        active = [(p, f, r) for p, f, r in rows if r + f * mid > 0.0]
-        slope = S + a_dual * sum(p * f for p, f, _ in active)
-        x = min(max(-(offset + a_dual * sum(p * r for p, _, r in active)) / slope, left), x)
-    return x
+            v = r + f * x
+            if v > 0.0:
+                acc += p * v
+        val = S * x + offset + a_dual * acc
+        if val >= 0.0:
+            break
+        left = x
+    else:
+        return x
+    if left is None or val == 0.0:
+        return x
+    mid = 0.5 * (left + x)
+    active = [(p, f, r) for p, f, r in rows if r + f * mid > 0.0]
+    slope = S + a_dual * sum([p * f for p, f, _ in active])
+    return min(max(-(offset + a_dual * sum([p * r for p, _, r in active])) / slope, left), x)
 
 
 def _norm(v) -> float:

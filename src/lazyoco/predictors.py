@@ -50,11 +50,7 @@ class PredictionBundle:
 
 def zero_bundle(n: int, d: int) -> PredictionBundle:
     """The no-information bundle: all forecasts identically zero."""
-    return PredictionBundle(
-        cost_gradient=np.zeros(n),
-        constraint_affine=(np.zeros((d, n)), np.zeros(d)),
-        predicted_value=np.zeros(d),
-    )
+    return PredictionBundle(np.zeros(n), (np.zeros((d, n)), np.zeros(d)), np.zeros(d))
 
 
 def _clip_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -75,8 +71,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """`_unit` of each row of the 2-D v, bit for bit: each row's norm is its own `.dot`."""
-    nv = np.array([norm(row) for row in v])
+    """`_unit` of each row of the 2-D v, bit for bit: `matmul` adds each row's dot as `.dot`."""
+    nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
     out = v / np.where(nv == 0.0, 1.0, nv)[:, None]
     out[nv == 0.0] = _unit(np.zeros(v.shape[1]))
     return out
@@ -116,20 +112,19 @@ class NonePredictor(_Predictor):
         return self._bundle
 
 
-def _cost_forecast(truth: RoundOracle) -> dict:
-    """Exact cost forecast: an affine cost's gradient, or a quadratic's (w, u)."""
+def _exact_bundle(truth: RoundOracle, value) -> PredictionBundle:
+    """The true round in closed form, in its own arrays (nothing writes into a forecast)."""
     if truth.cost_affine is not None:
-        return {"cost_gradient": truth.cost_affine[0].copy()}
+        return PredictionBundle(truth.cost_affine[0], truth.constraint_affine, value)
     w, u, _ = truth.cost_quadratic
-    return {"cost_gradient": None, "cost_quadratic": (w, u)}
+    return PredictionBundle(None, truth.constraint_affine, value, (w, u))
 
 
 class PerfectPredictor(_Predictor):
     """Hands over the true round in closed form; the value forecast is deferred."""
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        return PredictionBundle(constraint_affine=truth.constraint_affine,
-                                predicted_value=None, **_cost_forecast(truth))
+        return _exact_bundle(truth, None)
 
 
 class PerfectGradientsPredictor(_Predictor):
@@ -139,8 +134,7 @@ class PerfectGradientsPredictor(_Predictor):
         self._zero_value = np.zeros(self.d)
 
     def bundle_for(self, truth: RoundOracle) -> PredictionBundle:
-        return PredictionBundle(constraint_affine=truth.constraint_affine,
-                                predicted_value=self._zero_value, **_cost_forecast(truth))
+        return _exact_bundle(truth, self._zero_value)
 
 
 class NoisyPredictor(_Predictor):
@@ -158,9 +152,9 @@ class NoisyPredictor(_Predictor):
     (`_refill`), as many rounds as `_Scenario._block_rows` gives a round of
     n + d doubles, bit-equal to drawing each round alone: the same four
     generator calls per round in the same order, the same products in the
-    same order, and each row's norm still its own `.dot` (einsum,
-    (v*v).sum(1) and a sequential column sum each differ from ddot on
-    16-55% of standard normal rows at n = 2 to 15).  A round then adds
+    same order, and each row's norm still its own dot, in one `matmul`
+    (einsum, (v*v).sum(1) and a sequential column sum each differ from
+    ddot on 16-55% of standard normal rows at n = 2 to 15).  A round then adds
     the gradient at the last noted action, clips, and blends W, u.
     """
 

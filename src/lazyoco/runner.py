@@ -243,13 +243,15 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         raise ConfigurationError("sweep.horizons must be strictly increasing")
     if hs[0] < 1:
         raise ConfigurationError("sweep.horizons must be >= 1")
-    # a beta's cells, trace paths and exponent entry are keyed by its :g form
+    # a beta's :g form keys its cells, trace paths and exponent entry, so it must read back
     keys: dict[str, float] = {}
     for beta in bs:
         key = f"{beta:g}"
         if key in keys:
             raise ConfigurationError(f"sweep.betas {keys[key]!r} and {beta!r} both print as "
                                      f"{key}, so their cells would share keys")
+        if repr(float(key)) != repr(beta):
+            raise ConfigurationError(f"sweep.betas {beta!r} prints as {key}, another beta")
         keys[key] = beta
     reps = _field(doc, "repetitions", "sweep", int, 1)
     if reps < 1:

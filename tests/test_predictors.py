@@ -176,6 +176,62 @@ def test_unit_rows_is_unit_of_each_row():
     assert np.array_equal(out[[0, 7, 9]], np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_batched_row_dots_are_each_rows_dot(n):
+    """One batched `matmul` of each row by its column is each row's own `.dot`,
+    bit for bit, zero and subnormal rows included: `_unit_rows` and the
+    comparator fold's quadratic constants take their dots this way."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((400, n))
+    rows[::9] = 0.0
+    rows[1::9] = -0.0
+    rows[2::9] *= 5e-324
+    rows[3::9] *= 1e-310
+    rows[4::9, 0] = 5e-324
+    got = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+    assert got.tobytes() == np.array([row.dot(row) for row in rows]).tobytes()
+    out = _unit_rows(rows)
+    for row, unit in zip(rows, out):
+        assert unit.tobytes() == _unit(row).tobytes()
+
+
+@pytest.mark.parametrize("kind, shape, params", [
+    ("alternating_linear", {}, None),
+    ("random_quadratic", {"dimension": 3, "constraints": 2}, None),
+    # centres past the box turn the deferred multiplier on, so the
+    # n = 1 rounds solve the breakpoint fixed point
+    ("random_quadratic", {"dimension": 1, "constraints": 2},
+     {"center_scale": 2.0, "offset_scale": 0.0}),
+])
+@pytest.mark.parametrize("predictor", ["perfect", "perfect_gradients"])
+@pytest.mark.parametrize("variant", ["llp", "llp2"])
+def test_exact_forecasts_are_the_truths_arrays_and_stay_unwritten(kind, shape, params,
+                                                                   predictor, variant):
+    """An exact forecast hands over the truth's own arrays, uncopied, which is
+    sound only while nothing writes into a forecast: every array of every
+    truth, and the shared zero value forecast, is bit for bit the same after
+    the learner plays its round."""
+    sc = make_scenario(kind, horizon=300, seed=3, params=params, **shape)
+    p = predictor_for(sc, predictor)
+    cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=0.5, bounds=sc.bounds)
+    learner = LlpLearner(cfg, sc.domain, sc.dimension, sc.n_constraints)
+    for t in range(1, 301):
+        truth = sc.round(t)
+        cost = truth.cost_affine if truth.cost_affine is not None else truth.cost_quadratic
+        arrays = [a for a in (*truth.constraint_affine, *cost) if isinstance(a, np.ndarray)]
+        before = [a.tobytes() for a in arrays]
+        bundle = p.bundle_for(truth)
+        assert bundle.constraint_affine is truth.constraint_affine
+        forecast = (bundle.cost_gradient if bundle.cost_quadratic is None
+                    else bundle.cost_quadratic[1])
+        assert forecast is cost[0 if truth.cost_affine is not None else 1]
+        p.note_action(learner.play_round(truth, bundle))
+        assert [a.tobytes() for a in arrays] == before, t
+        # `perfect_gradients` shares one zero value forecast across all rounds
+        value = bundle.predicted_value
+        assert value is None or value.tobytes() == bytes(8 * sc.n_constraints), t
+
+
 def test_perfect_gradients_predicts_zero_value():
     sc = alternating()
     p = predictor_for(sc, "perfect_gradients")

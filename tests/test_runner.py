@@ -658,6 +658,22 @@ def test_cli_rejects_betas_that_print_alike(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("sw*"))
 
 
+def test_cli_rejects_a_beta_that_prints_as_another(tmp_path, capsys, monkeypatch):
+    # 0.9999999999999999 prints as 1 under :g, so its cells used to run as
+    # beta=1,T=... with traces *_beta1_T*, a beta the learner refuses
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
+           "horizons": [10, 20], "betas": [0.5, 0.9999999999999999]}
+    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
+    assert "sweep.betas 0.9999999999999999 prints as 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sw*"))
+    # betas whose :g form reads back as themselves keep their keys and paths
+    doc["betas"] = [0.0, 0.5]
+    cells = runner.parse_sweep_config(doc).cells
+    assert list(cells) == [f"beta={b},T={h},rep=0" for b in ("0", "0.5") for h in (10, 20)]
+    assert cells["beta=0.5,T=20,rep=0"].output.path == str(tmp_path / "sw_beta0.5_T20_rep0.csv")
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAZYOCO_WORKERS", "3")
     assert runner.worker_count() == 3

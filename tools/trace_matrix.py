@@ -49,6 +49,12 @@ The matrix:
   centres reach past the box: the one cell whose deferred multiplier
   turns on at n = 1, d >= 2, where the array body solves the breakpoint
   fixed point (`LlpLearner._fixed_point` at n = 1);
+- `breakpoint_knot_zero_1d`: `llp` with perfect forecasts on
+  `perturbed_linear` (seed 3) with `amplitude` 0 and `cost_slope` -1,
+  T = 400, a = 2, beta 0, where a_t stays 1 and every value the
+  breakpoint rule reads is an integer: the one cell where its derivative
+  is exactly 0 at a knot past the first, so it returns that knot without
+  interpolating;
 - `quadratic_blind_rows`: `llp` with the noisy predictor at level 1.0
   (seed 4) on `random_quadratic` at n = 3, d = 2, seed 3, T = 400, whose
   forecast rows are all zero: the one cell whose n >= 2 fixed point takes
@@ -175,6 +181,12 @@ def cells() -> dict[str, dict]:
         "learner": {"variant": "llp", "sigma": 1.0, "a": 1.0, "beta": 0.5},
         "predictor": {"kind": "perfect"},
         "benchmark": {"kind": "X_T"},
+    }
+    out["breakpoint_knot_zero_1d"] = {
+        "scenario": {"kind": "perturbed_linear", "horizon": 400, "seed": 3,
+                     "params": {"amplitude": 0.0, "cost_slope": -1.0}},
+        "learner": {"variant": "llp", "sigma": 1.0, "a": 2.0, "beta": 0.0},
+        "predictor": {"kind": "perfect"},
     }
     out["quadratic_blind_rows"] = {
         "scenario": {"kind": "random_quadratic", "horizon": 400, "dimension": 3,
