@@ -14,16 +14,21 @@ fresh step size, and its prescient solve therefore sees the off-by-one
 accumulated weight.  The dual step only fixes the step size a_t: the
 next primal step reads its multiplier lam = [a_t (sum g(z) + v~)]_+ off
 the learner's own a_t and sum_s g_s(z_s) and that round's forecast value
-v~ (lam = 0 in round 1, before any dual step).  `play_round` returns x_t
+v~ (lam = 0 in round 1, before any dual step).  Both round bodies end in
+one shared tail, `_close`: the drift record, the cost total and that
+step size, with 4 G^2 taken once at construction.  With
+`_advance_regularizer`, the one writer of the prox state, it is every
+Python-level call the tail makes.  `play_round` returns x_t
 and leaves no record: the learner's attributes after it (the round's
 `lam`, `f_value`, `xi_t`, `solver_residual` and `flags`, and the running
-totals) are what a run's row reads, and `stats()` returns, as summary
-entries, the few end-of-run values that no row holds.  `_Learner`, the
-base of both learners, states those names once: the shared constructor
-state, a zero default for each total that a learner without a
-regularizer, forecast or prescient step leaves at zero, and the
-reporting read off `lam`, `cum_gx`, `cum_gz` and `a_prev`.  The greedy
-baseline is a step on that base; its z is x.
+totals) are what a run's row reads, `lam` and `cum_gx` as they are (the
+runner takes the trace's norms of a block of rows at once), and
+`stats()` returns, as summary entries, the few end-of-run values that no
+row holds.  `_Learner`, the base of both learners, states those names
+once: the shared constructor state, a zero default for each total that
+a learner without a regularizer, forecast or prescient step leaves at
+zero, and the summary entries read off `cum_gz` and `a_prev`.  The
+greedy baseline is a step on that base; its z is x.
 
 Every round is in closed form (see `problems`): its constraint is
 W x + u, so the round's Lagrangian part J^T lam (J below) folds into
@@ -69,18 +74,18 @@ The shape alone picks the body that plays a round, at construction.  At
 n = d = 1 a numpy call on a 1-element array costs more than the
 arithmetic it does, so the round is played on Python floats, and every
 vector of the state (`lam`, `cum_gz`, `cum_gx`, `last_x` and the folded
-aggregate) is a float; `play_round` still returns an (n,) array, and
-`lambda_norm` and `violation_norm` read the trace's norms off either
-body.  The float body takes the array body's steps in the same order,
-and keeps numpy's signed zeros so that its traces are the array body's,
-bit for bit:
+aggregate) is a float; `play_round` still returns an (n,) array, and a
+float's norm in a row or the summary is its 1-element array's.  The
+float body takes the array body's steps in the same order, and keeps
+numpy's signed zeros so that its traces are the array body's, bit for
+bit:
 - a matrix product starts its sum at +0.0, so W @ x is 0.0 + W x
   (`[[1.]] @ [-0.]` is 0.0), while a 1-D `.dot` keeps -0.0; the array
   body's `W.dot(x)` is W @ x at every shape but 1 x 1, where it keeps
   -0.0, which each sum it enters (from +0.0) or norm then drops;
 - np.maximum(v, 0.0) is +0.0 at either zero, where Python's max(-0.0,
   0.0) is -0.0 (`_plus`);
-- `clip` returns the bound when v equals it (`_clip`).
+- `clip` returns the bound when v equals it (`_float_step`).
 NaN passes through each of these as it does through numpy.  The
 breakpoint fixed point is one float function, `_breakpoint_zero`, which
 both bodies call: one walk up the sorted knots, to the first that it needs.
@@ -142,35 +147,20 @@ def _plus(v: float) -> float:
     return 0.0 if v <= 0.0 else v
 
 
-def _clip(v: float, lo: float, hi: float) -> float:
-    """ndarray.clip on a float: a bound wherever v reaches it, and NaN kept."""
-    v = lo if v <= lo else v
-    return hi if v >= hi else v
-
-
 def _float_step(S: float, center: float, linear: float, fallback: float,
                 lo: float, hi: float) -> float:
-    """`sets.exact_step` on the interval [lo, hi], in floats."""
+    """`sets.exact_step` on the interval [lo, hi], in floats.  Its clip is
+    ndarray.clip's: a bound wherever v reaches it, and NaN kept."""
     if S > 0.0:
-        return _clip(center - linear / S, lo, hi)
-    if linear > 0.0:
+        v = center - linear / S
+    elif linear > 0.0:
         return lo
-    return _clip(fallback, lo, hi) if linear == 0.0 else hi
-
-
-def _float_forecast(bundle: PredictionBundle):
-    """(w~, c~, W~, u~, v~), an n = d = 1 forecast in floats.
-
-    c~ is the cost gradient when w~ is None, else the centre of the
-    quadratic forecast w~/2 (x - c~)^2; v~ is None when deferred.
-    """
-    W, u = bundle.constraint_affine
-    v = bundle.predicted_value
-    v = None if v is None else v.item()
-    if bundle.cost_gradient is None:
-        w, c = bundle.cost_quadratic
-        return float(w), c.item(), W.item(), u.item(), v
-    return None, bundle.cost_gradient.item(), W.item(), u.item(), v
+    elif linear == 0.0:
+        v = fallback
+    else:
+        return hi
+    v = lo if v <= lo else v
+    return hi if v >= hi else v
 
 
 def _breakpoint_zero(S: float, center: float, linear: float, a_dual: float, rows,
@@ -211,17 +201,6 @@ def _breakpoint_zero(S: float, center: float, linear: float, a_dual: float, rows
     return min(max(-(offset + a_dual * sum([p * r for p, _, r in active])) / slope, left), x)
 
 
-def _norm(v) -> float:
-    """||v|| of a vector of the state: a float array, or a float at n = d = 1,
-    whose norm is the 1-element array's, sqrt(v * v)."""
-    return math.sqrt(v * v) if isinstance(v, float) else norm(v)
-
-
-def _positive(v):
-    """[v]_+ of a vector of the state, a float array or a float."""
-    return _plus(v) if isinstance(v, float) else positive_part(v)
-
-
 class _Learner:
     """What a run reads off a learner, stated once for every learner.
 
@@ -252,20 +231,11 @@ class _Learner:
         if not domain.contains(self.x0):
             raise ConfigurationError("x0 lies outside the feasible set")
 
-    @property
-    def lambda_norm(self) -> float:
-        """||lam||, the trace's lambda_norm."""
-        return _norm(self.lam)
-
-    @property
-    def violation_norm(self) -> float:
-        """||[sum_s g_s(x_s)]_+||, the trace's violation_norm."""
-        return _norm(_positive(self.cum_gx))
-
     def stats(self) -> dict:
         """The summary entries no trace row holds, read once after the last round."""
-        return {"violation_z_norm": _norm(_positive(self.cum_gz)), "a_prev": self.a_prev,
-                "flag_counts": self.flag_counts, "max_xz": self.max_xz,
+        # a float's norm is its 1-element array's
+        return {"violation_z_norm": norm(positive_part(np.atleast_1d(self.cum_gz))),
+                "a_prev": self.a_prev, "flag_counts": self.flag_counts, "max_xz": self.max_xz,
                 "drift_gap": self.drift_gap}
 
 
@@ -288,6 +258,7 @@ class LlpLearner(_Learner):
         # dual-rate state, a_t and a_{t-1}; 0**0 == 1 makes the beta = 0 case come out right
         b = config.bounds
         a0 = config.a / max(2.0 * b.G, 0.0 ** config.beta)
+        self._four_g_sq = 4.0 * b.G * b.G
         self.a_t = self.a_prev = a0
         if self.variant == "llp2":
             self.mu = b.E_m + a0 * b.G * 1.0 * b.Delta_m
@@ -306,14 +277,14 @@ class LlpLearner(_Learner):
         self.cum_gz, self.cum_gx, self.lam = np.zeros(d), np.zeros(d), np.zeros(d)
         # the multiplier of round 1 and of a deferred v~'s first step; no step writes into it
         self._zero_lam = np.zeros(d)
-        self._set_prox(0.0, np.zeros(n))
+        self.prox_b = self.prox_center = np.zeros(n)
         self.last_x = x0
         self._play = self._play_arrays
 
     def _start_floats(self, x0: np.ndarray) -> None:
         """Hold the state's vectors as floats (n = d = 1), and play rounds with the float body."""
         self.ccum = self.lag_lin = self.cum_gz = self.cum_gx = self.lam = 0.0
-        self._set_prox(0.0, 0.0)
+        self.prox_b = self.prox_center = 0.0
         self.last_x = x0.item()
         (self._lo,), (self._hi,) = self.domain.lower.tolist(), self.domain.upper.tolist()
         self._fixed_row = None if self.fixed_rows is None else self.fixed_rows.item()
@@ -344,8 +315,15 @@ class LlpLearner(_Learner):
 
         # primal: one exact step at lam = [a_t (sum g(z) + v~)]_+, or at lam = 0 in
         # round 1 or when v~ is deferred; a deferred v~ is W~ x + u~ at the step's x,
-        # and if that turns the multiplier on, `_fixed_point` moves x
-        lam = self._zero_lam if t == 1 or vt is None else dual_step(a_t, self.cum_gz, vt)
+        # and if that turns the multiplier on, `_fixed_point` moves x.  `on` is
+        # whether lam has a nonzero entry: the builtin any over the few entries of
+        # the 1-D lam as a list, as ndarray.any runs a Python-level wrapper before
+        # its reduction, and any over the array makes a numpy scalar per entry
+        zero = lam = self._zero_lam
+        on = False
+        if t > 1 and vt is not None:
+            lam = np.maximum(a_t * (self.cum_gz + vt), zero)
+            on = any(lam.tolist())
         ct = bundle.cost_gradient
         S, linear = self.prox_S, self.ccum
         if ct is None:
@@ -357,20 +335,19 @@ class LlpLearner(_Learner):
             center = self.prox_center
             linear = linear + ct
         linear = linear + self.lag_lin
-        # the builtin any over the few entries of the 1-D lam as a list:
-        # ndarray.any runs a Python-level wrapper before its reduction, and
-        # any over the array makes a numpy scalar per entry
-        if any(lam.tolist()):
+        if on:
             linear = linear + jp.T @ lam
         x = exact_step(self.domain, S, center, linear, self.last_x)
         if vt is None:
             vt = Wf.dot(x) + uf
             if t > 1:
-                lam = dual_step(a_t, self.cum_gz, vt)
-                if any((lam > 0.0).tolist()):
+                lam = np.maximum(a_t * (self.cum_gz + vt), zero)
+                on = any(lam.tolist())
+                if on and any((lam > 0.0).tolist()):
                     x = self._fixed_point(S, center, linear, Wf, uf, jp)
                     vt = Wf.dot(x) + uf
-                    lam = dual_step(a_t, self.cum_gz, vt)
+                    lam = np.maximum(a_t * (self.cum_gz + vt), zero)
+                    on = any(lam.tolist())
         self.lam = lam
 
         # the losses revealed: `RoundOracle.cost` and the mismatch h
@@ -380,7 +357,7 @@ class LlpLearner(_Learner):
         gx = W.dot(x) + u
         # at lam = 0 the rows' term is a zero vector, and the norm squares
         # away the sign of a zero
-        h = norm(c_t - ct + (j - jp).T @ lam) if any(lam.tolist()) else norm(c_t - ct)
+        h = norm(c_t - ct + (j - jp).T @ lam) if on else norm(c_t - ct)
 
         if self.variant != "llp2":
             self._advance_regularizer(h, x, 0.0)
@@ -389,7 +366,7 @@ class LlpLearner(_Learner):
         # unconverged (see the module docstring)
         self.ccum = linear = self.ccum + c_t
         linear = linear + self.lag_lin
-        if any(lam.tolist()):
+        if on:
             lin = j.T @ lam
             self.lag_lin = self.lag_lin + lin
             linear = linear + lin
@@ -415,7 +392,17 @@ class LlpLearner(_Learner):
         t, a_t, lo, hi = self.t, self.a_t, self._lo, self._hi
         W, u = truth.constraint_affine
         W, u = W.item(), u.item()
-        wf, cf, Wf, uf, vt = _float_forecast(bundle)
+        # the forecast: c~ is the cost gradient when w~ is None, else the centre
+        # of the quadratic forecast w~/2 (x - c~)^2; v~ is None when deferred
+        Wf, uf = bundle.constraint_affine
+        Wf, uf = Wf.item(), uf.item()
+        vt, wf, cf = bundle.predicted_value, None, bundle.cost_gradient
+        if vt is not None:
+            vt = vt.item()
+        if cf is None:
+            wf, cf = bundle.cost_quadratic
+            wf = float(wf)
+        cf = cf.item()
         jp, j = (Wf, W) if self._fixed_row is None else (self._fixed_row,) * 2
 
         # primal, with `_breakpoint_zero` as the fixed point
@@ -484,13 +471,31 @@ class LlpLearner(_Learner):
 
     def _close(self, h: float, dxz: float, xi: float) -> None:
         """End a round in either body, given h, ||x - z|| and xi = ||g(z) - v~||:
-        the drift record, the cost total, the dual step and llp2's regularizer."""
-        self.max_xz = max(self.max_xz, dxz)
+        the drift record, the cost total, the dual step and llp2's regularizer.
+
+        The dual step only sets the step size: a_t = min(a / max(sqrt(4 G^2 +
+        sum xi^2), t^beta), a_{t-1}).  Each max and min is an `if` that picks
+        what the builtin would (its first argument unless the second is greater,
+        for min less), NaN included.
+        """
+        if dxz > self.max_xz:
+            self.max_xz = dxz
         if self.prox_S > 0.0:
-            self.drift_gap = max(self.drift_gap, dxz - h / self.prox_S)
+            gap = dxz - h / self.prox_S
+            if gap > self.drift_gap:
+                self.drift_gap = gap
         self.cum_cost += self.f_value
 
-        self._dual(xi)
+        self.xi_t = xi
+        self.a_prev = a_prev = self.a_t
+        self.sum_a_prev_xi_sq += a_prev * xi * xi
+        self.xi_sq_cum += xi * xi
+        denom = math.sqrt(self._four_g_sq + self.xi_sq_cum)
+        power = float(self.t) ** self.cfg.beta
+        if power > denom:
+            denom = power
+        a_t = self.cfg.a / denom
+        self.a_t = a_prev if a_prev < a_t else a_t
 
         if self.variant == "llp2":
             b = self.cfg.bounds
@@ -534,31 +539,19 @@ class LlpLearner(_Learner):
     # -- observation and regularizers ------------------------------------------
 
     def _advance_regularizer(self, h: float, x: np.ndarray | None, mu: float) -> None:
-        """Raise the prox weight to sigma sqrt(h_cum + mu); llp2 passes no x to centre it at."""
+        """Raise the prox weight to sigma sqrt(h_cum + mu); llp2 passes no x to centre it at.
+
+        After construction this is the one writer of the prox weight S, its
+        numerator b and the centre b / S that both bodies' steps read; while
+        S = 0 they are the zero of the state's type (0.0 on the float body,
+        zeros on the array body).
+        """
         self.h_cum += h
         target = self.cfg.sigma * math.sqrt(self.h_cum + mu)
         sigma_t = target - self.prox_S
         if sigma_t > 0.0:
-            self._set_prox(target, self.prox_b if x is None else self.prox_b + sigma_t * x)
-
-    def _set_prox(self, S: float, b) -> None:
-        """Set the prox weight S, its numerator b and the centre b / S that both bodies'
-        steps read: the one writer of the three.  While S = 0 the centre is the zero
-        of the state's type, 0.0 on the float body and zeros on the array body."""
-        self.prox_S, self.prox_b = S, b
-        self.prox_center = b / S if S > 0.0 else 0.0 * b
-
-    # -- dual --------------------------------------------------------------------
-
-    def _dual(self, xi: float) -> None:
-        """The step size a_t after a round with xi = ||g(z) - v~||."""
-        b = self.cfg.bounds
-        self.xi_t = xi
-        self.a_prev = self.a_t
-        self.sum_a_prev_xi_sq += self.a_prev * xi * xi
-        self.xi_sq_cum += xi * xi
-        denom = max(math.sqrt(4.0 * b.G * b.G + self.xi_sq_cum), float(self.t) ** self.cfg.beta)
-        self.a_t = min(self.cfg.a / denom, self.a_prev)
+            b = self.prox_b if x is None else self.prox_b + sigma_t * x
+            self.prox_S, self.prox_b, self.prox_center = target, b, b / target
 
 
 class GreedyLearner(_Learner):

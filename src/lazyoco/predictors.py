@@ -175,7 +175,8 @@ class NoisyPredictor(_Predictor):
         self._rows = self._next = _Scenario._block_rows(self.n + self.d)
 
     def note_action(self, x: np.ndarray) -> None:
-        self.last_x = np.asarray(x, dtype=float).copy()
+        # kept uncopied: nothing writes into a point a learner has played
+        self.last_x = x
 
     def _refill(self) -> None:
         """Draw the next `_rows` rounds' perturbations e and gamma * shift;
@@ -199,11 +200,7 @@ class NoisyPredictor(_Predictor):
         c_tilde = _clip_ball(truth.cost_gradient(self.last_x) + self._e[i], self.bounds.L_f)
         keep = 1.0 - self.gamma
         W, u = truth.constraint_affine
-        return PredictionBundle(
-            cost_gradient=c_tilde,
-            constraint_affine=(keep * W, keep * u + self._shift[i]),
-            predicted_value=None,
-        )
+        return PredictionBundle(c_tilde, (keep * W, keep * u + self._shift[i]), None)
 
 
 class AdversarialPredictor(_Predictor):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis
 from .learners import LearnerConfig, LlpLearner, make_learner
-from .predictors import make_predictor
+from .predictors import _Predictor, make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
 from .sets import ConfigurationError
 
@@ -50,9 +50,9 @@ TRACE_COLUMNS = ("t", "f_value", "cum_cost", "regret", "violation_norm", "lambda
 # columns of RunResult.table: every TRACE_COLUMNS column but flags, then the
 # learner's totals besides those that the B_t column is evaluated from
 ROW_COLUMNS = TRACE_COLUMNS[:-1] + ("sum_a_prev_xi_sq", "mu", "xi_sq_cum")
-_T, _COST, _REGRET, _VIOLATION, _H, _BOUND, _A_XI_SQ, _MU, _XI_SQ = (
+_T, _COST, _REGRET, _VIOLATION, _LAMBDA, _H, _BOUND, _A_XI_SQ, _MU, _XI_SQ = (
     ROW_COLUMNS.index(c)
-    for c in ("t", "cum_cost", "regret", "violation_norm", "h_cum", "bound_B_t",
+    for c in ("t", "cum_cost", "regret", "violation_norm", "lambda_norm", "h_cum", "bound_B_t",
               "sum_a_prev_xi_sq", "mu", "xi_sq_cum"))
 # one CSV line: t as an integer, each float formatted with ".17g"
 _CSV_ROW = "%d," + "%.17g," * (len(TRACE_COLUMNS) - 2) + "%s\n"
@@ -252,6 +252,11 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
                                      f"{key}, so their cells would share keys")
         if repr(float(key)) != repr(beta):
             raise ConfigurationError(f"sweep.betas {beta!r} prints as {key}, another beta")
+        # 0.0 and -0.0 print apart but are one beta
+        twin = next((b for b in keys.values() if b == beta), None)
+        if twin is not None:
+            raise ConfigurationError(f"sweep.betas {twin!r} and {beta!r} are equal as floats, "
+                                     "so their cells would run one beta twice")
         keys[key] = beta
     reps = _field(doc, "repetitions", "sweep", int, 1)
     if reps < 1:
@@ -312,6 +317,13 @@ def _learner_for(config: RunConfig, scenario):
                         base_affine=getattr(scenario, "base_affine", None))
 
 
+def _row_norms(v) -> np.ndarray:
+    """The norm of each row's vector, `sets.norm` bit for bit: v holds one float
+    or (d,) array a row, and `matmul` adds each row's self-dot as `.dot` does."""
+    v = np.array(v, dtype=float).reshape(len(v), -1)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
+
+
 def play_rounds(scenario, predictor, learner,
                 horizon: int) -> Iterator[tuple[RoundOracle, np.ndarray]]:
     """Play rounds 1..horizon and yield each round's truth with the point x_t played.
@@ -323,13 +335,22 @@ def play_rounds(scenario, predictor, learner,
     adaptive scenario and a predictor that tracks the learner see x_t
     before round t+1 is drawn.  No round is asked for twice: whoever needs
     the truth again (the comparator, a test) keeps it from here.  The
-    round's other values are on the learner until the next round.
+    round's other values are on the learner until the next round.  The
+    three entry points are looked up once, and a scenario or predictor
+    that keeps the base class's no-op hook is not called with x_t.
     """
+    draw, forecast, play = scenario.round, predictor.bundle_for, learner.play_round
+    record = (None if type(scenario).record_action is _Scenario.record_action
+              else scenario.record_action)
+    note = (None if type(predictor).note_action is _Predictor.note_action
+            else predictor.note_action)
     for t in range(1, horizon + 1):
-        truth = scenario.round(t)
-        x = learner.play_round(truth, predictor.bundle_for(truth))
-        scenario.record_action(t, x)
-        predictor.note_action(x)
+        truth = draw(t)
+        x = play(truth, forecast(truth))
+        if record is not None:
+            record(t, x)
+        if note is not None:
+            note(x)
         yield truth, x
 
 
@@ -356,25 +377,29 @@ def execute_run(config: RunConfig) -> RunResult:
     # own warnings about it would only come first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a block of rounds at a time: their truths go to the fold in one
-        # call, and the rows recorded among them to the arrays in one slice
+        # call, and the rows recorded among them to the arrays in one slice;
+        # a row keeps the learner's sum g(x), lam and flags as they are, and
+        # the block takes the norms of its rows at once
         for start in range(0, T, _BLOCK_ROWS):
-            block, at, rows = [], [], []
+            block, rows, kept = [], [], []
             for truth, _ in islice(rounds, _BLOCK_ROWS):
                 block.append(truth)
                 t = learner.t
                 if t % record_every == 0 or t == T:  # the last round's totals feed the summary
-                    at.append(t - start - 1)
-                    rows.append((t, learner.f_value, learner.cum_cost, math.nan,
-                                 learner.violation_norm, learner.lambda_norm,
-                                 learner.a_t, learner.prox_S, learner.h_cum, learner.xi_t,
-                                 math.nan, learner.solver_residual, learner.sum_a_prev_xi_sq,
-                                 learner.mu, learner.xi_sq_cum))
-                    flags.append(learner.flags)
+                    rows.append((t, learner.f_value, learner.cum_cost, math.nan, math.nan,
+                                 math.nan, learner.a_t, learner.prox_S, learner.h_cum,
+                                 learner.xi_t, math.nan, learner.solver_residual,
+                                 learner.sum_a_prev_xi_sq, learner.mu, learner.xi_sq_cum))
+                    kept.append((learner.cum_gx, learner.lam, learner.flags))
             sums = fold.add(block)
             if rows:
-                written = slice(len(flags) - len(rows), len(flags))
+                written = slice(len(flags), len(flags) + len(rows))
                 table[written] = rows
-                cost_sums[written] = sums[at]
+                cum_gx, lam, row_flags = zip(*kept)
+                table[written, _VIOLATION] = _row_norms(np.maximum(cum_gx, 0.0))
+                table[written, _LAMBDA] = _row_norms(lam)
+                flags.extend(row_flags)
+                cost_sums[written] = sums[[row[0] - start - 1 for row in rows]]
         stats = learner.stats()
         if lazy:
             table[:, _BOUND] = analysis.regret_certificate(

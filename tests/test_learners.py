@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lazyoco import learners
+from lazyoco import learners, runner
 from lazyoco.learners import GreedyLearner, LearnerConfig, LlpLearner, make_learner
 from lazyoco.predictors import PredictionBundle, make_predictor, zero_bundle
 from lazyoco.problems import ProblemBounds, RoundOracle, affine_round, make_scenario
@@ -216,7 +216,7 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     """A learner mid-run, after a dual step, with an exact affine bundle.
 
     The learner holds the array body's state, at n = d = 1 too, and its
-    regularizer is set through its one setter, which keeps the centre.
+    regularizer is set as `_advance_regularizer` leaves it, centre included.
     Returns (learner, bundle, J) where the variant's primal puts the
     multiplier on J: the base rows for the perturbed variant, whose folded
     multipliers seed lag_lin, else the forecast rows.
@@ -228,7 +228,9 @@ def primal_case(rng, variant, n, d, S, zero_jacobian):
     learner._start_arrays(np.zeros(n))
     learner.t = 5
     learner.ccum = rng.normal(size=n)
-    learner._set_prox(S, S * rng.uniform(-1.5, 1.5, size=n))
+    b = S * rng.uniform(-1.5, 1.5, size=n)
+    learner.prox_S, learner.prox_b = S, b
+    learner.prox_center = b / S if S > 0.0 else np.zeros(n)
     learner.last_x = rng.uniform(-1.0, 1.0, size=n)
     learner.a_t = float(rng.uniform(0.2, 2.0))
     learner.cum_gz = rng.uniform(-1.0, 1.5, size=d)
@@ -485,23 +487,28 @@ def test_greedy_converges_to_static_saddle():
 @pytest.mark.parametrize("kind, n, d", [("alternating_linear", 1, 1), ("random_quadratic", 3, 2)])
 def test_greedy_stats_are_its_summary_entries(kind, n, d, horizon):
     """The summary entries no greedy row holds: a_prev is the step of round T - 1
-    (a at T = 1), its z is x, and no step raises a flag or leaves x."""
+    (a at T = 1), its z is x (so its z-violation is the last row's violation_norm,
+    read off the same run's table), and no step raises a flag or leaves x."""
     sc = make_scenario(kind, horizon=horizon, dimension=n, constraints=d, seed=2)
     a = 0.7
     learner = make_learner(cfg("greedy_baseline", a=a, bounds=sc.bounds), sc.domain, n, d)
     run_rounds(learner, sc, "noisy", horizon)
     stats = learner.stats()
+    table = runner.execute_run(runner.parse_run_config({
+        "scenario": {"kind": kind, "horizon": horizon, "dimension": n, "constraints": d,
+                     "seed": 2},
+        "learner": {"variant": "greedy_baseline", "sigma": 1.0, "a": a, "beta": 0.5},
+        "predictor": {"kind": "noisy", "level": 0.3, "seed": 5}})).table
     assert stats["a_prev"] == a / math.sqrt(max(horizon - 1, 1))
-    assert stats["violation_z_norm"] == learner.violation_norm
+    assert stats["violation_z_norm"] == table[-1, runner.ROW_COLUMNS.index("violation_norm")]
     assert stats["flag_counts"] == {}
     assert stats["max_xz"] == 0.0
     assert stats["drift_gap"] == -math.inf
 
 
 # what `runner.execute_run` reads off a learner for each row
-ROW_ATTRIBUTES = ("t", "f_value", "cum_cost", "violation_norm", "lambda_norm", "a_t", "prox_S",
-                  "h_cum", "xi_t", "solver_residual", "sum_a_prev_xi_sq", "mu", "xi_sq_cum",
-                  "flags")
+ROW_ATTRIBUTES = ("t", "f_value", "cum_cost", "cum_gx", "lam", "a_t", "prox_S", "h_cum", "xi_t",
+                  "solver_residual", "sum_a_prev_xi_sq", "mu", "xi_sq_cum", "flags")
 
 
 @pytest.mark.parametrize("variant, kind, n, d", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lazyoco.learners import LearnerConfig, LlpLearner
+from lazyoco.learners import LearnerConfig, LlpLearner, make_learner
 from lazyoco.predictors import (
     PREDICTOR_KINDS,
     _unit,
@@ -230,6 +230,25 @@ def test_exact_forecasts_are_the_truths_arrays_and_stay_unwritten(kind, shape, p
         # `perfect_gradients` shares one zero value forecast across all rounds
         value = bundle.predicted_value
         assert value is None or value.tobytes() == bytes(8 * sc.n_constraints), t
+
+
+@pytest.mark.parametrize("variant", ["llp", "llp2", "greedy_baseline"])
+def test_noisy_forecast_holds_the_played_point_uncopied(variant):
+    """The noisy predictor keeps the x it is shown, uncopied, for its next cost
+    forecast, which is sound only while nothing writes into a played point:
+    every x a learner returns keeps its bytes to the end of the run."""
+    sc = make_scenario("random_quadratic", horizon=300, dimension=3, constraints=2, seed=3)
+    p = predictor_for(sc, "noisy", level=0.3, seed=4)
+    cfg = LearnerConfig(variant=variant, sigma=1.0, a=1.0, beta=0.5, bounds=sc.bounds)
+    learner = make_learner(cfg, sc.domain, sc.dimension, sc.n_constraints)
+    played = []
+    for t in range(1, 301):
+        truth = sc.round(t)
+        x = learner.play_round(truth, p.bundle_for(truth))
+        p.note_action(x)
+        assert p.last_x is x
+        played.append((x, x.tobytes()))
+    assert [x.tobytes() for x, _ in played] == [kept for _, kept in played]
 
 
 def test_perfect_gradients_predicts_zero_value():

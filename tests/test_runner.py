@@ -674,6 +674,22 @@ def test_cli_rejects_a_beta_that_prints_as_another(tmp_path, capsys, monkeypatch
     assert cells["beta=0.5,T=20,rep=0"].output.path == str(tmp_path / "sw_beta0.5_T20_rep0.csv")
 
 
+@pytest.mark.parametrize("betas", [[0.0, -0.0], [-0.0, 0.5, 0.0]])
+def test_cli_rejects_signed_zero_betas(tmp_path, capsys, monkeypatch, betas):
+    # 0.0 and -0.0 print as "0" and "-0", so their cells used to get keys and
+    # paths of their own and run the same beta twice
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
+           "horizons": [10, 20], "betas": betas}
+    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
+    first, second = [b for b in betas if b == 0.0]
+    assert (f"sweep.betas {first!r} and {second!r} are equal as floats"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("sw*"))
+    with pytest.raises(ConfigurationError, match="equal as floats"):
+        runner.parse_sweep_config(doc)
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("LAZYOCO_WORKERS", "3")
     assert runner.worker_count() == 3

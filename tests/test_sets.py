@@ -1,7 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lazyoco.sets import Box, ConfigurationError, norm, positive_part
+from lazyoco.sets import Box, ConfigurationError, exact_step, norm, positive_part
 
 from helpers import sample
 
@@ -102,3 +105,30 @@ def test_norm_is_bit_equal_to_linalg_norm():
                 v = rng.normal(size=n) * scale
                 assert norm(v) == float(np.linalg.norm(v))
     assert norm(np.zeros(4)) == 0.0
+
+
+# values where a clip's min and max could part from `ndarray.clip`: signed
+# zeros, NaN, infinities, the smallest subnormals, and a few plain values
+CLIP_EDGES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 0.5, -2.0)
+
+
+def clip_step(v, lo, hi):
+    """`exact_step`'s prox branch at S = 1 with no linear term, whose point is v
+    itself (v - 0.0 keeps every bit), on a box with the bounds lo and hi as given."""
+    return exact_step(SimpleNamespace(lower=lo, upper=hi), 1.0, v, np.zeros_like(v))
+
+
+def test_exact_step_clips_as_ndarray_clip_bit_for_bit():
+    """The prox branch takes np.minimum(np.maximum(., lo), hi); each triple of
+    edge values (lo == hi among them), and random arrays over every SIMD tail
+    length, give `ndarray.clip`'s bits."""
+    for v, lo, hi in itertools.product(CLIP_EDGES, repeat=3):
+        v, lo, hi = np.array([v]), np.array([lo]), np.array([hi])
+        assert clip_step(v, lo, hi).tobytes() == v.clip(lo, hi).tobytes(), (v, lo, hi)
+    rng = np.random.default_rng(41)
+    for k in (*range(1, 41), 257):
+        for _ in range(200):
+            pool = np.concatenate([CLIP_EDGES, rng.normal(size=5)])
+            v, lo, hi = (rng.choice(pool, size=k) for _ in range(3))
+            hi = np.where(rng.random(k) < 0.2, lo, hi)
+            assert clip_step(v, lo, hi).tobytes() == v.clip(lo, hi).tobytes(), k
