@@ -300,19 +300,13 @@ class ComparatorFold:
         n = self.n
         steps = np.zeros((len(rounds) + 1, len(self.sums)))
         steps[0] = self.sums
-        # the rows of `steps` each kind of round fills: a slice, which takes
-        # no index array, when every round is affine
-        costs, quadratic = [o.cost_affine for o in rounds], None
-        affine = slice(1, None)
-        if None in costs:
-            affine = [i for i, c in enumerate(costs, 1) if c is not None]
-            quadratic = [i for i, c in enumerate(costs, 1) if c is None]
-            costs = [c for c in costs if c is not None]
-        if costs:
-            c, b = zip(*costs)
+        affine = [i for i, o in enumerate(rounds, 1) if o.cost_affine is not None]
+        if affine:
+            c, b = zip(*[rounds[i - 1].cost_affine for i in affine])
             steps[affine, :n] = np.concatenate(c).reshape(-1, n)
             steps[affine, n] = b
-        if quadratic:
+        if len(affine) < len(rounds):
+            quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
             w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
             w, U = np.array(w), np.concatenate(u).reshape(-1, n)
             # each round's own u.dot(u), batched: a row times its column in

@@ -102,17 +102,14 @@ def exact_step(domain: Box, S: float, center: np.ndarray | None, linear: np.ndar
                fallback: np.ndarray | None = None) -> np.ndarray:
     """Exact minimizer of S/2 ||x - center||^2 + <linear, x> over the box `domain`.
 
-    With S > 0, the clip of center - linear / S to the box, taken as
-    np.minimum(np.maximum(., lo), hi): bit for bit `ndarray.clip`, signed
-    zeros and NaN included, without clip's Python-level wrapper.  With
-    S = 0, the vertex rule: each coordinate goes to the end its slope
-    points away from, and a zero-slope coordinate keeps `fallback`
-    (clipped to the box), or the box midpoint without one.  The arrays are
-    taken as they are: their shape and finiteness are the caller's to have
-    checked.
+    With S > 0, the clip of center - linear / S to the box.  With S = 0,
+    the vertex rule: each coordinate goes to the end its slope points away
+    from, and a zero-slope coordinate keeps `fallback` (clipped to the box),
+    or the box midpoint without one.  The arrays are taken as they are:
+    their shape and finiteness are the caller's to have checked.
     """
     lo, hi = domain.lower, domain.upper
     if S > 0.0:
-        return np.minimum(np.maximum(center - linear / S, lo), hi)
+        return (center - linear / S).clip(lo, hi)
     tie = 0.5 * (lo + hi) if fallback is None else fallback.clip(lo, hi)
     return np.where(linear > 0.0, lo, np.where(linear == 0.0, tie, hi))

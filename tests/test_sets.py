@@ -107,8 +107,8 @@ def test_norm_is_bit_equal_to_linalg_norm():
     assert norm(np.zeros(4)) == 0.0
 
 
-# values where a clip's min and max could part from `ndarray.clip`: signed
-# zeros, NaN, infinities, the smallest subnormals, and a few plain values
+# values where a clip taken as a min and a max could part from `ndarray.clip`:
+# signed zeros, NaN, infinities, the smallest subnormals and plain values
 CLIP_EDGES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 0.5, -2.0)
 
 
@@ -119,9 +119,9 @@ def clip_step(v, lo, hi):
 
 
 def test_exact_step_clips_as_ndarray_clip_bit_for_bit():
-    """The prox branch takes np.minimum(np.maximum(., lo), hi); each triple of
-    edge values (lo == hi among them), and random arrays over every SIMD tail
-    length, give `ndarray.clip`'s bits."""
+    """The prox branch clips as `ndarray.clip` does, bit for bit: on each
+    triple of edge values (lo == hi among them), and on random arrays over
+    every SIMD tail length."""
     for v, lo, hi in itertools.product(CLIP_EDGES, repeat=3):
         v, lo, hi = np.array([v]), np.array([lo]), np.array([hi])
         assert clip_step(v, lo, hi).tobytes() == v.clip(lo, hi).tobytes(), (v, lo, hi)

@@ -1,16 +1,15 @@
 """Count the Python-level calls a run makes per round, for each bench workload.
 
-    python tools/calls_per_round.py [--horizon T] [--seed S] [--src SRC_DIR]
+    python tools/calls_per_round.py [--src SRC_DIR]
 
 Builds each workload's `lazyoco run` config from `bench/workloads.py`
-(at horizon T, default 3 000, and benchmark seed S, default the bench's
-own), then runs `runner.execute_run` on it in this process under
-`sys.setprofile`, and prints the `call` and `c_call` events it saw
-divided by T: every Python function entered (a generator resumed
-included) and every builtin or numpy function called.  The count is
-deterministic for a given Python and numpy; the trace is not written.
-Uses only the standard library and the `lazyoco` package under SRC_DIR
-(default: the `src/` next to this script).
+(at T = 3 000 and the bench's own seed), then runs `runner.execute_run`
+on it in this process under `sys.setprofile`, and prints the `call` and
+`c_call` events it saw divided by T: every Python function entered (a
+generator resumed included) and every builtin or numpy function called.
+The count is deterministic for a given Python and numpy; the trace is
+not written.  Uses only the standard library and the `lazyoco` package
+under SRC_DIR (default: the `src/` next to this script).
 """
 
 from __future__ import annotations
@@ -47,28 +46,24 @@ def calls_per_round(runner, doc: dict) -> float:
     return count / config.horizon
 
 
-def count_workloads(horizon: int = DEFAULT_HORIZON, seed: int = DEFAULT_SEED) -> dict:
+def count_workloads() -> dict:
     """Workload name -> calls per round, with the `lazyoco` already importable."""
     from lazyoco import runner
 
     with tempfile.TemporaryDirectory() as work:
-        return {name: calls_per_round(runner, run_config(w, seed, horizon,
-                                                         os.path.join(work, "trace.csv")))
+        trace = os.path.join(work, "trace.csv")
+        return {name: calls_per_round(runner, run_config(w, DEFAULT_SEED, DEFAULT_HORIZON, trace))
                 for name, w in WORKLOADS.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--src", default=os.path.join(REPO, "src"),
                         help="directory holding the lazyoco package to count")
     args = parser.parse_args(argv)
-    if args.horizon < 1 or args.seed < 0:
-        parser.error("--horizon must be >= 1 and --seed >= 0")
     sys.path.insert(0, os.path.abspath(args.src))
-    for name, calls in count_workloads(args.horizon, args.seed).items():
-        print(f"{name}: {calls:.2f} calls per round (T = {args.horizon}, seed {args.seed})")
+    for name, calls in count_workloads().items():
+        print(f"{name}: {calls:.2f} calls per round (T = {DEFAULT_HORIZON}, seed {DEFAULT_SEED})")
     return 0
 
 
