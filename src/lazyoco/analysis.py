@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import _Scenario
-from .sets import ConfigurationError
+from .sets import ConfigurationError, row_dots
 
 __all__ = [
     "BENCHMARK_KINDS",
@@ -309,10 +309,7 @@ class ComparatorFold:
             quadratic = [i for i, o in enumerate(rounds, 1) if o.cost_affine is None]
             w, u, b = zip(*[rounds[i - 1].cost_quadratic for i in quadratic])
             w, U = np.array(w), np.concatenate(u).reshape(-1, n)
-            # each round's own u.dot(u), batched: a row times its column in
-            # `matmul` adds in the order `.dot` does, as no other vector op does
-            uu = np.matmul(U[:, None, :], U[:, :, None]).ravel()
-            steps[quadratic, n] = 0.5 * w * uu + b
+            steps[quadratic, n] = 0.5 * w * row_dots(U) + b
             steps[quadratic, n + 1] = w
             steps[quadratic, n + 2:] = U * w[:, None]
         np.cumsum(steps, axis=0, out=steps)

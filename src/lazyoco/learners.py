@@ -121,12 +121,9 @@ class LearnerConfig:
     a: float
     beta: float
     bounds: ProblemBounds
-    x0: np.ndarray | None = None
+    x0: list[float] | np.ndarray | None = None  # converted by the learner that starts there
 
     def __post_init__(self):
-        if self.variant == "llp_linearized":
-            raise ConfigurationError("learner variant 'llp_linearized' was retired: on the "
-                                     "affine constraints of every round it is 'llp'; use 'llp'")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown learner variant {self.variant!r}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -135,8 +132,6 @@ class LearnerConfig:
             raise ConfigurationError("a must be positive")
         if not (0.0 <= self.beta < 1.0):
             raise ConfigurationError("beta must lie in [0, 1)")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
 
 # -- the round at n = d = 1 on floats (see the module docstring) ------------------

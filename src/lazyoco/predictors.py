@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemBounds, RoundOracle, _Scenario
-from .sets import ConfigurationError, norm
+from .sets import ConfigurationError, norm, row_dots
 
 __all__ = [
     "PredictionBundle",
@@ -71,8 +71,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """`_unit` of each row of the 2-D v, bit for bit: `matmul` adds each row's dot as `.dot`."""
-    nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
+    """`_unit` of each row of the 2-D v, bit for bit."""
+    nv = np.sqrt(row_dots(v))
     out = v / np.where(nv == 0.0, 1.0, nv)[:, None]
     out[nv == 0.0] = _unit(np.zeros(v.shape[1]))
     return out
@@ -152,7 +152,7 @@ class NoisyPredictor(_Predictor):
     (`_refill`), as many rounds as `_Scenario._block_rows` gives a round of
     n + d doubles, bit-equal to drawing each round alone: the same four
     generator calls per round in the same order, the same products in the
-    same order, and each row's norm still its own dot, in one `matmul`
+    same order, and each row's norm still its own dot, by `sets.row_dots`
     (einsum, (v*v).sum(1) and a sequential column sum each differ from
     ddot on 16-55% of standard normal rows at n = 2 to 15).  A round then adds
     the gradient at the last noted action, clips, and blends W, u.

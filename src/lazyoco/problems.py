@@ -14,7 +14,9 @@ stays flat in the horizon and whoever needs a round again (the offline
 comparator, a test) keeps what it needs itself.  The kinds that draw
 (`stochastic_constraint`, `perturbed_linear`, `random_quadratic`) draw
 ahead in blocks of up to 256 rounds with one `Generator.random` call,
-bit-equal to drawing each round alone.
+bit-equal to drawing each round alone; the last two build each round
+from their own float64 arrays through `RoundOracle._drawn`, unchecked,
+while `RoundOracle(...)` and `affine_round` check what they are given.
 
 Adaptive scenarios (the regret/violation lower-bound opponent) consume
 the player's actions through :meth:`record_action` before emitting the
@@ -110,11 +112,11 @@ class RoundOracle:
             self.cost_quadratic = (float(w), np.asarray(c, dtype=float), float(b))
 
     @classmethod
-    def _drawn(cls, constraint_affine, cost_quadratic) -> RoundOracle:
-        """A quadratic round from float64 arrays and floats a scenario drew itself,
-        taken as they are; every other caller goes through the checks above."""
+    def _drawn(cls, constraint_affine, cost_affine=None, cost_quadratic=None) -> RoundOracle:
+        """A round from float64 arrays and floats a scenario drew itself, unchecked."""
         oracle = object.__new__(cls)
-        oracle.constraint_affine, oracle.cost_quadratic = constraint_affine, cost_quadratic
+        oracle.constraint_affine = constraint_affine
+        oracle.cost_affine, oracle.cost_quadratic = cost_affine, cost_quadratic
         return oracle
 
     def cost(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -362,7 +364,7 @@ class PerturbedLinear(_Scenario):
             # a new array each time, so an oracle a caller kept still reads its own b_t
             self._shifts = _uniform(self._rng.random((self._BLOCK, 1)),
                                     -self.amplitude, self.amplitude)
-        return affine_round(self._slope, 0.0, self._row, self._shifts[i])
+        return RoundOracle._drawn((self._row, self._shifts[i]), (self._slope, 0.0))
 
 
 class RandomQuadratic(_Scenario):
@@ -435,7 +437,7 @@ class RandomQuadratic(_Scenario):
         i = (t - 1) % self._rows
         if i == 0:
             self._refill()
-        return RoundOracle._drawn((self._A[i], self._neg_b[i]), (1.0, self._u[i], 0.0))
+        return RoundOracle._drawn((self._A[i], self._neg_b[i]), None, (1.0, self._u[i], 0.0))
 
 
 SCENARIO_KINDS = {

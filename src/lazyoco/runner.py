@@ -23,7 +23,7 @@ from . import analysis
 from .learners import LearnerConfig, LlpLearner, make_learner
 from .predictors import _Predictor, make_predictor
 from .problems import SCENARIO_KINDS, RoundOracle, _Scenario, finite_number, make_scenario
-from .sets import ConfigurationError
+from .sets import ConfigurationError, row_dots
 
 __all__ = [
     "RunConfig",
@@ -76,6 +76,8 @@ _PREDICTOR_KEYS = {"kind", "level", "seed"}
 _BENCHMARK_KEYS = {"kind"}
 _OUTPUT_KEYS = {"path", "format", "record_every"}
 _SWEEP_KEYS = {"base", "horizons", "betas", "repetitions"}
+# numpy's float warnings, off where runs sum totals: callers check the values they keep
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 # -- config parsing -----------------------------------------------------------
@@ -93,6 +95,18 @@ def _mapping(doc, name: str, allowed: set) -> dict:
 
 
 _JSON_TYPES = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+def _output_file(path: str | None, name: str) -> str | None:
+    """path, or None, if a trace can be written there: refused at parse when it
+    is empty, names a directory or sits in a missing one, so no run plays first."""
+    if path == "":
+        raise ConfigurationError(f"{name} must name a file: it is empty")
+    if path is not None and os.path.isdir(path):
+        raise ConfigurationError(f"{name} {path!r} is a directory, not a file")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"{name} {path!r} is in a directory that does not exist")
+    return path
 
 
 def _field(doc: dict, key, name: str, kind: type, default=None, required=False):
@@ -166,7 +180,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     x0 = ln.get("x0")
     if x0 is not None and not (isinstance(x0, list) and all(finite_number(v) for v in x0)):
         raise ConfigurationError("learner.x0 must be a list of finite numbers or null")
-    learner = LearnerConfig(
+    c = LearnerConfig(
         variant=_field(ln, "variant", "learner", str, required=True),
         sigma=_field(ln, "sigma", "learner", float, required=True),
         a=_field(ln, "a", "learner", float, required=True),
@@ -178,11 +192,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     pr = _mapping(doc.get("predictor"), "predictor", _PREDICTOR_KEYS)
     bm = _mapping(doc.get("benchmark"), "benchmark", _BENCHMARK_KEYS)
     out = _mapping(doc.get("output"), "output", _OUTPUT_KEYS)
-    output = OutputSpec(path=_field(out, "path", "output", str),
+    output = OutputSpec(path=_output_file(_field(out, "path", "output", str), "output.path"),
                         format=_field(out, "format", "output", str, "csv"),
                         record_every=_field(out, "record_every", "output", int, 1))
-    if output.path == "":
-        raise ConfigurationError("output.path must name a file: it is empty")
     if output.format not in ("csv", "json"):
         raise ConfigurationError("output.format must be 'csv' or 'json'")
     if output.record_every < 1:
@@ -190,20 +202,19 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     config = RunConfig(scenario_kind=probe.kind, horizon=probe.horizon,
                        dimension=probe.dimension, constraints=probe.n_constraints,
-                       seed=probe.seed, params=probe.params, learner=learner,
+                       seed=probe.seed, params=probe.params, learner=c,
                        predictor_kind=_field(pr, "kind", "predictor", str, "none"),
                        predictor_level=_field(pr, "level", "predictor", float, 0.1),
                        predictor_seed=_field(pr, "seed", "predictor", int, 0),
                        benchmark_kind=_field(bm, "kind", "benchmark", str, "X_T"),
                        output=output)
     _predictor_for(config, probe)
-    _learner_for(config, probe)
+    lazy = isinstance(_learner_for(config, probe), LlpLearner)
     analysis.ComparatorFold(probe.domain, config.benchmark_kind)
-    if learner.variant != "greedy_baseline":
+    if lazy:
         # certificates that overflow at unit running sums (h = xi^2 = T = 1)
         # and zero slack overflow in every run, whatever its data
-        c = learner
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(**_QUIET):
             B = analysis.regret_certificate(c.variant, 1.0, c.sigma, c.bounds, xi_sq_sum=1.0,
                                             horizon=1, a=c.a, beta=c.beta)
             V, _, _ = analysis.violation_certificate(
@@ -244,20 +255,17 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     if hs[0] < 1:
         raise ConfigurationError("sweep.horizons must be >= 1")
     # a beta's :g form keys its cells, trace paths and exponent entry, so it must read back
-    keys: dict[str, float] = {}
+    seen: list[float] = []
     for beta in bs:
         key = f"{beta:g}"
-        if key in keys:
-            raise ConfigurationError(f"sweep.betas {keys[key]!r} and {beta!r} both print as "
-                                     f"{key}, so their cells would share keys")
         if repr(float(key)) != repr(beta):
             raise ConfigurationError(f"sweep.betas {beta!r} prints as {key}, another beta")
         # 0.0 and -0.0 print apart but are one beta
-        twin = next((b for b in keys.values() if b == beta), None)
+        twin = next((b for b in seen if b == beta), None)
         if twin is not None:
             raise ConfigurationError(f"sweep.betas {twin!r} and {beta!r} are equal as floats, "
                                      "so their cells would run one beta twice")
-        keys[key] = beta
+        seen.append(beta)
     reps = _field(doc, "repetitions", "sweep", int, 1)
     if reps < 1:
         raise ConfigurationError("sweep.repetitions must be a positive integer")
@@ -318,10 +326,8 @@ def _learner_for(config: RunConfig, scenario):
 
 
 def _row_norms(v) -> np.ndarray:
-    """The norm of each row's vector, `sets.norm` bit for bit: v holds one float
-    or (d,) array a row, and `matmul` adds each row's self-dot as `.dot` does."""
-    v = np.array(v, dtype=float).reshape(len(v), -1)
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]).ravel())
+    """Each row's `sets.norm`, bit for bit: v holds one float or (d,) array a row."""
+    return np.sqrt(row_dots(np.array(v, dtype=float).reshape(len(v), -1)))
 
 
 def play_rounds(scenario, predictor, learner,
@@ -373,9 +379,7 @@ def execute_run(config: RunConfig) -> RunResult:
     # only the lazy learners carry a certificate
     lazy = isinstance(learner, LlpLearner)
     rounds = play_rounds(scenario, predictor, learner, T)
-    # a total that overflows is named by the finite check below, so numpy's
-    # own warnings about it would only come first
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         # a block of rounds at a time: their truths go to the fold in one
         # call, and the rows recorded among them to the arrays in one slice;
         # a row keeps the learner's sum g(x), lam and flags as they are, and
@@ -473,14 +477,13 @@ def execute_run(config: RunConfig) -> RunResult:
 # -- persistence -----------------------------------------------------------------
 
 
-def write_trace(result: RunResult, path: str | None = None, fmt: str | None = None) -> str:
-    out = path if path is not None else result.config.output.path
+def write_trace(result: RunResult) -> str:
+    out = result.config.output.path
     if out is None:
         raise ConfigurationError("no output path configured for the trace")
-    fmt = fmt if fmt is not None else result.config.output.format
     # the trace's numeric columns, a view of the table's first ones
     table, flags = result.table[:, :len(TRACE_COLUMNS) - 1], result.flags
-    if fmt == "csv":
+    if result.config.output.format == "csv":
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for a in range(0, len(flags), _BLOCK_ROWS):
@@ -690,8 +693,7 @@ def compare(configs: list[RunConfig], output_path: str | None = None) -> dict:
     """Aligned per-round comparison of several learners on one scenario."""
     if not configs:
         raise ConfigurationError("compare needs at least one config")
-    if output_path == "":
-        raise ConfigurationError("-o/--output must name a file: it is empty")
+    _output_file(output_path, "-o/--output")
     first = configs[0]
     for cfg in configs[1:]:
         same = (cfg.scenario_kind == first.scenario_kind
@@ -755,8 +757,8 @@ def bench(config: RunConfig) -> dict:
     scenario = _scenario_for(config)
     fold = analysis.ComparatorFold(scenario.domain, config.benchmark_kind)
     end = config.horizon + 1
-    # the blocks and the errstate of `execute_run`'s fold
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # the blocks of `execute_run`'s fold
+    with np.errstate(**_QUIET):
         for start in range(1, end, _BLOCK_ROWS):
             fold.add([scenario.round(t) for t in range(start, min(start + _BLOCK_ROWS, end))])
     result = analysis.compute_benchmark(fold)

@@ -24,6 +24,7 @@ __all__ = [
     "ConfigurationError",
     "positive_part",
     "norm",
+    "row_dots",
     "Box",
     "exact_step",
 ]
@@ -45,6 +46,11 @@ def norm(v: np.ndarray) -> float:
     dot and a correctly rounded sqrt directly skips its dispatch and checks.
     """
     return math.sqrt(v.dot(v))
+
+
+def row_dots(v: np.ndarray) -> np.ndarray:
+    """Each row's row.dot(row) of the 2-D v, bit for bit: `matmul` adds as `.dot` does."""
+    return np.matmul(v[:, None, :], v[:, :, None]).ravel()
 
 
 def _vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:

@@ -19,8 +19,8 @@ When every term is smooth the method is projected gradient with a fixed
 step 1 / (S + sum_i L_i); otherwise it is projected subgradient with
 step ~ 1/sqrt(k) and best-iterate tracking.  Convergence is judged by
 the norm of the gradient map x - project(x - grad(x) / max(S, 1))
-against the keyword `tolerance` (default 1e-9), within `max_iterations`
-steps (default 10 000); no run config sets either.  The iterations
+against `TOLERANCE` (1e-9), within `MAX_ITERATIONS` steps (10 000):
+module constants, which no argument or config overrides.  The iterations
 start at `fallback`, or at the prox center without one.
 
 The dual maximization is never iterative: with a quadratic dual
@@ -48,6 +48,9 @@ __all__ = [
 # (f, L): f(x) -> (value, gradient); L bounds the gradient's Lipschitz
 # constant, or is None for a nonsmooth term
 Term = tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], float | None]
+
+TOLERANCE = 1e-9
+MAX_ITERATIONS = 10_000
 
 
 @dataclass
@@ -85,18 +88,13 @@ def _gradient_map_norm(obj: FtrlObjective, x: np.ndarray, grad: np.ndarray) -> f
     return norm(x - (x - grad / scale).clip(obj.domain.lower, obj.domain.upper))
 
 
-def minimize(obj: FtrlObjective, fallback: np.ndarray | None = None, *,
-             tolerance: float = 1e-9, max_iterations: int = 10_000) -> SolveResult:
+def minimize(obj: FtrlObjective, fallback: np.ndarray | None = None) -> SolveResult:
     """Minimize an aggregate objective with at least one term over its feasible set.
 
-    It stops once the gradient map's norm is at most `tolerance`, or after
-    `max_iterations` steps unconverged.  Inputs are checked at entry; the
+    It stops once the gradient map's norm is at most `TOLERANCE`, or after
+    `MAX_ITERATIONS` steps unconverged.  Inputs are checked at entry; the
     iterates then stay in the box, so each step is a clip.
     """
-    if not (tolerance > 0.0 and math.isfinite(tolerance)):
-        raise ConfigurationError("solver tolerance must be positive")
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
     S = float(obj.quad_weight)
     if S < 0.0:
         raise ConfigurationError("quadratic weight must be nonnegative")
@@ -117,12 +115,12 @@ def minimize(obj: FtrlObjective, fallback: np.ndarray | None = None, *,
     if not smooth:
         best_x, best_val = x, obj.value(x)
 
-    for k in range(1, max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         grad = obj.gradient(x)
         res = _gradient_map_norm(obj, x, grad)
         if res < best_res:
             best_res = res
-        if res <= tolerance:
+        if res <= TOLERANCE:
             return SolveResult(x=x, residual=res, converged=True, iterations=k)
         if smooth:
             x = (x - grad / curvature).clip(lo, hi)
@@ -139,7 +137,7 @@ def minimize(obj: FtrlObjective, fallback: np.ndarray | None = None, *,
         grad = obj.gradient(x)
         best_res = min(best_res, _gradient_map_norm(obj, x, grad))
     return SolveResult(x=x, residual=best_res, converged=False,
-                       iterations=max_iterations)
+                       iterations=MAX_ITERATIONS)
 
 
 def dual_step(a_t: float, cumulative: np.ndarray, predicted: np.ndarray) -> np.ndarray:

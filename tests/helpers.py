@@ -8,14 +8,14 @@ per-round values off the learner after each round.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from lazyoco.analysis import regret_certificate, violation_certificate
 from lazyoco.predictors import zero_bundle
-from lazyoco.runner import ROW_COLUMNS, play_rounds
+from lazyoco.runner import ROW_COLUMNS, play_rounds, write_trace
 
 # one verdict line per acceptance criterion; a conftest hook echoes these
 # in the terminal summary so they survive output capture
@@ -195,6 +195,13 @@ def play_run(scenario, predictor, learner, horizon) -> list[tuple]:
     """`runner.play_rounds` over rounds 1..horizon: each truth with its snapshot."""
     return [(truth, _snapshot(learner, truth, x))
             for truth, x in play_rounds(scenario, predictor, learner, horizon)]
+
+
+def write_trace_at(result, path, fmt=None) -> str:
+    """`write_trace` of the run with its config's output moved to path (and to fmt)."""
+    output = replace(result.config.output, path=str(path),
+                     format=fmt or result.config.output.format)
+    return write_trace(replace(result, config=replace(result.config, output=output)))
 
 
 def trace_row(result, i) -> dict:

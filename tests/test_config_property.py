@@ -16,6 +16,8 @@ from lazyoco.predictors import PREDICTOR_KINDS
 from lazyoco.problems import SCENARIO_KINDS
 from lazyoco.sets import ConfigurationError
 
+from helpers import write_trace_at
+
 # one deliberate fault per document, or none; each must be refused at parse
 _FAULTS = (None, None, None, None, None, "sigma", "a", "beta", "x0 shape", "x0 outside",
            "noise level", "dimension", "param", "bound overflow", "negative seed",
@@ -96,7 +98,7 @@ def _run_bytes(config, path) -> tuple[bytes, bytes]:
     for key in ("cum_cost", "violation_norm", "violation_z_norm", "h_cum", "sigma_cum", "a_T"):
         assert isinstance(s[key], float), key
     assert isinstance(s["regret"], float) == s["benchmark_feasible"]
-    runner.write_trace(result, str(path))
+    write_trace_at(result, path)
     return path.read_bytes(), (path.parent / (path.name + ".summary.json")).read_bytes()
 
 

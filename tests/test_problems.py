@@ -386,6 +386,34 @@ def test_one_dimensional_blocks_equal_one_round_draws(kind, amplitude):
             assert same_bits(kept.constraint_affine[1], first)
 
 
+@pytest.mark.parametrize("kind, shape", [("perturbed_linear", {}),
+                                         ("random_quadratic", {"dimension": 3, "constraints": 2})])
+def test_drawn_rounds_are_the_checked_rounds_bit_for_bit(kind, shape):
+    """The kinds that draw build their rounds unchecked, through `RoundOracle._drawn`;
+    each is the round `RoundOracle(...)` builds from its descriptors as plain lists
+    and floats, field by field and bit for bit, with float64 arrays and Python floats."""
+    sc = make_scenario(kind, horizon=600, seed=7, **shape)
+    affine = kind == "perturbed_linear"
+    for t in range(1, 601):
+        drawn = sc.round(t)
+        plain = {name: None if value is None else
+                 tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in value)
+                 for name, value in vars(drawn).items()}
+        checked = RoundOracle(**plain)
+        assert (drawn.cost_quadratic is None) == affine and (drawn.cost_affine is None) != affine
+        for name in ("constraint_affine", "cost_affine", "cost_quadratic"):
+            got, want = getattr(drawn, name), getattr(checked, name)
+            if want is None:
+                assert got is None
+                continue
+            assert type(got) is tuple and len(got) == len(want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                if isinstance(w, np.ndarray):
+                    assert g.dtype == w.dtype == np.float64 and g.shape == w.shape
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 @pytest.mark.parametrize("oracle", [
     affine_round([-4.0], 0.5, [[0.79]], [0.26]),
     affine_round([1.5, -2.0, 0.25], 0.0, [[1.0, 0.0, 0.0]], [0.0]),

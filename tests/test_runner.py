@@ -1,8 +1,8 @@
 import copy
-import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import lazyoco
-from lazyoco import analysis, cli, learners, runner
+from lazyoco import analysis, cli, learners, runner, solver
 from lazyoco.learners import make_learner
 from lazyoco.predictors import make_predictor
 from lazyoco.problems import make_scenario
 from lazyoco.sets import Box, ConfigurationError
 
-from helpers import compute_metrics, play_run, trace_row
+from helpers import compute_metrics, play_run, trace_row, write_trace_at
 
 
 def base_doc(**over):
@@ -122,7 +124,7 @@ def test_json_trace_format(tmp_path):
                            "record_every": 3})
     result = runner.execute_run(runner.parse_run_config(doc))
     runner.write_trace(result)
-    runner.write_trace(result, str(tmp_path / "trace.csv"), "csv")
+    write_trace_at(result, tmp_path / "trace.csv", "csv")
     loaded = json.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
     lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert loaded["columns"] == list(runner.TRACE_COLUMNS) == lines[0].split(",")
@@ -371,8 +373,7 @@ def test_deferred_fixed_point_is_solved_at_large_step_sizes(a):
 def test_unconverged_primal_solve_is_flagged_in_row_and_summary(monkeypatch):
     """A solver capped at 3 iterations stops one penalty solve short of converging,
     and that round's prescient step still solves for z instead of keeping x."""
-    monkeypatch.setattr(learners, "minimize",
-                        functools.partial(learners.minimize, max_iterations=3))
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
     doc = base_doc(scenario={"kind": "random_quadratic", "horizon": 400, "dimension": 5,
                              "constraints": 3, "seed": 3},
                    predictor={"kind": "perfect"})
@@ -647,47 +648,51 @@ def test_cli_rejects_sweep_grid_types(tmp_path, capsys, monkeypatch, key, values
     assert not list(tmp_path.glob("sw*"))
 
 
-def test_cli_rejects_betas_that_print_alike(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("horizons, betas, message", [
     # cells, trace paths and exponents are keyed by beta's :g form, so these
     # betas used to collapse 12 cells into 4 and exit 0
-    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
-    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
-           "horizons": [10, 20, 40, 80], "betas": [0.5, 0.5000001, 0.5]}
-    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
-    assert "sweep.betas 0.5 and 0.5000001 both print as 0.5" in capsys.readouterr().err
-    assert not list(tmp_path.glob("sw*"))
-
-
-def test_cli_rejects_a_beta_that_prints_as_another(tmp_path, capsys, monkeypatch):
+    ([10, 20, 40, 80], [0.5, 0.5000001, 0.5], "sweep.betas 0.5000001 prints as 0.5, another"),
     # 0.9999999999999999 prints as 1 under :g, so its cells used to run as
     # beta=1,T=... with traces *_beta1_T*, a beta the learner refuses
+    ([10, 20], [0.5, 0.9999999999999999], "sweep.betas 0.9999999999999999 prints as 1, another"),
+    # 0.0 and -0.0 print as "0" and "-0", so their cells used to get keys and
+    # paths of their own and run the same beta twice
+    ([10, 20], [0.0, -0.0], "sweep.betas 0.0 and -0.0 are equal as floats"),
+    ([10, 20], [-0.0, 0.5, 0.0], "sweep.betas -0.0 and 0.0 are equal as floats"),
+], ids=["print-alike", "prints-as-another", "signed-zeros", "signed-zeros-apart"])
+def test_cli_rejects_betas_that_key_one_cell_twice(tmp_path, capsys, monkeypatch, horizons,
+                                                   betas, message):
     monkeypatch.setenv("LAZYOCO_WORKERS", "1")
     doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
-           "horizons": [10, 20], "betas": [0.5, 0.9999999999999999]}
+           "horizons": horizons, "betas": betas}
     assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
-    assert "sweep.betas 0.9999999999999999 prints as 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("sw*"))
-    # betas whose :g form reads back as themselves keep their keys and paths
-    doc["betas"] = [0.0, 0.5]
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        runner.parse_sweep_config(doc)
+
+
+def test_betas_that_read_back_key_their_cells(tmp_path):
+    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
+           "horizons": [10, 20], "betas": [0.0, 0.5]}
     cells = runner.parse_sweep_config(doc).cells
     assert list(cells) == [f"beta={b},T={h},rep=0" for b in ("0", "0.5") for h in (10, 20)]
     assert cells["beta=0.5,T=20,rep=0"].output.path == str(tmp_path / "sw_beta0.5_T20_rep0.csv")
 
 
-@pytest.mark.parametrize("betas", [[0.0, -0.0], [-0.0, 0.5, 0.0]])
-def test_cli_rejects_signed_zero_betas(tmp_path, capsys, monkeypatch, betas):
-    # 0.0 and -0.0 print as "0" and "-0", so their cells used to get keys and
-    # paths of their own and run the same beta twice
-    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
-    doc = {"base": base_doc(output={"path": str(tmp_path / "sw")}),
-           "horizons": [10, 20], "betas": betas}
-    assert cli.main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
-    first, second = [b for b in betas if b == 0.0]
-    assert (f"sweep.betas {first!r} and {second!r} are equal as floats"
-            in capsys.readouterr().err)
-    assert not list(tmp_path.glob("sw*"))
-    with pytest.raises(ConfigurationError, match="equal as floats"):
-        runner.parse_sweep_config(doc)
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(beta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_cli_rejects_a_beta_beside_the_one_it_prints_as(tmp_path, capsys, beta):
+    """A beta b whose :g form reads back as another float b' is refused beside b'
+    in either order, as the beta that prints as another."""
+    key = f"{beta:g}"
+    twin = float(key)
+    assume(twin != beta)
+    for i, betas in enumerate(([twin, beta], [beta, twin])):
+        doc = {"base": base_doc(), "horizons": [10], "betas": betas}
+        assert cli.main(["sweep", write_config(tmp_path, f"{beta!r}-{i}.json", doc)]) == 2
+        assert f"sweep.betas {beta!r} prints as {key}, another beta" in capsys.readouterr().err
 
 
 def test_worker_count_env(monkeypatch):
@@ -780,8 +785,15 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     unknown["scenario"]["speed"] = 11
     assert cli.main(["run", write_config(tmp_path, "unk.json", unknown)]) == 2
 
+    # a trace path in a missing directory is refused at parse, not after the run
+    misplaced = copy.deepcopy(doc)
+    misplaced["output"]["path"] = str(tmp_path / "no_such_dir" / "t.csv")
+    assert cli.main(["run", write_config(tmp_path, "misplaced.json", misplaced)]) == 2
+
     doomed = copy.deepcopy(doc)
-    doomed["output"]["path"] = str(tmp_path / "no_such_dir" / "t.csv")
+    doomed["scenario"]["horizon"] = 60
+    doomed["learner"]["a"] = 1e300
+    doomed["predictor"] = {"kind": "adversarial"}
     assert cli.main(["run", write_config(tmp_path, "doomed.json", doomed)]) == 3
 
 
@@ -830,6 +842,34 @@ def test_cli_refuses_an_empty_output_path(tmp_path, capsys, monkeypatch, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare", "compare -o"])
+@pytest.mark.parametrize("where, message", [
+    ("missing/t.csv", "is in a directory that does not exist"),
+    ("out", "is a directory, not a file"),
+])
+def test_cli_refuses_an_output_path_it_cannot_write(tmp_path, capsys, monkeypatch, command,
+                                                    where, message):
+    """A trace path in a missing directory, or one that names a directory, is
+    refused at parse, as is such a `compare -o`: `run` used to play every round
+    and then fail to open it (exit 3), and a sweep failed so in every cell."""
+    monkeypatch.setenv("LAZYOCO_WORKERS", "1")
+    (tmp_path / "out").mkdir()
+    out = str(tmp_path / where)
+    doc = base_doc(output={} if command == "compare -o" else {"path": out})
+    doc["scenario"]["horizon"] = 10
+    if command == "sweep":
+        doc = {"base": doc, "horizons": [10, 20], "betas": [0.5]}
+    path = write_config(tmp_path, "config.json", doc)
+    argv = {"run": ["run", path], "sweep": ["sweep", path], "compare": ["compare", path, path],
+            "compare -o": ["compare", path, path, "-o", out]}[command]
+    monkeypatch.setattr(runner, "execute_run", lambda config: pytest.fail("a run started"))
+    assert cli.main(argv) == 2
+    name = "-o/--output" if command == "compare -o" else "output.path"
+    assert f"{name} {out!r} {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_cli_compare_refuses_an_empty_output_option(tmp_path, capsys, monkeypatch):
     """`compare -o ""` names no file: it is refused before a config runs, where
     it used to exit 0 with no CSV written and `"path": ""` reported."""
@@ -843,13 +883,13 @@ def test_cli_compare_refuses_an_empty_output_option(tmp_path, capsys, monkeypatc
 
 
 def test_retired_linearized_variant_is_refused(tmp_path, capsys):
-    """`llp_linearized` was `llp` on affine constraints; the refusal names `llp`."""
+    """`llp_linearized` was `llp` on affine constraints; it is an unknown variant now."""
     doc = base_doc(output={"path": str(tmp_path / "t.csv")})
     doc["learner"]["variant"] = "llp_linearized"
-    with pytest.raises(ConfigurationError, match="use 'llp'"):
+    with pytest.raises(ConfigurationError, match="unknown learner variant 'llp_linearized'"):
         runner.parse_run_config(doc)
     assert cli.main(["run", write_config(tmp_path, "retired.json", doc)]) == 2
-    assert "use 'llp'" in capsys.readouterr().err
+    assert "unknown learner variant 'llp_linearized'" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -1128,7 +1168,7 @@ def test_cli_sweep_reports_failed_cells(tmp_path):
         config = runner._derive_cell(runner.parse_run_config(base), 0.5, horizon, 0)
         alone = runner.execute_run(config)
         assert cells[f"beta=0.5,T={horizon},rep=0"] == json.loads(json.dumps(alone.summary))
-        runner.write_trace(alone, str(tmp_path / "alone.csv"))
+        write_trace_at(alone, tmp_path / "alone.csv")
         assert (Path(config.output.path).read_bytes()
                 == (tmp_path / "alone.csv").read_bytes())
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lazyoco import solver
 from lazyoco.sets import Box, ConfigurationError, exact_step
 from lazyoco.solver import FtrlObjective, SolveResult, dual_step, minimize
 
@@ -183,13 +184,14 @@ def test_solver_matches_grid_oracle_1d_and_2d():
             assert np.linalg.norm(res.x - x_grid) <= 1e-3, f"instance {i}"
 
 
-def test_solver_residual_certifies_near_optimality():
+def test_solver_residual_certifies_near_optimality(monkeypatch):
     """obj(x) <= obj(y) + tol * (1 + ||grad obj(x)||) for random feasible y."""
+    monkeypatch.setattr(solver, "TOLERANCE", 1e-10)
     rng = np.random.default_rng(5)
     for i in range(100):
         n = 1 if i % 2 == 0 else 2
         obj, _ = random_instance(rng, n)
-        res = minimize(obj, tolerance=1e-10)
+        res = minimize(obj)
         vx = obj.value(res.x)
         gn = float(np.linalg.norm(obj.gradient(res.x)))
         for _ in range(20):
@@ -197,14 +199,15 @@ def test_solver_residual_certifies_near_optimality():
             assert vx <= obj.value(y) + 1e-6 * (1.0 + gn)
 
 
-def test_max_iterations_reports_best_iterate():
+def test_max_iterations_reports_best_iterate(monkeypatch):
     def absval(x):
         return abs(float(x[0])), np.array([math.copysign(1.0, x[0])])
 
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
     obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(absval, None)])
-    res = minimize(obj, max_iterations=3)
+    res = minimize(obj)
     assert isinstance(res, SolveResult)
-    assert not res.converged
+    assert not res.converged and res.iterations == 3
     assert math.isfinite(res.residual)
 
 
@@ -231,12 +234,3 @@ def test_dual_closed_form_matches_grid_argmax():
         lam = dual_step(a_t, cum, pred)
         grid = dual_grid_argmax(a_t, cum + pred)
         assert np.linalg.norm(lam - grid) <= 1e-3, f"instance {i}"
-
-
-def test_solver_settings_validation():
-    """`minimize` checks its tolerance and iteration limit at entry."""
-    obj = FtrlObjective(BOX1, 1.0, np.zeros(1), np.array([1.0]), [(affine_term, 0.0)])
-    with pytest.raises(ConfigurationError):
-        minimize(obj, tolerance=0.0)
-    with pytest.raises(ConfigurationError):
-        minimize(obj, max_iterations=0)

@@ -7,15 +7,17 @@ Builds each workload's `lazyoco run` config from `bench/workloads.py`
 on it in this process under `sys.setprofile`, and prints the `call` and
 `c_call` events it saw divided by T: every Python function entered (a
 generator resumed included) and every builtin or numpy function called.
-The count is deterministic for a given Python and numpy; the trace is
-not written.  Uses only the standard library and the `lazyoco` package
-under SRC_DIR (default: the `src/` next to this script).
+The count is deterministic for a given Python and numpy, so it prints
+their versions first; the trace is not written.  Uses only the standard
+library and the `lazyoco` package under SRC_DIR (default: the `src/`
+next to this script).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 import tempfile
 
@@ -62,7 +64,9 @@ def main(argv=None) -> int:
                         help="directory holding the lazyoco package to count")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    for name, calls in count_workloads().items():
+    counts = count_workloads()
+    print(f"Python {platform.python_version()}, numpy {sys.modules['numpy'].__version__}")
+    for name, calls in counts.items():
         print(f"{name}: {calls:.2f} calls per round (T = {DEFAULT_HORIZON}, seed {DEFAULT_SEED})")
     return 0
 
